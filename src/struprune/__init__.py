@@ -52,7 +52,7 @@ from .importance import (
     wanda_elementwise,
     wanda_unit,
 )
-from .linalg import make_rng, matmul, relu, ridge_solve, row_softmax, softmax_vec
+from .linalg import make_rng, relu, ridge_solve, row_softmax, softmax_vec
 from .model import (
     ActivationCache,
     CalibrationSet,

@@ -12,6 +12,7 @@ the frozen reference, which is what keeps block solves independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -23,17 +24,9 @@ from .allocation import (
     round_half_away,
 )
 from .errors import ParameterError, SolverError
-from .importance import DEFAULT_AXES, magnitude_unit, wanda_unit
+from .importance import DEFAULT_AXES, UNIT_CRITERIA
 from .linalg import make_rng, relu, ridge_solve, row_softmax
-from .model import (
-    FFN,
-    MHA,
-    ActivationCache,
-    BlockActivations,
-    FfnBlock,
-    MhaBlock,
-    ToyModel,
-)
+from .model import FFN, ActivationCache, BlockActivations, FfnBlock, ToyModel
 
 
 @dataclass
@@ -46,7 +39,6 @@ class SolverConfig:
     ridge_eps: float = 1e-6
     seed: int = 0
     mask_criterion: str = "closed-form"
-    recover_mode: str = "ridge"
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
@@ -100,30 +92,9 @@ class AdmmResult:
 # ---------------------------------------------------------------------------
 
 
-def recover_weights(
-    z: np.ndarray,
-    a_prev: np.ndarray,
-    eps: float,
-    mode: str = "ridge",
-    steps: int = 500,
-    lr: float | None = None,
-) -> np.ndarray:
-    """Solve min ||W a_prev - z||^2 + eps ||W||^2 for W.
-
-    The ridge path is the deterministic default; the gradient path exists
-    for parity testing against it.
-    """
-    if mode == "ridge":
-        return ridge_solve(a_prev.T, z.T, eps).T
-    if mode != "sgd":
-        raise ParameterError(f"unknown recovery mode {mode!r}")
-    w = np.zeros((z.shape[0], a_prev.shape[0]))
-    if lr is None:
-        lr = 0.9 / (2.0 * float(np.sum(a_prev * a_prev)) + eps + 1e-12)
-    for _ in range(steps):
-        grad = 2.0 * (w @ a_prev - z) @ a_prev.T + 2.0 * eps * w
-        w -= lr * grad
-    return w
+def recover_weights(z: np.ndarray, a_prev: np.ndarray, eps: float) -> np.ndarray:
+    """Solve min ||W a_prev - z||^2 + eps ||W||^2 for W by ridge regression."""
+    return ridge_solve(a_prev.T, z.T, eps).T
 
 
 def _refit_rows(w_hat: np.ndarray, bits: np.ndarray, x_in: np.ndarray, target: np.ndarray, eps: float) -> np.ndarray:
@@ -160,17 +131,22 @@ def _refit_cols(w_hat: np.ndarray, bits: np.ndarray, a_in: np.ndarray, target: n
 # ---------------------------------------------------------------------------
 
 
+# The solver re-scores every outer iteration, so its gates train for
+# fewer steps than the one-shot default.
+SOLVER_CRITERIA = {**UNIT_CRITERIA, "l0": partial(UNIT_CRITERIA["l0"], steps=100)}
+
+
 def prune_scores(
-    state: BlockState,
-    rec: BlockActivations,
-    matrix: str,
+    w_hat: np.ndarray,
+    x_pre: np.ndarray,
+    target: np.ndarray,
     criterion: str,
     n_samples: int,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Unit scores for one mask-bearing matrix from the current iterates."""
-    w_hat = state.w_hat[matrix]
-    x_pre = rec.a_pre if matrix == "wv" else rec.input_pre
+    """Unit scores for one mask-bearing matrix: w_hat acts on the frozen
+    reference input x_pre; target is the teacher's product on the current
+    input."""
     if criterion == "closed-form":
         # Exact per-unit decrease of the sample-summed prune objective
         # ||b_row - M_j c_row||^2: retaining unit j saves
@@ -178,36 +154,11 @@ def prune_scores(
         # thresholding the ratio score (identical ordering when the unit
         # weights c_j^2 are constant) and stays informative at the
         # pristine state, where every ratio score is exactly 1.
-        teach = state.teacher[matrix]
-        x_cur = rec.a if matrix == "wv" else rec.input_pre
-        b_rows = teach @ x_cur
         c_rows = w_hat @ x_pre
-        return 2.0 * np.sum(c_rows * b_rows, axis=1) - np.sum(c_rows * c_rows, axis=1)
-    if criterion == "wanda":
-        return wanda_unit(w_hat, x_pre, "row", n_samples)
-    if criterion == "magnitude":
-        return magnitude_unit(w_hat, "row")
-    if criterion == "snip":
-        target = state.teacher[matrix] @ (rec.a if matrix == "wv" else rec.input_pre)
-        grad = (2.0 / n_samples) * (w_hat @ x_pre - target) @ x_pre.T
-        return np.abs(grad * w_hat).sum(axis=1)
-    if criterion == "l0":
-        if rng is None:
-            raise ParameterError("l0 criterion needs an rng")
-        target = state.teacher[matrix] @ (rec.a if matrix == "wv" else rec.input_pre)
-        return _l0_gates(w_hat, x_pre, target, n_samples, rng)
-    raise ParameterError(f"unknown mask criterion {criterion!r}")
-
-
-def _l0_gates(w, x_in, target, n_samples, rng, steps=100, lam=1e-2, lr=0.05):
-    wx = w @ x_in
-    theta = np.full(w.shape[0], 4.0) + rng.normal(0.0, 1e-3, size=w.shape[0])
-    inv_n = 1.0 / float(n_samples)
-    for _ in range(steps):
-        g = 1.0 / (1.0 + np.exp(-theta))
-        grad_g = 2.0 * inv_n * np.sum((g[:, None] * wx - target) * wx, axis=1) + lam
-        theta -= lr * grad_g * g * (1.0 - g)
-    return 1.0 / (1.0 + np.exp(-theta))
+        return 2.0 * np.sum(c_rows * target, axis=1) - np.sum(c_rows * c_rows, axis=1)
+    if criterion not in SOLVER_CRITERIA:
+        raise ParameterError(f"unknown mask criterion {criterion!r}")
+    return SOLVER_CRITERIA[criterion](w_hat, x_pre, target, n_samples, rng)
 
 
 def ffn_prune_step(
@@ -220,12 +171,13 @@ def ffn_prune_step(
     """Mask the hidden units at the planned budget, then ridge-refit the
     retained w1 rows and the matching w2 columns onto the teachers'
     current products."""
-    scores = prune_scores(state, rec, "w1", cfg.mask_criterion, n_samples, rng)
-    k = state.budget["w1"]
-    mask = binarize_by_threshold(scores, k, state.layer, "w1", "row")
+    target_up = state.teacher["w1"] @ rec.input_pre
+    scores = prune_scores(
+        state.w_hat["w1"], rec.input_pre, target_up, cfg.mask_criterion, n_samples, rng
+    )
+    mask = binarize_by_threshold(scores, state.budget["w1"], state.layer, "w1", "row")
     state.masks["w1"] = mask
     state.masks["w2"] = PruneMask(state.layer, "w2", "col", mask.bits, mask.k)
-    target_up = state.teacher["w1"] @ rec.input_pre
     state.w_hat["w1"] = _refit_rows(state.w_hat["w1"], mask.bits, rec.input_pre, target_up, cfg.ridge_eps)
     target_down = state.teacher["w2"] @ rec.a
     state.w_hat["w2"] = _refit_cols(state.w_hat["w2"], mask.bits, rec.a, target_down, cfg.ridge_eps)
@@ -339,7 +291,7 @@ def mha_update(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three sequential gradient sub-solves: a, then a_attn, then z.
     The query and key branches share the single z iterate."""
-    head_scale = float(np.sqrt(state.w_hat["wq"].shape[0] // _num_heads(state)))
+    head_scale = float(np.sqrt(state.w_hat["wq"].shape[0] // state.num_heads))
     wv = state.effective("wv")
     wo = state.effective("wo")
     wq = state.effective("wq")
@@ -379,10 +331,6 @@ def mha_update(
     return a, a_attn, z
 
 
-def _num_heads(state: BlockState) -> int:
-    return state.num_heads
-
-
 def mha_prune_step(
     state: BlockState,
     rec: BlockActivations,
@@ -393,12 +341,12 @@ def mha_prune_step(
     """Mask each projection separately at the planned budget; the value
     mask owns the matching output-projection columns."""
     for name in ("wq", "wk", "wv"):
-        scores = prune_scores(state, rec, name, cfg.mask_criterion, n_samples, rng)
+        x_pre, x_cur = (rec.a_pre, rec.a) if name == "wv" else (rec.input_pre, rec.input_pre)
+        target = state.teacher[name] @ x_cur
+        scores = prune_scores(state.w_hat[name], x_pre, target, cfg.mask_criterion, n_samples, rng)
         mask = binarize_by_threshold(scores, state.budget[name], state.layer, name, "row")
         state.masks[name] = mask
-        x_in = rec.a if name == "wv" else rec.input_pre
-        target = state.teacher[name] @ (rec.a if name == "wv" else rec.input_pre)
-        state.w_hat[name] = _refit_rows(state.w_hat[name], mask.bits, x_in, target, cfg.ridge_eps)
+        state.w_hat[name] = _refit_rows(state.w_hat[name], mask.bits, x_cur, target, cfg.ridge_eps)
     vbits = state.masks["wv"].bits
     state.masks["wo"] = PruneMask(state.layer, "wo", "col", vbits, int(vbits.sum()))
     target_o = state.teacher["wo"] @ rec.a_attn
@@ -410,7 +358,7 @@ def mha_objective(
     state: BlockState, rec: BlockActivations, cfg: SolverConfig, n_samples: int,
     seg_len: int | None = None,
 ) -> float:
-    head_scale = float(np.sqrt(state.w_hat["wq"].shape[0] // _num_heads(state)))
+    head_scale = float(np.sqrt(state.w_hat["wq"].shape[0] // state.num_heads))
     q_pre = state.effective("wq") @ rec.input_pre
     k_pre = state.effective("wk") @ rec.input_pre
     total = (
@@ -470,12 +418,8 @@ def run_outer_loop(
                 rec.z = ffn_update_output(
                     state.effective("w1"), rec.input_pre, rec.a, rec.z, cfg.alpha, cfg.beta
                 )
-                state.teacher["w1"] = recover_weights(
-                    rec.z, rec.input_pre, cfg.ridge_eps, cfg.recover_mode
-                )
-                state.teacher["w2"] = recover_weights(
-                    rec.out_pre, rec.a, cfg.ridge_eps, cfg.recover_mode
-                )
+                state.teacher["w1"] = recover_weights(rec.z, rec.input_pre, cfg.ridge_eps)
+                state.teacher["w2"] = recover_weights(rec.out_pre, rec.a, cfg.ridge_eps)
                 objective = ffn_objective(state, rec, cfg, cache.n_samples)
             else:
                 mha_prune_step(state, rec, cfg, cache.n_samples, rng_children[i])
@@ -484,15 +428,11 @@ def run_outer_loop(
                         state, rec, cfg, cache.n_samples, cache.seq_len
                     )
                 mha_update(state, rec, cfg, cache.seq_len)
-                wqk = recover_weights(rec.z, rec.input_pre, cfg.ridge_eps, cfg.recover_mode)
+                wqk = recover_weights(rec.z, rec.input_pre, cfg.ridge_eps)
                 state.teacher["wq"] = wqk
                 state.teacher["wk"] = wqk.copy()
-                state.teacher["wv"] = recover_weights(
-                    rec.a_attn, rec.a, cfg.ridge_eps, cfg.recover_mode
-                )
-                state.teacher["wo"] = recover_weights(
-                    rec.out_pre, rec.a_attn, cfg.ridge_eps, cfg.recover_mode
-                )
+                state.teacher["wv"] = recover_weights(rec.a_attn, rec.a, cfg.ridge_eps)
+                state.teacher["wo"] = recover_weights(rec.out_pre, rec.a_attn, cfg.ridge_eps)
                 objective = mha_objective(state, rec, cfg, cache.n_samples, cache.seq_len)
             if not np.isfinite(objective):
                 raise SolverError(f"non-finite objective at layer {i}, iteration {it}")
@@ -562,7 +502,7 @@ def lowrank_correct(
             a_fac = a_fac - step * (grad_c @ b_fac.T)
             b_fac = b_fac - step * (a_fac.T @ grad_c)
         new_w = w + unit_mask * (a_fac @ b_fac)
-        _set_matrix(corrected, name, new_w)
+        setattr(corrected, name, new_w)
     return corrected
 
 
@@ -589,6 +529,3 @@ def _block_io(block, rec: BlockActivations) -> dict[str, tuple[np.ndarray, np.nd
         "wo": (block.wo, rec.a_attn_pre, rec.out_pre),
     }
 
-
-def _set_matrix(block, name: str, value: np.ndarray):
-    setattr(block, name, value)

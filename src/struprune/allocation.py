@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -28,6 +29,7 @@ from .evaluation import total_reconstruction_loss
 from .importance import (
     DEFAULT_AXES,
     MASK_BEARING,
+    UNIT_CRITERIA,
     block_unit_scores,
     layer_importance,
 )
@@ -35,7 +37,6 @@ from .linalg import softmax_vec
 from .model import FFN, MHA, ActivationCache, FfnBlock, MhaBlock, ToyModel
 
 SPARSITY_CAP = 0.95
-HEAD_AXIS = "head"
 
 
 def round_half_away(x: float) -> int:
@@ -422,7 +423,7 @@ def allocate_plan(
 # Mask construction and application
 # ---------------------------------------------------------------------------
 
-MASK_CRITERIA = ("closed-form", "wanda", "magnitude", "snip", "l0")
+MASK_CRITERIA = ("closed-form", *UNIT_CRITERIA)
 
 
 def build_masks(
@@ -431,20 +432,14 @@ def build_masks(
     plan: SparsityPlan,
     criterion: str,
     rng: np.random.Generator | None = None,
-    head_mode: bool = False,
 ) -> dict[int, dict[str, PruneMask]]:
     """One PruneMask per mask-bearing matrix per block, each at the
-    block's planned retention. In head mode, attention blocks are pruned
-    by whole heads: one head mask drives matched row slices of all three
-    input projections (and the output-projection columns on apply)."""
+    block's planned retention."""
     if criterion not in MASK_CRITERIA:
         raise ParameterError(f"unknown mask criterion {criterion!r}")
     masks: dict[int, dict[str, PruneMask]] = {}
     for i, block in enumerate(model.blocks):
         retention = plan.retention_for(i)
-        if head_mode and isinstance(block, MhaBlock):
-            masks[i] = _head_masks(model, cache, i, block, retention, criterion, rng)
-            continue
         per_matrix: dict[str, PruneMask] = {}
         if criterion == "closed-form":
             scores = {
@@ -460,30 +455,6 @@ def build_masks(
                 per_matrix[m] = binarize_by_threshold(us.scores, k, i, m, us.axis)
         masks[i] = per_matrix
     return masks
-
-
-def _head_masks(
-    model, cache, layer, block: MhaBlock, retention, criterion, rng
-) -> dict[str, PruneMask]:
-    """Whole-head masks: per-head scores summed over the projections,
-    thresholded at the head budget, then broadcast to row masks."""
-    num_heads = block.num_heads
-    head_scores = np.zeros(num_heads)
-    if criterion == "closed-form":
-        for m in MASK_BEARING[MHA]:
-            s = unit_scores_closed_form(closed_form_context(model, cache, layer, m))
-            head_scores += s.reshape(num_heads, -1).sum(axis=1)
-    else:
-        for us in block_unit_scores(model, cache, layer, criterion, rng).values():
-            head_scores += us.scores.reshape(num_heads, -1).sum(axis=1)
-    k_heads = round_half_away(retention * num_heads)
-    head_mask = binarize_by_threshold(head_scores, k_heads, layer, "heads", HEAD_AXIS)
-    row_bits = np.repeat(head_mask.bits, block.wq.shape[0] // num_heads)
-    k_rows = int(row_bits.sum())
-    return {
-        m: PruneMask(layer, m, DEFAULT_AXES[m], row_bits.copy(), k_rows)
-        for m in MASK_BEARING[MHA]
-    }
 
 
 def global_closed_form_masks(
@@ -518,13 +489,6 @@ def global_closed_form_masks(
     return masks, SparsityPlan(entries)
 
 
-def expand_mask(mask: PruneMask, shape: tuple[int, int]) -> np.ndarray:
-    bits = mask.bits.astype(np.float64)
-    if mask.axis == "row":
-        return np.broadcast_to(bits[:, None], shape).copy()
-    return np.broadcast_to(bits[None, :], shape).copy()
-
-
 def apply_masks(model: ToyModel, masks: dict[int, dict[str, PruneMask]]) -> ToyModel:
     """Multiplicative structured zeroing; w2/wo columns follow the paired
     row mask (w1 for FFN, wv for MHA)."""
@@ -549,11 +513,15 @@ def apply_masks(model: ToyModel, masks: dict[int, dict[str, PruneMask]]) -> ToyM
 # ---------------------------------------------------------------------------
 
 
+def importance_scale(importances) -> float:
+    """Mean absolute layer importance; 1.0 when every importance is 0."""
+    scale = float(np.mean(np.abs(np.asarray(importances, dtype=np.float64))))
+    return scale if scale > 0 else 1.0
+
+
 def default_temperature_grid(importances) -> list[float]:
     """{0.25, 0.5, 1, 2, 4} scaled by the mean absolute importance."""
-    scale = float(np.mean(np.abs(np.asarray(importances, dtype=np.float64))))
-    if scale == 0.0:
-        scale = 1.0
+    scale = importance_scale(importances)
     return [scale * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
 
 
@@ -569,31 +537,25 @@ def temperature_sweep(
     mask_criterion: str = "wanda",
     threads: int = 1,
 ) -> tuple[float, SparsityPlan, list[tuple[float, float]]]:
-    """Evaluate every temperature: allocate, mask, measure the total
-    reconstruction loss of the masked model. Returns the argmin
-    temperature (ties to the smallest), its plan, and the loss table."""
+    """Evaluate every temperature on a pool of `threads` workers: allocate,
+    mask, measure the total reconstruction loss of the masked model.
+    Returns the argmin temperature (ties to the smallest), its plan, and
+    the loss table."""
     grid = [float(t) for t in grid]
     if not grid:
         raise ParameterError("temperature grid is empty")
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
 
     def evaluate(temp: float) -> tuple[float, SparsityPlan]:
         plan = allocate_plan(model, cache, allocator, r_bar, temp, gamma, rho)
         masks = build_masks(model, cache, plan, mask_criterion)
         pruned = apply_masks(model, masks)
-        loss = total_reconstruction_loss(pruned, model, cache, alpha=alpha).total
+        loss = total_reconstruction_loss(pruned, cache, alpha=alpha).total
         return loss, plan
 
-    results: list[tuple[float, float, SparsityPlan]] = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for temp, (loss, plan) in zip(grid, pool.map(evaluate, grid)):
-                results.append((temp, loss, plan))
-    else:
-        for temp in grid:
-            loss, plan = evaluate(temp)
-            results.append((temp, loss, plan))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = [(temp, loss, plan) for temp, (loss, plan) in zip(grid, pool.map(evaluate, grid))]
     best_temp, _, best_plan = min(results, key=lambda r: (r[1], r[0]))
     table = [(temp, loss) for temp, loss, _ in results]
     return best_temp, best_plan, table

@@ -163,10 +163,12 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
     return args
 
 
+def _wanda_importances(model, cache) -> list[float]:
+    return [li.value for li in layer_importance(model, cache, "wanda-sum")]
+
+
 def _default_temperature(model, cache) -> float:
-    imps = [li.value for li in layer_importance(model, cache, "wanda-sum")]
-    scale = float(np.mean(np.abs(imps)))
-    return scale if scale > 0 else 1.0
+    return allocation.importance_scale(_wanda_importances(model, cache))
 
 
 def _load_inputs(args):
@@ -271,7 +273,7 @@ def cmd_eval(args) -> int:
     dense = load_model(args.dense)
     calib = load_calibration(args.calib)
     cache = capture_reference_activations(dense, calib)
-    loss = evaluation.total_reconstruction_loss(pruned, dense, cache, alpha=args.alpha)
+    loss = evaluation.total_reconstruction_loss(pruned, cache, alpha=args.alpha)
     ppl = None
     if calib.is_tokens and pruned.head is not None:
         ppl = evaluation.pseudo_perplexity(pruned, calib)
@@ -302,8 +304,7 @@ def cmd_sweep(args) -> int:
     if args.t_grid:
         grid = [float(tok) for tok in args.t_grid.split(",") if tok.strip()]
     else:
-        imps = [li.value for li in layer_importance(model, cache, "wanda-sum")]
-        grid = allocation.default_temperature_grid(imps)
+        grid = allocation.default_temperature_grid(_wanda_importances(model, cache))
     best_t, plan, table = allocation.temperature_sweep(
         model,
         cache,

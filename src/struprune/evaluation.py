@@ -18,16 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, ParameterError
-from .model import (
-    FFN,
-    MHA,
-    ActivationCache,
-    CalibrationSet,
-    FfnBlock,
-    MhaBlock,
-    ToyModel,
-    calibration_input,
-)
+from .model import ActivationCache, CalibrationSet, FfnBlock, ToyModel, calibration_input
 
 
 @dataclass
@@ -37,13 +28,10 @@ class LossReport:
 
 
 def total_reconstruction_loss(
-    model_pruned: ToyModel,
-    model_dense: ToyModel,
-    cache: ActivationCache,
-    alpha: float = 1.0,
+    model_pruned: ToyModel, cache: ActivationCache, alpha: float = 1.0
 ) -> LossReport:
-    """Layer reconstruction loss against the frozen dense reference,
-    normalized by the calibration sample count.
+    """Layer reconstruction loss against the frozen dense reference held
+    in the activation cache, normalized by the calibration sample count.
 
     Per FFN block: alpha * (||dense down product - pruned down product||^2
     + ||dense up product - pruned up product||^2) on the reference
@@ -51,24 +39,22 @@ def total_reconstruction_loss(
     projection, and the shared query/key consensus. Zero iff the pruned
     weights act identically to the dense ones on the calibration support.
     """
-    if len(model_pruned.blocks) != len(model_dense.blocks):
-        raise ParameterError("pruned and dense models disagree on block count")
+    if [b.kind for b in model_pruned.blocks] != [rec.kind for rec in cache.blocks]:
+        raise ParameterError("pruned model and activation cache disagree on block layout")
     inv_n = 1.0 / float(cache.n_samples)
     per_layer: list[tuple[int, str, float]] = []
-    for i, (pb, db) in enumerate(zip(model_pruned.blocks, model_dense.blocks)):
-        rec = cache.blocks[i]
-        if isinstance(db, FfnBlock):
-            up = _sq(db.w1 @ rec.input_pre - pb.w1 @ rec.input_pre)
-            down = _sq(db.w2 @ rec.a_pre - pb.w2 @ rec.a_pre)
+    for i, (pb, rec) in enumerate(zip(model_pruned.blocks, cache.blocks)):
+        if isinstance(pb, FfnBlock):
+            up = _sq(rec.z_pre - pb.w1 @ rec.input_pre)
+            down = _sq(rec.out_pre - pb.w2 @ rec.a_pre)
             loss = alpha * inv_n * (up + down)
         else:
-            cons_dense = 0.5 * (db.wq @ rec.input_pre + db.wk @ rec.input_pre)
             cons_pruned = 0.5 * (pb.wq @ rec.input_pre + pb.wk @ rec.input_pre)
-            qk = _sq(cons_dense - cons_pruned)
-            val = _sq(db.wv @ rec.a_pre - pb.wv @ rec.a_pre)
-            out = _sq(db.wo @ rec.a_attn_pre - pb.wo @ rec.a_attn_pre)
+            qk = _sq(rec.z_pre - cons_pruned)
+            val = _sq(rec.a_attn_pre - pb.wv @ rec.a_pre)
+            out = _sq(rec.out_pre - pb.wo @ rec.a_attn_pre)
             loss = alpha * inv_n * (qk + val + out)
-        per_layer.append((i, db.kind, float(loss)))
+        per_layer.append((i, pb.kind, float(loss)))
     return LossReport(per_layer, float(sum(l for _, _, l in per_layer)))
 
 

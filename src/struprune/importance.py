@@ -4,8 +4,10 @@ Two activation-aware scores are shipped side by side because they rank
 differently: `wanda_elementwise` multiplies |W| with per-feature input
 norms, while `wanda_unit` averages the l1 norm of weight-times-input
 products per calibration sample. Mask thresholding in the pipeline
-consumes the latter. Magnitude, gradient-sensitivity and learnable-gate
-baselines follow, plus the attention/MLP split with geometric depth decay.
+consumes the latter. `UNIT_CRITERIA` is the one registry of row-unit
+criteria (wanda, magnitude, gradient sensitivity, learnable gates) for
+both one-shot masks and the alternating solver; the attention/MLP split
+with geometric depth decay follows.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from .model import FFN, MHA, ActivationCache, FfnBlock, MhaBlock, ToyModel
 
 ROW = "row"
 COL = "col"
-HEAD = "head"
 
 # Unit axis that keeps pruned matrices composable: removing an FFN hidden
 # unit removes a w1 row and the matching w2 column; the wv row mask owns
@@ -72,9 +74,7 @@ def wanda_elementwise(w: np.ndarray, x_in: np.ndarray) -> np.ndarray:
     return np.abs(w) * feature_norms[None, :]
 
 
-def wanda_unit(
-    w: np.ndarray, x_in: np.ndarray, axis: str, n_samples: int, num_heads: int = 1
-) -> np.ndarray:
+def wanda_unit(w: np.ndarray, x_in: np.ndarray, axis: str, n_samples: int) -> np.ndarray:
     """Per-unit score: sum of |w_ij| * |x_jt| over the non-unit axes,
     divided by the calibration sample count."""
     w = np.asarray(w, dtype=np.float64)
@@ -88,23 +88,18 @@ def wanda_unit(
         scores = abs_w @ abs_x_rowsum
     elif axis == COL:
         scores = np.sum(abs_w, axis=0) * abs_x_rowsum
-    elif axis == HEAD:
-        per_row = abs_w @ abs_x_rowsum
-        scores = per_row.reshape(num_heads, -1).sum(axis=1)
     else:
         raise ParameterError(f"unknown unit axis {axis!r}")
     return scores / float(n_samples)
 
 
-def magnitude_unit(w: np.ndarray, axis: str, num_heads: int = 1) -> np.ndarray:
+def magnitude_unit(w: np.ndarray, axis: str) -> np.ndarray:
     """l1 norm of each structured unit's weights."""
     abs_w = np.abs(np.asarray(w, dtype=np.float64))
     if axis == ROW:
         return abs_w.sum(axis=1)
     if axis == COL:
         return abs_w.sum(axis=0)
-    if axis == HEAD:
-        return abs_w.sum(axis=1).reshape(num_heads, -1).sum(axis=1)
     raise ParameterError(f"unknown unit axis {axis!r}")
 
 
@@ -115,26 +110,6 @@ def reconstruction_gradient(
     w_hat = np.asarray(w_hat, dtype=np.float64)
     residual = w_hat @ x_in - target
     return (2.0 / float(n_samples)) * residual @ x_in.T
-
-
-def snip_unit(
-    model: ToyModel, cache: ActivationCache, block_index: int, matrix: str | None = None
-) -> UnitScores:
-    """Gradient-sensitivity score: per unit, sum of |dL/dW * W| where L is
-    the quadratic reconstruction loss of the matrix against its own dense
-    reference product. Identically zero when the weights sit at the dense
-    optimum."""
-    block = model.blocks[block_index]
-    rec = cache.blocks[block_index]
-    if matrix is None:
-        matrix = MASK_BEARING[block.kind][0]
-    w_hat = block.matrices[matrix]
-    x_in, target = _matrix_io(rec, matrix)
-    grad = reconstruction_gradient(w_hat, x_in, target, cache.n_samples)
-    axis = DEFAULT_AXES[matrix]
-    sens = np.abs(grad * w_hat)
-    scores = sens.sum(axis=1) if axis == ROW else sens.sum(axis=0)
-    return UnitScores(block_index, matrix, axis, "snip", scores)
 
 
 def _matrix_io(rec, matrix: str) -> tuple[np.ndarray, np.ndarray]:
@@ -154,6 +129,77 @@ def _matrix_io(rec, matrix: str) -> tuple[np.ndarray, np.ndarray]:
     raise ParameterError(f"unknown matrix {matrix!r}")
 
 
+# ---------------------------------------------------------------------------
+# Row-unit criteria: criterion(w, x_in, target, n_samples, rng) -> scores
+# ---------------------------------------------------------------------------
+
+
+def wanda_rows(w, x_in, target, n_samples, rng=None) -> np.ndarray:
+    return wanda_unit(w, x_in, ROW, n_samples)
+
+
+def magnitude_rows(w, x_in, target, n_samples, rng=None) -> np.ndarray:
+    return magnitude_unit(w, ROW)
+
+
+def snip_rows(w, x_in, target, n_samples, rng=None) -> np.ndarray:
+    """Gradient sensitivity: per row, sum of |dL/dW * W| where L is the
+    quadratic reconstruction loss of w @ x_in against target. Identically
+    zero when the weights sit at the optimum."""
+    grad = reconstruction_gradient(w, x_in, target, n_samples)
+    return np.abs(grad * w).sum(axis=1)
+
+
+def l0_gates(
+    w, x_in, target, n_samples, rng, steps: int = 200, lam: float = 1e-2, lr: float = 0.05
+) -> np.ndarray:
+    """Sigmoid gates per row trained by gradient descent on the
+    reconstruction loss plus lam * sum(gates). Returns final gate values
+    in [0, 1]."""
+    if rng is None:
+        raise ParameterError("l0 gates need an rng")
+    if steps < 1:
+        raise ParameterError("steps must be >= 1")
+    wx = w @ x_in  # gated product is diag(g) @ wx
+    # Saturated-open start with a tiny jitter so equal units break ties
+    # deterministically per seed.
+    theta = np.full(w.shape[0], 4.0) + rng.normal(0.0, 1e-3, size=w.shape[0])
+    inv_n = 1.0 / float(n_samples)
+    for _ in range(steps):
+        g = 1.0 / (1.0 + np.exp(-theta))
+        residual = g[:, None] * wx - target
+        grad_g = 2.0 * inv_n * np.sum(residual * wx, axis=1) + lam
+        theta -= lr * grad_g * g * (1.0 - g)
+    return 1.0 / (1.0 + np.exp(-theta))
+
+
+UNIT_CRITERIA = {"wanda": wanda_rows, "magnitude": magnitude_rows, "snip": snip_rows, "l0": l0_gates}
+
+
+def _score_matrix(
+    model: ToyModel, cache: ActivationCache, block_index: int, matrix: str | None,
+    criterion: str, score, rng: np.random.Generator | None = None,
+) -> UnitScores:
+    """Row-unit scores of one matrix (default: the block's first
+    mask-bearing matrix) against its dense-reference product."""
+    block = model.blocks[block_index]
+    if matrix is None:
+        matrix = MASK_BEARING[block.kind][0]
+    x_in, target = _matrix_io(cache.blocks[block_index], matrix)
+    if DEFAULT_AXES[matrix] != ROW:
+        raise ParameterError(f"{matrix} units are columns; unit criteria score rows")
+    scores = score(block.matrices[matrix], x_in, target, cache.n_samples, rng)
+    return UnitScores(block_index, matrix, ROW, criterion, scores)
+
+
+def snip_unit(
+    model: ToyModel, cache: ActivationCache, block_index: int, matrix: str | None = None
+) -> UnitScores:
+    """Gradient-sensitivity scores of one row-unit matrix against its own
+    dense reference product."""
+    return _score_matrix(model, cache, block_index, matrix, "snip", snip_rows)
+
+
 def l0_gate_scores(
     model: ToyModel,
     cache: ActivationCache,
@@ -164,30 +210,9 @@ def l0_gate_scores(
     lam: float = 1e-2,
     lr: float = 0.05,
 ) -> UnitScores:
-    """Sigmoid gates per row unit trained by gradient descent on the
-    reconstruction loss plus lam * sum(gates). Returns final gate values
-    in [0, 1]."""
-    if steps < 1:
-        raise ParameterError("steps must be >= 1")
-    block = model.blocks[block_index]
-    rec = cache.blocks[block_index]
-    if matrix is None:
-        matrix = MASK_BEARING[block.kind][0]
-    w = block.matrices[matrix]
-    x_in, target = _matrix_io(rec, matrix)
-    n_units = w.shape[0]
-    wx = w @ x_in  # gated product is diag(g) @ wx
-    # Saturated-open start with a tiny jitter so equal units break ties
-    # deterministically per seed.
-    theta = np.full(n_units, 4.0) + rng.normal(0.0, 1e-3, size=n_units)
-    inv_n = 1.0 / float(cache.n_samples)
-    for _ in range(steps):
-        g = 1.0 / (1.0 + np.exp(-theta))
-        residual = g[:, None] * wx - target
-        grad_g = 2.0 * inv_n * np.sum(residual * wx, axis=1) + lam
-        theta -= lr * grad_g * g * (1.0 - g)
-    gates = 1.0 / (1.0 + np.exp(-theta))
-    return UnitScores(block_index, matrix, ROW, "l0", gates)
+    """Trained sigmoid gate values of one row-unit matrix."""
+    gates = partial(l0_gates, steps=steps, lam=lam, lr=lr)
+    return _score_matrix(model, cache, block_index, matrix, "l0", gates, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -279,29 +304,13 @@ def block_unit_scores(
 ) -> dict[str, UnitScores]:
     """Unit scores for every mask-bearing matrix of one block under the
     named criterion (wanda | magnitude | snip | l0)."""
-    block = model.blocks[block_index]
-    rec = cache.blocks[block_index]
-    result: dict[str, UnitScores] = {}
-    for name in MASK_BEARING[block.kind]:
-        w = block.matrices[name]
-        axis = DEFAULT_AXES[name]
-        if criterion == "wanda":
-            x_in, _ = _matrix_io(rec, name)
-            scores = wanda_unit(w, x_in, axis, cache.n_samples)
-            result[name] = UnitScores(block_index, name, axis, "wanda", scores)
-        elif criterion == "magnitude":
-            result[name] = UnitScores(
-                block_index, name, axis, "magnitude", magnitude_unit(w, axis)
-            )
-        elif criterion == "snip":
-            result[name] = snip_unit(model, cache, block_index, name)
-        elif criterion == "l0":
-            if rng is None:
-                raise ParameterError("l0 scoring needs an rng")
-            result[name] = l0_gate_scores(model, cache, block_index, l0_steps, rng, name)
-        else:
-            raise ParameterError(f"unknown criterion {criterion!r}")
-    return result
+    if criterion not in UNIT_CRITERIA:
+        raise ParameterError(f"unknown criterion {criterion!r}")
+    score = partial(l0_gates, steps=l0_steps) if criterion == "l0" else UNIT_CRITERIA[criterion]
+    return {
+        name: _score_matrix(model, cache, block_index, name, criterion, score, rng)
+        for name in MASK_BEARING[model.blocks[block_index].kind]
+    }
 
 
 def export_scores_csv(score_sets: list[UnitScores], model: ToyModel) -> str:

@@ -20,15 +20,10 @@ _COND_LIMIT = 1e14
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator: identical seed gives an identical stream
     on every platform. Never share an instance; derive children with
-    spawn_rng()."""
+    Generator.spawn()."""
     if seed < 0:
         raise ParameterError("seed must be a nonnegative integer")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def spawn_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Deterministically derive n independent child generators."""
-    return list(rng.spawn(n))
 
 
 def as_matrix(a, name: str = "operand") -> np.ndarray:
@@ -36,20 +31,6 @@ def as_matrix(a, name: str = "operand") -> np.ndarray:
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={arr.ndim}")
     return np.ascontiguousarray(arr)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with shape validation and a finite-output guarantee."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul shape mismatch: ({a.shape[0]}x{a.shape[1]}) @ ({b.shape[0]}x{b.shape[1]})"
-        )
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise SingularSystemError("matmul produced non-finite entries")
-    return out
 
 
 def ridge_solve(a: np.ndarray, b: np.ndarray, eps: float = 0.0) -> np.ndarray:

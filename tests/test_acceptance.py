@@ -403,7 +403,7 @@ def test_criterion_10_baseline_ordering():
             outer_iters=4, inner_steps=20, learning_rate=0.01, seed=seed, mask_criterion=criterion
         )
         result = run_outer_loop(model, cache, plan, cfg)
-        return total_reconstruction_loss(result.model, model, cache).total
+        return total_reconstruction_loss(result.model, cache).total
 
     rows = []
     print("  seed  closed-form      softmax    magnitude")

@@ -287,15 +287,6 @@ class TestRecoverWeights:
             w_gd = w_new
         assert_close(w, w_gd, 1e-5)
 
-    def test_sgd_mode_parity(self):
-        rng = make_rng(71)
-        w = rng.normal(size=(3, 4))
-        a_prev = rng.normal(size=(4, 30))
-        z = w @ a_prev
-        ridge = recover_weights(z, a_prev, 1e-8)
-        sgd = recover_weights(z, a_prev, 1e-8, mode="sgd", steps=40_000)
-        assert_close(ridge, sgd, 1e-4)
-
 
 class TestOuterLoop:
     def test_dense_budget_is_noop(self, ffn_toy):
@@ -365,9 +356,9 @@ class TestOuterLoop:
         model, calib, cache = ffn_toy
         plan = uniform_plan(model, 0.5)
         masks = build_masks(model, cache, plan, "magnitude")
-        oneshot = total_reconstruction_loss(apply_masks(model, masks), model, cache).total
+        oneshot = total_reconstruction_loss(apply_masks(model, masks), cache).total
         result = run_outer_loop(model, cache, plan, SolverConfig(outer_iters=6))
-        solved = total_reconstruction_loss(result.model, model, cache).total
+        solved = total_reconstruction_loss(result.model, cache).total
         assert solved < oneshot
 
 

@@ -410,7 +410,7 @@ class TestTemperatureSweep:
         for temp in grid:
             plan = allocate_plan(model, cache, "softmax", 0.4, temp)
             masks = build_masks(model, cache, plan, "wanda")
-            loss = total_reconstruction_loss(apply_masks(model, masks), model, cache).total
+            loss = total_reconstruction_loss(apply_masks(model, masks), cache).total
             expected.append((temp, loss))
         assert table == expected
         best_by_oracle = min(expected, key=lambda r: (r[1], r[0]))[0]
@@ -445,33 +445,6 @@ class TestExports:
     def test_sweep_csv(self):
         text = export_sweep_csv([(1.0, 0.5), (2.0, 0.25)])
         assert text.startswith("temperature,total_loss\n1.0,0.5\n")
-
-
-class TestHeadModeMasks:
-    def test_whole_head_masks_share_slices(self, decoder_toy):
-        model, _, cache = decoder_toy
-        plan = uniform_plan(model, 0.5)
-        masks = build_masks(model, cache, plan, "wanda", head_mode=True)
-        mha_idx = next(i for i, b in enumerate(model.blocks) if b.kind == "mha")
-        block = model.blocks[mha_idx]
-        d_head = block.wq.shape[0] // block.num_heads
-        bits = masks[mha_idx]["wq"].bits
-        assert np.array_equal(bits, masks[mha_idx]["wk"].bits)
-        assert np.array_equal(bits, masks[mha_idx]["wv"].bits)
-        # Head-aligned: each head slice is all-kept or all-dropped.
-        slices = bits.reshape(block.num_heads, d_head)
-        assert np.all(slices.all(axis=1) | (~slices).all(axis=1))
-        assert int(slices.all(axis=1).sum()) == round(0.5 * block.num_heads)
-
-    def test_apply_head_masks_removes_matched_wo_columns(self, decoder_toy):
-        model, _, cache = decoder_toy
-        plan = uniform_plan(model, 0.5)
-        masks = build_masks(model, cache, plan, "magnitude", head_mode=True)
-        pruned = apply_masks(model, masks)
-        mha_idx = next(i for i, b in enumerate(model.blocks) if b.kind == "mha")
-        dead = ~masks[mha_idx]["wv"].bits
-        assert np.all(pruned.blocks[mha_idx].wo[:, dead] == 0.0)
-        assert np.all(pruned.blocks[mha_idx].wq[dead] == 0.0)
 
 
 class TestBinaryMaskOracleEquivalence:

@@ -33,7 +33,7 @@ from conftest import assert_close, build_toy
 class TestReconstructionLoss:
     def test_dense_is_zero(self, decoder_toy):
         model, _, cache = decoder_toy
-        report = total_reconstruction_loss(model, model, cache)
+        report = total_reconstruction_loss(model, cache)
         assert report.total == 0.0
         assert all(l == 0.0 for _, _, l in report.per_layer)
 
@@ -43,7 +43,7 @@ class TestReconstructionLoss:
         for block in zeroed.blocks:
             block.w1[:] = 0.0
             block.w2[:] = 0.0
-        report = total_reconstruction_loss(zeroed, model, cache, alpha=1.0)
+        report = total_reconstruction_loss(zeroed, cache, alpha=1.0)
         for (i, _, loss) in report.per_layer:
             rec = cache.blocks[i]
             expected = (np.sum(rec.z_pre ** 2) + np.sum(rec.out_pre ** 2)) / cache.n_samples
@@ -55,7 +55,7 @@ class TestReconstructionLoss:
         masks = build_masks(model, cache, plan, "wanda")
         pruned = apply_masks(model, masks)
         alpha = 1.7
-        report = total_reconstruction_loss(pruned, model, cache, alpha=alpha)
+        report = total_reconstruction_loss(pruned, cache, alpha=alpha)
         # Independent definition-level recomputation.
         total = 0.0
         for i, (pb, db) in enumerate(zip(pruned.blocks, model.blocks)):
@@ -80,7 +80,7 @@ class TestReconstructionLoss:
         model, _, cache = decoder_toy
         bumped = model.copy()
         bumped.blocks[0].wq[0, 0] += 0.5
-        report = total_reconstruction_loss(bumped, model, cache)
+        report = total_reconstruction_loss(bumped, cache)
         assert report.total > 0.0
         assert all(l >= 0.0 for _, _, l in report.per_layer)
 

@@ -95,13 +95,6 @@ class TestWandaUnit:
             expected[j] = np.sum(np.abs(np.outer(w[:, j], x_in[j, :]))) / 2
         assert_close(wanda_unit(w, x_in, "col", 2), expected, 1e-12)
 
-    def test_head_axis(self, rng):
-        w = rng.normal(size=(4, 4))
-        x_in = rng.normal(size=(4, 6))
-        rows = wanda_unit(w, x_in, "row", 2)
-        heads = wanda_unit(w, x_in, "head", 2, num_heads=2)
-        assert_close(heads, [rows[0] + rows[1], rows[2] + rows[3]], 1e-12)
-
     def test_nonnegative(self, rng):
         w = rng.normal(size=(6, 5))
         x_in = rng.normal(size=(5, 7))

@@ -3,22 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from struprune.errors import DimensionError, ParameterError, SingularSystemError
-from struprune.linalg import make_rng, matmul, relu, ridge_solve, row_softmax, softmax_vec
+from struprune.errors import ParameterError, SingularSystemError
+from struprune.linalg import make_rng, relu, ridge_solve, row_softmax, softmax_vec
 
 from conftest import assert_close
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference with fixed left-to-right accumulation."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def gd_least_squares(a, b, eps, steps=200_000, tol=1e-14):
@@ -33,44 +21,6 @@ def gd_least_squares(a, b, eps, steps=200_000, tol=1e-14):
             return x_new
         x = x_new
     return x
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        m = rng.normal(size=(2, 2))
-        assert_close(matmul(np.eye(2), m), m, 0.0)
-
-    def test_hand_case(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0], [1.0]]))
-        assert out.tolist() == [[2.0], [4.0]]
-
-    def test_matches_naive_oracle(self):
-        rng = make_rng(42)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        assert_close(matmul(a, b), naive_matmul(a, b), 1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity(self):
-        rng = make_rng(7)
-        for _ in range(5):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 5))
-            c = rng.normal(size=(5, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            scale = max(1.0, float(np.max(np.abs(left))))
-            assert_close(left / scale, right / scale, 1e-9)
-
-    def test_deterministic_rerun(self):
-        rng1 = make_rng(5)
-        a, b = rng1.normal(size=(8, 8)), rng1.normal(size=(8, 8))
-        first = matmul(a, b)
-        second = matmul(a.copy(), b.copy())
-        assert np.array_equal(first, second)
 
 
 class TestRidgeSolve:
