@@ -69,6 +69,13 @@ def _setup_logging():
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="struprune", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -76,7 +83,7 @@ def build_parser() -> Parser:
     def common(p, model=False, calib=False, method=False, out=True):
         p.add_argument("--config", help="JSON file with flag defaults; explicit flags win")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_positive_int, default=1)
         if model:
             p.add_argument("--model", required=True, help="model directory")
         if calib:
@@ -142,25 +149,28 @@ def build_parser() -> Parser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Fill flag values from the JSON config; flags given on the command
-    line win. Subparsers reset pre-seeded namespaces, so the merge runs
-    after parsing."""
+def _parse_args(parser: Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the JSON --config values as flag defaults. The
+    config entries go in as flags ahead of the command line's own, so they
+    pass the same type and choices checks, and explicit flags win."""
+    args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
     with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise CliValidationError("config file must hold a JSON object")
+    flags = []
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        flag = "--" + key.replace("_", "-")
-        if flag in argv:
-            continue
-        if not hasattr(args, dest):
+        if not hasattr(args, key.replace("-", "_")):
             raise CliValidationError(f"config key {key!r} is not a flag of this command")
-        setattr(args, dest, value)
-    return args
+        text = value if isinstance(value, str) else json.dumps(value)
+        flags.append(f"--{key.replace('_', '-')}={text}")
+    cut = argv.index(args.command) + 1
+    try:
+        return parser.parse_args(argv[:cut] + flags + argv[cut:])
+    except CliValidationError as exc:
+        raise CliValidationError(f"config {args.config}: {exc}") from None
 
 
 def _wanda_importances(model, cache) -> list[float]:
@@ -400,7 +410,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         _setup_logging()
-        args = _apply_config(build_parser().parse_args(argv), argv)
+        args = _parse_args(build_parser(), argv)
         return COMMANDS[args.command](args)
     except (CliValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -358,6 +358,30 @@ def _read_blob(path: str, rows: int, cols: int, name: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(rows, cols)
 
 
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
+def _check_manifest_entry(index: int, entry) -> None:
+    """Each matrices[] entry names a matrix, its positive shape, and a blob
+    that is a plain file name inside the model directory."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"manifest matrices[{index}] must be an object")
+    for key in ("name", "rows", "cols", "file"):
+        if key not in entry:
+            raise FormatError(f"manifest matrices[{index}] missing field {key!r}")
+    for key in ("rows", "cols"):
+        if not _is_positive_int(entry[key]):
+            raise FormatError(
+                f"manifest matrix {entry['name']!r}: {key} must be a positive int, got {entry[key]!r}"
+            )
+    fname = entry["file"]
+    if not isinstance(fname, str) or fname in ("", ".", "..") or os.path.basename(fname) != fname:
+        raise FormatError(
+            f"manifest matrix {entry['name']!r}: file must be a plain file name, got {fname!r}"
+        )
+
+
 def save_model(model: ToyModel, path: str):
     os.makedirs(path, exist_ok=True)
     entries = []
@@ -404,7 +428,8 @@ def load_model(path: str) -> ToyModel:
     )
     entries = manifest.get("matrices", [])
     # Validate the whole manifest against the directory before any blob read.
-    for entry in entries:
+    for index, entry in enumerate(entries):
+        _check_manifest_entry(index, entry)
         blob = os.path.join(path, entry["file"])
         if not os.path.exists(blob):
             raise FormatError(f"manifest lists matrix {entry['name']!r} but {entry['file']} is missing")
@@ -498,6 +523,10 @@ def load_calibration(path: str) -> CalibrationSet:
     for key in ("N", "seq_len", "d"):
         if key not in sidecar:
             raise FormatError(f"calibration sidecar missing field {key!r}")
+        if not _is_positive_int(sidecar[key]):
+            raise FormatError(
+                f"calibration sidecar field {key!r} must be a positive int, got {sidecar[key]!r}"
+            )
     n, seq, d = sidecar["N"], sidecar["seq_len"], sidecar["d"]
     blob_path = os.path.join(path, "calib.bin")
     if not os.path.exists(blob_path):

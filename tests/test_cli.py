@@ -223,3 +223,97 @@ class TestTokenPipeline:
         rows = list(csv.DictReader(open(os.path.join(plandir, "scores.csv"))))
         assert rows and set(rows[0]) == {"layer", "block_kind", "unit_axis", "unit_index",
                                          "criterion", "score"}
+
+
+def _edit_json(path, change):
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    change(data)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+
+
+def _one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    for needle in needles:
+        assert needle in lines[0], err
+
+
+class TestMalformedInput:
+    def test_manifest_entry_missing_rows(self, workspace, capsys):
+        tmp, model, calib = workspace
+        _edit_json(os.path.join(model, "manifest.json"), lambda m: m["matrices"][1].pop("rows"))
+        assert run("plan", "--model", model, "--calib", calib, "--out", str(tmp / "o")) == 1
+        _one_error_line(capsys, "matrices[1]", "'rows'")
+
+    def test_manifest_file_outside_model_dir(self, workspace, capsys):
+        tmp, model, calib = workspace
+        outside = tmp / "outside"
+        outside.mkdir()
+        manifest = os.path.join(model, "manifest.json")
+        entry = json.load(open(manifest))["matrices"][0]
+        with open(os.path.join(model, entry["file"]), "rb") as src:
+            (outside / "x.bin").write_bytes(src.read())
+
+        def escape(m):
+            m["matrices"][0]["file"] = "../outside/x.bin"
+
+        _edit_json(manifest, escape)
+        assert run("eval", "--model", model, "--dense", model, "--calib", calib,
+                   "--out", str(tmp / "e")) == 1
+        _one_error_line(capsys, entry["name"], "../outside/x.bin")
+
+    def test_manifest_nonpositive_shape(self, workspace, capsys):
+        tmp, model, calib = workspace
+
+        def shrink(m):
+            m["matrices"][0]["cols"] = 0
+
+        _edit_json(os.path.join(model, "manifest.json"), shrink)
+        assert run("plan", "--model", model, "--calib", calib, "--out", str(tmp / "o")) == 1
+        _one_error_line(capsys, "cols")
+
+    def test_calibration_negative_count(self, workspace, capsys):
+        tmp, model, calib = workspace
+
+        def negate(c):
+            c["N"] = -1
+
+        _edit_json(os.path.join(calib, "calib.json"), negate)
+        assert run("plan", "--model", model, "--calib", calib, "--out", str(tmp / "o")) == 1
+        _one_error_line(capsys, "'N'", "positive int")
+
+
+class TestFlagValues:
+    def test_config_string_value_parsed_by_flag_type(self, workspace):
+        tmp, model, calib = workspace
+        cfg = tmp / "str.json"
+        cfg.write_text(json.dumps({"sparsity": "0.35", "method": "magnitude"}))
+        out = str(tmp / "planS")
+        assert run("plan", "--model", model, "--calib", calib, "--config", str(cfg),
+                   "--out", out) == 0
+        rows = list(csv.DictReader(open(os.path.join(out, "plan.csv"))))
+        assert all(abs(float(r["sparsity"]) - 0.35) < 1e-12 for r in rows)
+
+    def test_config_value_checked_against_flag(self, workspace, capsys):
+        tmp, model, calib = workspace
+        for data, needle in (({"sparsity": "lots"}, "--sparsity"),
+                             ({"method": "hessian"}, "--method")):
+            cfg = tmp / "bad.json"
+            cfg.write_text(json.dumps(data))
+            assert run("plan", "--model", model, "--calib", calib, "--config", str(cfg),
+                       "--out", str(tmp / "o")) == 1
+            _one_error_line(capsys, "config", needle)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("admm", ["--iters", "1", "--inner", "2"]),
+        ("sweep", ["--t-grid", "0.5,1.0"]),
+    ])
+    def test_threads_below_one_rejected(self, workspace, capsys, command, extra):
+        tmp, model, calib = workspace
+        for threads in ("0", "-2"):
+            assert run(command, "--model", model, "--calib", calib, "--threads", threads,
+                       *extra, "--out", str(tmp / f"{command}{threads}")) == 1
+            _one_error_line(capsys, "--threads")
