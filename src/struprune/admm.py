@@ -131,8 +131,6 @@ def _refit_cols(w_hat: np.ndarray, bits: np.ndarray, a_in: np.ndarray, target: n
 # ---------------------------------------------------------------------------
 
 
-# The solver re-scores every outer iteration, so its gates train for
-# fewer steps than the one-shot default.
 SOLVER_CRITERIA = {**UNIT_CRITERIA, "l0": partial(UNIT_CRITERIA["l0"], steps=100)}
 
 
