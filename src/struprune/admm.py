@@ -6,11 +6,13 @@ the planned budget, ridge-refits the reconstructed weights on retained
 units, updates the activation/output iterates (closed form for FFN,
 three sequential gradient sub-solves for MHA), and finally recovers the
 teacher matrices from the iterates. Calibration inputs always come from
-the frozen reference, which is what keeps block solves independent.
+the frozen reference, which is what keeps block solves independent, so
+run_outer_loop solves the blocks on a thread pool.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -60,6 +62,7 @@ class BlockState:
     masks: dict[str, PruneMask] = field(default_factory=dict)
     budget: dict[str, int] = field(default_factory=dict)
     num_heads: int = 1
+    iteration: int = 0  # outer iteration in progress; 0 before the solve
 
     def effective(self, name: str) -> np.ndarray:
         w = self.w_hat[name]
@@ -69,13 +72,6 @@ class BlockState:
         if DEFAULT_AXES[name] == "row":
             return w * bits[:, None]
         return w * bits[None, :]
-
-
-@dataclass
-class AdmmState:
-    blocks: list[BlockState]
-    trace: list[tuple[int, int, str, float]] = field(default_factory=list)
-    initial_post_prune_loss: float = 0.0
 
 
 @dataclass
@@ -267,21 +263,28 @@ def mha_grad_z(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len=None) -> np.
     return soft_grad + 2.0 * alpha * (z - q_pre) + 2.0 * alpha * (z - k_pre)
 
 
-def _descend(x0, obj, grad, steps, lr, label, layer):
+def _descend(x0, obj, grad, steps, lr, label, layer, lipschitz=None):
     """Plain gradient descent with a divergence guard: an objective blow-up
-    beyond 10x the entry value aborts with the trace attached."""
+    beyond 10x the entry value aborts with the entry objective and the
+    step and value of the blow-up. For a quadratic sub-solve, lipschitz()
+    gives the gradient's Lipschitz constant L; it is evaluated only on
+    that path, and 1/L is the suggested step size."""
     x = x0
     start = obj(x0)
-    trace = [start]
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         x = x - lr * grad(x)
         value = obj(x)
-        trace.append(value)
         if not np.isfinite(value) or value > 10.0 * max(start, 1e-30):
+            hint = "" if lipschitz is None else f"; suggested --lr {1.0 / lipschitz():.3g} (1/L)"
             raise SolverError(
-                f"{label} sub-solve diverged at layer {layer}: trace={trace}"
+                f"{label} sub-solve diverged at layer {layer} with --lr {lr:g} "
+                f"(objective trace: {start:.6g} at entry, {value:.6g} at step {step} of {steps}){hint}"
             )
     return x
+
+
+def _spectral_sq(w: np.ndarray) -> float:
+    return float(np.linalg.norm(w, 2)) ** 2
 
 
 def mha_update(
@@ -304,6 +307,7 @@ def mha_update(
         cfg.learning_rate,
         "activation",
         state.layer,
+        lambda: 2.0 * (cfg.alpha * _spectral_sq(wv) + cfg.beta),
     )
     rec.a = a
     a_attn = _descend(
@@ -314,6 +318,7 @@ def mha_update(
         cfg.learning_rate,
         "attention-activation",
         state.layer,
+        lambda: 2.0 * cfg.alpha * (_spectral_sq(wo) + 1.0),
     )
     rec.a_attn = a_attn
     z = _descend(
@@ -389,27 +394,29 @@ def _init_state(layer: int, block, plan: SparsityPlan) -> BlockState:
     return state
 
 
-def run_outer_loop(
-    model: ToyModel, cache: ActivationCache, plan: SparsityPlan, cfg: SolverConfig
-) -> AdmmResult:
-    """Alternating solve of every layer pair for cfg.outer_iters
-    iterations; returns the masked model and the per-iteration objective
-    trace (one row per block per iteration)."""
-    layers = {e.layer for e in plan.entries}
-    missing = [i for i in range(len(model.blocks)) if i not in layers]
-    if missing:
-        raise ParameterError(f"plan is missing entries for blocks {missing}")
-    solver = AdmmState([_init_state(i, b, plan) for i, b in enumerate(model.blocks)])
-    for rec in cache.blocks:
-        rec.reset_iterates()
-    rng_children = make_rng(cfg.seed).spawn(len(model.blocks))
-    for it in range(1, cfg.outer_iters + 1):
-        for i, state in enumerate(solver.blocks):
-            rec = cache.blocks[i]
+def solve_block(
+    state: BlockState,
+    rec: BlockActivations,
+    cfg: SolverConfig,
+    n_samples: int,
+    seq_len: int,
+    rng: np.random.Generator | None,
+) -> tuple[list[tuple[int, int, str, float]], float]:
+    """Alternating solve of one layer pair for cfg.outer_iters iterations
+    against its frozen reference record; returns the block's trace rows
+    and its post-prune objective at iteration 1. The iterates start from
+    the reference and are released on return, so a block holds solver
+    memory only while it is being solved."""
+    trace = []
+    initial_loss = 0.0
+    rec.reset_iterates()
+    try:
+        for it in range(1, cfg.outer_iters + 1):
+            state.iteration = it
             if state.kind == FFN:
-                ffn_prune_step(state, rec, cfg, cache.n_samples, rng_children[i])
+                ffn_prune_step(state, rec, cfg, n_samples, rng)
                 if it == 1:
-                    solver.initial_post_prune_loss += ffn_objective(state, rec, cfg, cache.n_samples)
+                    initial_loss = ffn_objective(state, rec, cfg, n_samples)
                 rec.a = ffn_update_activation(
                     state.effective("w2"), rec.out_pre, rec.z, cfg.alpha, cfg.beta
                 )
@@ -418,29 +425,74 @@ def run_outer_loop(
                 )
                 state.teacher["w1"] = recover_weights(rec.z, rec.input_pre, cfg.ridge_eps)
                 state.teacher["w2"] = recover_weights(rec.out_pre, rec.a, cfg.ridge_eps)
-                objective = ffn_objective(state, rec, cfg, cache.n_samples)
+                objective = ffn_objective(state, rec, cfg, n_samples)
             else:
-                mha_prune_step(state, rec, cfg, cache.n_samples, rng_children[i])
+                mha_prune_step(state, rec, cfg, n_samples, rng)
                 if it == 1:
-                    solver.initial_post_prune_loss += mha_objective(
-                        state, rec, cfg, cache.n_samples, cache.seq_len
-                    )
-                mha_update(state, rec, cfg, cache.seq_len)
+                    initial_loss = mha_objective(state, rec, cfg, n_samples, seq_len)
+                mha_update(state, rec, cfg, seq_len)
                 wqk = recover_weights(rec.z, rec.input_pre, cfg.ridge_eps)
                 state.teacher["wq"] = wqk
                 state.teacher["wk"] = wqk.copy()
                 state.teacher["wv"] = recover_weights(rec.a_attn, rec.a, cfg.ridge_eps)
                 state.teacher["wo"] = recover_weights(rec.out_pre, rec.a_attn, cfg.ridge_eps)
-                objective = mha_objective(state, rec, cfg, cache.n_samples, cache.seq_len)
+                objective = mha_objective(state, rec, cfg, n_samples, seq_len)
             if not np.isfinite(objective):
-                raise SolverError(f"non-finite objective at layer {i}, iteration {it}")
-            solver.trace.append((it, i, state.kind, objective))
-    pruned = _masked_model(model, solver.blocks)
-    final_loss = float(
-        sum(obj for t, _, _, obj in solver.trace if t == cfg.outer_iters)
-    )
-    masks = {s.layer: dict(s.masks) for s in solver.blocks}
-    return AdmmResult(pruned, solver.trace, solver.initial_post_prune_loss, final_loss, masks)
+                raise SolverError(f"non-finite objective at layer {state.layer}, iteration {it}")
+            trace.append((it, state.layer, state.kind, objective))
+    finally:
+        rec.reset_iterates()
+    return trace, initial_loss
+
+
+def run_outer_loop(
+    model: ToyModel,
+    cache: ActivationCache,
+    plan: SparsityPlan,
+    cfg: SolverConfig,
+    threads: int = 1,
+) -> AdmmResult:
+    """Solve every layer pair on a pool of `threads` workers; returns the
+    masked model and the objective trace (one row per block per outer
+    iteration). Blocks are independent, so the result is the same for any
+    thread count: rows are merged in (iteration, layer) order, the
+    post-prune losses are summed in block order, and of several failing
+    blocks the one that fails at the smallest (iteration, layer) raises,
+    as it would in a sequential sweep over iterations."""
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
+    layers = {e.layer for e in plan.entries}
+    missing = [i for i in range(len(model.blocks)) if i not in layers]
+    if missing:
+        raise ParameterError(f"plan is missing entries for blocks {missing}")
+    states = [_init_state(i, b, plan) for i, b in enumerate(model.blocks)]
+    rng_children = make_rng(cfg.seed).spawn(len(states))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [
+            pool.submit(
+                solve_block, state, cache.blocks[state.layer], cfg,
+                cache.n_samples, cache.seq_len, rng,
+            )
+            for state, rng in zip(states, rng_children)
+        ]
+    failures = [
+        (state.iteration, state.layer, fut.exception())
+        for state, fut in zip(states, futures)
+        if fut.exception() is not None
+    ]
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
+    trace = []
+    initial_post_prune_loss = 0.0
+    for fut in futures:
+        rows, initial_loss = fut.result()
+        trace.extend(rows)
+        initial_post_prune_loss += initial_loss
+    trace.sort(key=lambda row: row[:2])
+    pruned = _masked_model(model, states)
+    final_loss = float(sum(obj for t, _, _, obj in trace if t == cfg.outer_iters))
+    masks = {s.layer: dict(s.masks) for s in states}
+    return AdmmResult(pruned, trace, initial_post_prune_loss, final_loss, masks)
 
 
 def _masked_model(model: ToyModel, states: list[BlockState]) -> ToyModel:

@@ -2,9 +2,9 @@
 memory, verify.
 
 Artifacts are written atomically under --out only; identical flags and
-seed reproduce identical bytes at thread count 1. Exit codes: 0 success,
-1 validation error, 2 solver error. STRUPRUNE_LOG in {error, info, debug}
-controls logging.
+seed reproduce identical bytes at BLAS thread count 1, for any --threads.
+Exit codes: 0 success, 1 validation error, 2 solver error. STRUPRUNE_LOG
+in {error, info, debug} controls logging.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ def cmd_admm(args) -> int:
         seed=args.seed,
         mask_criterion=MASK_CRITERION_FOR_METHOD[args.method],
     )
-    result = run_outer_loop(model, cache, plan, cfg)
+    result = run_outer_loop(model, cache, plan, cfg, threads=args.threads)
     save_model(result.model, args.out)
     write_atomic(os.path.join(args.out, "trace.csv"), export_trace_csv(result.trace).encode())
     write_atomic(os.path.join(args.out, "plan.csv"), allocation.export_plan_csv(plan).encode())

@@ -247,4 +247,4 @@ class EvalReport:
             "pseudo_perplexity": self.pseudo_perplexity,
             "config": self.config,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

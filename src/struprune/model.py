@@ -253,10 +253,32 @@ def mha_forward(
     return z, a, a_attn, block.wo @ a_attn
 
 
+class _Iterate:
+    """A solver iterate of BlockActivations. The first read makes a
+    private copy of the frozen *_pre array of the same name; until then,
+    and again after reset_iterates(), the block holds no iterate memory."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+        self.pre = name + "_pre"
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            return self
+        if self.name not in rec.iterates:
+            pre = getattr(rec, self.pre)
+            rec.iterates[self.name] = None if pre is None else pre.copy()
+        return rec.iterates[self.name]
+
+    def __set__(self, rec, value):
+        rec.iterates[self.name] = value
+
+
 @dataclass
 class BlockActivations:
     """Per-block record: frozen dense-reference values plus the current
-    iterates. The *_pre arrays are read-only after capture."""
+    iterates z, a and a_attn. The *_pre arrays are read-only after
+    capture; the iterates are allocated on first read."""
 
     kind: str
     input_pre: np.ndarray
@@ -266,9 +288,11 @@ class BlockActivations:
     a_attn_pre: np.ndarray | None
     q_pre: np.ndarray | None = None
     k_pre: np.ndarray | None = None
-    z: np.ndarray = field(default=None)
-    a: np.ndarray = field(default=None)
-    a_attn: np.ndarray | None = None
+    iterates: dict[str, np.ndarray | None] = field(default_factory=dict, repr=False, compare=False)
+
+    z = _Iterate()
+    a = _Iterate()
+    a_attn = _Iterate()
 
     def frozen_arrays(self):
         return (
@@ -277,9 +301,9 @@ class BlockActivations:
         )
 
     def reset_iterates(self):
-        self.z = self.z_pre.copy()
-        self.a = self.a_pre.copy()
-        self.a_attn = None if self.a_attn_pre is None else self.a_attn_pre.copy()
+        """Release the iterates; the next read starts again from the
+        frozen reference."""
+        self.iterates.clear()
 
 
 @dataclass
@@ -300,8 +324,8 @@ class ActivationCache:
 
 
 def capture_reference_activations(model: ToyModel, calib: CalibrationSet) -> ActivationCache:
-    """Single dense forward pass; freezes the reference values and seeds
-    the current iterates equal to them."""
+    """Single dense forward pass; freezes the reference values. The
+    iterates start equal to them when first read."""
     x = calibration_input(model, calib)
     records: list[BlockActivations] = []
     for block in model.blocks:
@@ -314,7 +338,6 @@ def capture_reference_activations(model: ToyModel, calib: CalibrationSet) -> Act
         for arr in rec.frozen_arrays():
             if arr is not None:
                 arr.setflags(write=False)
-        rec.reset_iterates()
         records.append(rec)
         x = out
     return ActivationCache(records, calib.n_samples, calib.seq_len)
@@ -340,7 +363,8 @@ def write_atomic(path: str, data: bytes):
 
 
 def write_json_atomic(path: str, obj):
-    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    write_atomic(path, (text + "\n").encode("utf-8"))
 
 
 def _blob_bytes(mat: np.ndarray) -> bytes:
@@ -355,7 +379,15 @@ def _read_blob(path: str, rows: int, cols: int, name: str) -> np.ndarray:
         raise FormatError(
             f"blob for matrix {name!r} has {len(raw)} bytes, expected {expected}"
         )
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(rows, cols)
+    mat = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(rows, cols)
+    _check_finite(mat, f"matrix {name!r} ({os.path.basename(path)})")
+    return mat
+
+
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    bad = int(np.count_nonzero(~np.isfinite(arr)))
+    if bad:
+        raise FormatError(f"{what} holds {bad} non-finite value(s) (NaN or Inf)")
 
 
 def _is_positive_int(value) -> bool:
@@ -543,4 +575,5 @@ def load_calibration(path: str) -> CalibrationSet:
     if len(raw) != expected:
         raise FormatError(f"calibration blob has {len(raw)} bytes, expected {expected}")
     inputs = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, seq, d)
+    _check_finite(inputs, f"calibration blob {blob_path}")
     return CalibrationSet(inputs=inputs)

@@ -1,0 +1,173 @@
+"""Block-parallel admm: --threads changes neither the artifacts nor the
+error a failing solve reports, and solver iterates hold memory only while
+their block is being solved."""
+
+import math
+import os
+import re
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from struprune.admm import SolverConfig, run_outer_loop
+from struprune.allocation import uniform_plan
+from struprune.cli import main as cli_main
+from struprune.errors import ParameterError, SolverError
+from struprune.model import capture_reference_activations
+
+from conftest import build_toy
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+THREADS = ("1", "2", "3")
+
+
+def _fixture_dirs(root, layout):
+    model, calib = str(root / f"model-{layout}"), str(root / f"calib-{layout}")
+    assert cli_main(["gen", "--layout", layout, "--d", "16", "--layers", "2", "--heads", "2",
+                     "--seed", "101", "--out", model]) == 0
+    assert cli_main(["calibrate", "--model", model, "--n", "8", "--seq-len", "16",
+                     "--seed", "202", "--out", calib]) == 0
+    return model, calib
+
+
+@pytest.fixture(scope="module")
+def fixtures(tmp_path_factory):
+    root = tmp_path_factory.mktemp("parallel")
+    return root, {layout: _fixture_dirs(root, layout) for layout in ("decoder", "ffn")}
+
+
+def _dir_bytes(path):
+    out = {}
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+def _admm(fixtures, layout, out_name, *flags):
+    root, dirs = fixtures
+    model, calib = dirs[layout]
+    out = str(root / out_name)
+    code = cli_main(["admm", "--model", model, "--calib", calib, *flags, "--out", out])
+    return code, out
+
+
+@pytest.mark.parametrize("layout", ["decoder", "ffn"])
+@pytest.mark.parametrize("method", ["softmax", "l0"])
+def test_threads_leave_artifacts_byte_identical(fixtures, layout, method):
+    produced = {}
+    for threads in THREADS:
+        code, out = _admm(fixtures, layout, f"{layout}-{method}-t{threads}", "--method", method,
+                          "--sparsity", "0.5", "--iters", "3", "--inner", "10",
+                          "--threads", threads)
+        assert code == 0
+        produced[threads] = _dir_bytes(out)
+    names = set(produced["1"])
+    assert {"trace.csv", "plan.csv", "manifest.json"} <= names
+    assert any(name.endswith(".bin") for name in names)
+    for threads in THREADS[1:]:
+        assert produced[threads] == produced["1"], f"--threads {threads} changed the artifacts"
+
+
+@pytest.mark.parametrize("layout, flags, golden", [
+    ("ffn", ["--method", "closed-form", "--sparsity", "0.5", "--alpha", "1.0", "--beta", "1.0",
+             "--iters", "20", "--seed", "0"], "golden_trace.csv"),
+    ("decoder", ["--method", "softmax", "--sparsity", "0.5", "--iters", "4", "--inner", "10",
+                 "--seed", "0"], "golden_trace_decoder.csv"),
+])
+def test_goldens_reproduce_on_two_threads(fixtures, layout, flags, golden):
+    code, out = _admm(fixtures, layout, f"golden-{layout}", *flags, "--threads", "2")
+    assert code == 0
+    with open(os.path.join(out, "trace.csv"), "rb") as fh:
+        produced = fh.read()
+    with open(os.path.join(DATA_DIR, golden), "rb") as fh:
+        assert produced == fh.read()
+
+
+def _solver_error_line(capsys):
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver error:"), err
+    return lines[0]
+
+
+# With --lr 3 the blocks at layer 0 and layer 2 both diverge; layer 2
+# fails in an earlier outer iteration, so a sequential sweep over
+# iterations reports it, and so must every pool size.
+DIVERGE = ("--iters", "4", "--inner", "10", "--lr", "3")
+
+
+def test_error_order_independent_of_threads(fixtures, capsys):
+    lines = {}
+    for threads in THREADS:
+        code, _ = _admm(fixtures, "decoder", f"diverge-t{threads}", *DIVERGE, "--threads", threads)
+        assert code == 2
+        lines[threads] = _solver_error_line(capsys)
+    assert "attention-activation sub-solve diverged at layer 2" in lines["1"]
+    assert lines["2"] == lines["1"] and lines["3"] == lines["1"]
+
+
+def test_divergence_message_suggests_step_size(fixtures, capsys):
+    code, _ = _admm(fixtures, "decoder", "diverge-msg", *DIVERGE)
+    assert code == 2
+    line = _solver_error_line(capsys)
+    assert "attention-activation sub-solve" in line and "layer 2" in line
+    assert "at entry" in line and "at step 1 of 10" in line
+    match = re.search(r"suggested --lr (\S+) \(1/L\)", line)
+    assert match, line
+    suggested = float(match.group(1))
+    assert math.isfinite(suggested) and 0.0 < suggested < 3.0
+
+
+def test_threads_below_one_rejected():
+    model, _, cache = build_toy("ffn")
+    with pytest.raises(ParameterError, match="threads"):
+        run_outer_loop(model, cache, uniform_plan(model, 0.5), SolverConfig(outer_iters=1), threads=0)
+
+
+def test_pool_under_fast_thread_switching():
+    model, _, cache = build_toy("decoder")
+    plan = uniform_plan(model, 0.5)
+    cfg = SolverConfig(outer_iters=2, inner_steps=5, mask_criterion="l0")
+    sequential = run_outer_loop(model, cache, plan, cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = run_outer_loop(model, cache, plan, cfg, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled.trace == sequential.trace
+    assert pooled.initial_post_prune_loss == sequential.initial_post_prune_loss
+    for got, want in zip(pooled.model.blocks, sequential.model.blocks):
+        for name in want.matrices:
+            assert np.array_equal(got.matrices[name], want.matrices[name])
+
+
+def test_capture_allocates_no_iterates():
+    model, calib, _ = build_toy("decoder")
+    tracemalloc.start()
+    try:
+        cache = capture_reference_activations(model, calib)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Block inputs are the previous block's outputs; count each array once.
+    frozen = {id(arr): arr.nbytes for rec in cache.blocks for arr in rec.frozen_arrays()
+              if arr is not None}
+    assert peak < sum(frozen.values()) + calib.inputs.nbytes
+    assert all(not rec.iterates for rec in cache.blocks)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blocks_release_iterates(threads):
+    model, _, cache = build_toy("decoder")
+    plan = uniform_plan(model, 0.5)
+    run_outer_loop(model, cache, plan, SolverConfig(outer_iters=2, inner_steps=5), threads=threads)
+    assert all(not rec.iterates for rec in cache.blocks)
+    with pytest.raises(SolverError):
+        run_outer_loop(model, cache, plan,
+                       SolverConfig(outer_iters=2, inner_steps=10, learning_rate=3.0),
+                       threads=threads)
+    assert all(not rec.iterates for rec in cache.blocks)

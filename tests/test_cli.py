@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -284,6 +285,51 @@ class TestMalformedInput:
         _edit_json(os.path.join(calib, "calib.json"), negate)
         assert run("plan", "--model", model, "--calib", calib, "--out", str(tmp / "o")) == 1
         _one_error_line(capsys, "'N'", "positive int")
+
+
+def _poison_first_value(path, value=np.nan):
+    with open(path, "r+b") as fh:
+        fh.write(np.array([value], dtype="<f4").tobytes())
+
+
+class TestNonFiniteInput:
+    def _nan_model(self, tmp, model):
+        nan = str(tmp / "nan-model")
+        shutil.copytree(model, nan)
+        with open(os.path.join(nan, "manifest.json"), "r", encoding="utf-8") as fh:
+            entry = json.load(fh)["matrices"][1]
+        _poison_first_value(os.path.join(nan, entry["file"]))
+        return nan, entry["name"]
+
+    def test_eval_rejects_nan_weight(self, workspace, capsys):
+        tmp, model, calib = workspace
+        nan, name = self._nan_model(tmp, model)
+        out = tmp / "e"
+        assert run("eval", "--model", nan, "--dense", model, "--calib", calib,
+                   "--out", str(out)) == 1
+        _one_error_line(capsys, name, "non-finite")
+        assert not (out / "report.json").exists()
+
+    def test_admm_rejects_nan_weight(self, workspace, capsys):
+        tmp, model, calib = workspace
+        nan, name = self._nan_model(tmp, model)
+        assert run("admm", "--model", nan, "--calib", calib, "--iters", "1", "--inner", "2",
+                   "--out", str(tmp / "a")) == 1
+        _one_error_line(capsys, name, "non-finite")
+
+    def test_calibration_rejects_inf(self, workspace, capsys):
+        tmp, model, calib = workspace
+        _poison_first_value(os.path.join(calib, "calib.bin"), np.inf)
+        assert run("plan", "--model", model, "--calib", calib, "--out", str(tmp / "o")) == 1
+        _one_error_line(capsys, "calib.bin", "non-finite")
+
+    def test_report_json_rejects_nan(self):
+        from struprune.evaluation import EvalReport
+
+        report = EvalReport(per_layer_loss=[(0, "ffn", float("nan"))], total_loss=float("nan"),
+                            sparsity_per_layer=[(0, "ffn", 0.0)])
+        with pytest.raises(ValueError):
+            report.to_json()
 
 
 class TestFlagValues:
