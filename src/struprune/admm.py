@@ -149,7 +149,8 @@ def prune_scores(
         # weights c_j^2 are constant) and stays informative at the
         # pristine state, where every ratio score is exactly 1.
         c_rows = w_hat @ x_pre
-        return 2.0 * np.sum(c_rows * target, axis=1) - np.sum(c_rows * c_rows, axis=1)
+        gain = np.sum(c_rows * target, axis=1)
+        return 2.0 * gain - np.sum(np.multiply(c_rows, c_rows, out=c_rows), axis=1)
     if criterion not in SOLVER_CRITERIA:
         raise ParameterError(f"unknown mask criterion {criterion!r}")
     return SOLVER_CRITERIA[criterion](w_hat, x_pre, target, n_samples, rng)
@@ -186,7 +187,12 @@ def ffn_update_activation(
     ||a - relu(z)||^2."""
     n = w_next.shape[1]
     gram = alpha * (w_next.T @ w_next) + beta * np.eye(n)
-    rhs = alpha * (w_next.T @ z_next_pre) + beta * relu(z)
+    rhs = w_next.T @ z_next_pre
+    np.multiply(alpha, rhs, out=rhs)
+    act = relu(z)
+    np.multiply(beta, act, out=act)
+    np.add(rhs, act, out=rhs)
+    del act  # freed before the solve copies rhs
     factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
@@ -203,21 +209,88 @@ def ffn_update_output(
     input, z2 the convex blend with a; coordinates negative in the
     pre-update z take z1, the rest take z2."""
     z1 = w1_eff @ input_pre
-    z2 = (beta * a + alpha * z1) / (alpha + beta)
-    return np.where(z_prev < 0.0, z1, z2)
+    # np.where lays its result out like the C-ordered product z1, so the
+    # blend is built in a buffer laid out like z1.
+    z = np.multiply(alpha, z1)
+    np.add(np.multiply(beta, a), z, out=z)
+    np.divide(z, alpha + beta, out=z)
+    np.copyto(z, z1, where=z_prev < 0.0)
+    return z
 
 
 def ffn_objective(state: BlockState, rec: BlockActivations, cfg: SolverConfig, n_samples: int) -> float:
     w1 = state.effective("w1")
     w2 = state.effective("w2")
-    t1 = cfg.alpha * _sq(rec.out_pre - w2 @ rec.a)
-    t2 = cfg.beta * _sq(rec.a - relu(rec.z))
-    t3 = cfg.alpha * _sq(rec.z - w1 @ rec.input_pre)
+    t1 = cfg.alpha * _sq_owned(_residual(rec.out_pre, w2, rec.a))
+    t2 = cfg.beta * _sq_owned(_minus(rec.a, relu(rec.z)))
+    t3 = cfg.alpha * _sq_owned(_residual(rec.z, w1, rec.input_pre))
     return (t1 + t2 + t3) / float(n_samples)
 
 
-def _sq(arr: np.ndarray) -> float:
-    return float(np.sum(arr * arr))
+# ---------------------------------------------------------------------------
+# Kernel buffers
+# ---------------------------------------------------------------------------
+#
+# The solver kernels evaluate their plain expressions (oracle.py keeps
+# them) with the same floating-point operations in the same order, but
+# write each temporary into a buffer the kernel allocated itself; they
+# never write into an argument. Every buffer keeps the memory order numpy
+# gives the plain expression, because np.sum and the axis sums add in
+# memory order: a matrix product is C-ordered, and an elementwise result
+# is Fortran-ordered only when all its full-size operands are.
+
+
+def _order(x: np.ndarray) -> str | None:
+    if x.flags.c_contiguous:
+        return "C"
+    return "F" if x.flags.f_contiguous else None
+
+
+def _out(buf: np.ndarray, *operands: np.ndarray) -> np.ndarray | None:
+    """buf when an elementwise result over operands (each shaped like buf)
+    would have buf's memory order; otherwise None, so the ufunc allocates."""
+    orders = {_order(x) for x in operands}
+    if None in orders:
+        return None
+    return buf if _order(buf) == ("F" if orders == {"F"} else "C") else None
+
+
+def _sq(arr: np.ndarray, out: np.ndarray | None = None) -> float:
+    """sum(arr * arr), the product written into out when given."""
+    return float(np.sum(np.multiply(arr, arr, out=out)))
+
+
+def _sq_owned(arr: np.ndarray) -> float:
+    """_sq of an array whose values the caller no longer needs: it is
+    squared in place."""
+    return _sq(arr, out=arr)
+
+
+def _minus(x: np.ndarray, owned: np.ndarray) -> np.ndarray:
+    """x - owned, written into owned when its memory order allows."""
+    return np.subtract(x, owned, out=_out(owned, x, owned))
+
+
+def _residual(target: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """target - w @ x, subtracted into the (C-ordered) product."""
+    prod = w @ x
+    return np.subtract(target, prod, out=prod)
+
+
+class _Residual:
+    """target - w @ x at the latest iterate x. _descend evaluates the
+    objective and then the gradient at each iterate, so one slot keyed on
+    the iterate's identity lets the two share the product; holding the
+    iterate keeps its id from being reused by a later array."""
+
+    def __init__(self, target: np.ndarray, w: np.ndarray):
+        self.target, self.w = target, w
+        self.x = self.value = None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x is not self.x:
+            self.x, self.value = x, _residual(self.target, self.w, x)
+        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -225,42 +298,82 @@ def _sq(arr: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mha_obj_a(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len=None) -> float:
+def mha_obj_a(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len=None, resid=None) -> float:
+    """alpha ||a_attn - Wv a||^2 + beta ||a - softmax(z)||^2; resid(a),
+    when given, returns a_attn - Wv a (a _Residual shared with the
+    gradient)."""
+    r = _residual(a_attn, wv_eff, a) if resid is None else resid(a)
     phi = row_softmax(z, head_scale, seg_len)
-    return alpha * _sq(a_attn - wv_eff @ a) + beta * _sq(a - phi)
+    d = _minus(a, phi)
+    soft = _sq_owned(d)
+    return alpha * _sq(r, out=_out(d, r)) + beta * soft
 
 
-def mha_grad_a(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len=None) -> np.ndarray:
+def mha_grad_a(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len=None, resid=None) -> np.ndarray:
+    """-2 alpha Wv'(a_attn - Wv a) + 2 beta (a - softmax(z)); resid as in
+    mha_obj_a."""
+    r = _residual(a_attn, wv_eff, a) if resid is None else resid(a)
     phi = row_softmax(z, head_scale, seg_len)
-    return -2.0 * alpha * wv_eff.T @ (a_attn - wv_eff @ a) + 2.0 * beta * (a - phi)
+    g = (-2.0 * alpha * wv_eff.T) @ r
+    d = _minus(a, phi)
+    np.multiply(2.0 * beta, d, out=d)
+    return np.add(g, d, out=g)
 
 
-def mha_obj_attn(a_attn, wo_eff, wv_eff, a, z_next_pre, alpha) -> float:
-    return alpha * _sq(z_next_pre - wo_eff @ a_attn) + alpha * _sq(a_attn - wv_eff @ a)
+def mha_obj_attn(a_attn, wo_eff, wv_eff, a, z_next_pre, alpha, v=None, resid=None) -> float:
+    """alpha ||z_next_pre - Wo a_attn||^2 + alpha ||a_attn - Wv a||^2; v,
+    when given, is Wv a, and resid(a_attn) returns z_next_pre - Wo a_attn
+    (a _Residual shared with the gradient)."""
+    r = _residual(z_next_pre, wo_eff, a_attn) if resid is None else resid(a_attn)
+    e = _residual(a_attn, wv_eff, a) if v is None else a_attn - v
+    value = _sq_owned(e)
+    return alpha * _sq(r, out=_out(e, r)) + alpha * value
 
 
-def mha_grad_attn(a_attn, wo_eff, wv_eff, a, z_next_pre, alpha) -> np.ndarray:
-    return -2.0 * alpha * wo_eff.T @ (z_next_pre - wo_eff @ a_attn) + 2.0 * alpha * (
-        a_attn - wv_eff @ a
-    )
+def mha_grad_attn(a_attn, wo_eff, wv_eff, a, z_next_pre, alpha, v=None, resid=None) -> np.ndarray:
+    """-2 alpha Wo'(z_next_pre - Wo a_attn) + 2 alpha (a_attn - Wv a); v and
+    resid as in mha_obj_attn."""
+    r = _residual(z_next_pre, wo_eff, a_attn) if resid is None else resid(a_attn)
+    g = (-2.0 * alpha * wo_eff.T) @ r
+    e = _residual(a_attn, wv_eff, a) if v is None else a_attn - v
+    np.multiply(2.0 * alpha, e, out=e)
+    return np.add(g, e, out=g)
 
 
 def mha_obj_z(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len=None) -> float:
+    """beta ||a - softmax(z)||^2 + alpha ||z - q_pre||^2 + alpha ||z - k_pre||^2."""
     phi = row_softmax(z, head_scale, seg_len)
-    return beta * _sq(a - phi) + alpha * _sq(z - q_pre) + alpha * _sq(z - k_pre)
+    d = _minus(a, phi)
+    soft = _sq_owned(d)
+    d = np.subtract(z, q_pre, out=_out(d, z, q_pre))
+    query = _sq_owned(d)
+    d = np.subtract(z, k_pre, out=_out(d, z, k_pre))
+    return beta * soft + alpha * query + alpha * _sq_owned(d)
 
 
 def mha_grad_z(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len=None) -> np.ndarray:
+    """Gradient of mha_obj_z: the softmax Jacobian applied per segment to
+    -2 beta (a - softmax(z)), plus 2 alpha (z - q_pre) + 2 alpha (z - k_pre)."""
     phi = row_softmax(z, head_scale, seg_len)
-    resid = a - phi
+    resid = np.subtract(a, phi)
+    prod = np.multiply(resid, phi)
     if seg_len is None:
-        inner = np.sum(resid * phi, axis=1, keepdims=True)
+        np.subtract(resid, np.sum(prod, axis=1, keepdims=True), out=resid)
     else:
-        shaped = (resid * phi).reshape(z.shape[0], -1, seg_len)
-        inner = shaped.sum(axis=2, keepdims=True)
-        inner = np.broadcast_to(inner, shaped.shape).reshape(z.shape)
-    soft_grad = -(2.0 * beta / head_scale) * phi * (resid - inner)
-    return soft_grad + 2.0 * alpha * (z - q_pre) + 2.0 * alpha * (z - k_pre)
+        # The plain form subtracts a C-ordered copy of inner spread over
+        # the segments, so the difference is C-ordered, and the segment
+        # reshape of a C-ordered resid is a view.
+        inner = prod.reshape(z.shape[0], -1, seg_len).sum(axis=2, keepdims=True)
+        resid = np.ascontiguousarray(resid)
+        segments = resid.reshape(inner.shape[:2] + (seg_len,))
+        np.subtract(segments, inner, out=segments)
+    np.multiply(-(2.0 * beta / head_scale), phi, out=phi)
+    g = np.multiply(phi, resid, out=_out(phi, phi, resid))
+    for pre in (q_pre, k_pre):
+        d = np.subtract(z, pre, out=_out(prod, z, pre))
+        np.multiply(2.0 * alpha, d, out=d)
+        g = np.add(g, d, out=_out(g, g, d))
+    return g
 
 
 def _descend(x0, obj, grad, steps, lr, label, layer, lipschitz=None):
@@ -268,11 +381,14 @@ def _descend(x0, obj, grad, steps, lr, label, layer, lipschitz=None):
     beyond 10x the entry value aborts with the entry objective and the
     step and value of the blow-up. For a quadratic sub-solve, lipschitz()
     gives the gradient's Lipschitz constant L; it is evaluated only on
-    that path, and 1/L is the suggested step size."""
+    that path, and 1/L is the suggested step size. grad must return a
+    fresh array: the step x - lr * grad(x) is written into it."""
     x = x0
     start = obj(x0)
     for step in range(1, steps + 1):
-        x = x - lr * grad(x)
+        g = grad(x)
+        np.multiply(lr, g, out=g)
+        x = np.subtract(x, g, out=_out(g, x, g))
         value = obj(x)
         if not np.isfinite(value) or value > 10.0 * max(start, 1e-30):
             hint = "" if lipschitz is None else f"; suggested --lr {1.0 / lipschitz():.3g} (1/L)"
@@ -299,10 +415,11 @@ def mha_update(
     wk = state.effective("wk")
     q_pre = wq @ rec.input_pre
     k_pre = wk @ rec.input_pre
+    resid_a = _Residual(rec.a_attn, wv)
     a = _descend(
         rec.a,
-        lambda x: mha_obj_a(x, wv, rec.a_attn, rec.z, cfg.alpha, cfg.beta, head_scale, seg_len),
-        lambda x: mha_grad_a(x, wv, rec.a_attn, rec.z, cfg.alpha, cfg.beta, head_scale, seg_len),
+        lambda x: mha_obj_a(x, wv, rec.a_attn, rec.z, cfg.alpha, cfg.beta, head_scale, seg_len, resid_a),
+        lambda x: mha_grad_a(x, wv, rec.a_attn, rec.z, cfg.alpha, cfg.beta, head_scale, seg_len, resid_a),
         cfg.inner_steps,
         cfg.learning_rate,
         "activation",
@@ -310,10 +427,12 @@ def mha_update(
         lambda: 2.0 * (cfg.alpha * _spectral_sq(wv) + cfg.beta),
     )
     rec.a = a
+    v = wv @ a  # a is fixed in the attention sub-solve
+    resid_o = _Residual(rec.out_pre, wo)
     a_attn = _descend(
         rec.a_attn,
-        lambda x: mha_obj_attn(x, wo, wv, rec.a, rec.out_pre, cfg.alpha),
-        lambda x: mha_grad_attn(x, wo, wv, rec.a, rec.out_pre, cfg.alpha),
+        lambda x: mha_obj_attn(x, wo, wv, a, rec.out_pre, cfg.alpha, v, resid_o),
+        lambda x: mha_grad_attn(x, wo, wv, a, rec.out_pre, cfg.alpha, v, resid_o),
         cfg.inner_steps,
         cfg.learning_rate,
         "attention-activation",

@@ -114,7 +114,7 @@ def closed_form_context(
         x_cur = rec.input_pre
         x_pre = rec.input_pre
     else:  # wv: input is the current attention-probability iterate
-        x_cur = rec.a
+        x_cur = rec.current("a")
         x_pre = rec.a_pre
     w_teach = w_hat if teacher is None else teacher
     b = (w_teach @ x_cur).mean(axis=1)
@@ -124,7 +124,7 @@ def closed_form_context(
         block.kind == FFN and matrix == "w1" and model.arch.ffn_dim == model.arch.d
     )
     if square_ffn:
-        d_vec = (block.w2 @ rec.a).mean(axis=1)
+        d_vec = (block.w2 @ rec.current("a")).mean(axis=1)
         z_pre = rec.out_pre.mean(axis=1)
         degenerate = False
     else:

@@ -113,10 +113,12 @@ def row_softmax(z: np.ndarray, scale: float = 1.0, seg_len: int | None = None) -
             )
         shaped = z.reshape(z.shape[0], -1, seg_len)
         return row_softmax(shaped, scale).reshape(z.shape)
-    s = z / scale
-    s = s - s.max(axis=-1, keepdims=True)
-    w = np.exp(s)
-    return w / w.sum(axis=-1, keepdims=True)
+    # Every step after the division writes into its own result, which
+    # keeps the memory order of z and the values of the plain expression.
+    s = np.divide(z, scale)
+    np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
+    np.exp(s, out=s)
+    return np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
 
 
 def frobenius(a: np.ndarray) -> float:

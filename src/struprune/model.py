@@ -246,11 +246,19 @@ def mha_forward(
     1/sqrt(head_dim) and normalized per sample segment, a_attn the value
     projection of a, out the output projection of a_attn.
     """
+    return _mha_forward(block, x, seq_len)[2:]
+
+
+def _mha_forward(block: MhaBlock, x: np.ndarray, seq_len: int | None) -> tuple[np.ndarray, ...]:
+    """mha_forward's (z, a, a_attn, out), preceded by the query and key
+    projections it forms z from."""
     d_head = block.wq.shape[0] // block.num_heads
-    z = 0.5 * (block.wq @ x + block.wk @ x)
+    q = block.wq @ x
+    k = block.wk @ x
+    z = 0.5 * (q + k)
     a = row_softmax(z, scale=float(np.sqrt(d_head)), seg_len=seq_len)
     a_attn = block.wv @ a
-    return z, a, a_attn, block.wo @ a_attn
+    return q, k, z, a, a_attn, block.wo @ a_attn
 
 
 class _Iterate:
@@ -300,6 +308,13 @@ class BlockActivations:
             self.a_attn_pre, self.q_pre, self.k_pre,
         )
 
+    def current(self, name: str) -> np.ndarray | None:
+        """The iterate `name` without allocating it: the iterate once it
+        exists, otherwise the frozen reference it would start from."""
+        if name in self.iterates:
+            return self.iterates[name]
+        return getattr(self, name + "_pre")
+
     def reset_iterates(self):
         """Release the iterates; the next read starts again from the
         frozen reference."""
@@ -333,8 +348,8 @@ def capture_reference_activations(model: ToyModel, calib: CalibrationSet) -> Act
             z, a, out = ffn_forward(block, x)
             rec = BlockActivations(FFN, x, z, a, out, None)
         else:
-            z, a, a_attn, out = mha_forward(block, x, calib.seq_len)
-            rec = BlockActivations(MHA, x, z, a, out, a_attn, block.wq @ x, block.wk @ x)
+            q, k, z, a, a_attn, out = _mha_forward(block, x, calib.seq_len)
+            rec = BlockActivations(MHA, x, z, a, out, a_attn, q, k)
         for arr in rec.frozen_arrays():
             if arr is not None:
                 arr.setflags(write=False)

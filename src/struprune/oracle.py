@@ -1,6 +1,7 @@
 """Independent verification machinery: exhaustive mask enumeration, a
-projected-gradient solver for the constrained energy allocation, and a
-central-finite-difference gradient checker.
+projected-gradient solver for the constrained energy allocation, a
+central-finite-difference gradient checker, and the plain-expression
+reference forms of the solver kernels.
 
 These are slow paths for tests and the `verify` subcommand only; nothing
 on the production pruning path imports this module.
@@ -12,9 +13,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 
 from .allocation import ClosedFormContext
 from .errors import ParameterError, SizeError
+from .linalg import relu
 
 ENUM_UNIT_CAP = 12
 
@@ -146,3 +149,94 @@ def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (up - down) / (2.0 * h)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Reference forms of the solver kernels
+# ---------------------------------------------------------------------------
+#
+# The plain-expression bodies of linalg.row_softmax and of the admm
+# kernels. The production kernels write their temporaries into buffers
+# they own; tests require them to return the same bits, in the same
+# memory order, as these forms.
+
+
+def row_softmax_reference(z, scale=1.0, seg_len=None):
+    z = np.asarray(z, dtype=np.float64)
+    if seg_len is not None:
+        shaped = z.reshape(z.shape[0], -1, seg_len)
+        return row_softmax_reference(shaped, scale).reshape(z.shape)
+    s = z / scale
+    s = s - s.max(axis=-1, keepdims=True)
+    w = np.exp(s)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _sq(arr):
+    return float(np.sum(arr * arr))
+
+
+def mha_obj_a_reference(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len=None):
+    phi = row_softmax_reference(z, head_scale, seg_len)
+    return alpha * _sq(a_attn - wv_eff @ a) + beta * _sq(a - phi)
+
+
+def mha_grad_a_reference(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len=None):
+    phi = row_softmax_reference(z, head_scale, seg_len)
+    return -2.0 * alpha * wv_eff.T @ (a_attn - wv_eff @ a) + 2.0 * beta * (a - phi)
+
+
+def mha_obj_attn_reference(a_attn, wo_eff, wv_eff, a, z_next_pre, alpha):
+    return alpha * _sq(z_next_pre - wo_eff @ a_attn) + alpha * _sq(a_attn - wv_eff @ a)
+
+
+def mha_grad_attn_reference(a_attn, wo_eff, wv_eff, a, z_next_pre, alpha):
+    return -2.0 * alpha * wo_eff.T @ (z_next_pre - wo_eff @ a_attn) + 2.0 * alpha * (
+        a_attn - wv_eff @ a
+    )
+
+
+def mha_obj_z_reference(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len=None):
+    phi = row_softmax_reference(z, head_scale, seg_len)
+    return beta * _sq(a - phi) + alpha * _sq(z - q_pre) + alpha * _sq(z - k_pre)
+
+
+def mha_grad_z_reference(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len=None):
+    phi = row_softmax_reference(z, head_scale, seg_len)
+    resid = a - phi
+    if seg_len is None:
+        inner = np.sum(resid * phi, axis=1, keepdims=True)
+    else:
+        shaped = (resid * phi).reshape(z.shape[0], -1, seg_len)
+        inner = shaped.sum(axis=2, keepdims=True)
+        inner = np.broadcast_to(inner, shaped.shape).reshape(z.shape)
+    soft_grad = -(2.0 * beta / head_scale) * phi * (resid - inner)
+    return soft_grad + 2.0 * alpha * (z - q_pre) + 2.0 * alpha * (z - k_pre)
+
+
+def closed_form_scores_reference(w_hat, x_pre, target):
+    """admm.prune_scores with the closed-form criterion."""
+    c_rows = w_hat @ x_pre
+    return 2.0 * np.sum(c_rows * target, axis=1) - np.sum(c_rows * c_rows, axis=1)
+
+
+def ffn_update_activation_reference(w_next, z_next_pre, z, alpha, beta):
+    n = w_next.shape[1]
+    gram = alpha * (w_next.T @ w_next) + beta * np.eye(n)
+    rhs = alpha * (w_next.T @ z_next_pre) + beta * relu(z)
+    factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+
+def ffn_update_output_reference(w1_eff, input_pre, a, z_prev, alpha, beta):
+    z1 = w1_eff @ input_pre
+    z2 = (beta * a + alpha * z1) / (alpha + beta)
+    return np.where(z_prev < 0.0, z1, z2)
+
+
+def ffn_objective_reference(w1_eff, w2_eff, rec, alpha, beta, n_samples):
+    """admm.ffn_objective with the masked matrices passed in."""
+    t1 = alpha * _sq(rec.out_pre - w2_eff @ rec.a)
+    t2 = beta * _sq(rec.a - relu(rec.z))
+    t3 = alpha * _sq(rec.z - w1_eff @ rec.input_pre)
+    return (t1 + t2 + t3) / float(n_samples)

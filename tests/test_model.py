@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from struprune import model as model_module
 from struprune.errors import CapabilityError, FormatError, ParameterError
 from struprune.linalg import make_rng, relu, row_softmax
 from struprune.model import (
@@ -100,6 +101,23 @@ class TestCapture:
                 assert_close(rec.a_pre[:, col], a, 1e-12)
                 assert_close(rec.out_pre[:, col], out, 1e-12)
                 x = out
+
+    def test_one_projection_and_softmax_per_mha_block(self, decoder_toy, monkeypatch):
+        model, calib, _ = decoder_toy
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return row_softmax(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "row_softmax", counted)
+        cache = capture_reference_activations(model, calib)
+        mha = [(b, r) for b, r in zip(model.blocks, cache.blocks) if b.kind == "mha"]
+        assert len(calls) == len(mha)
+        for block, rec in mha:
+            assert np.array_equal(rec.q_pre, block.wq @ rec.input_pre)
+            assert np.array_equal(rec.k_pre, block.wk @ rec.input_pre)
+            assert np.array_equal(rec.z_pre, 0.5 * (rec.q_pre + rec.k_pre))
 
     def test_frozen_references_read_only(self, decoder_toy):
         _, _, cache = decoder_toy
