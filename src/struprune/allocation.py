@@ -96,7 +96,9 @@ def closed_form_context(
     teacher: np.ndarray | None = None,
 ) -> ClosedFormContext:
     """Build the per-unit context for one mask-bearing matrix from model
-    state, averaging the bracketed products over calibration tokens.
+    state, averaging the bracketed products over calibration tokens. The
+    product on the frozen input comes from the cache when the matrix's
+    rows are dense rows or zero (BlockActivations.product).
 
     The coupling term d needs a downstream matrix acting on this matrix's
     output units; that product only conforms on a square chain, so it is
@@ -116,9 +118,12 @@ def closed_form_context(
     else:  # wv: input is the current attention-probability iterate
         x_cur = rec.current("a")
         x_pre = rec.a_pre
-    w_teach = w_hat if teacher is None else teacher
-    b = (w_teach @ x_cur).mean(axis=1)
-    c = (w_hat @ x_pre).mean(axis=1)
+    c = rec.product(matrix, w_hat).mean(axis=1)
+    if teacher is None and x_cur is x_pre:
+        b = c.copy()  # the same product
+    else:
+        w_teach = w_hat if teacher is None else teacher
+        b = (w_teach @ x_cur).mean(axis=1)
     n = b.size
     square_ffn = (
         block.kind == FFN and matrix == "w1" and model.arch.ffn_dim == model.arch.d

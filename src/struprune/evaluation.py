@@ -17,8 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapabilityError, ParameterError
-from .model import ActivationCache, CalibrationSet, FfnBlock, ToyModel, calibration_input
+from .errors import CapabilityError, DimensionError, ParameterError
+from .model import (
+    MATRIX_IO,
+    ActivationCache,
+    CalibrationSet,
+    FfnBlock,
+    ToyModel,
+    calibration_input,
+)
 
 
 @dataclass
@@ -38,28 +45,60 @@ def total_reconstruction_loss(
     activations. MHA blocks compare the output projection, the value
     projection, and the shared query/key consensus. Zero iff the pruned
     weights act identically to the dense ones on the calibration support.
+
+    The row-unit products (w1, wq, wk, wv) come from the cache when each
+    pruned row is the dense row or zero (BlockActivations.product); the
+    column-masked w2 and wo products are GEMMs. Temporaries are written
+    in place into arrays this function owns, with the bits of the plain
+    expressions (oracle.total_reconstruction_loss_reference).
     """
     if [b.kind for b in model_pruned.blocks] != [rec.kind for rec in cache.blocks]:
         raise ParameterError("pruned model and activation cache disagree on block layout")
     inv_n = 1.0 / float(cache.n_samples)
     per_layer: list[tuple[int, str, float]] = []
     for i, (pb, rec) in enumerate(zip(model_pruned.blocks, cache.blocks)):
+        _check_shapes(i, pb, rec)
         if isinstance(pb, FfnBlock):
-            up = _sq(rec.z_pre - pb.w1 @ rec.input_pre)
-            down = _sq(rec.out_pre - pb.w2 @ rec.a_pre)
+            up = _sq_residual(rec.z_pre, rec.product("w1", pb.w1))
+            down = _sq_residual(rec.out_pre, pb.w2 @ rec.a_pre)
             loss = alpha * inv_n * (up + down)
         else:
-            cons_pruned = 0.5 * (pb.wq @ rec.input_pre + pb.wk @ rec.input_pre)
-            qk = _sq(rec.z_pre - cons_pruned)
-            val = _sq(rec.a_attn_pre - pb.wv @ rec.a_pre)
-            out = _sq(rec.out_pre - pb.wo @ rec.a_attn_pre)
+            q = rec.product("wq", pb.wq)
+            k = rec.product("wk", pb.wk)
+            cons_pruned = np.add(q, k, out=_owned(q, k))
+            np.multiply(0.5, cons_pruned, out=cons_pruned)
+            qk = _sq_residual(rec.z_pre, cons_pruned)
+            val = _sq_residual(rec.a_attn_pre, rec.product("wv", pb.wv))
+            out = _sq_residual(rec.out_pre, pb.wo @ rec.a_attn_pre)
             loss = alpha * inv_n * (qk + val + out)
         per_layer.append((i, pb.kind, float(loss)))
     return LossReport(per_layer, float(sum(l for _, _, l in per_layer)))
 
 
-def _sq(a: np.ndarray) -> float:
-    return float(np.sum(a * a))
+def _check_shapes(layer: int, block, rec) -> None:
+    """Each pruned matrix has the shape of the dense matrix whose frozen
+    product it is compared against."""
+    for name, w in block.matrices.items():
+        x_name, prod_name = MATRIX_IO[name]
+        want = (getattr(rec, prod_name).shape[0], getattr(rec, x_name).shape[0])
+        if w.shape != want:
+            raise DimensionError(
+                f"layer {layer} {block.kind} matrix {name}: pruned model has shape "
+                f"{w.shape}, dense reference has {want}"
+            )
+
+
+def _owned(*arrays: np.ndarray) -> np.ndarray | None:
+    """The first array this function may write into: product results are
+    fresh, the frozen products read-only."""
+    return next((a for a in arrays if a.flags.writeable), None)
+
+
+def _sq_residual(target: np.ndarray, prod: np.ndarray) -> float:
+    """sum((target - prod)^2), the temporaries written into prod when it
+    is owned."""
+    resid = np.subtract(target, prod, out=_owned(prod))
+    return float(np.sum(np.multiply(resid, resid, out=resid)))
 
 
 def pseudo_perplexity(model: ToyModel, calib: CalibrationSet) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .linalg import frobenius
-from .model import FFN, MHA, ActivationCache, FfnBlock, MhaBlock, ToyModel
+from .model import FFN, MATRIX_IO, MHA, ActivationCache, FfnBlock, MhaBlock, ToyModel
 
 ROW = "row"
 COL = "col"
@@ -74,16 +74,20 @@ def wanda_elementwise(w: np.ndarray, x_in: np.ndarray) -> np.ndarray:
     return np.abs(w) * feature_norms[None, :]
 
 
-def wanda_unit(w: np.ndarray, x_in: np.ndarray, axis: str, n_samples: int) -> np.ndarray:
+def wanda_unit(
+    w: np.ndarray, x_in: np.ndarray, axis: str, n_samples: int, x_l1: np.ndarray | None = None
+) -> np.ndarray:
     """Per-unit score: sum of |w_ij| * |x_jt| over the non-unit axes,
-    divided by the calibration sample count."""
+    divided by the calibration sample count. x_l1, when given, is x_in's
+    per-feature sum_t |x_jt| (BlockActivations.col_l1)."""
     w = np.asarray(w, dtype=np.float64)
     x_in = np.asarray(x_in, dtype=np.float64)
     _validate_inputs(w, x_in)
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
     abs_w = np.abs(w)
-    abs_x_rowsum = np.sum(np.abs(x_in), axis=1)  # sum_t |x_jt| per feature j
+    # sum_t |x_jt| per feature j
+    abs_x_rowsum = np.sum(np.abs(x_in), axis=1) if x_l1 is None else x_l1
     if axis == ROW:
         scores = abs_w @ abs_x_rowsum
     elif axis == COL:
@@ -114,19 +118,10 @@ def reconstruction_gradient(
 
 def _matrix_io(rec, matrix: str) -> tuple[np.ndarray, np.ndarray]:
     """Input activations and dense-reference target for one matrix."""
-    if matrix == "w1":
-        return rec.input_pre, rec.z_pre
-    if matrix == "w2":
-        return rec.a_pre, rec.out_pre
-    if matrix == "wq":
-        return rec.input_pre, rec.q_pre
-    if matrix == "wk":
-        return rec.input_pre, rec.k_pre
-    if matrix == "wv":
-        return rec.a_pre, rec.a_attn_pre
-    if matrix == "wo":
-        return rec.a_attn_pre, rec.out_pre
-    raise ParameterError(f"unknown matrix {matrix!r}")
+    if matrix not in MATRIX_IO:
+        raise ParameterError(f"unknown matrix {matrix!r}")
+    x_name, target_name = MATRIX_IO[matrix]
+    return getattr(rec, x_name), getattr(rec, target_name)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +129,8 @@ def _matrix_io(rec, matrix: str) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def wanda_rows(w, x_in, target, n_samples, rng=None) -> np.ndarray:
-    return wanda_unit(w, x_in, ROW, n_samples)
+def wanda_rows(w, x_in, target, n_samples, rng=None, x_l1=None) -> np.ndarray:
+    return wanda_unit(w, x_in, ROW, n_samples, x_l1)
 
 
 def magnitude_rows(w, x_in, target, n_samples, rng=None) -> np.ndarray:
@@ -183,11 +178,14 @@ def _score_matrix(
     """Row-unit scores of one matrix (default: the block's first
     mask-bearing matrix) against its dense-reference product."""
     block = model.blocks[block_index]
+    rec = cache.blocks[block_index]
     if matrix is None:
         matrix = MASK_BEARING[block.kind][0]
-    x_in, target = _matrix_io(cache.blocks[block_index], matrix)
+    x_in, target = _matrix_io(rec, matrix)
     if DEFAULT_AXES[matrix] != ROW:
         raise ParameterError(f"{matrix} units are columns; unit criteria score rows")
+    if criterion == "wanda":  # the input statistic is frozen with the cache
+        score = partial(score, x_l1=rec.col_l1(MATRIX_IO[matrix][0]))
     scores = score(block.matrices[matrix], x_in, target, cache.n_samples, rng)
     return UnitScores(block_index, matrix, ROW, criterion, scores)
 
@@ -280,9 +278,8 @@ def layer_importance(
             pooled: list[np.ndarray] = []
             for name, w in block.matrices.items():
                 x_in, _ = _matrix_io(rec, name)
-                pooled.append(
-                    wanda_unit(w, x_in, DEFAULT_AXES[name], cache.n_samples)
-                )
+                x_l1 = rec.col_l1(MATRIX_IO[name][0])
+                pooled.append(wanda_unit(w, x_in, DEFAULT_AXES[name], cache.n_samples, x_l1))
             value = float(np.concatenate(pooled).mean())
             out.append(LayerImportance(i, block.kind, value))
         return out

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,17 @@ FORMAT_VERSION = 1
 
 FFN = "ffn"
 MHA = "mha"
+
+# Frozen (input, dense product) of each block matrix: capture forms the
+# product as matrix @ input from exactly these arrays.
+MATRIX_IO = {
+    "w1": ("input_pre", "z_pre"),
+    "w2": ("a_pre", "out_pre"),
+    "wq": ("input_pre", "q_pre"),
+    "wk": ("input_pre", "k_pre"),
+    "wv": ("a_pre", "a_attn_pre"),
+    "wo": ("a_attn_pre", "out_pre"),
+}
 
 
 @dataclass(frozen=True)
@@ -286,7 +298,12 @@ class _Iterate:
 class BlockActivations:
     """Per-block record: frozen dense-reference values plus the current
     iterates z, a and a_attn. The *_pre arrays are read-only after
-    capture; the iterates are allocated on first read."""
+    capture; the iterates are allocated on first read.
+
+    `dense` holds the block's dense matrices that formed the frozen
+    products (read-only references, not copies). Input statistics of the
+    frozen arrays (col_l1) are computed on first use, once per record,
+    also when pool threads ask for them at the same time."""
 
     kind: str
     input_pre: np.ndarray
@@ -296,7 +313,10 @@ class BlockActivations:
     a_attn_pre: np.ndarray | None
     q_pre: np.ndarray | None = None
     k_pre: np.ndarray | None = None
+    dense: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     iterates: dict[str, np.ndarray | None] = field(default_factory=dict, repr=False, compare=False)
+    stats: dict = field(default_factory=dict, repr=False, compare=False)
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     z = _Iterate()
     a = _Iterate()
@@ -320,6 +340,62 @@ class BlockActivations:
         frozen reference."""
         self.iterates.clear()
 
+    def _memo(self, key, compute):
+        value = self.stats.get(key)
+        if value is None:
+            with self.lock:
+                value = self.stats.get(key)
+                if value is None:
+                    value = self.stats[key] = compute()
+        return value
+
+    def col_l1(self, name: str) -> np.ndarray:
+        """Per-feature sum_t |x_jt| of the frozen array `name` (e.g.
+        "input_pre"), the wanda input statistic; read-only."""
+
+        def compute():
+            sums = np.sum(np.abs(getattr(self, name)), axis=1)
+            sums.setflags(write=False)
+            return sums
+
+        return self._memo(("col_l1", name), compute)
+
+    def _finite(self, name: str) -> bool:
+        return self._memo(("finite", name), lambda: bool(np.isfinite(getattr(self, name)).all()))
+
+    def product(self, matrix: str, w: np.ndarray) -> np.ndarray:
+        """w @ x for the frozen input x of `matrix` (MATRIX_IO).
+
+        When every row of w equals the captured dense row or is all zero,
+        this is the frozen dense product with the zero rows set to +0.0,
+        bit for bit: a GEMM row of a same-shaped, same-layout product
+        depends only on its own row of w, and an all-zero row on a finite
+        input gives +0.0. The frozen array itself comes back (read-only)
+        when no row is zero; every other result is a fresh array. Any
+        other w takes the GEMM."""
+        x_name, prod_name = MATRIX_IO[matrix]
+        x = getattr(self, x_name)
+        frozen = getattr(self, prod_name)
+        dense = self.dense.get(matrix)
+        if (
+            dense is None
+            or not frozen.flags.c_contiguous
+            or w.dtype != dense.dtype
+            or w.shape != dense.shape
+            or w.strides != dense.strides
+        ):
+            return w @ x
+        zero = ~np.any(w, axis=1)
+        if not np.all(zero | np.all(w == dense, axis=1)):
+            return w @ x
+        if not zero.any():
+            return frozen
+        if not self._finite(x_name):
+            return w @ x
+        out = frozen.copy()
+        out[zero] = 0.0
+        return out
+
 
 @dataclass
 class ActivationCache:
@@ -339,8 +415,9 @@ class ActivationCache:
 
 
 def capture_reference_activations(model: ToyModel, calib: CalibrationSet) -> ActivationCache:
-    """Single dense forward pass; freezes the reference values. The
-    iterates start equal to them when first read."""
+    """Single dense forward pass; freezes the reference values and the
+    dense block matrices that formed them (marked read-only in place, not
+    copied). The iterates start equal to the reference when first read."""
     x = calibration_input(model, calib)
     records: list[BlockActivations] = []
     for block in model.blocks:
@@ -350,7 +427,8 @@ def capture_reference_activations(model: ToyModel, calib: CalibrationSet) -> Act
         else:
             q, k, z, a, a_attn, out = _mha_forward(block, x, calib.seq_len)
             rec = BlockActivations(MHA, x, z, a, out, a_attn, q, k)
-        for arr in rec.frozen_arrays():
+        rec.dense = dict(block.matrices)
+        for arr in (*rec.frozen_arrays(), *rec.dense.values()):
             if arr is not None:
                 arr.setflags(write=False)
         records.append(rec)

@@ -1,7 +1,7 @@
 """Independent verification machinery: exhaustive mask enumeration, a
 projected-gradient solver for the constrained energy allocation, a
 central-finite-difference gradient checker, and the plain-expression
-reference forms of the solver kernels.
+reference forms of the solver kernels and of the one-shot products.
 
 These are slow paths for tests and the `verify` subcommand only; nothing
 on the production pruning path imports this module.
@@ -15,9 +15,11 @@ from itertools import combinations
 import numpy as np
 import scipy.linalg
 
-from .allocation import ClosedFormContext
+from .allocation import MASK_BEARING, ClosedFormContext
 from .errors import ParameterError, SizeError
+from .evaluation import LossReport
 from .linalg import relu
+from .model import FFN
 
 ENUM_UNIT_CAP = 12
 
@@ -240,3 +242,58 @@ def ffn_objective_reference(w1_eff, w2_eff, rec, alpha, beta, n_samples):
     t2 = beta * _sq(rec.a - relu(rec.z))
     t3 = alpha * _sq(rec.z - w1_eff @ rec.input_pre)
     return (t1 + t2 + t3) / float(n_samples)
+
+
+# ---------------------------------------------------------------------------
+# Reference forms of the one-shot products
+# ---------------------------------------------------------------------------
+#
+# The plain-expression bodies of evaluation.total_reconstruction_loss and
+# allocation.closed_form_context: every product a GEMM, every temporary a
+# fresh array. The production forms read the row-unit products from the
+# frozen activation cache; tests require the same bits.
+
+
+def total_reconstruction_loss_reference(model_pruned, cache, alpha=1.0):
+    inv_n = 1.0 / float(cache.n_samples)
+    per_layer = []
+    for i, (pb, rec) in enumerate(zip(model_pruned.blocks, cache.blocks)):
+        if pb.kind == FFN:
+            up = _sq(rec.z_pre - pb.w1 @ rec.input_pre)
+            down = _sq(rec.out_pre - pb.w2 @ rec.a_pre)
+            loss = alpha * inv_n * (up + down)
+        else:
+            cons_pruned = 0.5 * (pb.wq @ rec.input_pre + pb.wk @ rec.input_pre)
+            qk = _sq(rec.z_pre - cons_pruned)
+            val = _sq(rec.a_attn_pre - pb.wv @ rec.a_pre)
+            out = _sq(rec.out_pre - pb.wo @ rec.a_attn_pre)
+            loss = alpha * inv_n * (qk + val + out)
+        per_layer.append((i, pb.kind, float(loss)))
+    return LossReport(per_layer, float(sum(l for _, _, l in per_layer)))
+
+
+def closed_form_context_reference(model, cache, layer, matrix=None, teacher=None):
+    block = model.blocks[layer]
+    rec = cache.blocks[layer]
+    if matrix is None:
+        matrix = MASK_BEARING[block.kind][0]
+    w_hat = block.matrices[matrix]
+    if matrix in ("w1", "wq", "wk"):
+        x_cur = rec.input_pre
+        x_pre = rec.input_pre
+    else:
+        x_cur = rec.current("a")
+        x_pre = rec.a_pre
+    w_teach = w_hat if teacher is None else teacher
+    b = (w_teach @ x_cur).mean(axis=1)
+    c = (w_hat @ x_pre).mean(axis=1)
+    n = b.size
+    if block.kind == FFN and matrix == "w1" and model.arch.ffn_dim == model.arch.d:
+        d_vec = (block.w2 @ rec.current("a")).mean(axis=1)
+        z_pre = rec.out_pre.mean(axis=1)
+        degenerate = False
+    else:
+        d_vec = np.zeros(n)
+        z_pre = np.zeros(n)
+        degenerate = True
+    return ClosedFormContext(b, c, d_vec, z_pre, layer, matrix, degenerate)

@@ -332,6 +332,20 @@ class TestNonFiniteInput:
             report.to_json()
 
 
+class TestMismatchedModel:
+    def test_eval_names_block_matrix_and_shapes(self, workspace, capsys):
+        tmp, model, calib = workspace
+        wide = str(tmp / "wide")
+        assert run("gen", "--d", "16", "--layers", "2", "--heads", "2", "--seed", "7",
+                   "--out", wide) == 0
+        capsys.readouterr()
+        out = tmp / "e"
+        assert run("eval", "--model", wide, "--dense", model, "--calib", calib,
+                   "--out", str(out)) == 1
+        _one_error_line(capsys, "layer 0 mha matrix wq", "(16, 16)", "(8, 8)")
+        assert not (out / "report.json").exists()
+
+
 class TestFlagValues:
     def test_config_string_value_parsed_by_flag_type(self, workspace):
         tmp, model, calib = workspace
