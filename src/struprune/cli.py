@@ -184,7 +184,7 @@ def _default_temperature(model, cache) -> float:
 def _load_inputs(args):
     model = load_model(args.model)
     calib = load_calibration(args.calib)
-    cache = capture_reference_activations(model, calib)
+    cache = capture_reference_activations(model, calib, threads=args.threads)
     return model, calib, cache
 
 
@@ -282,11 +282,14 @@ def cmd_eval(args) -> int:
     pruned = load_model(args.model)
     dense = load_model(args.dense)
     calib = load_calibration(args.calib)
-    cache = capture_reference_activations(dense, calib)
-    loss = evaluation.total_reconstruction_loss(pruned, cache, alpha=args.alpha)
+    cache = capture_reference_activations(dense, calib, threads=args.threads)
+    loss = evaluation.total_reconstruction_loss(
+        pruned, cache, alpha=args.alpha, threads=args.threads
+    )
+    del cache  # the reference is not needed by pseudo-perplexity
     ppl = None
     if calib.is_tokens and pruned.head is not None:
-        ppl = evaluation.pseudo_perplexity(pruned, calib)
+        ppl = evaluation.pseudo_perplexity(pruned, calib, threads=args.threads)
     report = evaluation.EvalReport(
         per_layer_loss=loss.per_layer,
         total_loss=loss.total,
@@ -389,6 +392,26 @@ def cmd_verify(args) -> int:
             float(np.max(np.abs(closed - solved))) < 1e-4,
             f"gap={float(np.max(np.abs(closed - solved))):.3e}",
         )
+    # Tiled forward against the single-pass one on this machine's BLAS:
+    # T = 2560 makes two token tiles of unequal width.
+    arch = ModelArch(d=16, num_layers=2, num_heads=2, vocab=32)
+    model = generate_toy_model(arch, rng)
+    calib = make_calibration(arch, 160, 16, rng, kind="tokens")
+    cache = capture_reference_activations(model, calib, threads=2)
+    tiled = [rec.frozen_arrays() for rec in cache.blocks]
+    single = oracle.dense_forward_reference(model, calib)
+    same = all(
+        (a is None and b is None) or np.array_equal(a, b)
+        for rec_t, rec_s in zip(tiled, single)
+        for a, b in zip(rec_t, rec_s)
+    )
+    ppl = evaluation.pseudo_perplexity(model, calib, threads=2)
+    ppl_ref = oracle.pseudo_perplexity_reference(model, calib)
+    check(
+        "tiled forward matches single-pass forward (T=2560, 2 token tiles)",
+        same and ppl == ppl_ref,
+        f"arrays equal={same}, ppl {ppl!r} vs {ppl_ref!r}",
+    )
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing check(s)")
     return 0 if failures == 0 else 1
 

@@ -24,6 +24,9 @@ from .model import (
     CalibrationSet,
     FfnBlock,
     ToyModel,
+    _dense_forward,
+    _token_tiles,
+    _worker_pool,
     calibration_input,
 )
 
@@ -35,7 +38,7 @@ class LossReport:
 
 
 def total_reconstruction_loss(
-    model_pruned: ToyModel, cache: ActivationCache, alpha: float = 1.0
+    model_pruned: ToyModel, cache: ActivationCache, alpha: float = 1.0, threads: int = 1
 ) -> LossReport:
     """Layer reconstruction loss against the frozen dense reference held
     in the activation cache, normalized by the calibration sample count.
@@ -46,33 +49,46 @@ def total_reconstruction_loss(
     projection, and the shared query/key consensus. Zero iff the pruned
     weights act identically to the dense ones on the calibration support.
 
-    The row-unit products (w1, wq, wk, wv) come from the cache when each
-    pruned row is the dense row or zero (BlockActivations.product); the
-    column-masked w2 and wo products are GEMMs. Temporaries are written
-    in place into arrays this function owns, with the bits of the plain
-    expressions (oracle.total_reconstruction_loss_reference).
+    The per-block losses are computed on a pool of `threads` workers and
+    summed in block order. The row-unit products (w1, wq, wk, wv) are read
+    from the cache when each pruned row is the dense row or zero
+    (BlockActivations.product_rows); the column-masked w2 and wo products
+    are GEMMs. Temporaries are written in place into arrays this function
+    owns, with the bits of the plain expressions
+    (oracle.total_reconstruction_loss_reference).
     """
     if [b.kind for b in model_pruned.blocks] != [rec.kind for rec in cache.blocks]:
         raise ParameterError("pruned model and activation cache disagree on block layout")
-    inv_n = 1.0 / float(cache.n_samples)
-    per_layer: list[tuple[int, str, float]] = []
-    for i, (pb, rec) in enumerate(zip(model_pruned.blocks, cache.blocks)):
+    pairs = list(zip(model_pruned.blocks, cache.blocks))
+    for i, (pb, rec) in enumerate(pairs):
         _check_shapes(i, pb, rec)
-        if isinstance(pb, FfnBlock):
-            up = _sq_residual(rec.z_pre, rec.product("w1", pb.w1))
-            down = _sq_residual(rec.out_pre, pb.w2 @ rec.a_pre)
-            loss = alpha * inv_n * (up + down)
-        else:
-            q = rec.product("wq", pb.wq)
-            k = rec.product("wk", pb.wk)
-            cons_pruned = np.add(q, k, out=_owned(q, k))
-            np.multiply(0.5, cons_pruned, out=cons_pruned)
-            qk = _sq_residual(rec.z_pre, cons_pruned)
-            val = _sq_residual(rec.a_attn_pre, rec.product("wv", pb.wv))
-            out = _sq_residual(rec.out_pre, pb.wo @ rec.a_attn_pre)
-            loss = alpha * inv_n * (qk + val + out)
-        per_layer.append((i, pb.kind, float(loss)))
+    scale = alpha * (1.0 / float(cache.n_samples))
+    with _worker_pool(pairs, threads) as run:
+        losses = run(lambda pair: scale * _block_loss(*pair))
+    per_layer = [(i, pb.kind, loss) for i, (pb, loss) in enumerate(zip(model_pruned.blocks, losses))]
     return LossReport(per_layer, float(sum(l for _, _, l in per_layer)))
+
+
+def _block_loss(pb, rec) -> float:
+    """The unscaled sum of a block's squared residual terms."""
+    if isinstance(pb, FfnBlock):
+        up = _sq_residual(rec.z_pre, *rec.product_rows("w1", pb.w1))
+        down = _sq_residual(rec.out_pre, pb.w2 @ rec.a_pre)
+        return up + down
+    q, zq = rec.product_rows("wq", pb.wq)
+    k, zk = rec.product_rows("wk", pb.wk)
+    # Rows where q or k reads as zero are summed from their masked rows
+    # before the full sum may overwrite an owned q or k.
+    fix = zq if zk is None else (zk if zq is None else zq | zk)
+    fixed = None if fix is None else _masked_rows(q, zq, fix) + _masked_rows(k, zk, fix)
+    cons_pruned = np.add(q, k, out=_owned(q, k))
+    if fixed is not None:
+        cons_pruned[fix] = fixed
+    np.multiply(0.5, cons_pruned, out=cons_pruned)
+    qk = _sq_residual(rec.z_pre, cons_pruned)
+    val = _sq_residual(rec.a_attn_pre, *rec.product_rows("wv", pb.wv))
+    out = _sq_residual(rec.out_pre, pb.wo @ rec.a_attn_pre)
+    return qk + val + out
 
 
 def _check_shapes(layer: int, block, rec) -> None:
@@ -94,44 +110,52 @@ def _owned(*arrays: np.ndarray) -> np.ndarray | None:
     return next((a for a in arrays if a.flags.writeable), None)
 
 
-def _sq_residual(target: np.ndarray, prod: np.ndarray) -> float:
-    """sum((target - prod)^2), the temporaries written into prod when it
-    is owned."""
+def _masked_rows(prod: np.ndarray, zero: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """prod[rows] with the rows flagged in `zero` read as +0.0."""
+    sub = prod[rows]
+    if zero is not None:
+        sub[zero[rows]] = 0.0
+    return sub
+
+
+def _sq_residual(target: np.ndarray, prod: np.ndarray, zero: np.ndarray | None = None) -> float:
+    """sum((target - prod)^2) with the rows flagged in `zero` of prod read
+    as +0.0; the temporaries are written into prod when it is owned."""
     resid = np.subtract(target, prod, out=_owned(prod))
+    if zero is not None:
+        resid[zero] = target[zero]  # target - (+0.0) is target
     return float(np.sum(np.multiply(resid, resid, out=resid)))
 
 
-def pseudo_perplexity(model: ToyModel, calib: CalibrationSet) -> float:
+def pseudo_perplexity(model: ToyModel, calib: CalibrationSet, threads: int = 1) -> float:
     """exp of the mean next-token cross-entropy through the linear vocab
     head. Equals the vocab size for a uniform-output model and is
-    invariant to adding a constant to all logits."""
+    invariant to adding a constant to all logits. The forward and the
+    head run over token tiles on a pool of `threads` workers, with the
+    same bits for every `threads`."""
     if model.head is None or model.embed is None:
         raise CapabilityError("pseudo-perplexity needs a model with a vocab head")
     if not calib.is_tokens:
         raise CapabilityError("pseudo-perplexity needs token calibration data")
     if calib.seq_len < 2:
         raise ParameterError("token sequences must have length >= 2 for next-token loss")
-    from .model import ffn_forward, mha_forward
-
     x = calibration_input(model, calib)
-    for block in model.blocks:
-        if isinstance(block, FfnBlock):
-            _, _, x = ffn_forward(block, x)
-        else:
-            _, _, _, x = mha_forward(block, x, calib.seq_len)
-    logits = model.head @ x  # (vocab, tokens)
-    logits = logits - logits.max(axis=0, keepdims=True)
-    logz = np.log(np.sum(np.exp(logits), axis=0))
+    with _worker_pool(_token_tiles(x.shape[1]), threads) as run:
+        for rec in _dense_forward(model.blocks, x, calib.seq_len, run):
+            x = rec.out_pre
+        rec = None  # release the last block's other arrays
+        logits = np.empty((model.head.shape[0], x.shape[1]))  # (vocab, tokens)
+        run(lambda t: np.matmul(model.head, x[:, t], out=logits[:, t]))
+    # Every position but the last of each sample predicts the next token.
     n, seq = calib.n_samples, calib.seq_len
-    total = 0.0
-    count = 0
-    for s in range(n):
-        for p in range(seq - 1):
-            col = s * seq + p
-            target = calib.tokens[s, p + 1]
-            total += logz[col] - logits[target, col]
-            count += 1
-    return float(math.exp(total / count))
+    cols = (np.arange(n)[:, None] * seq + np.arange(seq - 1)).ravel()
+    targets = calib.tokens[:, 1:].ravel()
+    np.subtract(logits, logits.max(axis=0, keepdims=True), out=logits)
+    picked = logits[targets, cols]
+    logz = np.log(np.sum(np.exp(logits, out=logits), axis=0))
+    # cumsum adds left to right, in the order of a sample-major loop.
+    vals = logz[cols] - picked
+    return float(math.exp(np.cumsum(vals)[-1] / vals.size))
 
 
 def achieved_sparsity(model: ToyModel) -> list[tuple[int, str, float]]:

@@ -1,7 +1,8 @@
 """Independent verification machinery: exhaustive mask enumeration, a
 projected-gradient solver for the constrained energy allocation, a
-central-finite-difference gradient checker, and the plain-expression
-reference forms of the solver kernels and of the one-shot products.
+central-finite-difference gradient checker, the single-pass dense
+forward, and the plain-expression reference forms of the solver kernels
+and of the one-shot products.
 
 These are slow paths for tests and the `verify` subcommand only; nothing
 on the production pruning path imports this module.
@@ -9,6 +10,7 @@ on the production pruning path imports this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -18,8 +20,8 @@ import scipy.linalg
 from .allocation import MASK_BEARING, ClosedFormContext
 from .errors import ParameterError, SizeError
 from .evaluation import LossReport
-from .linalg import relu
-from .model import FFN
+from .linalg import relu, row_softmax
+from .model import FFN, calibration_input
 
 ENUM_UNIT_CAP = 12
 
@@ -151,6 +153,75 @@ def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (up - down) / (2.0 * h)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Single-pass dense forward
+# ---------------------------------------------------------------------------
+#
+# Every GEMM over all tokens at once, every temporary a fresh array. The
+# production forward (model._dense_forward) runs over token tiles on a
+# pool; tests and `verify` require the same bits.
+
+
+def ffn_forward(block, x):
+    """Returns (z, a, out): pre-activation, post-activation, block output."""
+    z = block.w1 @ x
+    a = relu(z)
+    return z, a, block.w2 @ a
+
+
+def mha_forward(block, x, seq_len=None):
+    """Returns (q, k, z, a, a_attn, out).
+
+    z is the consensus of the query and key projections (the shared
+    pre-logit both branches reconstruct), a = row softmax of z scaled by
+    1/sqrt(head_dim) and normalized per sample segment, a_attn the value
+    projection of a, out the output projection of a_attn.
+    """
+    d_head = block.wq.shape[0] // block.num_heads
+    q = block.wq @ x
+    k = block.wk @ x
+    z = 0.5 * (q + k)
+    a = row_softmax(z, scale=float(np.sqrt(d_head)), seg_len=seq_len)
+    a_attn = block.wv @ a
+    return q, k, z, a, a_attn, block.wo @ a_attn
+
+
+def dense_forward_reference(model, calib):
+    """Per block, the frozen arrays of capture in
+    BlockActivations.frozen_arrays() order: (input_pre, z_pre, a_pre,
+    out_pre, a_attn_pre, q_pre, k_pre), None where a kind has none."""
+    x = calibration_input(model, calib)
+    arrays = []
+    for block in model.blocks:
+        if block.kind == FFN:
+            z, a, out = ffn_forward(block, x)
+            arrays.append((x, z, a, out, None, None, None))
+        else:
+            q, k, z, a, a_attn, out = mha_forward(block, x, calib.seq_len)
+            arrays.append((x, z, a, out, a_attn, q, k))
+        x = out
+    return arrays
+
+
+def pseudo_perplexity_reference(model, calib):
+    """evaluation.pseudo_perplexity as the single-pass forward and a
+    per-token loop."""
+    x = dense_forward_reference(model, calib)[-1][3]
+    logits = model.head @ x
+    logits = logits - logits.max(axis=0, keepdims=True)
+    logz = np.log(np.sum(np.exp(logits), axis=0))
+    n, seq = calib.n_samples, calib.seq_len
+    total = 0.0
+    count = 0
+    for s in range(n):
+        for p in range(seq - 1):
+            col = s * seq + p
+            target = calib.tokens[s, p + 1]
+            total += logz[col] - logits[target, col]
+            count += 1
+    return float(math.exp(total / count))
 
 
 # ---------------------------------------------------------------------------

@@ -369,8 +369,8 @@ class TestMaskPipeline:
 
         caches = []
 
-        def capture(model, calib):
-            caches.append(capture_reference_activations(model, calib))
+        def capture(model, calib, threads=1):
+            caches.append(capture_reference_activations(model, calib, threads=threads))
             return caches[-1]
 
         monkeypatch.setattr(cli, "capture_reference_activations", capture)

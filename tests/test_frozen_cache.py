@@ -101,6 +101,19 @@ class TestLossBits:
         assert_same_loss(pruned, cache)
 
 
+    @pytest.mark.parametrize("refit", ["wq", "wk"])
+    def test_consensus_of_one_refit_and_one_masked_projection(self, decoder_toy, refit):
+        # One of q, k is a fresh GEMM the sum may write into, the other the
+        # frozen product with zero rows; wq and wk masks differ.
+        model, _, cache = decoder_toy
+        pruned = one_shot_pruned(model, cache, "wanda")
+        for block in pruned.blocks:
+            if block.kind == "mha":
+                block.wq[1::4] = 0.0
+                block.matrices[refit][np.any(block.matrices[refit], axis=1)] *= 1.5
+        assert_same_loss(pruned, cache)
+
+
 class TestProduct:
     def test_dense_rows_return_the_frozen_product(self, decoder_toy):
         model, _, cache = decoder_toy
