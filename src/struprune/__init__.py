@@ -4,7 +4,7 @@ softmax sparsity allocation, and an alternating divide-and-conquer
 weight/activation solver, backed by exhaustive and constrained-solver
 oracles in the test suite."""
 
-from .admm import AdmmResult, SolverConfig, lowrank_correct, recover_weights, run_outer_loop
+from .admm import AdmmResult, SolverConfig, recover_weights, run_outer_loop
 from .allocation import (
     ClosedFormContext,
     PlanEntry,

@@ -26,9 +26,9 @@ from .allocation import (
     round_half_away,
 )
 from .errors import ParameterError, SolverError
-from .importance import DEFAULT_AXES, UNIT_CRITERIA
+from .importance import UNIT_CRITERIA, UNIT_OWNER, unit_mask
 from .linalg import make_rng, relu, ridge_solve, row_softmax
-from .model import FFN, ActivationCache, BlockActivations, FfnBlock, ToyModel
+from .model import FFN, ActivationCache, BlockActivations, ToyModel
 
 
 @dataclass
@@ -66,12 +66,9 @@ class BlockState:
 
     def effective(self, name: str) -> np.ndarray:
         w = self.w_hat[name]
-        if name not in self.masks:
+        if UNIT_OWNER[name] not in self.masks:
             return w
-        bits = self.masks[name].bits.astype(np.float64)
-        if DEFAULT_AXES[name] == "row":
-            return w * bits[:, None]
-        return w * bits[None, :]
+        return w * unit_mask(name, self.masks)
 
 
 @dataclass
@@ -172,7 +169,6 @@ def ffn_prune_step(
     )
     mask = binarize_by_threshold(scores, state.budget["w1"], state.layer, "w1", "row")
     state.masks["w1"] = mask
-    state.masks["w2"] = PruneMask(state.layer, "w2", "col", mask.bits, mask.k)
     state.w_hat["w1"] = _refit_rows(state.w_hat["w1"], mask.bits, rec.input_pre, target_up, cfg.ridge_eps)
     target_down = state.teacher["w2"] @ rec.a
     state.w_hat["w2"] = _refit_cols(state.w_hat["w2"], mask.bits, rec.a, target_down, cfg.ridge_eps)
@@ -470,7 +466,6 @@ def mha_prune_step(
         state.masks[name] = mask
         state.w_hat[name] = _refit_rows(state.w_hat[name], mask.bits, x_cur, target, cfg.ridge_eps)
     vbits = state.masks["wv"].bits
-    state.masks["wo"] = PruneMask(state.layer, "wo", "col", vbits, int(vbits.sum()))
     target_o = state.teacher["wo"] @ rec.a_attn
     state.w_hat["wo"] = _refit_cols(state.w_hat["wo"], vbits, rec.a_attn, target_o, cfg.ridge_eps)
     return state.masks
@@ -617,15 +612,8 @@ def run_outer_loop(
 def _masked_model(model: ToyModel, states: list[BlockState]) -> ToyModel:
     out = model.copy()
     for state in states:
-        block = out.blocks[state.layer]
-        if isinstance(block, FfnBlock):
-            block.w1 = state.effective("w1")
-            block.w2 = state.effective("w2")
-        else:
-            block.wq = state.effective("wq")
-            block.wk = state.effective("wk")
-            block.wv = state.effective("wv")
-            block.wo = state.effective("wo")
+        for name in state.w_hat:
+            setattr(out.blocks[state.layer], name, state.effective(name))
     return out
 
 
@@ -634,67 +622,3 @@ def export_trace_csv(trace: list[tuple[int, int, str, float]]) -> str:
     for it, layer, kind, obj in trace:
         lines.append(f"{it},{layer},{kind},{obj!r}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Low-rank residual correction
-# ---------------------------------------------------------------------------
-
-
-def lowrank_correct(
-    block,
-    rec: BlockActivations,
-    rank: int,
-    steps: int,
-    lr: float | None,
-    rng: np.random.Generator,
-    n_samples: int,
-):
-    """Additive rank-limited correction per weight matrix, trained by
-    gradient descent on the reconstruction loss against the dense
-    reference products; units killed by the structured mask stay exactly
-    zero because the correction itself is masked."""
-    corrected = block.copy()
-    io_map = _block_io(corrected, rec)
-    for name, (w, x_in, target) in io_map.items():
-        n_rows, n_cols = w.shape
-        if rank < 1 or rank > min(n_rows, n_cols):
-            raise ParameterError(f"rank must be in [1, {min(n_rows, n_cols)}]")
-        unit_mask = _zero_unit_mask(w, name)
-        a_fac = 0.01 * rng.normal(size=(n_rows, rank))
-        b_fac = np.zeros((rank, n_cols))
-        step = lr if lr is not None else float(n_samples) / (2.0 * np.sum(x_in * x_in) + 1e-12)
-        inv_n = 2.0 / float(n_samples)
-        for _ in range(steps):
-            correction = unit_mask * (a_fac @ b_fac)
-            grad_c = unit_mask * (inv_n * ((w + correction) @ x_in - target) @ x_in.T)
-            a_fac = a_fac - step * (grad_c @ b_fac.T)
-            b_fac = b_fac - step * (a_fac.T @ grad_c)
-        new_w = w + unit_mask * (a_fac @ b_fac)
-        setattr(corrected, name, new_w)
-    return corrected
-
-
-def _zero_unit_mask(w: np.ndarray, name: str) -> np.ndarray:
-    """Mask locking structurally zeroed units: rows (or columns) that are
-    entirely zero stay zero under correction."""
-    if DEFAULT_AXES[name] == "row":
-        alive = np.any(w != 0.0, axis=1).astype(np.float64)
-        return np.broadcast_to(alive[:, None], w.shape).copy()
-    alive = np.any(w != 0.0, axis=0).astype(np.float64)
-    return np.broadcast_to(alive[None, :], w.shape).copy()
-
-
-def _block_io(block, rec: BlockActivations) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    if isinstance(block, FfnBlock):
-        return {
-            "w1": (block.w1, rec.input_pre, rec.z_pre),
-            "w2": (block.w2, rec.a_pre, rec.out_pre),
-        }
-    return {
-        "wq": (block.wq, rec.input_pre, rec.z_pre),
-        "wk": (block.wk, rec.input_pre, rec.z_pre),
-        "wv": (block.wv, rec.a_pre, rec.a_attn_pre),
-        "wo": (block.wo, rec.a_attn_pre, rec.out_pre),
-    }
-

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -32,9 +31,10 @@ from .importance import (
     UNIT_CRITERIA,
     block_unit_scores,
     layer_importance,
+    unit_mask,
 )
 from .linalg import softmax_vec
-from .model import FFN, MHA, ActivationCache, FfnBlock, MhaBlock, ToyModel
+from .model import FFN, MHA, ActivationCache, ToyModel, _worker_pool
 
 SPARSITY_CAP = 0.95
 
@@ -116,7 +116,7 @@ def closed_form_context(
         x_cur = rec.input_pre
         x_pre = rec.input_pre
     else:  # wv: input is the current attention-probability iterate
-        x_cur = rec.current("a")
+        x_cur = rec.a
         x_pre = rec.a_pre
     c = rec.product(matrix, w_hat).mean(axis=1)
     if teacher is None and x_cur is x_pre:
@@ -129,7 +129,7 @@ def closed_form_context(
         block.kind == FFN and matrix == "w1" and model.arch.ffn_dim == model.arch.d
     )
     if square_ffn:
-        d_vec = (block.w2 @ rec.current("a")).mean(axis=1)
+        d_vec = (block.w2 @ rec.a).mean(axis=1)
         z_pre = rec.out_pre.mean(axis=1)
         degenerate = False
     else:
@@ -495,21 +495,12 @@ def global_closed_form_masks(
 
 
 def apply_masks(model: ToyModel, masks: dict[int, dict[str, PruneMask]]) -> ToyModel:
-    """Multiplicative structured zeroing; w2/wo columns follow the paired
-    row mask (w1 for FFN, wv for MHA)."""
+    """Multiplicative structured zeroing of every matrix by its owner's
+    mask (importance.UNIT_OWNER), in place on the copy."""
     pruned = model.copy()
     for i, per_matrix in masks.items():
-        block = pruned.blocks[i]
-        if isinstance(block, FfnBlock):
-            bits = per_matrix["w1"].bits.astype(np.float64)
-            block.w1 *= bits[:, None]
-            block.w2 *= bits[None, :]
-        elif isinstance(block, MhaBlock):
-            block.wq *= per_matrix["wq"].bits.astype(np.float64)[:, None]
-            block.wk *= per_matrix["wk"].bits.astype(np.float64)[:, None]
-            vbits = per_matrix["wv"].bits.astype(np.float64)
-            block.wv *= vbits[:, None]
-            block.wo *= vbits[None, :]
+        for name, w in pruned.blocks[i].matrices.items():
+            w *= unit_mask(name, per_matrix)
     return pruned
 
 
@@ -549,8 +540,6 @@ def temperature_sweep(
     grid = [float(t) for t in grid]
     if not grid:
         raise ParameterError("temperature grid is empty")
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
 
     def evaluate(temp: float) -> tuple[float, SparsityPlan]:
         plan = allocate_plan(model, cache, allocator, r_bar, temp, gamma, rho)
@@ -559,8 +548,8 @@ def temperature_sweep(
         loss = total_reconstruction_loss(pruned, cache, alpha=alpha).total
         return loss, plan
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = [(temp, loss, plan) for temp, (loss, plan) in zip(grid, pool.map(evaluate, grid))]
+    with _worker_pool(grid, threads) as run:
+        results = [(temp, loss, plan) for temp, (loss, plan) in zip(grid, run(evaluate))]
     best_temp, _, best_plan = min(results, key=lambda r: (r[1], r[0]))
     table = [(temp, loss) for temp, loss, _ in results]
     return best_temp, best_plan, table

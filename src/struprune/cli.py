@@ -80,10 +80,12 @@ def build_parser() -> Parser:
     parser = Parser(prog="struprune", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=False, calib=False, method=False, out=True):
+    def common(p, model=False, calib=False, method=False, out=True, seed=True, threads=True):
         p.add_argument("--config", help="JSON file with flag defaults; explicit flags win")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=_positive_int, default=1)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if threads:
+            p.add_argument("--threads", type=_positive_int, default=1)
         if model:
             p.add_argument("--model", required=True, help="model directory")
         if calib:
@@ -142,10 +144,10 @@ def build_parser() -> Parser:
     p.add_argument("--rho", type=float, default=1.0)
 
     p = sub.add_parser("memory", help="emit the analytic parameter/memory tables")
-    common(p)
+    common(p, seed=False, threads=False)
 
     p = sub.add_parser("verify", help="run the oracle cross-checks")
-    common(p, out=False)
+    common(p, out=False, threads=False)
     return parser
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, ParameterError
+from .importance import MASK_BEARING
 from .model import (
     MATRIX_IO,
     ActivationCache,
@@ -163,13 +164,10 @@ def achieved_sparsity(model: ToyModel) -> list[tuple[int, str, float]]:
     averaged over the block's mask-bearing matrices."""
     out = []
     for i, block in enumerate(model.blocks):
-        if isinstance(block, FfnBlock):
-            fracs = [float(np.mean(~np.any(block.w1 != 0.0, axis=1)))]
-        else:
-            fracs = [
-                float(np.mean(~np.any(m != 0.0, axis=1)))
-                for m in (block.wq, block.wk, block.wv)
-            ]
+        fracs = [
+            float(np.mean(~np.any(block.matrices[m] != 0.0, axis=1)))
+            for m in MASK_BEARING[block.kind]
+        ]
         out.append((i, block.kind, float(np.mean(fracs))))
     return out
 

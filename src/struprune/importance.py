@@ -26,13 +26,24 @@ from .model import FFN, MATRIX_IO, MHA, ActivationCache, FfnBlock, MhaBlock, Toy
 ROW = "row"
 COL = "col"
 
-# Unit axis that keeps pruned matrices composable: removing an FFN hidden
-# unit removes a w1 row and the matching w2 column; the wv row mask owns
-# the matching wo columns.
+# Axis of each matrix's structured units.
 DEFAULT_AXES = {"w1": ROW, "w2": COL, "wq": ROW, "wk": ROW, "wv": ROW, "wo": COL}
 
-# Matrices whose unit masks are chosen directly (w2/wo columns are tied).
+# Matrices whose unit masks are chosen directly.
 MASK_BEARING = {FFN: ("w1",), MHA: ("wq", "wk", "wv")}
+
+# The mask-bearing matrix whose mask zeroes each matrix's units: removing
+# an FFN hidden unit removes a w1 row and the matching w2 column, and
+# removing an attention channel's wv row removes the matching wo column.
+UNIT_OWNER = {"w1": "w1", "w2": "w1", "wq": "wq", "wk": "wk", "wv": "wv", "wo": "wv"}
+
+
+def unit_mask(name: str, masks: dict) -> np.ndarray:
+    """The 0/1 factor that zeroes the pruned units of matrix `name`, from
+    its owner's PruneMask in `masks` (matrix name -> PruneMask): a column
+    for a row-unit matrix, a row for w2/wo."""
+    bits = masks[UNIT_OWNER[name]].bits.astype(np.float64)
+    return bits[:, None] if DEFAULT_AXES[name] == ROW else bits[None, :]
 
 
 @dataclass

@@ -326,9 +326,9 @@ def _dense_forward(blocks, x: np.ndarray, seq_len: int, run):
 
 
 class _Iterate:
-    """A solver iterate of BlockActivations. The first read makes a
-    private copy of the frozen *_pre array of the same name; until then,
-    and again after reset_iterates(), the block holds no iterate memory."""
+    """A solver iterate of BlockActivations: the frozen *_pre array of the
+    same name (read-only, so never written through) until the solver
+    assigns a new array, and again after reset_iterates()."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -337,10 +337,7 @@ class _Iterate:
     def __get__(self, rec, owner=None):
         if rec is None:
             return self
-        if self.name not in rec.iterates:
-            pre = getattr(rec, self.pre)
-            rec.iterates[self.name] = None if pre is None else pre.copy()
-        return rec.iterates[self.name]
+        return rec.iterates.get(self.name, getattr(rec, self.pre))
 
     def __set__(self, rec, value):
         rec.iterates[self.name] = value
@@ -350,7 +347,8 @@ class _Iterate:
 class BlockActivations:
     """Per-block record: frozen dense-reference values plus the current
     iterates z, a and a_attn. The *_pre arrays are read-only after
-    capture; the iterates are allocated on first read.
+    capture; the iterates start as those arrays and are replaced, not
+    written, by the solver.
 
     `dense` holds the block's dense matrices that formed the frozen
     products (read-only references, not copies). Input statistics of the
@@ -380,16 +378,9 @@ class BlockActivations:
             self.a_attn_pre, self.q_pre, self.k_pre,
         )
 
-    def current(self, name: str) -> np.ndarray | None:
-        """The iterate `name` without allocating it: the iterate once it
-        exists, otherwise the frozen reference it would start from."""
-        if name in self.iterates:
-            return self.iterates[name]
-        return getattr(self, name + "_pre")
-
     def reset_iterates(self):
-        """Release the iterates; the next read starts again from the
-        frozen reference."""
+        """Release the assigned iterates; each reads as its frozen
+        reference again."""
         self.iterates.clear()
 
     def _memo(self, key, compute):
@@ -483,8 +474,8 @@ def capture_reference_activations(
     """Dense forward pass, its token tiles on a pool of `threads`
     workers; freezes the reference values and the dense block matrices
     that formed them (marked read-only in place, not copied). The bytes
-    are the same for every `threads`. The iterates start equal to the
-    reference when first read."""
+    are the same for every `threads`. The iterates start as the frozen
+    reference arrays."""
     x = calibration_input(model, calib)
     records: list[BlockActivations] = []
     with _worker_pool(_token_tiles(x.shape[1]), threads) as run:

@@ -353,14 +353,14 @@ def closed_form_context_reference(model, cache, layer, matrix=None, teacher=None
         x_cur = rec.input_pre
         x_pre = rec.input_pre
     else:
-        x_cur = rec.current("a")
+        x_cur = rec.a
         x_pre = rec.a_pre
     w_teach = w_hat if teacher is None else teacher
     b = (w_teach @ x_cur).mean(axis=1)
     c = (w_hat @ x_pre).mean(axis=1)
     n = b.size
     if block.kind == FFN and matrix == "w1" and model.arch.ffn_dim == model.arch.d:
-        d_vec = (block.w2 @ rec.current("a")).mean(axis=1)
+        d_vec = (block.w2 @ rec.a).mean(axis=1)
         z_pre = rec.out_pre.mean(axis=1)
         degenerate = False
     else:

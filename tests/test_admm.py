@@ -11,7 +11,6 @@ from struprune.admm import (
     ffn_prune_step,
     ffn_update_activation,
     ffn_update_output,
-    lowrank_correct,
     mha_grad_a,
     mha_grad_attn,
     mha_grad_z,
@@ -24,10 +23,11 @@ from struprune.admm import (
     recover_weights,
     run_outer_loop,
 )
-from struprune.allocation import uniform_plan
+from struprune.allocation import apply_masks, build_masks, uniform_plan
 from struprune.errors import ParameterError, SingularSystemError, SolverError
 from struprune.evaluation import total_reconstruction_loss
-from struprune.linalg import make_rng, relu, ridge_solve, row_softmax
+from struprune.importance import MASK_BEARING
+from struprune.linalg import make_rng, relu, row_softmax
 from struprune.model import (
     ModelArch,
     capture_reference_activations,
@@ -332,7 +332,6 @@ class TestOuterLoop:
                     dead = ~masks[name].bits
                     assert np.all(block.matrices[name][dead] == 0.0)
                 assert np.all(block.wo[:, ~masks["wv"].bits] == 0.0)
-                assert np.array_equal(masks["wo"].bits, masks["wv"].bits)
 
     def test_objective_decreases_on_ffn_fixture(self, ffn_toy):
         model, calib, cache = ffn_toy
@@ -362,48 +361,32 @@ class TestOuterLoop:
         assert solved < oneshot
 
 
-class TestLowRankCorrect:
-    def _pruned_ffn(self):
-        model, cache, state = ffn_setup(d=6, ffn_dim=12, n=4, seq=8, retention=0.5)
-        cfg = SolverConfig(ridge_eps=1e-8)
-        ffn_prune_step(state, cache.blocks[0], cfg, cache.n_samples)
-        block = model.blocks[0].copy()
-        block.w1 = state.effective("w1")
-        block.w2 = state.effective("w2")
-        return block, cache
+class TestUnitRule:
+    """One structured-unit rule (importance.UNIT_OWNER) for the one-shot
+    and the solver paths."""
 
-    def test_zero_steps_unchanged(self):
-        block, cache = self._pruned_ffn()
-        out = lowrank_correct(block, cache.blocks[0], 2, 0, None, make_rng(0), cache.n_samples)
-        assert np.array_equal(out.w1, block.w1)
-        assert np.array_equal(out.w2, block.w2)
+    @pytest.mark.parametrize("layout", ["decoder", "ffn"])
+    def test_apply_masks_matches_effective(self, layout):
+        model, _, cache = build_toy(layout)
+        masks = build_masks(model, cache, uniform_plan(model, 0.5), "magnitude")
+        pruned = apply_masks(model, masks)
+        seen = set()
+        for i, block in enumerate(model.blocks):
+            state = BlockState(i, block.kind, dict(block.matrices), {}, masks=masks[i])
+            for name, w in pruned.blocks[i].matrices.items():
+                eff = state.effective(name)
+                assert w.shape == eff.shape and w.tobytes() == eff.tobytes(), (i, name)
+                seen.add(name)
+        want = {"w1", "w2", "wq", "wk", "wv", "wo"} if layout == "decoder" else {"w1", "w2"}
+        assert seen == want
 
-    def test_masked_units_stay_zero(self):
-        block, cache = self._pruned_ffn()
-        dead_rows = ~np.any(block.w1 != 0.0, axis=1)
-        out = lowrank_correct(block, cache.blocks[0], 3, 300, None, make_rng(1), cache.n_samples)
-        assert np.all(out.w1[dead_rows] == 0.0)
-        assert np.all(out.w2[:, dead_rows] == 0.0)
-
-    def test_full_rank_reaches_ridge_optimum(self):
-        block, cache = self._pruned_ffn()
-        rec = cache.blocks[0]
-        out = lowrank_correct(
-            block, rec, min(block.w1.shape), 12_000, None, make_rng(2), cache.n_samples
-        )
-        # Ridge-optimum oracle: refit alive rows of w1 onto the reference
-        # input against the dense pre-activation targets.
-        alive = np.any(block.w1 != 0.0, axis=1)
-        w_opt = block.w1.copy()
-        w_opt[alive] = ridge_solve(rec.input_pre.T, rec.z_pre[alive].T, 1e-10).T
-        def loss(w):
-            return float(np.sum((w @ rec.input_pre - rec.z_pre) ** 2)) / cache.n_samples
-        assert loss(out.w1) <= loss(w_opt) + 1e-3
-
-    def test_bad_rank(self):
-        block, cache = self._pruned_ffn()
-        with pytest.raises(ParameterError):
-            lowrank_correct(block, cache.blocks[0], 0, 10, None, make_rng(0), cache.n_samples)
+    @pytest.mark.parametrize("layout", ["decoder", "ffn"])
+    def test_admm_masks_are_mask_bearing(self, layout):
+        model, _, cache = build_toy(layout)
+        cfg = SolverConfig(outer_iters=1, inner_steps=2)
+        result = run_outer_loop(model, cache, uniform_plan(model, 0.5), cfg)
+        for i, block in enumerate(model.blocks):
+            assert tuple(result.masks[i]) == MASK_BEARING[block.kind]
 
 
 def test_solver_config_validation():

@@ -367,6 +367,15 @@ class TestFlagValues:
                        "--out", str(tmp / "o")) == 1
             _one_error_line(capsys, "config", needle)
 
+    def test_unread_flags_rejected(self, tmp_path, capsys):
+        out = tmp_path / "mem"
+        for argv in (("memory", "--seed", "1", "--out", str(out)),
+                     ("memory", "--threads", "2", "--out", str(out)),
+                     ("verify", "--threads", "2")):
+            assert run(*argv) == 1
+            _one_error_line(capsys, "unrecognized arguments", argv[1])
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, extra", [
         ("admm", ["--iters", "1", "--inner", "2"]),
         ("sweep", ["--t-grid", "0.5,1.0"]),

@@ -125,11 +125,17 @@ class TestCapture:
             cache.blocks[0].z_pre[0, 0] = 1.0
 
     def test_iterates_start_equal_and_mutable(self, decoder_toy):
+        # Iterates start as the frozen arrays, so a write through one
+        # raises; the solver assigns new iterates instead.
         _, _, cache = decoder_toy
         rec = cache.blocks[0]
-        assert np.array_equal(rec.z, rec.z_pre)
-        rec.z[0, 0] += 1.0  # iterate is a private copy
+        assert rec.z is rec.z_pre and rec.a is rec.a_pre and rec.a_attn is rec.a_attn_pre
+        with pytest.raises(ValueError):
+            rec.z[0, 0] += 1.0
+        rec.z = rec.z_pre + 1.0
         assert rec.z[0, 0] != rec.z_pre[0, 0]
+        rec.reset_iterates()
+        assert rec.z is rec.z_pre
 
     def test_dimension_mismatch(self):
         model = generate_toy_model(ModelArch(4, 1, 1), make_rng(0))
@@ -236,6 +242,8 @@ def test_frozen_reference_survives_downstream_use(ffn_toy):
     # test_admm; here only capture-level freezing is rechecked.
     _, _, cache = ffn_toy
     before = cache.checksum()
-    cache.blocks[0].z += 1.0
-    cache.blocks[0].a *= 2.0
+    rec = cache.blocks[0]
+    rec.z = rec.z + 1.0
+    rec.a = rec.a * 2.0
+    assert rec.z is not rec.z_pre and rec.a is not rec.a_pre
     assert cache.checksum() == before
