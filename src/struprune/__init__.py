@@ -44,11 +44,9 @@ from .evaluation import (
 from .importance import (
     LayerImportance,
     UnitScores,
-    l0_gate_scores,
     layer_importance,
     magnitude_unit,
     module_importance,
-    snip_unit,
     wanda_elementwise,
     wanda_unit,
 )

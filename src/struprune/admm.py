@@ -12,7 +12,6 @@ run_outer_loop solves the blocks on a thread pool.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -28,7 +27,7 @@ from .allocation import (
 from .errors import ParameterError, SolverError
 from .importance import UNIT_CRITERIA, UNIT_OWNER, unit_mask
 from .linalg import make_rng, relu, ridge_solve, row_softmax
-from .model import FFN, ActivationCache, BlockActivations, ToyModel
+from .model import FFN, ActivationCache, BlockActivations, ToyModel, _worker_pool
 
 
 @dataclass
@@ -53,7 +52,9 @@ class SolverConfig:
 
 @dataclass
 class BlockState:
-    """Single-owner mutable state of one layer pair."""
+    """Single-owner mutable state of one layer pair: its matrices, masks
+    and the iterates z, a and a_attn, which start as the frozen arrays of
+    the block's record (_init_state)."""
 
     layer: int
     kind: str
@@ -63,6 +64,9 @@ class BlockState:
     budget: dict[str, int] = field(default_factory=dict)
     num_heads: int = 1
     iteration: int = 0  # outer iteration in progress; 0 before the solve
+    z: np.ndarray | None = None
+    a: np.ndarray | None = None
+    a_attn: np.ndarray | None = None
 
     def effective(self, name: str) -> np.ndarray:
         w = self.w_hat[name]
@@ -170,8 +174,8 @@ def ffn_prune_step(
     mask = binarize_by_threshold(scores, state.budget["w1"], state.layer, "w1", "row")
     state.masks["w1"] = mask
     state.w_hat["w1"] = _refit_rows(state.w_hat["w1"], mask.bits, rec.input_pre, target_up, cfg.ridge_eps)
-    target_down = state.teacher["w2"] @ rec.a
-    state.w_hat["w2"] = _refit_cols(state.w_hat["w2"], mask.bits, rec.a, target_down, cfg.ridge_eps)
+    target_down = state.teacher["w2"] @ state.a
+    state.w_hat["w2"] = _refit_cols(state.w_hat["w2"], mask.bits, state.a, target_down, cfg.ridge_eps)
     return mask
 
 
@@ -217,9 +221,9 @@ def ffn_update_output(
 def ffn_objective(state: BlockState, rec: BlockActivations, cfg: SolverConfig, n_samples: int) -> float:
     w1 = state.effective("w1")
     w2 = state.effective("w2")
-    t1 = cfg.alpha * _sq_owned(_residual(rec.out_pre, w2, rec.a))
-    t2 = cfg.beta * _sq_owned(_minus(rec.a, relu(rec.z)))
-    t3 = cfg.alpha * _sq_owned(_residual(rec.z, w1, rec.input_pre))
+    t1 = cfg.alpha * _sq_owned(_residual(rec.out_pre, w2, state.a))
+    t2 = cfg.beta * _sq_owned(_minus(state.a, relu(state.z)))
+    t3 = cfg.alpha * _sq_owned(_residual(state.z, w1, rec.input_pre))
     return (t1 + t2 + t3) / float(n_samples)
 
 
@@ -411,22 +415,22 @@ def mha_update(
     wk = state.effective("wk")
     q_pre = wq @ rec.input_pre
     k_pre = wk @ rec.input_pre
-    resid_a = _Residual(rec.a_attn, wv)
+    resid_a = _Residual(state.a_attn, wv)
     a = _descend(
-        rec.a,
-        lambda x: mha_obj_a(x, wv, rec.a_attn, rec.z, cfg.alpha, cfg.beta, head_scale, seg_len, resid_a),
-        lambda x: mha_grad_a(x, wv, rec.a_attn, rec.z, cfg.alpha, cfg.beta, head_scale, seg_len, resid_a),
+        state.a,
+        lambda x: mha_obj_a(x, wv, state.a_attn, state.z, cfg.alpha, cfg.beta, head_scale, seg_len, resid_a),
+        lambda x: mha_grad_a(x, wv, state.a_attn, state.z, cfg.alpha, cfg.beta, head_scale, seg_len, resid_a),
         cfg.inner_steps,
         cfg.learning_rate,
         "activation",
         state.layer,
         lambda: 2.0 * (cfg.alpha * _spectral_sq(wv) + cfg.beta),
     )
-    rec.a = a
+    state.a = a
     v = wv @ a  # a is fixed in the attention sub-solve
     resid_o = _Residual(rec.out_pre, wo)
     a_attn = _descend(
-        rec.a_attn,
+        state.a_attn,
         lambda x: mha_obj_attn(x, wo, wv, a, rec.out_pre, cfg.alpha, v, resid_o),
         lambda x: mha_grad_attn(x, wo, wv, a, rec.out_pre, cfg.alpha, v, resid_o),
         cfg.inner_steps,
@@ -435,17 +439,17 @@ def mha_update(
         state.layer,
         lambda: 2.0 * cfg.alpha * (_spectral_sq(wo) + 1.0),
     )
-    rec.a_attn = a_attn
+    state.a_attn = a_attn
     z = _descend(
-        rec.z,
-        lambda x: mha_obj_z(x, rec.a, q_pre, k_pre, cfg.alpha, cfg.beta, head_scale, seg_len),
-        lambda x: mha_grad_z(x, rec.a, q_pre, k_pre, cfg.alpha, cfg.beta, head_scale, seg_len),
+        state.z,
+        lambda x: mha_obj_z(x, a, q_pre, k_pre, cfg.alpha, cfg.beta, head_scale, seg_len),
+        lambda x: mha_grad_z(x, a, q_pre, k_pre, cfg.alpha, cfg.beta, head_scale, seg_len),
         cfg.inner_steps,
         cfg.learning_rate,
         "output",
         state.layer,
     )
-    rec.z = z
+    state.z = z
     return a, a_attn, z
 
 
@@ -459,15 +463,15 @@ def mha_prune_step(
     """Mask each projection separately at the planned budget; the value
     mask owns the matching output-projection columns."""
     for name in ("wq", "wk", "wv"):
-        x_pre, x_cur = (rec.a_pre, rec.a) if name == "wv" else (rec.input_pre, rec.input_pre)
+        x_pre, x_cur = (rec.a_pre, state.a) if name == "wv" else (rec.input_pre, rec.input_pre)
         target = state.teacher[name] @ x_cur
         scores = prune_scores(state.w_hat[name], x_pre, target, cfg.mask_criterion, n_samples, rng)
         mask = binarize_by_threshold(scores, state.budget[name], state.layer, name, "row")
         state.masks[name] = mask
         state.w_hat[name] = _refit_rows(state.w_hat[name], mask.bits, x_cur, target, cfg.ridge_eps)
     vbits = state.masks["wv"].bits
-    target_o = state.teacher["wo"] @ rec.a_attn
-    state.w_hat["wo"] = _refit_cols(state.w_hat["wo"], vbits, rec.a_attn, target_o, cfg.ridge_eps)
+    target_o = state.teacher["wo"] @ state.a_attn
+    state.w_hat["wo"] = _refit_cols(state.w_hat["wo"], vbits, state.a_attn, target_o, cfg.ridge_eps)
     return state.masks
 
 
@@ -479,11 +483,11 @@ def mha_objective(
     q_pre = state.effective("wq") @ rec.input_pre
     k_pre = state.effective("wk") @ rec.input_pre
     total = (
-        cfg.alpha * _sq(rec.out_pre - state.effective("wo") @ rec.a_attn)
-        + cfg.alpha * _sq(rec.a_attn - state.effective("wv") @ rec.a)
-        + cfg.beta * _sq(rec.a - row_softmax(rec.z, head_scale, seg_len))
-        + cfg.alpha * _sq(rec.z - q_pre)
-        + cfg.alpha * _sq(rec.z - k_pre)
+        cfg.alpha * _sq(rec.out_pre - state.effective("wo") @ state.a_attn)
+        + cfg.alpha * _sq(state.a_attn - state.effective("wv") @ state.a)
+        + cfg.beta * _sq(state.a - row_softmax(state.z, head_scale, seg_len))
+        + cfg.alpha * _sq(state.z - q_pre)
+        + cfg.alpha * _sq(state.z - k_pre)
     )
     return total / float(n_samples)
 
@@ -493,11 +497,13 @@ def mha_objective(
 # ---------------------------------------------------------------------------
 
 
-def _init_state(layer: int, block, plan: SparsityPlan) -> BlockState:
+def _init_state(layer: int, block, plan: SparsityPlan, rec: BlockActivations) -> BlockState:
+    # The solver replaces its matrices and iterates and never writes into
+    # them (the refits copy first), so the state starts from the block's
+    # matrices and the record's frozen arrays themselves, not copies.
     retention = plan.retention_for(layer)
-    w_hat = {k: v.copy() for k, v in block.matrices.items()}
-    teacher = {k: v.copy() for k, v in block.matrices.items()}
-    state = BlockState(layer, block.kind, w_hat, teacher)
+    state = BlockState(layer, block.kind, dict(block.matrices), dict(block.matrices))
+    state.z, state.a, state.a_attn = rec.z_pre, rec.a_pre, rec.a_attn_pre
     if block.kind == FFN:
         state.budget = {"w1": round_half_away(retention * block.w1.shape[0])}
     else:
@@ -518,12 +524,11 @@ def solve_block(
 ) -> tuple[list[tuple[int, int, str, float]], float]:
     """Alternating solve of one layer pair for cfg.outer_iters iterations
     against its frozen reference record; returns the block's trace rows
-    and its post-prune objective at iteration 1. The iterates start from
-    the reference and are released on return, so a block holds solver
-    memory only while it is being solved."""
+    and its post-prune objective at iteration 1. The iterates are
+    released on return, so a block holds solver memory only while it is
+    being solved."""
     trace = []
     initial_loss = 0.0
-    rec.reset_iterates()
     try:
         for it in range(1, cfg.outer_iters + 1):
             state.iteration = it
@@ -531,31 +536,30 @@ def solve_block(
                 ffn_prune_step(state, rec, cfg, n_samples, rng)
                 if it == 1:
                     initial_loss = ffn_objective(state, rec, cfg, n_samples)
-                rec.a = ffn_update_activation(
-                    state.effective("w2"), rec.out_pre, rec.z, cfg.alpha, cfg.beta
+                state.a = ffn_update_activation(
+                    state.effective("w2"), rec.out_pre, state.z, cfg.alpha, cfg.beta
                 )
-                rec.z = ffn_update_output(
-                    state.effective("w1"), rec.input_pre, rec.a, rec.z, cfg.alpha, cfg.beta
+                state.z = ffn_update_output(
+                    state.effective("w1"), rec.input_pre, state.a, state.z, cfg.alpha, cfg.beta
                 )
-                state.teacher["w1"] = recover_weights(rec.z, rec.input_pre, cfg.ridge_eps)
-                state.teacher["w2"] = recover_weights(rec.out_pre, rec.a, cfg.ridge_eps)
+                state.teacher["w1"] = recover_weights(state.z, rec.input_pre, cfg.ridge_eps)
+                state.teacher["w2"] = recover_weights(rec.out_pre, state.a, cfg.ridge_eps)
                 objective = ffn_objective(state, rec, cfg, n_samples)
             else:
                 mha_prune_step(state, rec, cfg, n_samples, rng)
                 if it == 1:
                     initial_loss = mha_objective(state, rec, cfg, n_samples, seq_len)
                 mha_update(state, rec, cfg, seq_len)
-                wqk = recover_weights(rec.z, rec.input_pre, cfg.ridge_eps)
-                state.teacher["wq"] = wqk
-                state.teacher["wk"] = wqk.copy()
-                state.teacher["wv"] = recover_weights(rec.a_attn, rec.a, cfg.ridge_eps)
-                state.teacher["wo"] = recover_weights(rec.out_pre, rec.a_attn, cfg.ridge_eps)
+                wqk = recover_weights(state.z, rec.input_pre, cfg.ridge_eps)
+                state.teacher["wq"] = state.teacher["wk"] = wqk
+                state.teacher["wv"] = recover_weights(state.a_attn, state.a, cfg.ridge_eps)
+                state.teacher["wo"] = recover_weights(rec.out_pre, state.a_attn, cfg.ridge_eps)
                 objective = mha_objective(state, rec, cfg, n_samples, seq_len)
             if not np.isfinite(objective):
                 raise SolverError(f"non-finite objective at layer {state.layer}, iteration {it}")
             trace.append((it, state.layer, state.kind, objective))
     finally:
-        rec.reset_iterates()
+        state.z = state.a = state.a_attn = None
     return trace, initial_loss
 
 
@@ -573,33 +577,32 @@ def run_outer_loop(
     post-prune losses are summed in block order, and of several failing
     blocks the one that fails at the smallest (iteration, layer) raises,
     as it would in a sequential sweep over iterations."""
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
     layers = {e.layer for e in plan.entries}
     missing = [i for i in range(len(model.blocks)) if i not in layers]
     if missing:
         raise ParameterError(f"plan is missing entries for blocks {missing}")
-    states = [_init_state(i, b, plan) for i, b in enumerate(model.blocks)]
-    rng_children = make_rng(cfg.seed).spawn(len(states))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(
-                solve_block, state, cache.blocks[state.layer], cfg,
-                cache.n_samples, cache.seq_len, rng,
-            )
-            for state, rng in zip(states, rng_children)
-        ]
+    states = [_init_state(i, b, plan, cache.blocks[i]) for i, b in enumerate(model.blocks)]
+    jobs = list(zip(states, make_rng(cfg.seed).spawn(len(states))))
+
+    def solve(job):
+        state, rng = job
+        try:
+            return solve_block(state, cache.blocks[state.layer], cfg, cache.n_samples, cache.seq_len, rng)
+        except Exception as exc:  # returned, so every block finishes before one raises
+            return exc
+
+    with _worker_pool(jobs, threads) as run:
+        results = run(solve)
     failures = [
-        (state.iteration, state.layer, fut.exception())
-        for state, fut in zip(states, futures)
-        if fut.exception() is not None
+        (state.iteration, state.layer, result)
+        for state, result in zip(states, results)
+        if isinstance(result, Exception)
     ]
     if failures:
         raise min(failures, key=lambda f: f[:2])[2]
     trace = []
     initial_post_prune_loss = 0.0
-    for fut in futures:
-        rows, initial_loss = fut.result()
+    for rows, initial_loss in results:
         trace.extend(rows)
         initial_post_prune_loss += initial_loss
     trace.sort(key=lambda row: row[:2])

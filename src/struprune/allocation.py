@@ -93,7 +93,6 @@ def closed_form_context(
     cache: ActivationCache,
     layer: int,
     matrix: str | None = None,
-    teacher: np.ndarray | None = None,
 ) -> ClosedFormContext:
     """Build the per-unit context for one mask-bearing matrix from model
     state, averaging the bracketed products over calibration tokens. The
@@ -111,25 +110,14 @@ def closed_form_context(
         matrix = MASK_BEARING[block.kind][0]
     if matrix not in MASK_BEARING[block.kind]:
         raise ParameterError(f"matrix {matrix!r} carries no unit mask on a {block.kind} block")
-    w_hat = block.matrices[matrix]
-    if matrix in ("w1", "wq", "wk"):
-        x_cur = rec.input_pre
-        x_pre = rec.input_pre
-    else:  # wv: input is the current attention-probability iterate
-        x_cur = rec.a
-        x_pre = rec.a_pre
-    c = rec.product(matrix, w_hat).mean(axis=1)
-    if teacher is None and x_cur is x_pre:
-        b = c.copy()  # the same product
-    else:
-        w_teach = w_hat if teacher is None else teacher
-        b = (w_teach @ x_cur).mean(axis=1)
+    c = rec.product(matrix, block.matrices[matrix]).mean(axis=1)
+    b = c.copy()  # the teacher is the matrix itself: the same product
     n = b.size
     square_ffn = (
         block.kind == FFN and matrix == "w1" and model.arch.ffn_dim == model.arch.d
     )
     if square_ffn:
-        d_vec = (block.w2 @ rec.a).mean(axis=1)
+        d_vec = (block.w2 @ rec.a_pre).mean(axis=1)
         z_pre = rec.out_pre.mean(axis=1)
         degenerate = False
     else:
@@ -530,20 +518,19 @@ def temperature_sweep(
     gamma: float = 1.0,
     rho: float = 1.0,
     alpha: float = 1.0,
-    mask_criterion: str = "wanda",
     threads: int = 1,
 ) -> tuple[float, SparsityPlan, list[tuple[float, float]]]:
     """Evaluate every temperature on a pool of `threads` workers: allocate,
-    mask, measure the total reconstruction loss of the masked model.
-    Returns the argmin temperature (ties to the smallest), its plan, and
-    the loss table."""
+    mask by wanda scores, measure the total reconstruction loss of the
+    masked model. Returns the argmin temperature (ties to the smallest),
+    its plan, and the loss table."""
     grid = [float(t) for t in grid]
     if not grid:
         raise ParameterError("temperature grid is empty")
 
     def evaluate(temp: float) -> tuple[float, SparsityPlan]:
         plan = allocate_plan(model, cache, allocator, r_bar, temp, gamma, rho)
-        masks = build_masks(model, cache, plan, mask_criterion)
+        masks = build_masks(model, cache, plan, "wanda")
         pruned = apply_masks(model, masks)
         loss = total_reconstruction_loss(pruned, cache, alpha=alpha).total
         return loss, plan

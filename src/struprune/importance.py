@@ -183,45 +183,18 @@ UNIT_CRITERIA = {"wanda": wanda_rows, "magnitude": magnitude_rows, "snip": snip_
 
 
 def _score_matrix(
-    model: ToyModel, cache: ActivationCache, block_index: int, matrix: str | None,
-    criterion: str, score, rng: np.random.Generator | None = None,
+    model: ToyModel, cache: ActivationCache, block_index: int, matrix: str,
+    criterion: str, rng: np.random.Generator | None = None,
 ) -> UnitScores:
-    """Row-unit scores of one matrix (default: the block's first
-    mask-bearing matrix) against its dense-reference product."""
-    block = model.blocks[block_index]
+    """Row-unit scores of one mask-bearing matrix against its
+    dense-reference product."""
     rec = cache.blocks[block_index]
-    if matrix is None:
-        matrix = MASK_BEARING[block.kind][0]
     x_in, target = _matrix_io(rec, matrix)
-    if DEFAULT_AXES[matrix] != ROW:
-        raise ParameterError(f"{matrix} units are columns; unit criteria score rows")
+    score = UNIT_CRITERIA[criterion]
     if criterion == "wanda":  # the input statistic is frozen with the cache
         score = partial(score, x_l1=rec.col_l1(MATRIX_IO[matrix][0]))
-    scores = score(block.matrices[matrix], x_in, target, cache.n_samples, rng)
+    scores = score(model.blocks[block_index].matrices[matrix], x_in, target, cache.n_samples, rng)
     return UnitScores(block_index, matrix, ROW, criterion, scores)
-
-
-def snip_unit(
-    model: ToyModel, cache: ActivationCache, block_index: int, matrix: str | None = None
-) -> UnitScores:
-    """Gradient-sensitivity scores of one row-unit matrix against its own
-    dense reference product."""
-    return _score_matrix(model, cache, block_index, matrix, "snip", snip_rows)
-
-
-def l0_gate_scores(
-    model: ToyModel,
-    cache: ActivationCache,
-    block_index: int,
-    steps: int,
-    rng: np.random.Generator,
-    matrix: str | None = None,
-    lam: float = 1e-2,
-    lr: float = 0.05,
-) -> UnitScores:
-    """Trained sigmoid gate values of one row-unit matrix."""
-    gates = partial(l0_gates, steps=steps, lam=lam, lr=lr)
-    return _score_matrix(model, cache, block_index, matrix, "l0", gates, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +281,13 @@ def block_unit_scores(
     block_index: int,
     criterion: str,
     rng: np.random.Generator | None = None,
-    l0_steps: int = 200,
 ) -> dict[str, UnitScores]:
     """Unit scores for every mask-bearing matrix of one block under the
     named criterion (wanda | magnitude | snip | l0)."""
     if criterion not in UNIT_CRITERIA:
         raise ParameterError(f"unknown criterion {criterion!r}")
-    score = partial(l0_gates, steps=l0_steps) if criterion == "l0" else UNIT_CRITERIA[criterion]
     return {
-        name: _score_matrix(model, cache, block_index, name, criterion, score, rng)
+        name: _score_matrix(model, cache, block_index, name, criterion, rng)
         for name in MASK_BEARING[model.blocks[block_index].kind]
     }
 

@@ -325,30 +325,10 @@ def _dense_forward(blocks, x: np.ndarray, seq_len: int, run):
         x = out
 
 
-class _Iterate:
-    """A solver iterate of BlockActivations: the frozen *_pre array of the
-    same name (read-only, so never written through) until the solver
-    assigns a new array, and again after reset_iterates()."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-        self.pre = name + "_pre"
-
-    def __get__(self, rec, owner=None):
-        if rec is None:
-            return self
-        return rec.iterates.get(self.name, getattr(rec, self.pre))
-
-    def __set__(self, rec, value):
-        rec.iterates[self.name] = value
-
-
 @dataclass
 class BlockActivations:
-    """Per-block record: frozen dense-reference values plus the current
-    iterates z, a and a_attn. The *_pre arrays are read-only after
-    capture; the iterates start as those arrays and are replaced, not
-    written, by the solver.
+    """Per-block record of frozen dense-reference values; the *_pre
+    arrays are read-only after capture.
 
     `dense` holds the block's dense matrices that formed the frozen
     products (read-only references, not copies). Input statistics of the
@@ -364,24 +344,14 @@ class BlockActivations:
     q_pre: np.ndarray | None = None
     k_pre: np.ndarray | None = None
     dense: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
-    iterates: dict[str, np.ndarray | None] = field(default_factory=dict, repr=False, compare=False)
     stats: dict = field(default_factory=dict, repr=False, compare=False)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
-
-    z = _Iterate()
-    a = _Iterate()
-    a_attn = _Iterate()
 
     def frozen_arrays(self):
         return (
             self.input_pre, self.z_pre, self.a_pre, self.out_pre,
             self.a_attn_pre, self.q_pre, self.k_pre,
         )
-
-    def reset_iterates(self):
-        """Release the assigned iterates; each reads as its frozen
-        reference again."""
-        self.iterates.clear()
 
     def _memo(self, key, compute):
         value = self.stats.get(key)
@@ -474,8 +444,7 @@ def capture_reference_activations(
     """Dense forward pass, its token tiles on a pool of `threads`
     workers; freezes the reference values and the dense block matrices
     that formed them (marked read-only in place, not copied). The bytes
-    are the same for every `threads`. The iterates start as the frozen
-    reference arrays."""
+    are the same for every `threads`."""
     x = calibration_input(model, calib)
     records: list[BlockActivations] = []
     with _worker_pool(_token_tiles(x.shape[1]), threads) as run:

@@ -307,11 +307,11 @@ def ffn_update_output_reference(w1_eff, input_pre, a, z_prev, alpha, beta):
     return np.where(z_prev < 0.0, z1, z2)
 
 
-def ffn_objective_reference(w1_eff, w2_eff, rec, alpha, beta, n_samples):
-    """admm.ffn_objective with the masked matrices passed in."""
-    t1 = alpha * _sq(rec.out_pre - w2_eff @ rec.a)
-    t2 = beta * _sq(rec.a - relu(rec.z))
-    t3 = alpha * _sq(rec.z - w1_eff @ rec.input_pre)
+def ffn_objective_reference(w1_eff, w2_eff, rec, a, z, alpha, beta, n_samples):
+    """admm.ffn_objective with the masked matrices and the iterates passed in."""
+    t1 = alpha * _sq(rec.out_pre - w2_eff @ a)
+    t2 = beta * _sq(a - relu(z))
+    t3 = alpha * _sq(z - w1_eff @ rec.input_pre)
     return (t1 + t2 + t3) / float(n_samples)
 
 
@@ -343,24 +343,17 @@ def total_reconstruction_loss_reference(model_pruned, cache, alpha=1.0):
     return LossReport(per_layer, float(sum(l for _, _, l in per_layer)))
 
 
-def closed_form_context_reference(model, cache, layer, matrix=None, teacher=None):
+def closed_form_context_reference(model, cache, layer, matrix=None):
     block = model.blocks[layer]
     rec = cache.blocks[layer]
     if matrix is None:
         matrix = MASK_BEARING[block.kind][0]
-    w_hat = block.matrices[matrix]
-    if matrix in ("w1", "wq", "wk"):
-        x_cur = rec.input_pre
-        x_pre = rec.input_pre
-    else:
-        x_cur = rec.a
-        x_pre = rec.a_pre
-    w_teach = w_hat if teacher is None else teacher
-    b = (w_teach @ x_cur).mean(axis=1)
-    c = (w_hat @ x_pre).mean(axis=1)
+    x_pre = rec.input_pre if matrix in ("w1", "wq", "wk") else rec.a_pre
+    c = (block.matrices[matrix] @ x_pre).mean(axis=1)
+    b = c.copy()
     n = b.size
     if block.kind == FFN and matrix == "w1" and model.arch.ffn_dim == model.arch.d:
-        d_vec = (block.w2 @ rec.a).mean(axis=1)
+        d_vec = (block.w2 @ rec.a_pre).mean(axis=1)
         z_pre = rec.out_pre.mean(axis=1)
         degenerate = False
     else:

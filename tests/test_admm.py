@@ -45,7 +45,7 @@ def ffn_setup(d=8, ffn_dim=0, n=4, seq=8, mseed=0, cseed=1, retention=1.0):
     calib = make_calibration(arch, n, seq, make_rng(cseed))
     cache = capture_reference_activations(model, calib)
     plan = uniform_plan(model, 0.5)
-    state = _init_state(0, model.blocks[0], plan)
+    state = _init_state(0, model.blocks[0], plan, cache.blocks[0])
     state.budget = {"w1": int(round(retention * model.blocks[0].w1.shape[0]))}
     return model, cache, state
 
@@ -58,7 +58,7 @@ def mha_setup(d=8, h=2, n=4, seq=8, mseed=0, cseed=1, retention=1.0, tie_qk=Fals
     calib = make_calibration(arch, n, seq, make_rng(cseed))
     cache = capture_reference_activations(model, calib)
     plan = uniform_plan(model, 0.5)
-    state = _init_state(0, model.blocks[0], plan)
+    state = _init_state(0, model.blocks[0], plan, cache.blocks[0])
     k = int(round(retention * d))
     state.budget = {"wq": k, "wk": k, "wv": k}
     return model, cache, state
@@ -172,11 +172,11 @@ class TestMhaUpdate:
         model, cache, state = mha_setup()
         cfg = SolverConfig(inner_steps=0)
         rec = cache.blocks[0]
-        before = (rec.a.copy(), rec.a_attn.copy(), rec.z.copy())
+        before = (state.a.copy(), state.a_attn.copy(), state.z.copy())
         mha_update(state, rec, cfg, cache.seq_len)
-        assert np.array_equal(rec.a, before[0])
-        assert np.array_equal(rec.a_attn, before[1])
-        assert np.array_equal(rec.z, before[2])
+        assert np.array_equal(state.a, before[0])
+        assert np.array_equal(state.a_attn, before[1])
+        assert np.array_equal(state.z, before[2])
 
     def test_tied_qk_dense_fixed_point(self):
         # With shared query/key weights the pre-trained values satisfy all
@@ -189,15 +189,16 @@ class TestMhaUpdate:
         wq, wk = state.effective("wq"), state.effective("wk")
         wv, wo = state.effective("wv"), state.effective("wo")
         q_pre, k_pre = wq @ rec.input_pre, wk @ rec.input_pre
+        a, a_attn, z = state.a, state.a_attn, state.z
         objs = [
-            mha_obj_a(rec.a, wv, rec.a_attn, rec.z, 1.0, 1.0, scale, seg),
-            mha_obj_attn(rec.a_attn, wo, wv, rec.a, rec.out_pre, 1.0),
-            mha_obj_z(rec.z, rec.a, q_pre, k_pre, 1.0, 1.0, scale, seg),
+            mha_obj_a(a, wv, a_attn, z, 1.0, 1.0, scale, seg),
+            mha_obj_attn(a_attn, wo, wv, a, rec.out_pre, 1.0),
+            mha_obj_z(z, a, q_pre, k_pre, 1.0, 1.0, scale, seg),
         ]
         grads = [
-            mha_grad_a(rec.a, wv, rec.a_attn, rec.z, 1.0, 1.0, scale, seg),
-            mha_grad_attn(rec.a_attn, wo, wv, rec.a, rec.out_pre, 1.0),
-            mha_grad_z(rec.z, rec.a, q_pre, k_pre, 1.0, 1.0, scale, seg),
+            mha_grad_a(a, wv, a_attn, z, 1.0, 1.0, scale, seg),
+            mha_grad_attn(a_attn, wo, wv, a, rec.out_pre, 1.0),
+            mha_grad_z(z, a, q_pre, k_pre, 1.0, 1.0, scale, seg),
         ]
         for obj in objs:
             assert obj < 1e-8

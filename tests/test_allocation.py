@@ -76,7 +76,7 @@ class TestClosedFormContext:
         ctx = closed_form_context(model, cache, 0)
         assert not ctx.degenerate_d
         rec = cache.blocks[0]
-        assert_close(ctx.d, (model.blocks[0].w2 @ rec.a).mean(axis=1), 1e-12)
+        assert_close(ctx.d, (model.blocks[0].w2 @ rec.a_pre).mean(axis=1), 1e-12)
         assert_close(ctx.z_pre, rec.out_pre.mean(axis=1), 1e-12)
 
     def test_mha_context_is_degenerate(self, decoder_toy):
@@ -363,41 +363,6 @@ class TestMaskPipeline:
         kept = sum(m.k for per in masks.values() for m in per.values())
         assert kept == math.floor(0.7 * total_units)
         assert len(plan.entries) == len(model.blocks)
-
-    def test_closed_form_prune_allocates_no_iterates(self, tmp_path, monkeypatch):
-        from struprune import cli
-
-        caches = []
-
-        def capture(model, calib, threads=1):
-            caches.append(capture_reference_activations(model, calib, threads=threads))
-            return caches[-1]
-
-        monkeypatch.setattr(cli, "capture_reference_activations", capture)
-        model, calib = str(tmp_path / "model"), str(tmp_path / "calib")
-        assert cli.main(["gen", "--layout", "decoder", "--d", "16", "--layers", "2",
-                         "--heads", "2", "--seed", "101", "--out", model]) == 0
-        assert cli.main(["calibrate", "--model", model, "--n", "8", "--seq-len", "16",
-                         "--seed", "202", "--out", calib]) == 0
-        assert cli.main(["prune", "--model", model, "--calib", calib, "--method", "closed-form",
-                         "--sparsity", "0.5", "--out", str(tmp_path / "pruned")]) == 0
-        (cache,) = caches
-        assert all(not rec.iterates for rec in cache.blocks)
-
-    def test_closed_form_context_reads_existing_iterate(self, decoder_toy):
-        model, _, cache = decoder_toy
-        layer = next(i for i, b in enumerate(model.blocks) if b.kind == "mha")
-        rec = cache.blocks[layer]
-        wv = model.blocks[layer].wv
-        try:
-            rec.a = rec.a_pre + 0.01
-            ctx = closed_form_context(model, cache, layer, "wv")
-            assert np.array_equal(ctx.b, (wv @ rec.a).mean(axis=1))
-        finally:
-            rec.reset_iterates()
-        ctx = closed_form_context(model, cache, layer, "wv")
-        assert np.array_equal(ctx.b, (wv @ rec.a_pre).mean(axis=1))
-        assert not rec.iterates
 
     def test_allocate_plan_dispatch(self, decoder_toy):
         model, _, cache = decoder_toy

@@ -11,7 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from struprune.admm import SolverConfig, run_outer_loop
+from struprune import admm
+from struprune.admm import SolverConfig, _init_state, run_outer_loop, solve_block
 from struprune.allocation import uniform_plan
 from struprune.cli import main as cli_main
 from struprune.errors import ParameterError, SolverError
@@ -157,17 +158,62 @@ def test_capture_allocates_no_iterates():
     frozen = {id(arr): arr.nbytes for rec in cache.blocks for arr in rec.frozen_arrays()
               if arr is not None}
     assert peak < sum(frozen.values()) + calib.inputs.nbytes
-    assert all(not rec.iterates for rec in cache.blocks)
+
+
+def test_iterates_start_as_the_frozen_arrays():
+    model, _, cache = build_toy("decoder")
+    plan = uniform_plan(model, 0.5)
+    for i, (block, rec) in enumerate(zip(model.blocks, cache.blocks)):
+        state = _init_state(i, block, plan, rec)
+        assert state.z is rec.z_pre and state.a is rec.a_pre and state.a_attn is rec.a_attn_pre
+        for name in ("z", "a", "a_attn"):
+            arr = getattr(state, name)
+            if arr is not None:
+                with pytest.raises(ValueError):
+                    arr[0, 0] += 1.0
+
+
+DIVERGING = SolverConfig(outer_iters=2, inner_steps=10, learning_rate=3.0)
+
+
+def _released(state):
+    return state.z is None and state.a is None and state.a_attn is None
+
+
+def test_solve_block_releases_iterates():
+    model, _, cache = build_toy("decoder")
+    plan = uniform_plan(model, 0.5)
+    layer = next(i for i, b in enumerate(model.blocks) if b.kind == "mha")
+    rec = cache.blocks[layer]
+    state = _init_state(layer, model.blocks[layer], plan, rec)
+    solve_block(state, rec, SolverConfig(outer_iters=2, inner_steps=5), cache.n_samples,
+                cache.seq_len, None)
+    assert _released(state)
+    state = _init_state(layer, model.blocks[layer], plan, rec)
+    with pytest.raises(SolverError):
+        solve_block(state, rec, DIVERGING, cache.n_samples, cache.seq_len, None)
+    assert _released(state)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_blocks_release_iterates(threads):
+def test_blocks_release_iterates(threads, monkeypatch):
     model, _, cache = build_toy("decoder")
+    checksum = cache.checksum()
     plan = uniform_plan(model, 0.5)
+    states = []
+
+    def recording_solve(state, *args):
+        states.append(state)
+        return solve_block(state, *args)
+
+    monkeypatch.setattr(admm, "solve_block", recording_solve)
     run_outer_loop(model, cache, plan, SolverConfig(outer_iters=2, inner_steps=5), threads=threads)
-    assert all(not rec.iterates for rec in cache.blocks)
+    assert len(states) == len(model.blocks)
+    assert all(_released(s) for s in states)
+    assert cache.checksum() == checksum
+    states.clear()
     with pytest.raises(SolverError):
-        run_outer_loop(model, cache, plan,
-                       SolverConfig(outer_iters=2, inner_steps=10, learning_rate=3.0),
-                       threads=threads)
-    assert all(not rec.iterates for rec in cache.blocks)
+        run_outer_loop(model, cache, plan, DIVERGING, threads=threads)
+    assert len(states) == len(model.blocks)
+    assert all(_released(s) for s in states)
+    assert cache.checksum() == checksum

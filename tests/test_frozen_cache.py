@@ -171,26 +171,6 @@ class TestClosedFormContextBits:
                     oracle.closed_form_context_reference(m, cache, i, name),
                 )
 
-    def test_iterate_and_teacher_forms(self, decoder_toy):
-        model, _, cache = decoder_toy
-        layer = next(i for i, b in enumerate(model.blocks) if b.kind == "mha")
-        rec = cache.blocks[layer]
-        teacher = model.blocks[layer].wv * 0.5
-        try:
-            rec.a = rec.a_pre + 0.01
-            for t in (None, teacher):
-                assert_same_context(
-                    closed_form_context(model, cache, layer, "wv", teacher=t),
-                    oracle.closed_form_context_reference(model, cache, layer, "wv", teacher=t),
-                )
-        finally:
-            rec.reset_iterates()
-        assert_same_context(
-            closed_form_context(model, cache, layer, "wq", teacher=model.blocks[layer].wk),
-            oracle.closed_form_context_reference(model, cache, layer, "wq",
-                                                 teacher=model.blocks[layer].wk),
-        )
-
 
 class TestCapturedDense:
     def test_capture_freezes_dense_matrices_without_copies(self, decoder_toy):

@@ -11,12 +11,11 @@ from struprune.importance import (
     block_unit_scores,
     export_scores_csv,
     head_matrices,
-    l0_gate_scores,
+    l0_gates,
     layer_importance,
     magnitude_unit,
     module_importance,
     reconstruction_gradient,
-    snip_unit,
     wanda_elementwise,
     wanda_unit,
 )
@@ -124,8 +123,8 @@ class TestSnip:
     def test_zero_at_dense_optimum(self, decoder_toy):
         model, _, cache = decoder_toy
         for i in range(len(model.blocks)):
-            scores = snip_unit(model, cache, i)
-            assert_close(scores.scores, np.zeros_like(scores.scores), 1e-9)
+            for scores in block_unit_scores(model, cache, i, "snip").values():
+                assert_close(scores.scores, np.zeros_like(scores.scores), 1e-9)
 
     def test_gradient_matches_finite_differences(self):
         rng = make_rng(33)
@@ -170,8 +169,14 @@ class TestSnip:
         model, _, cache = decoder_toy
         bumped = model.copy()
         bumped.blocks[1].w1 += 0.1
-        scores = snip_unit(bumped, cache, 1)
+        scores = block_unit_scores(bumped, cache, 1, "snip")["w1"]
         assert np.all(scores.scores >= 0) and scores.scores.max() > 0
+
+
+def _w1_gates(model, cache, rng, **kwargs):
+    """l0 gate values of block 0's w1 against its dense reference."""
+    rec = cache.blocks[0]
+    return l0_gates(model.blocks[0].w1, rec.input_pre, rec.z_pre, cache.n_samples, rng, **kwargs)
 
 
 class TestL0Gates:
@@ -184,13 +189,13 @@ class TestL0Gates:
 
     def test_no_penalty_gates_stay_open(self):
         model, cache = self._toy()
-        scores = l0_gate_scores(model, cache, 0, steps=200, rng=make_rng(0), lam=0.0)
-        assert np.all(scores.scores > 0.9)
+        scores = _w1_gates(model, cache, make_rng(0), steps=200, lam=0.0)
+        assert np.all(scores > 0.9)
 
     def test_huge_penalty_closes_gates(self):
         model, cache = self._toy()
-        scores = l0_gate_scores(model, cache, 0, steps=400, rng=make_rng(0), lam=1e4, lr=0.01)
-        assert np.all(scores.scores < 0.5)
+        scores = _w1_gates(model, cache, make_rng(0), steps=400, lam=1e4, lr=0.01)
+        assert np.all(scores < 0.5)
 
     def test_ranking_correlates_with_ablation_oracle(self):
         corrs = []
@@ -199,7 +204,7 @@ class TestL0Gates:
             model = generate_toy_model(arch, make_rng(100 + seed), layout="ffn")
             calib = make_calibration(arch, 4, 8, make_rng(200 + seed))
             cache = capture_reference_activations(model, calib)
-            gates = l0_gate_scores(model, cache, 0, steps=300, rng=make_rng(seed), lam=0.05).scores
+            gates = _w1_gates(model, cache, make_rng(seed), steps=300, lam=0.05)
             # Oracle: loss increase from ablating each unit alone.
             rec = cache.blocks[0]
             w = model.blocks[0].w1
@@ -211,8 +216,8 @@ class TestL0Gates:
 
     def test_deterministic_per_seed(self):
         model, cache = self._toy()
-        a = l0_gate_scores(model, cache, 0, steps=50, rng=make_rng(5)).scores
-        b = l0_gate_scores(model, cache, 0, steps=50, rng=make_rng(5)).scores
+        a = _w1_gates(model, cache, make_rng(5), steps=50)
+        b = _w1_gates(model, cache, make_rng(5), steps=50)
         assert np.array_equal(a, b)
 
 
@@ -339,7 +344,7 @@ class TestExportsAndDispatch:
         for criterion in ("wanda", "magnitude", "snip"):
             scores = block_unit_scores(model, cache, 0, criterion)
             assert set(scores) == {"wq", "wk", "wv"}
-        scores = block_unit_scores(model, cache, 1, "l0", rng=make_rng(0), l0_steps=20)
+        scores = block_unit_scores(model, cache, 1, "l0", rng=make_rng(0))
         assert set(scores) == {"w1"}
         with pytest.raises(ParameterError):
             block_unit_scores(model, cache, 0, "mystery")
@@ -358,12 +363,12 @@ class TestEquivarianceAllCriteria:
         permuted.blocks[0].w1 = base.blocks[0].w1[perm]
         cache_perm = capture_reference_activations(permuted, calib)
 
-        s_base = snip_unit(base, cache, 0).scores
-        s_perm = snip_unit(permuted, cache_perm, 0).scores
+        s_base = block_unit_scores(base, cache, 0, "snip")["w1"].scores
+        s_perm = block_unit_scores(permuted, cache_perm, 0, "snip")["w1"].scores
         assert_close(s_perm, s_base[perm], 1e-12)
 
         # l0 gates share the deterministic init jitter per unit slot, so
         # compare with the jitter-free limit via averaging two runs.
-        g_base = l0_gate_scores(base, cache, 0, steps=80, rng=make_rng(0), lam=0.05).scores
-        g_perm = l0_gate_scores(permuted, cache_perm, 0, steps=80, rng=make_rng(0), lam=0.05).scores
+        g_base = _w1_gates(base, cache, make_rng(0), steps=80, lam=0.05)
+        g_perm = _w1_gates(permuted, cache_perm, make_rng(0), steps=80, lam=0.05)
         assert_close(np.sort(g_perm), np.sort(g_base), 1e-3)

@@ -194,11 +194,6 @@ def test_ffn_output_update(ffn_args):
 def test_ffn_objective(ffn_args):
     p = ffn_args
     rec = p["rec"]
-    state = BlockState(p["layer"], FFN, {"w1": p["w1"], "w2": p["w2"]}, {})
-    rec.reset_iterates()
-    try:
-        rec.a, rec.z = p["a"], p["z"]
-        ref = oracle.ffn_objective_reference(p["w1"], p["w2"], rec, ALPHA, BETA, 8)
-        assert_same(ffn_objective(state, rec, SolverConfig(alpha=ALPHA, beta=BETA), 8), ref)
-    finally:
-        rec.reset_iterates()
+    state = BlockState(p["layer"], FFN, {"w1": p["w1"], "w2": p["w2"]}, {}, z=p["z"], a=p["a"])
+    ref = oracle.ffn_objective_reference(p["w1"], p["w2"], rec, p["a"], p["z"], ALPHA, BETA, 8)
+    assert_same(ffn_objective(state, rec, SolverConfig(alpha=ALPHA, beta=BETA), 8), ref)

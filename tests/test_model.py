@@ -124,19 +124,6 @@ class TestCapture:
         with pytest.raises(ValueError):
             cache.blocks[0].z_pre[0, 0] = 1.0
 
-    def test_iterates_start_equal_and_mutable(self, decoder_toy):
-        # Iterates start as the frozen arrays, so a write through one
-        # raises; the solver assigns new iterates instead.
-        _, _, cache = decoder_toy
-        rec = cache.blocks[0]
-        assert rec.z is rec.z_pre and rec.a is rec.a_pre and rec.a_attn is rec.a_attn_pre
-        with pytest.raises(ValueError):
-            rec.z[0, 0] += 1.0
-        rec.z = rec.z_pre + 1.0
-        assert rec.z[0, 0] != rec.z_pre[0, 0]
-        rec.reset_iterates()
-        assert rec.z is rec.z_pre
-
     def test_dimension_mismatch(self):
         model = generate_toy_model(ModelArch(4, 1, 1), make_rng(0))
         bad = CalibrationSet(inputs=np.zeros((2, 3, 5)))
@@ -236,14 +223,3 @@ class TestCalibrationIO:
         with pytest.raises(FormatError):
             load_calibration(str(tmp_path / "c"))
 
-
-def test_frozen_reference_survives_downstream_use(ffn_toy):
-    # Checksum before/after a full alternating-solver run is compared in
-    # test_admm; here only capture-level freezing is rechecked.
-    _, _, cache = ffn_toy
-    before = cache.checksum()
-    rec = cache.blocks[0]
-    rec.z = rec.z + 1.0
-    rec.a = rec.a * 2.0
-    assert rec.z is not rec.z_pre and rec.a is not rec.a_pre
-    assert cache.checksum() == before
