@@ -38,7 +38,6 @@ from .evaluation import (
     OPT_CONFIGS,
     memory_report,
     pseudo_perplexity,
-    scaling_report,
     total_reconstruction_loss,
 )
 from .importance import (

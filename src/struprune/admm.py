@@ -26,7 +26,7 @@ from .allocation import (
 )
 from .errors import ParameterError, SolverError
 from .importance import UNIT_CRITERIA, UNIT_OWNER, unit_mask
-from .linalg import make_rng, relu, ridge_solve, row_softmax
+from .linalg import cho_solve, make_rng, relu, ridge_solve, row_softmax
 from .model import FFN, ActivationCache, BlockActivations, ToyModel, _worker_pool
 
 
@@ -192,9 +192,13 @@ def ffn_update_activation(
     act = relu(z)
     np.multiply(beta, act, out=act)
     np.add(rhs, act, out=rhs)
-    del act  # freed before the solve copies rhs
+    del act
+    # LAPACK solves in Fortran order: copy rhs once, dropping the C-ordered
+    # sum, and solve in the copy, so one right-hand side is alive during
+    # the solve instead of two.
+    rhs = np.asfortranarray(rhs)
     factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    return cho_solve(factor, rhs, overwrite_b=True)
 
 
 def ffn_update_output(
@@ -464,7 +468,10 @@ def mha_prune_step(
     mask owns the matching output-projection columns."""
     for name in ("wq", "wk", "wv"):
         x_pre, x_cur = (rec.a_pre, state.a) if name == "wv" else (rec.input_pre, rec.input_pre)
-        target = state.teacher[name] @ x_cur
+        # From iteration 2 on wq and wk share one recovered teacher, so wk
+        # reuses wq's target; nothing writes into a target.
+        if not (name == "wk" and state.teacher["wk"] is state.teacher["wq"]):
+            target = state.teacher[name] @ x_cur
         scores = prune_scores(state.w_hat[name], x_pre, target, cfg.mask_criterion, n_samples, rng)
         mask = binarize_by_threshold(scores, state.budget[name], state.layer, name, "row")
         state.masks[name] = mask

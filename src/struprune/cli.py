@@ -352,8 +352,11 @@ def cmd_memory(args) -> int:
 
 def cmd_verify(args) -> int:
     # Oracle machinery is test-path only; import it here, not at module load.
+    import scipy.linalg
+
     from . import oracle
     from .allocation import ClosedFormContext, binarize_by_threshold, unit_scores_closed_form
+    from .linalg import cho_solve, softmax_vec
 
     rng = make_rng(args.seed)
     failures = 0
@@ -383,8 +386,6 @@ def cmd_verify(args) -> int:
         imps = rng.normal(size=n_layers)
         temp = float(np.mean(np.abs(imps))) + 0.5
         r_bar = 0.5
-        from .linalg import softmax_vec
-
         closed = r_bar * n_layers * softmax_vec(imps, temp)
         if closed.max() >= 1.0 or closed.min() <= 1e-5:
             continue
@@ -414,6 +415,13 @@ def cmd_verify(args) -> int:
         same and ppl == ppl_ref,
         f"arrays equal={same}, ppl {ppl!r} vs {ppl_ref!r}",
     )
+    # The GIL-free Cholesky solve against scipy's on this machine's LAPACK,
+    # at the shape of one FFN activation solve (512 x 2048).
+    w = rng.normal(size=(512, 512))
+    factor = scipy.linalg.cho_factor(w.T @ w + np.eye(512), lower=True, check_finite=False)
+    rhs = rng.normal(size=(512, 2048))
+    same = np.array_equal(cho_solve(factor, rhs), oracle.cho_solve_reference(factor, rhs))
+    check("GIL-free Cholesky solve matches scipy's (512 x 2048)", same, "solutions differ")
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing check(s)")
     return 0 if failures == 0 else 1
 

@@ -256,29 +256,6 @@ def export_module_split_csv(rows: list[MemoryRow]) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    slope_layers: float
-    slope_params_per_layer: float
-
-
-def scaling_report(configs: list[MemoryConfig]) -> ScalingReport:
-    """Log-log OLS slopes of layer count and of parameters-per-layer
-    against total parameter count."""
-    if len(configs) < 3:
-        raise ParameterError("scaling regression needs at least 3 configs")
-    x = np.log([c.total_params for c in configs])
-    y_layers = np.log([c.num_layers for c in configs])
-    y_width = np.log([c.total_params / c.num_layers for c in configs])
-    return ScalingReport(_ols_slope(x, y_layers), _ols_slope(x, y_width))
-
-
-def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
-    dx = x - x.mean()
-    dy = y - y.mean()
-    return float(np.dot(dx, dy) / np.dot(dx, dx))
-
-
 # ---------------------------------------------------------------------------
 # Evaluation report
 # ---------------------------------------------------------------------------

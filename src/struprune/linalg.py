@@ -7,8 +7,11 @@ appears only at the file boundary (see model.py).
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
 
 from .errors import DimensionError, ParameterError, SingularSystemError
 
@@ -65,9 +68,60 @@ def ridge_solve(a: np.ndarray, b: np.ndarray, eps: float = 0.0) -> np.ndarray:
         raise SingularSystemError(
             "Cholesky factorization failed; pass eps > 0"
         ) from exc
-    x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    x = cho_solve(factor, rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("ridge_solve produced non-finite entries; pass eps > 0")
+    return x
+
+
+def _lapack_routine(name: str, *argtypes):
+    """The LAPACK routine scipy links, called through the function pointer
+    scipy.linalg.cython_lapack publishes. A ctypes CFUNCTYPE call releases
+    the GIL for its duration, where scipy's own wrappers hold it."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    api, obj, name_p = ctypes.pythonapi, ctypes.py_object, ctypes.c_char_p
+    get_name = ctypes.PYFUNCTYPE(name_p, obj)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, name_p)(("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_INT_P, _DOUBLE_P = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+# dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
+_DPOTRS = _lapack_routine(
+    "dpotrs", ctypes.c_char_p, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P
+)
+
+
+def cho_solve(
+    factor: tuple[np.ndarray, bool], b: np.ndarray, overwrite_b: bool = False
+) -> np.ndarray:
+    """Solve A X = b from factor = scipy.linalg.cho_factor(A) with LAPACK
+    dpotrs, the routine scipy's cho_solve calls, without holding the GIL,
+    so solves on worker threads overlap.
+
+    Solves in a new Fortran-ordered copy of b, or with overwrite_b in b
+    itself when b already is a Fortran-ordered float64 array, and returns
+    the array solved in: bit for bit what scipy's cho_solve(factor, b,
+    check_finite=False) returns. A factor with a non-positive diagonal
+    entry is no Cholesky factor and raises SingularSystemError.
+    """
+    c, lower = factor
+    c = np.asfortranarray(c, dtype=np.float64)
+    if overwrite_b:
+        x = np.asfortranarray(b, dtype=np.float64)
+    else:
+        x = np.array(b, dtype=np.float64, order="F")
+    if c.ndim != 2 or x.ndim != 2 or not c.shape[0] == c.shape[1] == x.shape[0]:
+        raise DimensionError(
+            f"cho_solve needs a square factor and a matching 2-D b, got {c.shape} and {x.shape}"
+        )
+    if not np.all(np.diagonal(c) > 0.0):
+        raise SingularSystemError("Cholesky factor has a non-positive diagonal entry")
+    dim, info = ctypes.c_int(c.shape[0]), ctypes.c_int(0)
+    c_data, x_data = c.ctypes.data_as(_DOUBLE_P), x.ctypes.data_as(_DOUBLE_P)
+    _DPOTRS(b"L" if lower else b"U", dim, ctypes.c_int(x.shape[1]), c_data, dim, x_data, dim, info)
+    if info.value != 0:
+        raise ParameterError(f"dpotrs rejected argument {-info.value}")
     return x
 
 

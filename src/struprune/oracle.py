@@ -1,8 +1,9 @@
 """Independent verification machinery: exhaustive mask enumeration, a
 projected-gradient solver for the constrained energy allocation, a
 central-finite-difference gradient checker, the single-pass dense
-forward, and the plain-expression reference forms of the solver kernels
-and of the one-shot products.
+forward, the plain-expression reference forms of the solver kernels
+and of the one-shot products, and the log-log scaling regression over
+the published model-family figures.
 
 These are slow paths for tests and the `verify` subcommand only; nothing
 on the production pruning path imports this module.
@@ -19,7 +20,7 @@ import scipy.linalg
 
 from .allocation import MASK_BEARING, ClosedFormContext
 from .errors import ParameterError, SizeError
-from .evaluation import LossReport
+from .evaluation import LossReport, MemoryConfig
 from .linalg import relu, row_softmax
 from .model import FFN, calibration_input
 
@@ -293,12 +294,17 @@ def closed_form_scores_reference(w_hat, x_pre, target):
     return 2.0 * np.sum(c_rows * target, axis=1) - np.sum(c_rows * c_rows, axis=1)
 
 
+def cho_solve_reference(factor, b):
+    """linalg.cho_solve through scipy's own LAPACK wrapper."""
+    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+
+
 def ffn_update_activation_reference(w_next, z_next_pre, z, alpha, beta):
     n = w_next.shape[1]
     gram = alpha * (w_next.T @ w_next) + beta * np.eye(n)
     rhs = alpha * (w_next.T @ z_next_pre) + beta * relu(z)
     factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    return cho_solve_reference(factor, rhs)
 
 
 def ffn_update_output_reference(w1_eff, input_pre, a, z_prev, alpha, beta):
@@ -361,3 +367,31 @@ def closed_form_context_reference(model, cache, layer, matrix=None):
         z_pre = np.zeros(n)
         degenerate = True
     return ClosedFormContext(b, c, d_vec, z_pre, layer, matrix, degenerate)
+
+
+# ---------------------------------------------------------------------------
+# Scaling regression over the published family figures
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ScalingReport:
+    slope_layers: float
+    slope_params_per_layer: float
+
+
+def scaling_report(configs: list[MemoryConfig]) -> ScalingReport:
+    """Log-log OLS slopes of layer count and of parameters-per-layer
+    against total parameter count."""
+    if len(configs) < 3:
+        raise ParameterError("scaling regression needs at least 3 configs")
+    x = np.log([c.total_params for c in configs])
+    y_layers = np.log([c.num_layers for c in configs])
+    y_width = np.log([c.total_params / c.num_layers for c in configs])
+    return ScalingReport(_ols_slope(x, y_layers), _ols_slope(x, y_width))
+
+
+def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
+    dx = x - x.mean()
+    dy = y - y.mean()
+    return float(np.dot(dx, dy) / np.dot(dx, dx))

@@ -1,13 +1,11 @@
 """Acceptance gate: every criterion below runs at its stated tolerance and
 prints one PASS/FAIL line. Run with -s to see the lines live."""
 
-import json
 import math
 import os
 import time
 
 import numpy as np
-import pytest
 
 from struprune.admm import SolverConfig, export_trace_csv, run_outer_loop
 from struprune.allocation import (

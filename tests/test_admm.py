@@ -7,7 +7,6 @@ from struprune.admm import (
     _descend,
     _init_state,
     export_trace_csv,
-    ffn_objective,
     ffn_prune_step,
     ffn_update_activation,
     ffn_update_output,
@@ -27,7 +26,7 @@ from struprune.allocation import apply_masks, build_masks, uniform_plan
 from struprune.errors import ParameterError, SingularSystemError, SolverError
 from struprune.evaluation import total_reconstruction_loss
 from struprune.importance import MASK_BEARING
-from struprune.linalg import make_rng, relu, row_softmax
+from struprune.linalg import make_rng, relu
 from struprune.model import (
     ModelArch,
     capture_reference_activations,

@@ -37,7 +37,7 @@ from struprune.model import (
     make_calibration,
 )
 
-from conftest import assert_close, build_toy
+from conftest import assert_close
 
 
 class TestClosedFormContext:

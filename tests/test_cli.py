@@ -20,6 +20,11 @@ def read(path):
         return fh.read()
 
 
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 def dir_bytes(path):
     out = {}
     for name in sorted(os.listdir(path)):
@@ -43,7 +48,7 @@ class TestPipeline:
         plandir = str(tmp / "plan")
         assert run("plan", "--model", model, "--calib", calib, "--method", "softmax",
                    "--sparsity", "0.3", "--out", plandir) == 0
-        rows = list(csv.DictReader(open(os.path.join(plandir, "plan.csv"))))
+        rows = read_csv(os.path.join(plandir, "plan.csv"))
         assert len(rows) == 4 and rows[0]["allocator"] == "softmax+post"
 
         pruned = str(tmp / "pruned")
@@ -72,7 +77,7 @@ class TestPipeline:
         sweepdir = str(tmp / "sweep")
         assert run("sweep", "--model", model, "--calib", calib, "--t-grid", "0.5,1.0",
                    "--sparsity", "0.3", "--out", sweepdir) == 0
-        sweep_rows = list(csv.DictReader(open(os.path.join(sweepdir, "sweep.csv"))))
+        sweep_rows = read_csv(os.path.join(sweepdir, "sweep.csv"))
         assert len(sweep_rows) == 2
 
     def test_equal_importance_softmax_plan_is_uniform(self, workspace):
@@ -88,7 +93,7 @@ class TestPipeline:
         plandir = str(tmp / "plan0")
         assert run("plan", "--model", ffn_model, "--calib", zero_calib, "--method", "softmax",
                    "--sparsity", "0.3", "--temperature", "1.0", "--out", plandir) == 0
-        rows = list(csv.DictReader(open(os.path.join(plandir, "plan.csv"))))
+        rows = read_csv(os.path.join(plandir, "plan.csv"))
         for row in rows:
             assert abs(float(row["sparsity"]) - 0.3) < 1e-12
 
@@ -176,12 +181,12 @@ class TestConfigFile:
         out = str(tmp / "planC")
         assert run("plan", "--model", model, "--calib", calib, "--config", str(cfg),
                    "--out", out) == 0
-        rows = list(csv.DictReader(open(os.path.join(out, "plan.csv"))))
+        rows = read_csv(os.path.join(out, "plan.csv"))
         assert all(abs(float(r["sparsity"]) - 0.45) < 1e-12 for r in rows)
         out2 = str(tmp / "planD")
         assert run("plan", "--model", model, "--calib", calib, "--config", str(cfg),
                    "--sparsity", "0.2", "--out", out2) == 0
-        rows2 = list(csv.DictReader(open(os.path.join(out2, "plan.csv"))))
+        rows2 = read_csv(os.path.join(out2, "plan.csv"))
         assert all(abs(float(r["sparsity"]) - 0.2) < 1e-12 for r in rows2)
 
     def test_bad_config_rejected(self, workspace, tmp_path):
@@ -221,7 +226,7 @@ class TestTokenPipeline:
         plandir = str(tmp / "scored")
         assert run("plan", "--model", model, "--calib", calib, "--method", "softmax",
                    "--sparsity", "0.3", "--out", plandir) == 0
-        rows = list(csv.DictReader(open(os.path.join(plandir, "scores.csv"))))
+        rows = read_csv(os.path.join(plandir, "scores.csv"))
         assert rows and set(rows[0]) == {"layer", "block_kind", "unit_axis", "unit_index",
                                          "criterion", "score"}
 
@@ -254,7 +259,7 @@ class TestMalformedInput:
         outside = tmp / "outside"
         outside.mkdir()
         manifest = os.path.join(model, "manifest.json")
-        entry = json.load(open(manifest))["matrices"][0]
+        entry = json.loads(read(manifest))["matrices"][0]
         with open(os.path.join(model, entry["file"]), "rb") as src:
             (outside / "x.bin").write_bytes(src.read())
 
@@ -354,7 +359,7 @@ class TestFlagValues:
         out = str(tmp / "planS")
         assert run("plan", "--model", model, "--calib", calib, "--config", str(cfg),
                    "--out", out) == 0
-        rows = list(csv.DictReader(open(os.path.join(out, "plan.csv"))))
+        rows = read_csv(os.path.join(out, "plan.csv"))
         assert all(abs(float(r["sparsity"]) - 0.35) < 1e-12 for r in rows)
 
     def test_config_value_checked_against_flag(self, workspace, capsys):

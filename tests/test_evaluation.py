@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from struprune.evaluation import (
     export_module_split_csv,
     memory_report,
     pseudo_perplexity,
-    scaling_report,
     total_reconstruction_loss,
 )
 from struprune.linalg import make_rng
@@ -26,8 +24,7 @@ from struprune.model import (
     generate_toy_model,
     make_calibration,
 )
-
-from conftest import assert_close, build_toy
+from struprune.oracle import scaling_report
 
 
 class TestReconstructionLoss:

@@ -6,7 +6,6 @@ from scipy.stats import spearmanr
 
 from struprune.errors import ParameterError
 from struprune.importance import (
-    LayerImportance,
     attention_head_term,
     block_unit_scores,
     export_scores_csv,
@@ -27,7 +26,7 @@ from struprune.model import (
     make_calibration,
 )
 
-from conftest import assert_close, build_toy
+from conftest import assert_close
 
 
 class TestWandaElementwise:

@@ -29,7 +29,7 @@ from struprune.model import FFN, MHA
 ALPHA, BETA = 0.7, 1.3
 SEGMENTS = [None, STD_SEQ]
 # Which arrays are Fortran-ordered: none; the activation iterate a, as
-# scipy.linalg.cho_solve returns it; every array.
+# linalg.cho_solve returns it; every array.
 LAYOUTS = ["C", "a-F", "all-F"]
 
 

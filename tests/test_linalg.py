@@ -1,10 +1,13 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from struprune.errors import ParameterError, SingularSystemError
-from struprune.linalg import make_rng, relu, ridge_solve, row_softmax, softmax_vec
+from struprune.errors import DimensionError, ParameterError, SingularSystemError
+from struprune.linalg import cho_solve, make_rng, relu, ridge_solve, row_softmax, softmax_vec
 
 from conftest import assert_close
 
@@ -64,6 +67,96 @@ class TestRidgeSolve:
     def test_negative_eps_rejected(self):
         with pytest.raises(ParameterError):
             ridge_solve(np.eye(2), np.eye(2), -1.0)
+
+
+def _spd_factor(rng, n, lower=True):
+    a = rng.normal(size=(n, n))
+    return scipy.linalg.cho_factor(a @ a.T + n * np.eye(n), lower=lower, check_finite=False)
+
+
+def _max_tick_gap(solve) -> tuple[float, float]:
+    """Run solve() on a worker thread while this thread ticks every
+    millisecond; return the longest gap between two ticks and the solve's
+    duration. A solve that holds the GIL stalls the ticks for its length."""
+    duration = []
+
+    def work():
+        start = time.perf_counter()
+        solve()
+        duration.append(time.perf_counter() - start)
+
+    worker = threading.Thread(target=work)
+    ticks = [time.perf_counter()]
+    worker.start()
+    while worker.is_alive():
+        time.sleep(0.001)
+        ticks.append(time.perf_counter())
+    worker.join(timeout=60)
+    assert not worker.is_alive() and duration
+    return float(np.max(np.diff(ticks))), duration[0]
+
+
+class TestChoSolve:
+    @pytest.mark.parametrize("n", [1, 7, 128, 512])
+    @pytest.mark.parametrize("nrhs", [1, 2048])
+    def test_bits_match_scipy(self, n, nrhs):
+        rng = make_rng(n + nrhs)
+        b = rng.normal(size=(n, 2 * nrhs))
+        for lower in (True, False):
+            factor = _spd_factor(rng, n, lower)
+            for rhs in (b[:, :nrhs].copy(), np.asfortranarray(b[:, :nrhs]), b[:, ::2]):
+                x = cho_solve(factor, rhs)
+                ref = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+                assert np.array_equal(x, ref)
+                assert x.flags.f_contiguous and x.shape == ref.shape
+
+    def test_rhs_left_unchanged(self, rng):
+        factor = _spd_factor(rng, 16)
+        for b in (rng.normal(size=(16, 5)), np.asfortranarray(rng.normal(size=(16, 5)))):
+            before = b.copy()
+            x = cho_solve(factor, b)
+            assert x is not b and np.array_equal(b, before)
+
+    def test_overwrite_b_solves_in_a_fortran_b(self, rng):
+        factor = _spd_factor(rng, 32)
+        b = np.asfortranarray(rng.normal(size=(32, 9)))
+        ref = scipy.linalg.cho_solve(factor, b, check_finite=False)
+        x = cho_solve(factor, b, overwrite_b=True)
+        assert x is b and np.array_equal(x, ref)
+
+    def test_overwrite_b_copies_a_c_ordered_b(self, rng):
+        factor = _spd_factor(rng, 32)
+        b = rng.normal(size=(32, 9))
+        before = b.copy()
+        x = cho_solve(factor, b, overwrite_b=True)
+        assert x is not b and np.array_equal(b, before)
+        assert np.array_equal(x, scipy.linalg.cho_solve(factor, before, check_finite=False))
+
+    def test_non_positive_factor_raises(self, rng):
+        c, lower = _spd_factor(rng, 6)
+        c[3, 3] = 0.0
+        with pytest.raises(SingularSystemError):
+            cho_solve((c, lower), np.ones((6, 2)))
+        c[3, 3] = -1.0
+        with pytest.raises(SingularSystemError):
+            cho_solve((c, lower), np.ones((6, 2)))
+
+    def test_shape_mismatch_raises(self, rng):
+        with pytest.raises(DimensionError):
+            cho_solve(_spd_factor(rng, 4), np.ones((5, 2)))
+
+    def test_solve_releases_the_gil(self):
+        # One FFN activation solve's shape, widened: 512 x 4096.
+        rng = make_rng(5)
+        factor = _spd_factor(rng, 512)
+        b = rng.normal(size=(512, 4096))
+        # The best of three tries, so one scheduler hiccup cannot fail it;
+        # a solve that holds the GIL stalls the ticks on every try.
+        gap, duration = min(
+            (_max_tick_gap(lambda: cho_solve(factor, b)) for _ in range(3)),
+            key=lambda r: r[0] / r[1],
+        )
+        assert gap < duration / 4, f"longest tick gap {gap:.3f} s during a {duration:.3f} s solve"
 
 
 class TestRelu:

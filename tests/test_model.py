@@ -6,7 +6,7 @@ import pytest
 
 from struprune import model as model_module
 from struprune.errors import CapabilityError, FormatError, ParameterError
-from struprune.linalg import make_rng, relu, row_softmax
+from struprune.linalg import make_rng, row_softmax
 from struprune.model import (
     CalibrationSet,
     ModelArch,
@@ -20,7 +20,7 @@ from struprune.model import (
     save_model,
 )
 
-from conftest import assert_close, build_toy
+from conftest import assert_close
 
 
 class TestArchAndGeneration:
@@ -171,9 +171,11 @@ class TestModelIO:
         model, _, _ = decoder_toy
         path = str(tmp_path / "m")
         save_model(model, path)
-        manifest = json.load(open(os.path.join(path, "manifest.json")))
+        with open(os.path.join(path, "manifest.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)
         manifest["format_version"] = 99
-        json.dump(manifest, open(os.path.join(path, "manifest.json"), "w"))
+        with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
         with pytest.raises(FormatError, match="magic"):
             load_model(path)
 
@@ -211,7 +213,8 @@ class TestCalibrationIO:
         arch = ModelArch(8, 1, 2)
         calib = make_calibration(arch, 3, 5, make_rng(0))
         save_calibration(calib, str(tmp_path / "c"), arch.d)
-        sidecar = json.load(open(tmp_path / "c" / "calib.json"))
+        with open(tmp_path / "c" / "calib.json", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
         assert sidecar == {"N": 3, "seq_len": 5, "d": 8}
 
     def test_truncated_calibration(self, tmp_path):

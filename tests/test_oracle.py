@@ -1,12 +1,11 @@
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
 
 from struprune.allocation import ClosedFormContext
 from struprune.errors import ParameterError, SizeError
-from struprune.linalg import make_rng, softmax_vec
+from struprune.linalg import make_rng
 from struprune.oracle import (
     energy_minimize_projected,
     enumerate_masks,
