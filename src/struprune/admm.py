@@ -150,7 +150,9 @@ def prune_scores(
         # weights c_j^2 are constant) and stays informative at the
         # pristine state, where every ratio score is exactly 1.
         c_rows = w_hat @ x_pre
-        gain = np.sum(c_rows * target, axis=1)
+        gain = np.empty(c_rows.shape[0])
+        for r in _row_blocks(c_rows.shape[0]):
+            np.sum(np.multiply(c_rows[r], target[r]), axis=1, out=gain[r])
         return 2.0 * gain - np.sum(np.multiply(c_rows, c_rows, out=c_rows), axis=1)
     if criterion not in SOLVER_CRITERIA:
         raise ParameterError(f"unknown mask criterion {criterion!r}")
@@ -192,13 +194,9 @@ def ffn_update_activation(
     act = relu(z)
     np.multiply(beta, act, out=act)
     np.add(rhs, act, out=rhs)
-    del act
-    # LAPACK solves in Fortran order: copy rhs once, dropping the C-ordered
-    # sum, and solve in the copy, so one right-hand side is alive during
-    # the solve instead of two.
-    rhs = np.asfortranarray(rhs)
+    del act  # freed before the solve copies rhs
     factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    return cho_solve(factor, rhs, overwrite_b=True)
+    return cho_solve(factor, rhs)
 
 
 def ffn_update_output(
@@ -216,7 +214,8 @@ def ffn_update_output(
     # np.where lays its result out like the C-ordered product z1, so the
     # blend is built in a buffer laid out like z1.
     z = np.multiply(alpha, z1)
-    np.add(np.multiply(beta, a), z, out=z)
+    for r in _row_blocks(z.shape[0]):
+        np.add(np.multiply(beta, a[r]), z[r], out=z[r])
     np.divide(z, alpha + beta, out=z)
     np.copyto(z, z1, where=z_prev < 0.0)
     return z
@@ -241,7 +240,16 @@ def ffn_objective(state: BlockState, rec: BlockActivations, cfg: SolverConfig, n
 # never write into an argument. Every buffer keeps the memory order numpy
 # gives the plain expression, because np.sum and the axis sums add in
 # memory order: a matrix product is C-ordered, and an elementwise result
-# is Fortran-ordered only when all its full-size operands are.
+# is Fortran-ordered only when all its full-size operands are. A
+# full-size temporary that only feeds a per-row sum or an add into an
+# owned buffer is built a block of rows at a time (_row_blocks): each
+# element, and each row's sum, sees the same operations, and two blocks
+# solved at once do not each hold one more ffn_dim x T array.
+
+
+def _row_blocks(n: int, rows: int = 64):
+    """Slices of `rows` consecutive rows covering range(n)."""
+    return (slice(i, i + rows) for i in range(0, n, rows))
 
 
 def _order(x: np.ndarray) -> str | None:
@@ -543,6 +551,7 @@ def solve_block(
                 ffn_prune_step(state, rec, cfg, n_samples, rng)
                 if it == 1:
                     initial_loss = ffn_objective(state, rec, cfg, n_samples)
+                state.a = None  # not read by the update; not kept alive through it
                 state.a = ffn_update_activation(
                     state.effective("w2"), rec.out_pre, state.z, cfg.alpha, cfg.beta
                 )

@@ -92,25 +92,19 @@ _DPOTRS = _lapack_routine(
 )
 
 
-def cho_solve(
-    factor: tuple[np.ndarray, bool], b: np.ndarray, overwrite_b: bool = False
-) -> np.ndarray:
+def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
     """Solve A X = b from factor = scipy.linalg.cho_factor(A) with LAPACK
     dpotrs, the routine scipy's cho_solve calls, without holding the GIL,
     so solves on worker threads overlap.
 
-    Solves in a new Fortran-ordered copy of b, or with overwrite_b in b
-    itself when b already is a Fortran-ordered float64 array, and returns
-    the array solved in: bit for bit what scipy's cho_solve(factor, b,
-    check_finite=False) returns. A factor with a non-positive diagonal
-    entry is no Cholesky factor and raises SingularSystemError.
+    Solves in a new Fortran-ordered copy of b, which it returns: bit for
+    bit what scipy's cho_solve(factor, b, check_finite=False) returns. A
+    factor with a non-positive diagonal entry is no Cholesky factor and
+    raises SingularSystemError.
     """
     c, lower = factor
     c = np.asfortranarray(c, dtype=np.float64)
-    if overwrite_b:
-        x = np.asfortranarray(b, dtype=np.float64)
-    else:
-        x = np.array(b, dtype=np.float64, order="F")
+    x = np.array(b, dtype=np.float64, order="F")
     if c.ndim != 2 or x.ndim != 2 or not c.shape[0] == c.shape[1] == x.shape[0]:
         raise DimensionError(
             f"cho_solve needs a square factor and a matching 2-D b, got {c.shape} and {x.shape}"

@@ -191,6 +191,23 @@ def test_ffn_output_update(ffn_args):
     assert_same(ffn_update_output(*args), oracle.ffn_update_output_reference(*args))
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_row_blocked_kernels_across_blocks(layout):
+    # 150 rows: two full 64-row blocks of admm._row_blocks and a short one
+    # (the fixture's 64-row FFN fits in one block).
+    rng = make_rng(11)
+    all_f = layout == "all-F"
+    w = frozen(rng.normal(size=(150, 12)), all_f)
+    x = frozen(rng.normal(size=(12, 40)), all_f)
+    target = frozen(rng.normal(size=(150, 40)), all_f)
+    a = frozen(rng.normal(size=(150, 40)), layout != "C")
+    z = frozen(rng.normal(size=(150, 40)), all_f)
+    got = prune_scores(w, x, target, "closed-form", 8)
+    assert_same(got, oracle.closed_form_scores_reference(w, x, target))
+    args = (w, x, a, z, ALPHA, BETA)
+    assert_same(ffn_update_output(*args), oracle.ffn_update_output_reference(*args))
+
+
 def test_ffn_objective(ffn_args):
     p = ffn_args
     rec = p["rec"]

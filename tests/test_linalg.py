@@ -117,21 +117,6 @@ class TestChoSolve:
             x = cho_solve(factor, b)
             assert x is not b and np.array_equal(b, before)
 
-    def test_overwrite_b_solves_in_a_fortran_b(self, rng):
-        factor = _spd_factor(rng, 32)
-        b = np.asfortranarray(rng.normal(size=(32, 9)))
-        ref = scipy.linalg.cho_solve(factor, b, check_finite=False)
-        x = cho_solve(factor, b, overwrite_b=True)
-        assert x is b and np.array_equal(x, ref)
-
-    def test_overwrite_b_copies_a_c_ordered_b(self, rng):
-        factor = _spd_factor(rng, 32)
-        b = rng.normal(size=(32, 9))
-        before = b.copy()
-        x = cho_solve(factor, b, overwrite_b=True)
-        assert x is not b and np.array_equal(b, before)
-        assert np.array_equal(x, scipy.linalg.cho_solve(factor, before, check_finite=False))
-
     def test_non_positive_factor_raises(self, rng):
         c, lower = _spd_factor(rng, 6)
         c[3, 3] = 0.0
