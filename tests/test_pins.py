@@ -1,4 +1,6 @@
-"""Byte-exact regression pins on the decoder fixture (MHA and FFN blocks).
+"""Byte-exact regression pins on the decoder fixture (MHA and FFN blocks)
+and on a square-FFN fixture (ffn_dim == d), where the closed-form
+coupling term is live.
 
 The golden file and the digests below were generated once from the CLI
 and are never regenerated to make a change pass: a refactor that is meant
@@ -18,15 +20,24 @@ ADMM_FLAGS = ["--sparsity", "0.5", "--iters", "4", "--inner", "10", "--seed", "0
 PLAN_FLAGS = ["--sparsity", "0.5", "--seed", "0"]
 
 
-@pytest.fixture(scope="module")
-def decoder_dirs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("pins")
+def _fixture_dirs(root, gen_flags):
     model, calib = str(root / "model"), str(root / "calib")
-    assert cli_main(["gen", "--layout", "decoder", "--d", "16", "--layers", "2", "--heads", "2",
-                     "--seed", "101", "--out", model]) == 0
+    assert cli_main(["gen", *gen_flags, "--seed", "101", "--out", model]) == 0
     assert cli_main(["calibrate", "--model", model, "--n", "8", "--seq-len", "16",
                      "--seed", "202", "--out", calib]) == 0
     return root, model, calib
+
+
+@pytest.fixture(scope="module")
+def decoder_dirs(tmp_path_factory):
+    return _fixture_dirs(tmp_path_factory.mktemp("pins"),
+                         ["--layout", "decoder", "--d", "16", "--layers", "2", "--heads", "2"])
+
+
+@pytest.fixture(scope="module")
+def square_ffn_dirs(tmp_path_factory):
+    return _fixture_dirs(tmp_path_factory.mktemp("pins-square"),
+                         ["--layout", "ffn", "--d", "16", "--ffn-dim", "16"])
 
 
 def _artifact(decoder_dirs, command, method, flags, name) -> bytes:
@@ -66,3 +77,52 @@ def test_pinned_artifact_digest(decoder_dirs, command, method, name, digest):
     flags = ADMM_FLAGS if command == "admm" else PLAN_FLAGS
     produced = _artifact(decoder_dirs, command, method, flags, name)
     assert hashlib.sha256(produced).hexdigest() == digest
+
+
+def _dir_digest(dirs, out, command, flags) -> str:
+    """sha256 over the sorted (file name, bytes) of one command's --out."""
+    _, model, calib = dirs
+    assert cli_main([command, "--model", model, "--calib", calib, *flags, "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(out)):
+        data = (out / name).read_bytes()
+        h.update(f"{name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+# The one-shot pipeline: model blobs, manifest and plan.csv of prune; the
+# plan.csv (and wanda scores.csv) of plan; sweep.csv and plan.csv of sweep.
+@pytest.mark.parametrize(
+    "command, flags, digest",
+    [
+        ("prune", ["--method", "closed-form", *PLAN_FLAGS],
+         "3a4ed4bff61404e76a8f8b45c6c8bb5537baa8213192a297900753314f551882"),
+        ("prune", ["--method", "softmax", *PLAN_FLAGS],
+         "5be344540e8684b07efaaedf17347fda74b2e7a871940c5c93cf1f2f0616f278"),
+        ("prune", ["--method", "magnitude", *PLAN_FLAGS],
+         "6b2d8ca723d7f25c1f621a12d994c8454dbfce33555a5e7c8e5d9b7197937f36"),
+        ("plan", ["--method", "closed-form", *PLAN_FLAGS],
+         "a6b7ddd9f20c8c18bd18301627896144e4b05609f0eacf33d369d0b43e6d1f87"),
+        ("plan", ["--method", "softmax", *PLAN_FLAGS],
+         "5179417e4f1e1014553ff50f409d3f28ed2bdaa469e3e503b37bb803c495c12d"),
+        ("sweep", ["--t-grid", "0.5,1,2", *PLAN_FLAGS],
+         "aea9276ad9ca0e4deb49de0deea928684cb571dfb5405e9b76f9c30151bfa907"),
+    ],
+)
+def test_oneshot_output_digest(decoder_dirs, tmp_path, command, flags, digest):
+    assert _dir_digest(decoder_dirs, tmp_path, command, flags) == digest
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("prune",
+         "78faf32aa8b0df3d41b3417fc7c1ffb54c6f9e5ffdd2f0a7d5ca26053b403701"),
+        ("plan",
+         "bfd2329dd33a2758522e2f43d9841676766116fed432bf7e736dba96880a74c9"),
+    ],
+)
+def test_square_ffn_closed_form_digest(square_ffn_dirs, tmp_path, command, digest):
+    flags = ["--method", "closed-form", *PLAN_FLAGS]
+    assert _dir_digest(square_ffn_dirs, tmp_path, command, flags) == digest
