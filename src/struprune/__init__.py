@@ -1,14 +1,14 @@
 """Structured pruning toolkit for toy transformer models: closed-form
-layer masks with their Lagrangian relaxation, temperature-controlled
-softmax sparsity allocation, and an alternating divide-and-conquer
-weight/activation solver, backed by exhaustive and constrained-solver
-oracles in the test suite."""
+layer masks (a mask is a bool array over a matrix's units),
+temperature-controlled softmax sparsity allocation, and an alternating
+divide-and-conquer weight/activation solver, backed by exhaustive and
+constrained-solver oracles (struprune.oracle, with the Lagrangian
+relaxed mask) in the test suite."""
 
 from .admm import AdmmResult, SolverConfig, recover_weights, run_outer_loop
 from .allocation import (
     ClosedFormContext,
     PlanEntry,
-    PruneMask,
     SparsityPlan,
     allocate_plan,
     apply_masks,
@@ -18,7 +18,6 @@ from .allocation import (
     closed_form_retention,
     inverse_weight_allocate,
     post_correct,
-    relaxed_mask,
     softmax_allocate,
     temperature_sweep,
     unit_scores_closed_form,
@@ -42,11 +41,9 @@ from .evaluation import (
 )
 from .importance import (
     LayerImportance,
-    UnitScores,
     layer_importance,
     magnitude_unit,
     module_importance,
-    wanda_elementwise,
     wanda_unit,
 )
 from .linalg import make_rng, relu, ridge_solve, row_softmax, softmax_vec

@@ -18,12 +18,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from .allocation import (
-    PruneMask,
-    SparsityPlan,
-    binarize_by_threshold,
-    round_half_away,
-)
+from .allocation import SparsityPlan, binarize_by_threshold, round_half_away
 from .errors import ParameterError, SolverError
 from .importance import UNIT_CRITERIA, UNIT_OWNER, unit_mask
 from .linalg import cho_solve, make_rng, relu, ridge_solve, row_softmax
@@ -60,7 +55,7 @@ class BlockState:
     kind: str
     w_hat: dict[str, np.ndarray]
     teacher: dict[str, np.ndarray]
-    masks: dict[str, PruneMask] = field(default_factory=dict)
+    masks: dict[str, np.ndarray] = field(default_factory=dict)
     budget: dict[str, int] = field(default_factory=dict)
     num_heads: int = 1
     iteration: int = 0  # outer iteration in progress; 0 before the solve
@@ -81,7 +76,7 @@ class AdmmResult:
     trace: list[tuple[int, int, str, float]]
     initial_post_prune_loss: float
     final_loss: float
-    masks: dict[int, dict[str, PruneMask]] = field(default_factory=dict)
+    masks: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +160,7 @@ def ffn_prune_step(
     cfg: SolverConfig,
     n_samples: int,
     rng: np.random.Generator | None = None,
-) -> PruneMask:
+) -> np.ndarray:
     """Mask the hidden units at the planned budget, then ridge-refit the
     retained w1 rows and the matching w2 columns onto the teachers'
     current products."""
@@ -173,11 +168,11 @@ def ffn_prune_step(
     scores = prune_scores(
         state.w_hat["w1"], rec.input_pre, target_up, cfg.mask_criterion, n_samples, rng
     )
-    mask = binarize_by_threshold(scores, state.budget["w1"], state.layer, "w1", "row")
+    mask = binarize_by_threshold(scores, state.budget["w1"])
     state.masks["w1"] = mask
-    state.w_hat["w1"] = _refit_rows(state.w_hat["w1"], mask.bits, rec.input_pre, target_up, cfg.ridge_eps)
+    state.w_hat["w1"] = _refit_rows(state.w_hat["w1"], mask, rec.input_pre, target_up, cfg.ridge_eps)
     target_down = state.teacher["w2"] @ state.a
-    state.w_hat["w2"] = _refit_cols(state.w_hat["w2"], mask.bits, state.a, target_down, cfg.ridge_eps)
+    state.w_hat["w2"] = _refit_cols(state.w_hat["w2"], mask, state.a, target_down, cfg.ridge_eps)
     return mask
 
 
@@ -471,7 +466,7 @@ def mha_prune_step(
     cfg: SolverConfig,
     n_samples: int,
     rng: np.random.Generator | None = None,
-) -> dict[str, PruneMask]:
+) -> dict[str, np.ndarray]:
     """Mask each projection separately at the planned budget; the value
     mask owns the matching output-projection columns."""
     for name in ("wq", "wk", "wv"):
@@ -481,12 +476,11 @@ def mha_prune_step(
         if not (name == "wk" and state.teacher["wk"] is state.teacher["wq"]):
             target = state.teacher[name] @ x_cur
         scores = prune_scores(state.w_hat[name], x_pre, target, cfg.mask_criterion, n_samples, rng)
-        mask = binarize_by_threshold(scores, state.budget[name], state.layer, name, "row")
+        mask = binarize_by_threshold(scores, state.budget[name])
         state.masks[name] = mask
-        state.w_hat[name] = _refit_rows(state.w_hat[name], mask.bits, x_cur, target, cfg.ridge_eps)
-    vbits = state.masks["wv"].bits
+        state.w_hat[name] = _refit_rows(state.w_hat[name], mask, x_cur, target, cfg.ridge_eps)
     target_o = state.teacher["wo"] @ state.a_attn
-    state.w_hat["wo"] = _refit_cols(state.w_hat["wo"], vbits, state.a_attn, target_o, cfg.ridge_eps)
+    state.w_hat["wo"] = _refit_cols(state.w_hat["wo"], state.masks["wv"], state.a_attn, target_o, cfg.ridge_eps)
     return state.masks
 
 

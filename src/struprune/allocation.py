@@ -19,20 +19,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
 from .evaluation import total_reconstruction_loss
-from .importance import (
-    DEFAULT_AXES,
-    MASK_BEARING,
-    UNIT_CRITERIA,
-    block_unit_scores,
-    layer_importance,
-    unit_mask,
-)
+from .importance import MASK_BEARING, block_unit_scores, layer_importance, unit_mask
 from .linalg import softmax_vec
 from .model import FFN, MHA, ActivationCache, ToyModel, _worker_pool
 
@@ -45,7 +37,7 @@ def round_half_away(x: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form unit scores, retention and the relaxed mask
+# Closed-form unit scores and retention
 # ---------------------------------------------------------------------------
 
 
@@ -58,9 +50,6 @@ class ClosedFormContext:
     c: np.ndarray
     d: np.ndarray
     z_pre: np.ndarray
-    layer: int = -1
-    matrix: str = ""
-    degenerate_d: bool = False
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=np.float64).ravel()
@@ -119,12 +108,10 @@ def closed_form_context(
     if square_ffn:
         d_vec = (block.w2 @ rec.a_pre).mean(axis=1)
         z_pre = rec.out_pre.mean(axis=1)
-        degenerate = False
     else:
         d_vec = np.zeros(n)
         z_pre = np.zeros(n)
-        degenerate = True
-    return ClosedFormContext(b, c, d_vec, z_pre, layer, matrix, degenerate)
+    return ClosedFormContext(b, c, d_vec, z_pre)
 
 
 def unit_scores_closed_form(ctx: ClosedFormContext) -> np.ndarray:
@@ -137,71 +124,14 @@ def unit_scores_closed_form(ctx: ClosedFormContext) -> np.ndarray:
     return s
 
 
-class RetentionResult(NamedTuple):
-    value: float
-    raw: float
-    clamped: bool
+def closed_form_retention(ctx: ClosedFormContext) -> float:
+    """Mean unit score, clamped to [0, 1] (the multiplier-free derivation
+    does not guarantee feasibility)."""
+    return min(max(float(unit_scores_closed_form(ctx).mean()), 0.0), 1.0)
 
 
-def closed_form_retention(ctx: ClosedFormContext) -> RetentionResult:
-    """Mean unit score, clamped to [0, 1] with a flag when the raw mean
-    leaves the interval (the multiplier-free derivation does not guarantee
-    feasibility)."""
-    raw = float(unit_scores_closed_form(ctx).mean())
-    value = min(max(raw, 0.0), 1.0)
-    return RetentionResult(value, raw, value != raw)
-
-
-def relaxed_mask(ctx: ClosedFormContext, retention: float) -> np.ndarray:
-    """Continuous stationary mask meeting sum(M) = retention * n.
-
-    Each live entry solves the per-unit Lagrangian stationarity condition;
-    degenerate units are excluded from the multiplier sum and pinned to 0.
-    """
-    v = ctx.weights()
-    live = v > 0
-    if not np.any(live):
-        raise ParameterError("all units degenerate: c and d vanish everywhere")
-    n = ctx.n_units
-    s = unit_scores_closed_form(ctx)
-    inv_v = np.zeros(n)
-    inv_v[live] = 1.0 / v[live]
-    correction = (s[live].sum() - retention * n) / inv_v[live].sum()
-    mask = np.zeros(n)
-    mask[live] = s[live] - inv_v[live] * correction
-    return mask
-
-
-def recover_multiplier(ctx: ClosedFormContext, retention: float) -> float:
-    """Lagrange multiplier consistent with the relaxed mask's budget."""
-    v = ctx.weights()
-    live = v > 0
-    s = unit_scores_closed_form(ctx)
-    return 2.0 * (s[live].sum() - retention * ctx.n_units) / (1.0 / v[live]).sum()
-
-
-@dataclass
-class PruneMask:
-    block: int
-    matrix: str
-    axis: str
-    bits: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=bool).ravel()
-        if int(self.bits.sum()) != self.k:
-            raise ParameterError(
-                f"mask popcount {int(self.bits.sum())} != declared retained count {self.k}"
-            )
-
-    @property
-    def n_units(self) -> int:
-        return self.bits.size
-
-
-def binarize_by_threshold(scores, k: int, block: int = -1, matrix: str = "", axis: str = "row") -> PruneMask:
-    """Retain the k highest-scoring units; ties keep the lower index."""
+def binarize_by_threshold(scores, k: int) -> np.ndarray:
+    """Bits retaining the k highest-scoring units; ties keep the lower index."""
     s = np.asarray(scores, dtype=np.float64).ravel()
     n = s.size
     if not 0 <= k <= n:
@@ -210,7 +140,7 @@ def binarize_by_threshold(scores, k: int, block: int = -1, matrix: str = "", axi
     if k > 0:
         order = np.argsort(-s, kind="stable")
         bits[order[:k]] = True
-    return PruneMask(block, matrix, axis, bits, k)
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +171,6 @@ class SparsityPlan:
             if e.layer == layer:
                 return e.retention
         raise ParameterError(f"plan has no entry for layer {layer}")
-
-    def mean_sparsity(self) -> float:
-        return float(self.sparsities().mean())
 
 
 def _entry(layer, kind, imp, temp, sparsity, allocator) -> PlanEntry:
@@ -360,7 +287,7 @@ def closed_form_plan(model: ToyModel, cache: ActivationCache, r_bar: float) -> S
     rhos, imps = [], []
     for i, block in enumerate(model.blocks):
         per_matrix = [
-            closed_form_retention(closed_form_context(model, cache, i, m)).value
+            closed_form_retention(closed_form_context(model, cache, i, m))
             for m in MASK_BEARING[block.kind]
         ]
         rhos.append(float(np.mean(per_matrix)))
@@ -416,43 +343,28 @@ def allocate_plan(
 # Mask construction and application
 # ---------------------------------------------------------------------------
 
-MASK_CRITERIA = ("closed-form", *UNIT_CRITERIA)
-
-
 def build_masks(
     model: ToyModel,
     cache: ActivationCache,
     plan: SparsityPlan,
     criterion: str,
     rng: np.random.Generator | None = None,
-) -> dict[int, dict[str, PruneMask]]:
-    """One PruneMask per mask-bearing matrix per block, each at the
-    block's planned retention."""
-    if criterion not in MASK_CRITERIA:
-        raise ParameterError(f"unknown mask criterion {criterion!r}")
-    masks: dict[int, dict[str, PruneMask]] = {}
-    for i, block in enumerate(model.blocks):
+) -> dict[int, dict[str, np.ndarray]]:
+    """Mask bits per mask-bearing matrix per block, each at the block's
+    planned retention, from the named unit criterion."""
+    masks: dict[int, dict[str, np.ndarray]] = {}
+    for i in range(len(model.blocks)):
         retention = plan.retention_for(i)
-        per_matrix: dict[str, PruneMask] = {}
-        if criterion == "closed-form":
-            scores = {
-                m: unit_scores_closed_form(closed_form_context(model, cache, i, m))
-                for m in MASK_BEARING[block.kind]
-            }
-            for m, s in scores.items():
-                k = round_half_away(retention * s.size)
-                per_matrix[m] = binarize_by_threshold(s, k, i, m, DEFAULT_AXES[m])
-        else:
-            for m, us in block_unit_scores(model, cache, i, criterion, rng).items():
-                k = round_half_away(retention * us.scores.size)
-                per_matrix[m] = binarize_by_threshold(us.scores, k, i, m, us.axis)
-        masks[i] = per_matrix
+        masks[i] = {
+            m: binarize_by_threshold(s, round_half_away(retention * s.size))
+            for m, s in block_unit_scores(model, cache, i, criterion, rng).items()
+        }
     return masks
 
 
 def global_closed_form_masks(
     model: ToyModel, cache: ActivationCache, r_bar: float
-) -> tuple[dict[int, dict[str, PruneMask]], SparsityPlan]:
+) -> tuple[dict[int, dict[str, np.ndarray]], SparsityPlan]:
     """Single global threshold over all closed-form scores with a floored
     budget K = floor(retention * total_units); returns the induced plan."""
     if not 0.0 < r_bar < 1.0:
@@ -466,7 +378,7 @@ def global_closed_form_masks(
     pooled.sort()
     budget = int(math.floor((1.0 - r_bar) * len(pooled)))
     keep = set((i, m, j) for _, i, m, j in pooled[:budget])
-    masks: dict[int, dict[str, PruneMask]] = {}
+    masks: dict[int, dict[str, np.ndarray]] = {}
     entries = []
     for i, block in enumerate(model.blocks):
         per_matrix = {}
@@ -474,7 +386,7 @@ def global_closed_form_masks(
         for m in MASK_BEARING[block.kind]:
             n = block.matrices[m].shape[0]
             bits = np.array([(i, m, j) in keep for j in range(n)])
-            per_matrix[m] = PruneMask(i, m, DEFAULT_AXES[m], bits, int(bits.sum()))
+            per_matrix[m] = bits
             kept_counts.append(bits.mean())
         masks[i] = per_matrix
         rho = float(np.mean(kept_counts))
@@ -482,7 +394,7 @@ def global_closed_form_masks(
     return masks, SparsityPlan(entries)
 
 
-def apply_masks(model: ToyModel, masks: dict[int, dict[str, PruneMask]]) -> ToyModel:
+def apply_masks(model: ToyModel, masks: dict[int, dict[str, np.ndarray]]) -> ToyModel:
     """Multiplicative structured zeroing of every matrix by its owner's
     mask (importance.UNIT_OWNER), in place on the copy."""
     pruned = model.copy()

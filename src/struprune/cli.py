@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -76,6 +77,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _real(rule: str = "", ok=lambda v: True):
+    """argparse type of a float flag: a finite number that satisfies ok."""
+
+    def real(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be a finite number{rule}, got {text!r}")
+        return value
+
+    return real
+
+
+FINITE = _real()
+POSITIVE = _real(" > 0", lambda v: v > 0)
+GAMMA = _real(" in (0, 1]", lambda v: 0 < v <= 1)
+
+
+def _t_grid(text: str) -> list[float] | None:
+    """Comma-separated temperatures, each > 0; empty (None) selects the
+    auto grid."""
+    if not text:
+        return None
+    return [POSITIVE(tok) for tok in text.split(",") if tok.strip()]
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="struprune", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -92,10 +121,10 @@ def build_parser() -> Parser:
             p.add_argument("--calib", required=True, help="calibration directory")
         if method:
             p.add_argument("--method", choices=METHODS, default="softmax")
-            p.add_argument("--sparsity", type=float, default=0.3, help="global sparsity target")
-            p.add_argument("--temperature", type=float, default=None)
-            p.add_argument("--gamma", type=float, default=1.0, help="depth decay factor")
-            p.add_argument("--rho", type=float, default=1.0, help="attention/MLP importance ratio")
+            p.add_argument("--sparsity", type=FINITE, default=0.3, help="global sparsity target")
+            p.add_argument("--temperature", type=POSITIVE, default=None)
+            p.add_argument("--gamma", type=GAMMA, default=1.0, help="depth decay factor")
+            p.add_argument("--rho", type=POSITIVE, default=1.0, help="attention/MLP importance ratio")
         if out:
             p.add_argument("--out", required=True, help="output directory")
 
@@ -122,26 +151,28 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("admm", help="alternating-solver prune")
     common(p, model=True, calib=True, method=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--alpha", type=POSITIVE, default=1.0)
+    p.add_argument("--beta", type=POSITIVE, default=1.0)
     p.add_argument("--iters", type=int, default=8, help="outer iterations")
     p.add_argument("--inner", type=int, default=30, help="gradient steps per MHA sub-solve")
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--eps", type=float, default=1e-6, help="ridge regularization")
+    p.add_argument("--lr", type=POSITIVE, default=0.01)
+    p.add_argument("--eps", type=_real(" >= 0", lambda v: v >= 0), default=1e-6,
+                   help="ridge regularization")
 
     p = sub.add_parser("eval", help="measure a pruned model against its dense reference")
     common(p, model=True, calib=True)
     p.add_argument("--dense", required=True, help="dense reference model directory")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=POSITIVE, default=1.0)
 
     p = sub.add_parser("sweep", help="temperature grid search")
     common(p, model=True, calib=True)
     p.add_argument("--allocator", choices=("softmax", "inverse-weight"), default="softmax")
-    p.add_argument("--sparsity", type=float, default=0.3)
-    p.add_argument("--t-grid", default="", help="comma-separated temperatures; empty = auto grid")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--sparsity", type=FINITE, default=0.3)
+    p.add_argument("--t-grid", type=_t_grid, default="",
+                   help="comma-separated temperatures; empty = auto grid")
+    p.add_argument("--alpha", type=POSITIVE, default=1.0)
+    p.add_argument("--gamma", type=GAMMA, default=1.0)
+    p.add_argument("--rho", type=POSITIVE, default=1.0)
 
     p = sub.add_parser("memory", help="emit the analytic parameter/memory tables")
     common(p, seed=False, threads=False)
@@ -225,13 +256,13 @@ def cmd_plan(args) -> int:
     write_atomic(os.path.join(args.out, "plan.csv"), allocation.export_plan_csv(plan).encode())
     criterion = MASK_CRITERION_FOR_METHOD[args.method]
     if criterion != "closed-form":
-        score_sets = []
         rng = make_rng(args.seed)
-        for i in range(len(model.blocks)):
-            score_sets.extend(block_unit_scores(model, cache, i, criterion, rng).values())
+        scores = {
+            i: block_unit_scores(model, cache, i, criterion, rng) for i in range(len(model.blocks))
+        }
         write_atomic(
             os.path.join(args.out, "scores.csv"),
-            export_scores_csv(score_sets, model).encode(),
+            export_scores_csv(scores, criterion, model).encode(),
         )
     print(os.path.join(args.out, "plan.csv"))
     return 0
@@ -316,9 +347,8 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     model, _, cache = _load_inputs(args)
-    if args.t_grid:
-        grid = [float(tok) for tok in args.t_grid.split(",") if tok.strip()]
-    else:
+    grid = args.t_grid
+    if grid is None:
         grid = allocation.default_temperature_grid(_wanda_importances(model, cache))
     best_t, plan, table = allocation.temperature_sweep(
         model,
@@ -378,8 +408,8 @@ def cmd_verify(args) -> int:
         enum = oracle.enumerate_masks(ctx, k)
         check(
             f"top-k matches enumeration (trial {trial}, n={n}, k={k})",
-            abs(ctx.mask_loss(mask.bits) - enum.best_loss) < 1e-9,
-            f"gap={ctx.mask_loss(mask.bits) - enum.best_loss:.3e}",
+            abs(ctx.mask_loss(mask) - enum.best_loss) < 1e-9,
+            f"gap={ctx.mask_loss(mask) - enum.best_loss:.3e}",
         )
     for trial in range(3):
         n_layers = int(rng.integers(2, 7))

@@ -1,11 +1,8 @@
 """Unit- and layer-level importance criteria.
 
-Two activation-aware scores are shipped side by side because they rank
-differently: `wanda_elementwise` multiplies |W| with per-feature input
-norms, while `wanda_unit` averages the l1 norm of weight-times-input
-products per calibration sample. Mask thresholding in the pipeline
-consumes the latter. `UNIT_CRITERIA` is the one registry of row-unit
-criteria (wanda, magnitude, gradient sensitivity, learnable gates) for
+The activation-aware score `wanda_unit` averages the l1 norm of
+weight-times-input products per calibration sample. `UNIT_CRITERIA` is
+the one registry of row-unit criteria (wanda, magnitude, gradient sensitivity, learnable gates) for
 both one-shot masks and the alternating solver; the attention/MLP split
 with geometric depth decay follows.
 """
@@ -40,22 +37,10 @@ UNIT_OWNER = {"w1": "w1", "w2": "w1", "wq": "wq", "wk": "wk", "wv": "wv", "wo": 
 
 def unit_mask(name: str, masks: dict) -> np.ndarray:
     """The 0/1 factor that zeroes the pruned units of matrix `name`, from
-    its owner's PruneMask in `masks` (matrix name -> PruneMask): a column
-    for a row-unit matrix, a row for w2/wo."""
-    bits = masks[UNIT_OWNER[name]].bits.astype(np.float64)
+    its owner's bits in `masks` (matrix name -> bool array): a column for
+    a row-unit matrix, a row for w2/wo."""
+    bits = masks[UNIT_OWNER[name]].astype(np.float64)
     return bits[:, None] if DEFAULT_AXES[name] == ROW else bits[None, :]
-
-
-@dataclass
-class UnitScores:
-    block: int
-    matrix: str
-    axis: str
-    criterion: str
-    scores: np.ndarray
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64).ravel()
 
 
 @dataclass
@@ -63,7 +48,6 @@ class LayerImportance:
     layer: int
     block_kind: str
     value: float
-    depth_weight: float = 1.0
 
 
 def _validate_inputs(w: np.ndarray, x_in: np.ndarray):
@@ -73,16 +57,6 @@ def _validate_inputs(w: np.ndarray, x_in: np.ndarray):
         raise DimensionError(
             f"weight expects {w.shape[1]} input features, activations carry {x_in.shape[0]}"
         )
-
-
-def wanda_elementwise(w: np.ndarray, x_in: np.ndarray) -> np.ndarray:
-    """score[i, j] = |w[i, j]| * l2 norm of input feature j over all
-    calibration tokens."""
-    w = np.asarray(w, dtype=np.float64)
-    x_in = np.asarray(x_in, dtype=np.float64)
-    _validate_inputs(w, x_in)
-    feature_norms = np.sqrt(np.sum(x_in * x_in, axis=1))
-    return np.abs(w) * feature_norms[None, :]
 
 
 def wanda_unit(
@@ -185,7 +159,7 @@ UNIT_CRITERIA = {"wanda": wanda_rows, "magnitude": magnitude_rows, "snip": snip_
 def _score_matrix(
     model: ToyModel, cache: ActivationCache, block_index: int, matrix: str,
     criterion: str, rng: np.random.Generator | None = None,
-) -> UnitScores:
+) -> np.ndarray:
     """Row-unit scores of one mask-bearing matrix against its
     dense-reference product."""
     rec = cache.blocks[block_index]
@@ -193,8 +167,7 @@ def _score_matrix(
     score = UNIT_CRITERIA[criterion]
     if criterion == "wanda":  # the input statistic is frozen with the cache
         score = partial(score, x_l1=rec.col_l1(MATRIX_IO[matrix][0]))
-    scores = score(model.blocks[block_index].matrices[matrix], x_in, target, cache.n_samples, rng)
-    return UnitScores(block_index, matrix, ROW, criterion, scores)
+    return score(model.blocks[block_index].matrices[matrix], x_in, target, cache.n_samples, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +243,7 @@ def layer_importance(
     if method == "module-split":
         for i, block in enumerate(model.blocks):
             value = module_importance(block, gamma, rho, i + 1)
-            out.append(LayerImportance(i, block.kind, value, gamma ** (i + 1)))
+            out.append(LayerImportance(i, block.kind, value))
         return out
     raise ParameterError(f"unknown importance method {method!r}")
 
@@ -281,8 +254,8 @@ def block_unit_scores(
     block_index: int,
     criterion: str,
     rng: np.random.Generator | None = None,
-) -> dict[str, UnitScores]:
-    """Unit scores for every mask-bearing matrix of one block under the
+) -> dict[str, np.ndarray]:
+    """Row-unit scores for every mask-bearing matrix of one block under the
     named criterion (wanda | magnitude | snip | l0)."""
     if criterion not in UNIT_CRITERIA:
         raise ParameterError(f"unknown criterion {criterion!r}")
@@ -292,13 +265,17 @@ def block_unit_scores(
     }
 
 
-def export_scores_csv(score_sets: list[UnitScores], model: ToyModel) -> str:
-    """CSV with columns layer,block_kind,unit_axis,unit_index,criterion,score."""
+def export_scores_csv(
+    scores: dict[int, dict[str, np.ndarray]], criterion: str, model: ToyModel
+) -> str:
+    """CSV with columns layer,block_kind,unit_axis,unit_index,criterion,score
+    from {block: block_unit_scores(...)}; every unit is a row unit."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["layer", "block_kind", "unit_axis", "unit_index", "criterion", "score"])
-    for us in score_sets:
-        kind = model.blocks[us.block].kind
-        for idx, score in enumerate(us.scores):
-            writer.writerow([us.block, kind, us.axis, idx, us.criterion, repr(float(score))])
+    for i, per_matrix in scores.items():
+        kind = model.blocks[i].kind
+        for s in per_matrix.values():
+            for idx, score in enumerate(s):
+                writer.writerow([i, kind, ROW, idx, criterion, repr(float(score))])
     return buf.getvalue()

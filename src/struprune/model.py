@@ -9,7 +9,6 @@ each block's output straight into the next.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -62,10 +61,6 @@ class ModelArch:
         if self.vocab < 0:
             raise ParameterError("vocab must be >= 0")
 
-    @property
-    def head_dim(self) -> int:
-        return self.d // self.num_heads
-
 
 @dataclass
 class FfnBlock:
@@ -77,9 +72,6 @@ class FfnBlock:
     @property
     def matrices(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "w2": self.w2}
-
-    def param_count(self) -> int:
-        return self.w1.size + self.w2.size
 
     def copy(self) -> "FfnBlock":
         return FfnBlock(self.w1.copy(), self.w2.copy())
@@ -98,9 +90,6 @@ class MhaBlock:
     @property
     def matrices(self) -> dict[str, np.ndarray]:
         return {"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo}
-
-    def param_count(self) -> int:
-        return self.wq.size + self.wk.size + self.wv.size + self.wo.size
 
     def copy(self) -> "MhaBlock":
         return MhaBlock(
@@ -426,16 +415,6 @@ class ActivationCache:
     blocks: list[BlockActivations]
     n_samples: int
     seq_len: int
-
-    def checksum(self) -> str:
-        """Digest over every frozen reference array; any mutation of the
-        pre values changes it."""
-        h = hashlib.sha256()
-        for rec in self.blocks:
-            for arr in rec.frozen_arrays():
-                if arr is not None:
-                    h.update(arr.tobytes())
-        return h.hexdigest()
 
 
 def capture_reference_activations(

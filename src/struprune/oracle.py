@@ -1,9 +1,10 @@
-"""Independent verification machinery: exhaustive mask enumeration, a
+"""Independent verification machinery: exhaustive mask enumeration, the
+relaxed (continuous) closed-form mask and its multiplier, a
 projected-gradient solver for the constrained energy allocation, a
 central-finite-difference gradient checker, the single-pass dense
-forward, the plain-expression reference forms of the solver kernels
-and of the one-shot products, and the log-log scaling regression over
-the published model-family figures.
+forward, a digest of the frozen activation cache, the plain-expression
+reference forms of the solver kernels and of the one-shot products, and
+the log-log scaling regression over the published model-family figures.
 
 These are slow paths for tests and the `verify` subcommand only; nothing
 on the production pruning path imports this module.
@@ -11,6 +12,7 @@ on the production pruning path imports this module.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -18,7 +20,7 @@ from itertools import combinations
 import numpy as np
 import scipy.linalg
 
-from .allocation import MASK_BEARING, ClosedFormContext
+from .allocation import MASK_BEARING, ClosedFormContext, unit_scores_closed_form
 from .errors import ParameterError, SizeError
 from .evaluation import LossReport, MemoryConfig
 from .linalg import relu, row_softmax
@@ -54,6 +56,34 @@ def enumerate_masks(ctx: ClosedFormContext, k: int) -> EnumResult:
         if best is None or (loss, key) < best:
             best = (loss, key)
     return EnumResult(np.array(best[1], dtype=bool), best[0], table)
+
+
+def relaxed_mask(ctx: ClosedFormContext, retention: float) -> np.ndarray:
+    """Continuous stationary mask meeting sum(M) = retention * n.
+
+    Each live entry solves the per-unit Lagrangian stationarity condition;
+    degenerate units are excluded from the multiplier sum and pinned to 0.
+    """
+    v = ctx.weights()
+    live = v > 0
+    if not np.any(live):
+        raise ParameterError("all units degenerate: c and d vanish everywhere")
+    n = ctx.n_units
+    s = unit_scores_closed_form(ctx)
+    inv_v = np.zeros(n)
+    inv_v[live] = 1.0 / v[live]
+    correction = (s[live].sum() - retention * n) / inv_v[live].sum()
+    mask = np.zeros(n)
+    mask[live] = s[live] - inv_v[live] * correction
+    return mask
+
+
+def recover_multiplier(ctx: ClosedFormContext, retention: float) -> float:
+    """Lagrange multiplier consistent with the relaxed mask's budget."""
+    v = ctx.weights()
+    live = v > 0
+    s = unit_scores_closed_form(ctx)
+    return 2.0 * (s[live].sum() - retention * ctx.n_units) / (1.0 / v[live]).sum()
 
 
 def project_box_sum(v, total: float, lower: float, upper: float) -> np.ndarray:
@@ -204,6 +234,17 @@ def dense_forward_reference(model, calib):
             arrays.append((x, z, a, out, a_attn, q, k))
         x = out
     return arrays
+
+
+def cache_checksum(cache) -> str:
+    """Digest over every frozen reference array of an ActivationCache; any
+    mutation of the pre values changes it."""
+    h = hashlib.sha256()
+    for rec in cache.blocks:
+        for arr in rec.frozen_arrays():
+            if arr is not None:
+                h.update(arr.tobytes())
+    return h.hexdigest()
 
 
 def pseudo_perplexity_reference(model, calib):
@@ -361,12 +402,10 @@ def closed_form_context_reference(model, cache, layer, matrix=None):
     if block.kind == FFN and matrix == "w1" and model.arch.ffn_dim == model.arch.d:
         d_vec = (block.w2 @ rec.a_pre).mean(axis=1)
         z_pre = rec.out_pre.mean(axis=1)
-        degenerate = False
     else:
         d_vec = np.zeros(n)
         z_pre = np.zeros(n)
-        degenerate = True
-    return ClosedFormContext(b, c, d_vec, z_pre, layer, matrix, degenerate)
+    return ClosedFormContext(b, c, d_vec, z_pre)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from struprune.model import (
     generate_toy_model,
     make_calibration,
 )
-from struprune.oracle import finite_diff_grad
+from struprune.oracle import cache_checksum, finite_diff_grad
 
 from conftest import assert_close, build_toy
 
@@ -100,7 +100,7 @@ class TestFfnPruneStep:
     def test_mask_at_planned_budget(self):
         model, cache, state = ffn_setup(retention=0.5)
         ffn_prune_step(state, cache.blocks[0], SolverConfig(), cache.n_samples)
-        assert state.masks["w1"].k == state.budget["w1"]
+        assert state.masks["w1"].sum() == state.budget["w1"]
 
 
 class TestFfnUpdateActivation:
@@ -183,7 +183,7 @@ class TestMhaUpdate:
         model, cache, state = mha_setup(tie_qk=True)
         cfg = SolverConfig()
         rec = cache.blocks[0]
-        scale = float(np.sqrt(model.arch.head_dim))
+        scale = float(np.sqrt(model.arch.d // model.arch.num_heads))
         seg = cache.seq_len
         wq, wk = state.effective("wq"), state.effective("wk")
         wv, wo = state.effective("wv"), state.effective("wo")
@@ -315,23 +315,23 @@ class TestOuterLoop:
 
     def test_mask_persistence_and_frozen_cache(self, decoder_toy):
         model, calib, cache = decoder_toy
-        checksum = cache.checksum()
+        checksum = cache_checksum(cache)
         plan = uniform_plan(model, 0.4)
         cfg = SolverConfig(outer_iters=2, inner_steps=10, learning_rate=0.01)
         result = run_outer_loop(model, cache, plan, cfg)
-        assert cache.checksum() == checksum
+        assert cache_checksum(cache) == checksum
         for i, block in enumerate(result.model.blocks):
             masks = result.masks[i]
             if block.kind == "ffn":
-                dead = ~masks["w1"].bits
+                dead = ~masks["w1"]
                 assert np.all(block.w1[dead] == 0.0)
                 assert np.all(block.w2[:, dead] == 0.0)
-                assert masks["w1"].k == int(round(0.6 * block.w1.shape[0]))
+                assert masks["w1"].sum() == int(round(0.6 * block.w1.shape[0]))
             else:
                 for name in ("wq", "wk", "wv"):
-                    dead = ~masks[name].bits
+                    dead = ~masks[name]
                     assert np.all(block.matrices[name][dead] == 0.0)
-                assert np.all(block.wo[:, ~masks["wv"].bits] == 0.0)
+                assert np.all(block.wo[:, ~masks["wv"]] == 0.0)
 
     def test_objective_decreases_on_ffn_fixture(self, ffn_toy):
         model, calib, cache = ffn_toy

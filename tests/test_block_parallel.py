@@ -17,6 +17,7 @@ from struprune.allocation import uniform_plan
 from struprune.cli import main as cli_main
 from struprune.errors import ParameterError, SolverError
 from struprune.model import capture_reference_activations
+from struprune.oracle import cache_checksum
 
 from conftest import build_toy
 
@@ -198,7 +199,7 @@ def test_solve_block_releases_iterates():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_blocks_release_iterates(threads, monkeypatch):
     model, _, cache = build_toy("decoder")
-    checksum = cache.checksum()
+    checksum = cache_checksum(cache)
     plan = uniform_plan(model, 0.5)
     states = []
 
@@ -210,10 +211,10 @@ def test_blocks_release_iterates(threads, monkeypatch):
     run_outer_loop(model, cache, plan, SolverConfig(outer_iters=2, inner_steps=5), threads=threads)
     assert len(states) == len(model.blocks)
     assert all(_released(s) for s in states)
-    assert cache.checksum() == checksum
+    assert cache_checksum(cache) == checksum
     states.clear()
     with pytest.raises(SolverError):
         run_outer_loop(model, cache, plan, DIVERGING, threads=threads)
     assert len(states) == len(model.blocks)
     assert all(_released(s) for s in states)
-    assert cache.checksum() == checksum
+    assert cache_checksum(cache) == checksum

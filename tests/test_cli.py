@@ -391,3 +391,39 @@ class TestFlagValues:
             assert run(command, "--model", model, "--calib", calib, "--threads", threads,
                        *extra, "--out", str(tmp / f"{command}{threads}")) == 1
             _one_error_line(capsys, "--threads")
+
+
+ADMM_SHORT = ["--iters", "1", "--inner", "2"]
+
+
+# Each bad float value exits 1 at parse time with one error line naming the
+# flag, before any work, whatever the method reads; a --config value goes
+# through the same flag type.
+@pytest.mark.parametrize("command, argv, config, flag", [
+    ("admm", ["--gamma", "nan", *ADMM_SHORT], None, "--gamma"),
+    ("admm", ["--gamma", "5", *ADMM_SHORT], None, "--gamma"),
+    ("admm", ["--rho", "-1", *ADMM_SHORT], None, "--rho"),
+    ("admm", ["--temperature", "inf", *ADMM_SHORT], None, "--temperature"),
+    ("admm", ["--eps", "nan", *ADMM_SHORT], None, "--eps"),
+    ("admm", ["--alpha", "nan", *ADMM_SHORT], None, "--alpha"),
+    ("admm", ["--lr", "inf", *ADMM_SHORT], None, "--lr"),
+    ("sweep", ["--alpha", "nan", "--t-grid", "1"], None, "--alpha"),
+    ("sweep", ["--t-grid", "nan,1"], None, "--t-grid"),
+    ("eval", ["--alpha", "nan"], None, "--alpha"),
+    ("plan", [], {"temperature": -2.0}, "--temperature"),
+])
+def test_bad_float_flag_rejected(workspace, capsys, command, argv, config, flag):
+    tmp, model, calib = workspace
+    if config is not None:
+        cfg = tmp / "bad.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    if command == "eval":
+        argv = [*argv, "--dense", model]
+    out = tmp / "out"
+    assert run(command, "--model", model, "--calib", calib, *argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0], err
+    assert not out.exists()

@@ -58,7 +58,6 @@ def assert_same_loss(pruned, cache, alpha=1.7):
 def assert_same_context(got, ref):
     for field in ("b", "c", "d", "z_pre"):
         assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), field
-    assert (got.layer, got.matrix, got.degenerate_d) == (ref.layer, ref.matrix, ref.degenerate_d)
 
 
 def row_unit_matrices(model):
@@ -212,10 +211,10 @@ class TestColumnL1:
             want.append(float(np.concatenate(pooled).mean()))
         assert got == want
         for i, block in enumerate(model.blocks):
-            for name, us in block_unit_scores(model, cache, i, "wanda").items():
+            for name, scores in block_unit_scores(model, cache, i, "wanda").items():
                 x_in = getattr(cache.blocks[i], MATRIX_IO[name][0])
                 expect = wanda_unit(block.matrices[name], x_in, ROW, cache.n_samples)
-                assert us.scores.tobytes() == expect.tobytes()
+                assert scores.tobytes() == expect.tobytes()
 
     def test_one_computation_under_fast_switching(self):
         # Every caller must get the one stored array; two computations

@@ -15,7 +15,6 @@ from struprune.importance import (
     magnitude_unit,
     module_importance,
     reconstruction_gradient,
-    wanda_elementwise,
     wanda_unit,
 )
 from struprune.linalg import make_rng
@@ -27,27 +26,6 @@ from struprune.model import (
 )
 
 from conftest import assert_close
-
-
-class TestWandaElementwise:
-    def test_hand_case(self):
-        w = np.array([[1.0, -2.0]])
-        x_in = np.array([[3.0], [1.0]])  # feature norms [3, 1]
-        assert_close(wanda_elementwise(w, x_in), [[3.0, 2.0]], 1e-15)
-
-    def test_unit_norms_give_abs_w(self, rng):
-        w = rng.normal(size=(3, 4))
-        x_in = np.ones((4, 1))
-        assert_close(wanda_elementwise(w, x_in), np.abs(w), 1e-15)
-
-    def test_homogeneous_in_inputs(self, rng):
-        w = rng.normal(size=(3, 4))
-        x_in = rng.normal(size=(4, 6))
-        assert_close(2.0 * wanda_elementwise(w, x_in), wanda_elementwise(w, 2.0 * x_in), 1e-12)
-
-    def test_empty_calibration_rejected(self):
-        with pytest.raises(ParameterError):
-            wanda_elementwise(np.ones((2, 3)), np.ones((3, 0)))
 
 
 def per_sample_wanda_oracle(w, x_in, n_samples):
@@ -98,6 +76,10 @@ class TestWandaUnit:
         x_in = rng.normal(size=(5, 7))
         assert np.all(wanda_unit(w, x_in, "row", 7) >= 0)
 
+    def test_empty_calibration_rejected(self):
+        with pytest.raises(ParameterError):
+            wanda_unit(np.ones((2, 3)), np.ones((3, 0)), "row", 1)
+
 
 class TestMagnitude:
     def test_hand_case(self):
@@ -123,7 +105,7 @@ class TestSnip:
         model, _, cache = decoder_toy
         for i in range(len(model.blocks)):
             for scores in block_unit_scores(model, cache, i, "snip").values():
-                assert_close(scores.scores, np.zeros_like(scores.scores), 1e-9)
+                assert_close(scores, np.zeros_like(scores), 1e-9)
 
     def test_gradient_matches_finite_differences(self):
         rng = make_rng(33)
@@ -169,7 +151,7 @@ class TestSnip:
         bumped = model.copy()
         bumped.blocks[1].w1 += 0.1
         scores = block_unit_scores(bumped, cache, 1, "snip")["w1"]
-        assert np.all(scores.scores >= 0) and scores.scores.max() > 0
+        assert np.all(scores >= 0) and scores.max() > 0
 
 
 def _w1_gates(model, cache, rng, **kwargs):
@@ -331,8 +313,8 @@ class TestLayerImportance:
 class TestExportsAndDispatch:
     def test_csv_header_and_rows(self, decoder_toy):
         model, _, cache = decoder_toy
-        scores = list(block_unit_scores(model, cache, 1, "magnitude").values())
-        csv_text = export_scores_csv(scores, model)
+        scores = {1: block_unit_scores(model, cache, 1, "magnitude")}
+        csv_text = export_scores_csv(scores, "magnitude", model)
         lines = csv_text.strip().split("\n")
         assert lines[0] == "layer,block_kind,unit_axis,unit_index,criterion,score"
         assert lines[1].startswith("1,ffn,row,0,magnitude,")
@@ -362,8 +344,8 @@ class TestEquivarianceAllCriteria:
         permuted.blocks[0].w1 = base.blocks[0].w1[perm]
         cache_perm = capture_reference_activations(permuted, calib)
 
-        s_base = block_unit_scores(base, cache, 0, "snip")["w1"].scores
-        s_perm = block_unit_scores(permuted, cache_perm, 0, "snip")["w1"].scores
+        s_base = block_unit_scores(base, cache, 0, "snip")["w1"]
+        s_perm = block_unit_scores(permuted, cache_perm, 0, "snip")["w1"]
         assert_close(s_perm, s_base[perm], 1e-12)
 
         # l0 gates share the deterministic init jitter per unit slot, so
