@@ -95,6 +95,7 @@ def _real(rule: str = "", ok=lambda v: True):
 FINITE = _real()
 POSITIVE = _real(" > 0", lambda v: v > 0)
 GAMMA = _real(" in (0, 1]", lambda v: 0 < v <= 1)
+NONNEGATIVE = _real(" >= 0", lambda v: v >= 0)
 
 
 def _t_grid(text: str) -> list[float] | None:
@@ -102,7 +103,10 @@ def _t_grid(text: str) -> list[float] | None:
     auto grid."""
     if not text:
         return None
-    return [POSITIVE(tok) for tok in text.split(",") if tok.strip()]
+    grid = [POSITIVE(tok) for tok in text.split(",") if tok.strip()]
+    if not grid:
+        raise argparse.ArgumentTypeError(f"holds no temperature, got {text!r}")
+    return grid
 
 
 def build_parser() -> Parser:
@@ -156,8 +160,7 @@ def build_parser() -> Parser:
     p.add_argument("--iters", type=int, default=8, help="outer iterations")
     p.add_argument("--inner", type=int, default=30, help="gradient steps per MHA sub-solve")
     p.add_argument("--lr", type=POSITIVE, default=0.01)
-    p.add_argument("--eps", type=_real(" >= 0", lambda v: v >= 0), default=1e-6,
-                   help="ridge regularization")
+    p.add_argument("--eps", type=NONNEGATIVE, default=1e-6, help="ridge regularization")
 
     p = sub.add_parser("eval", help="measure a pruned model against its dense reference")
     common(p, model=True, calib=True)

@@ -2,9 +2,10 @@
 
 The activation-aware score `wanda_unit` averages the l1 norm of
 weight-times-input products per calibration sample. `UNIT_CRITERIA` is
-the one registry of row-unit criteria (wanda, magnitude, gradient sensitivity, learnable gates) for
-both one-shot masks and the alternating solver; the attention/MLP split
-with geometric depth decay follows.
+the one registry of row-unit criteria (wanda, magnitude, gradient
+sensitivity, learnable gates) for both one-shot masks and the
+alternating solver; the attention/MLP split with geometric depth decay
+follows.
 """
 
 from __future__ import annotations

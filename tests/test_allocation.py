@@ -327,6 +327,7 @@ class TestMaskPipeline:
         for i, block in enumerate(model.blocks):
             for name, mask in masks[i].items():
                 n = block.matrices[name].shape[0]
+                assert mask.dtype == bool and mask.shape == (n,)
                 assert mask.sum() == round_half_away(0.75 * n)
 
     def test_apply_masks_zeroes_pairs(self, decoder_toy):

@@ -409,6 +409,7 @@ ADMM_SHORT = ["--iters", "1", "--inner", "2"]
     ("admm", ["--lr", "inf", *ADMM_SHORT], None, "--lr"),
     ("sweep", ["--alpha", "nan", "--t-grid", "1"], None, "--alpha"),
     ("sweep", ["--t-grid", "nan,1"], None, "--t-grid"),
+    ("sweep", ["--t-grid", ","], None, "--t-grid"),
     ("eval", ["--alpha", "nan"], None, "--alpha"),
     ("plan", [], {"temperature": -2.0}, "--temperature"),
 ])
