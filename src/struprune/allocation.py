@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, SolverError
 from .evaluation import total_reconstruction_loss
 from .importance import MASK_BEARING, block_unit_scores, layer_importance, unit_mask
 from .linalg import softmax_vec
@@ -124,10 +124,22 @@ def unit_scores_closed_form(ctx: ClosedFormContext) -> np.ndarray:
     return s
 
 
-def closed_form_retention(ctx: ClosedFormContext) -> float:
+def closed_form_scores(model: ToyModel, cache: ActivationCache, layer: int) -> dict[str, np.ndarray]:
+    """Closed-form unit scores of every mask-bearing matrix of one block;
+    a NaN or inf score raises SolverError."""
+    scores = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in MASK_BEARING[model.blocks[layer].kind]:
+            s = scores[m] = unit_scores_closed_form(closed_form_context(model, cache, layer, m))
+            if not np.all(np.isfinite(s)):
+                raise SolverError(f"closed-form scores of layer {layer} matrix {m} are not finite")
+    return scores
+
+
+def closed_form_retention(scores: np.ndarray) -> float:
     """Mean unit score, clamped to [0, 1] (the multiplier-free derivation
     does not guarantee feasibility)."""
-    return min(max(float(unit_scores_closed_form(ctx).mean()), 0.0), 1.0)
+    return min(max(float(np.mean(scores)), 0.0), 1.0)
 
 
 def binarize_by_threshold(scores, k: int) -> np.ndarray:
@@ -284,15 +296,11 @@ def closed_form_plan(model: ToyModel, cache: ActivationCache, r_bar: float) -> S
     mean retention matches 1 - r_bar (the budget constraint), then clipped."""
     if not 0.0 < r_bar < 1.0:
         raise ParameterError(f"global sparsity target must be in (0, 1), got {r_bar}")
-    rhos, imps = [], []
-    for i, block in enumerate(model.blocks):
-        per_matrix = [
-            closed_form_retention(closed_form_context(model, cache, i, m))
-            for m in MASK_BEARING[block.kind]
-        ]
-        rhos.append(float(np.mean(per_matrix)))
-        imps.append(rhos[-1])
-    rhos = np.asarray(rhos)
+    imps = [
+        float(np.mean([closed_form_retention(s) for s in closed_form_scores(model, cache, i).values()]))
+        for i in range(len(model.blocks))
+    ]
+    rhos = np.asarray(imps)
     target = 1.0 - r_bar
     mean = rhos.mean()
     if mean > 0:
@@ -370,9 +378,8 @@ def global_closed_form_masks(
     if not 0.0 < r_bar < 1.0:
         raise ParameterError(f"global sparsity target must be in (0, 1), got {r_bar}")
     pooled = []
-    for i, block in enumerate(model.blocks):
-        for m in MASK_BEARING[block.kind]:
-            s = unit_scores_closed_form(closed_form_context(model, cache, i, m))
+    for i in range(len(model.blocks)):
+        for m, s in closed_form_scores(model, cache, i).items():
             for j, val in enumerate(s):
                 pooled.append((-float(val), i, m, j))
     pooled.sort()

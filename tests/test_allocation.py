@@ -112,20 +112,20 @@ class TestRetention:
     def test_perfect_fit(self, rng):
         b = rng.normal(size=4)
         ctx = ClosedFormContext(b, b, np.zeros(4), np.zeros(4))
-        assert abs(closed_form_retention(ctx) - 1.0) < 1e-12
+        assert abs(closed_form_retention(unit_scores_closed_form(ctx)) - 1.0) < 1e-12
 
     def test_hand_mean(self):
         ctx = ClosedFormContext([2.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
-        assert closed_form_retention(ctx) == 1.0
+        assert closed_form_retention(unit_scores_closed_form(ctx)) == 1.0
 
     def test_all_zero(self):
         ctx = ClosedFormContext([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
-        assert closed_form_retention(ctx) == 0.0
+        assert closed_form_retention(unit_scores_closed_form(ctx)) == 0.0
 
     def test_clamp_flag(self):
         ctx = ClosedFormContext([5.0], [1.0], [0.0], [0.0])
         assert unit_scores_closed_form(ctx).mean() == 5.0
-        assert closed_form_retention(ctx) == 1.0
+        assert closed_form_retention(unit_scores_closed_form(ctx)) == 1.0
 
 
 class TestRelaxedMask:
