@@ -22,7 +22,7 @@ from .allocation import SparsityPlan, binarize_by_threshold, round_half_away
 from .errors import ParameterError, SolverError
 from .importance import UNIT_CRITERIA, UNIT_OWNER, unit_mask
 from .linalg import cho_solve, make_rng, relu, ridge_solve, row_softmax
-from .model import FFN, ActivationCache, BlockActivations, ToyModel, _worker_pool
+from .model import FFN, ActivationCache, BlockActivations, ToyModel, _worker_pool, csv_text
 
 
 @dataclass
@@ -242,9 +242,9 @@ def ffn_objective(state: BlockState, rec: BlockActivations, cfg: SolverConfig, n
 # solved at once do not each hold one more ffn_dim x T array.
 
 
-def _row_blocks(n: int, rows: int = 64):
-    """Slices of `rows` consecutive rows covering range(n)."""
-    return (slice(i, i + rows) for i in range(0, n, rows))
+def _row_blocks(n: int):
+    """Slices of 64 consecutive rows covering range(n)."""
+    return (slice(i, i + 64) for i in range(0, n, 64))
 
 
 def _order(x: np.ndarray) -> str | None:
@@ -305,7 +305,7 @@ class _Residual:
 # ---------------------------------------------------------------------------
 
 
-def mha_obj_a(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len=None, resid=None) -> float:
+def mha_obj_a(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len, resid=None) -> float:
     """alpha ||a_attn - Wv a||^2 + beta ||a - softmax(z)||^2; resid(a),
     when given, returns a_attn - Wv a (a _Residual shared with the
     gradient)."""
@@ -316,7 +316,7 @@ def mha_obj_a(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len=None, resid
     return alpha * _sq(r, out=_out(d, r)) + beta * soft
 
 
-def mha_grad_a(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len=None, resid=None) -> np.ndarray:
+def mha_grad_a(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len, resid=None) -> np.ndarray:
     """-2 alpha Wv'(a_attn - Wv a) + 2 beta (a - softmax(z)); resid as in
     mha_obj_a."""
     r = _residual(a_attn, wv_eff, a) if resid is None else resid(a)
@@ -347,7 +347,7 @@ def mha_grad_attn(a_attn, wo_eff, wv_eff, a, z_next_pre, alpha, v=None, resid=No
     return np.add(g, e, out=g)
 
 
-def mha_obj_z(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len=None) -> float:
+def mha_obj_z(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len) -> float:
     """beta ||a - softmax(z)||^2 + alpha ||z - q_pre||^2 + alpha ||z - k_pre||^2."""
     phi = row_softmax(z, head_scale, seg_len)
     d = _minus(a, phi)
@@ -358,22 +358,19 @@ def mha_obj_z(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len=None) -> floa
     return beta * soft + alpha * query + alpha * _sq_owned(d)
 
 
-def mha_grad_z(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len=None) -> np.ndarray:
+def mha_grad_z(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len) -> np.ndarray:
     """Gradient of mha_obj_z: the softmax Jacobian applied per segment to
     -2 beta (a - softmax(z)), plus 2 alpha (z - q_pre) + 2 alpha (z - k_pre)."""
     phi = row_softmax(z, head_scale, seg_len)
     resid = np.subtract(a, phi)
     prod = np.multiply(resid, phi)
-    if seg_len is None:
-        np.subtract(resid, np.sum(prod, axis=1, keepdims=True), out=resid)
-    else:
-        # The plain form subtracts a C-ordered copy of inner spread over
-        # the segments, so the difference is C-ordered, and the segment
-        # reshape of a C-ordered resid is a view.
-        inner = prod.reshape(z.shape[0], -1, seg_len).sum(axis=2, keepdims=True)
-        resid = np.ascontiguousarray(resid)
-        segments = resid.reshape(inner.shape[:2] + (seg_len,))
-        np.subtract(segments, inner, out=segments)
+    # The plain form subtracts a C-ordered copy of inner spread over the
+    # segments, so the difference is C-ordered, and the segment reshape of
+    # a C-ordered resid is a view.
+    inner = prod.reshape(z.shape[0], -1, seg_len).sum(axis=2, keepdims=True)
+    resid = np.ascontiguousarray(resid)
+    segments = resid.reshape(inner.shape[:2] + (seg_len,))
+    np.subtract(segments, inner, out=segments)
     np.multiply(-(2.0 * beta / head_scale), phi, out=phi)
     g = np.multiply(phi, resid, out=_out(phi, phi, resid))
     for pre in (q_pre, k_pre):
@@ -411,7 +408,7 @@ def _spectral_sq(w: np.ndarray) -> float:
 
 
 def mha_update(
-    state: BlockState, rec: BlockActivations, cfg: SolverConfig, seg_len: int | None = None
+    state: BlockState, rec: BlockActivations, cfg: SolverConfig, seg_len: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three sequential gradient sub-solves: a, then a_attn, then z.
     The query and key branches share the single z iterate."""
@@ -485,8 +482,7 @@ def mha_prune_step(
 
 
 def mha_objective(
-    state: BlockState, rec: BlockActivations, cfg: SolverConfig, n_samples: int,
-    seg_len: int | None = None,
+    state: BlockState, rec: BlockActivations, cfg: SolverConfig, n_samples: int, seg_len: int
 ) -> float:
     head_scale = float(np.sqrt(state.w_hat["wq"].shape[0] // state.num_heads))
     q_pre = state.effective("wq") @ rec.input_pre
@@ -631,7 +627,4 @@ def _masked_model(model: ToyModel, states: list[BlockState]) -> ToyModel:
 
 
 def export_trace_csv(trace: list[tuple[int, int, str, float]]) -> str:
-    lines = ["iteration,layer,block_kind,objective"]
-    for it, layer, kind, obj in trace:
-        lines.append(f"{it},{layer},{kind},{obj!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["iteration", "layer", "block_kind", "objective"], trace)

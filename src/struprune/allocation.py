@@ -15,10 +15,8 @@ lower. Plan entries always carry both; mask construction consumes rho.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .errors import ParameterError, SolverError
 from .evaluation import total_reconstruction_loss
 from .importance import MASK_BEARING, block_unit_scores, layer_importance, unit_mask
 from .linalg import softmax_vec
-from .model import FFN, MHA, ActivationCache, ToyModel, _worker_pool
+from .model import FFN, MHA, ActivationCache, ToyModel, _worker_pool, csv_text
 
 SPARSITY_CAP = 0.95
 
@@ -85,8 +83,8 @@ def closed_form_context(
 ) -> ClosedFormContext:
     """Build the per-unit context for one mask-bearing matrix from model
     state, averaging the bracketed products over calibration tokens. The
-    product on the frozen input comes from the cache when the matrix's
-    rows are dense rows or zero (BlockActivations.product).
+    products on the frozen inputs come from the cache when the matrix's
+    rows are dense rows or zero (BlockActivations.product_rows).
 
     The coupling term d needs a downstream matrix acting on this matrix's
     output units; that product only conforms on a square chain, so it is
@@ -99,19 +97,20 @@ def closed_form_context(
         matrix = MASK_BEARING[block.kind][0]
     if matrix not in MASK_BEARING[block.kind]:
         raise ParameterError(f"matrix {matrix!r} carries no unit mask on a {block.kind} block")
-    c = rec.product(matrix, block.matrices[matrix]).mean(axis=1)
+    c = _mean_product(rec, matrix, block.matrices[matrix])
     b = c.copy()  # the teacher is the matrix itself: the same product
-    n = b.size
-    square_ffn = (
-        block.kind == FFN and matrix == "w1" and model.arch.ffn_dim == model.arch.d
-    )
-    if square_ffn:
-        d_vec = (block.w2 @ rec.a_pre).mean(axis=1)
-        z_pre = rec.out_pre.mean(axis=1)
-    else:
-        d_vec = np.zeros(n)
-        z_pre = np.zeros(n)
-    return ClosedFormContext(b, c, d_vec, z_pre)
+    if block.kind == FFN and matrix == "w1" and model.arch.ffn_dim == model.arch.d:
+        return ClosedFormContext(b, c, _mean_product(rec, "w2", block.w2), rec.out_pre.mean(axis=1))
+    return ClosedFormContext(b, c, np.zeros(b.size), np.zeros(b.size))
+
+
+def _mean_product(rec, matrix: str, w: np.ndarray) -> np.ndarray:
+    """Per-row token mean of w @ x on the frozen input x of `matrix`."""
+    prod, zero = rec.product_rows(matrix, w)
+    mean = prod.mean(axis=1)
+    if zero is not None:
+        mean[zero] = 0.0
+    return mean
 
 
 def unit_scores_closed_form(ctx: ClosedFormContext) -> np.ndarray:
@@ -185,6 +184,11 @@ class SparsityPlan:
         raise ParameterError(f"plan has no entry for layer {layer}")
 
 
+def _check_target(r_bar: float) -> None:
+    if not 0.0 < r_bar < 1.0:
+        raise ParameterError(f"global sparsity target must be in (0, 1), got {r_bar}")
+
+
 def _entry(layer, kind, imp, temp, sparsity, allocator) -> PlanEntry:
     retention = 1.0 - min(max(sparsity, 0.0), 1.0)
     return PlanEntry(layer, kind, float(imp), float(temp), retention, float(sparsity), allocator)
@@ -195,7 +199,6 @@ def softmax_allocate(
     r_bar: float,
     temperature: float,
     kinds: list[str] | None = None,
-    allocator: str = "softmax",
 ) -> SparsityPlan:
     """Raw energy allocation: sparsity_l = r_bar * L * softmax(-I/T).
 
@@ -205,32 +208,31 @@ def softmax_allocate(
     n_layers = imps.size
     if n_layers == 0:
         raise ParameterError("allocation needs at least one layer")
-    if not 0.0 < r_bar < 1.0:
-        raise ParameterError(f"global sparsity target must be in (0, 1), got {r_bar}")
+    _check_target(r_bar)
     weights = softmax_vec(imps, temperature)
     raw = r_bar * n_layers * weights
     if kinds is None:
         kinds = [""] * n_layers
     entries = [
-        _entry(i, kinds[i], imps[i], temperature, raw[i], allocator) for i in range(n_layers)
+        _entry(i, kinds[i], imps[i], temperature, raw[i], "softmax") for i in range(n_layers)
     ]
     return SparsityPlan(entries)
 
 
-def post_correct(plan: SparsityPlan, r_bar: float, cap: float = SPARSITY_CAP) -> SparsityPlan:
-    """Clip to [0, cap]; only when no entry exceeded the cap, rescale all
-    entries by r_bar / mean and clip once more."""
+def post_correct(plan: SparsityPlan, r_bar: float) -> SparsityPlan:
+    """Clip to [0, SPARSITY_CAP]; only when no entry exceeded the cap,
+    rescale all entries by r_bar / mean and clip once more."""
     if not plan.entries:
         raise ParameterError("plan is empty")
     raw = plan.sparsities()
-    clipped = np.clip(raw, 0.0, cap)
-    cap_hit = bool(np.any(raw > cap))
+    clipped = np.clip(raw, 0.0, SPARSITY_CAP)
+    cap_hit = bool(np.any(raw > SPARSITY_CAP))
     if not cap_hit:
         mean = clipped.mean()
         if mean == 0.0 and r_bar != 0.0:
             raise ParameterError("cannot rescale a plan with zero mean sparsity")
         rescaled = clipped * (r_bar / mean)
-        clipped = np.clip(rescaled, 0.0, cap)
+        clipped = np.clip(rescaled, 0.0, SPARSITY_CAP)
     entries = [
         replace(
             e,
@@ -248,15 +250,13 @@ def inverse_weight_allocate(
     mlp_importances,
     r_bar: float,
     temperature: float,
-    cap: float = SPARSITY_CAP,
     attn_layers: list[int] | None = None,
     mlp_layers: list[int] | None = None,
 ) -> SparsityPlan:
     """Per-family inverse weighting: sparsity_l = clip(r_bar * L_f *
-    (1 - w_l) / sum_j (1 - w_j), 0, cap) with w the negative softmax of
+    (1 - w_l) / sum_j (1 - w_j), 0, SPARSITY_CAP) with w the negative softmax of
     the family's importances."""
-    if not 0.0 < r_bar < 1.0:
-        raise ParameterError(f"global sparsity target must be in (0, 1), got {r_bar}")
+    _check_target(r_bar)
     entries: list[PlanEntry] = []
     families = [
         (MHA, np.asarray(attn_importances, dtype=np.float64).ravel(), attn_layers),
@@ -273,7 +273,7 @@ def inverse_weight_allocate(
         w = softmax_vec(imps, temperature)
         inv = 1.0 - w
         raw = r_bar * n_family * inv / inv.sum()
-        vals = np.clip(raw, 0.0, cap)
+        vals = np.clip(raw, 0.0, SPARSITY_CAP)
         for i in range(n_family):
             entries.append(
                 _entry(layers[i], kind, imps[i], temperature, vals[i], "inverse-weight")
@@ -283,8 +283,7 @@ def inverse_weight_allocate(
 
 
 def uniform_plan(model: ToyModel, r_bar: float, allocator: str = "uniform") -> SparsityPlan:
-    if not 0.0 < r_bar < 1.0:
-        raise ParameterError(f"global sparsity target must be in (0, 1), got {r_bar}")
+    _check_target(r_bar)
     entries = [
         _entry(i, b.kind, 0.0, 0.0, r_bar, allocator) for i, b in enumerate(model.blocks)
     ]
@@ -294,8 +293,7 @@ def uniform_plan(model: ToyModel, r_bar: float, allocator: str = "uniform") -> S
 def closed_form_plan(model: ToyModel, cache: ActivationCache, r_bar: float) -> SparsityPlan:
     """Retention per block from the closed-form mean score, rescaled so
     mean retention matches 1 - r_bar (the budget constraint), then clipped."""
-    if not 0.0 < r_bar < 1.0:
-        raise ParameterError(f"global sparsity target must be in (0, 1), got {r_bar}")
+    _check_target(r_bar)
     imps = [
         float(np.mean([closed_form_retention(s) for s in closed_form_scores(model, cache, i).values()]))
         for i in range(len(model.blocks))
@@ -374,30 +372,23 @@ def global_closed_form_masks(
     model: ToyModel, cache: ActivationCache, r_bar: float
 ) -> tuple[dict[int, dict[str, np.ndarray]], SparsityPlan]:
     """Single global threshold over all closed-form scores with a floored
-    budget K = floor(retention * total_units); returns the induced plan."""
-    if not 0.0 < r_bar < 1.0:
-        raise ParameterError(f"global sparsity target must be in (0, 1), got {r_bar}")
-    pooled = []
-    for i in range(len(model.blocks)):
-        for m, s in closed_form_scores(model, cache, i).items():
-            for j, val in enumerate(s):
-                pooled.append((-float(val), i, m, j))
-    pooled.sort()
-    budget = int(math.floor((1.0 - r_bar) * len(pooled)))
-    keep = set((i, m, j) for _, i, m, j in pooled[:budget])
-    masks: dict[int, dict[str, np.ndarray]] = {}
-    entries = []
-    for i, block in enumerate(model.blocks):
-        per_matrix = {}
-        kept_counts = []
-        for m in MASK_BEARING[block.kind]:
-            n = block.matrices[m].shape[0]
-            bits = np.array([(i, m, j) in keep for j in range(n)])
-            per_matrix[m] = bits
-            kept_counts.append(bits.mean())
-        masks[i] = per_matrix
-        rho = float(np.mean(kept_counts))
-        entries.append(_entry(i, block.kind, 0.0, 0.0, 1.0 - rho, "closed-form-global"))
+    budget K = floor(retention * total_units); returns the induced plan.
+    Ties keep the unit first in (block, sorted matrix name, unit index)
+    order."""
+    _check_target(r_bar)
+    scores = [closed_form_scores(model, cache, i) for i in range(len(model.blocks))]
+    keys = [(i, m) for i, per_matrix in enumerate(scores) for m in sorted(per_matrix)]
+    pooled = [scores[i][m] for i, m in keys]
+    bits = binarize_by_threshold(
+        np.concatenate(pooled), int(math.floor((1.0 - r_bar) * sum(s.size for s in pooled)))
+    )
+    kept = dict(zip(keys, np.split(bits, np.cumsum([s.size for s in pooled])[:-1])))
+    masks = {i: {m: kept[i, m] for m in per_matrix} for i, per_matrix in enumerate(scores)}
+    entries = [
+        _entry(i, block.kind, 0.0, 0.0, 1.0 - float(np.mean([b.mean() for b in masks[i].values()])),
+               "closed-form-global")
+        for i, block in enumerate(model.blocks)
+    ]
     return masks, SparsityPlan(entries)
 
 
@@ -467,30 +458,8 @@ def temperature_sweep(
 
 
 def export_plan_csv(plan: SparsityPlan) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["layer", "block_kind", "importance", "temperature", "retention", "sparsity", "allocator"]
-    )
-    for e in plan.entries:
-        writer.writerow(
-            [
-                e.layer,
-                e.block_kind,
-                repr(e.importance),
-                repr(e.temperature),
-                repr(e.retention),
-                repr(e.sparsity),
-                e.allocator,
-            ]
-        )
-    return buf.getvalue()
+    return csv_text([f.name for f in fields(PlanEntry)], map(astuple, plan.entries))
 
 
 def export_sweep_csv(table: list[tuple[float, float]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["temperature", "total_loss"])
-    for temp, loss in table:
-        writer.writerow([repr(float(temp)), repr(float(loss))])
-    return buf.getvalue()
+    return csv_text(["temperature", "total_loss"], table)

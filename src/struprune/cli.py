@@ -255,7 +255,6 @@ def cmd_plan(args) -> int:
 
     model, _, cache = _load_inputs(args)
     plan = _make_plan(args, model, cache)
-    os.makedirs(args.out, exist_ok=True)
     write_atomic(os.path.join(args.out, "plan.csv"), allocation.export_plan_csv(plan).encode())
     criterion = MASK_CRITERION_FOR_METHOD[args.method]
     if criterion != "closed-form":
@@ -339,7 +338,6 @@ def cmd_eval(args) -> int:
         },
         wall_time_s=time.perf_counter() - started,
     )
-    os.makedirs(args.out, exist_ok=True)
     write_atomic(os.path.join(args.out, "report.json"), report.to_json().encode())
     rows = evaluation.memory_report()
     write_atomic(os.path.join(args.out, "memory.csv"), evaluation.export_memory_csv(rows).encode())
@@ -364,7 +362,6 @@ def cmd_sweep(args) -> int:
         alpha=args.alpha,
         threads=args.threads,
     )
-    os.makedirs(args.out, exist_ok=True)
     write_atomic(os.path.join(args.out, "sweep.csv"), allocation.export_sweep_csv(table).encode())
     write_atomic(os.path.join(args.out, "plan.csv"), allocation.export_plan_csv(plan).encode())
     print(repr(best_t))
@@ -373,7 +370,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_memory(args) -> int:
     rows = evaluation.memory_report()
-    os.makedirs(args.out, exist_ok=True)
     write_atomic(os.path.join(args.out, "memory.csv"), evaluation.export_memory_csv(rows).encode())
     write_atomic(
         os.path.join(args.out, "module_split.csv"),

@@ -9,9 +9,6 @@ printed value.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +26,8 @@ from .model import (
     _token_tiles,
     _worker_pool,
     calibration_input,
+    csv_text,
+    json_text,
 )
 
 
@@ -211,11 +210,9 @@ OPT_CONFIGS = [
 ]
 
 
-def memory_report(configs: list[MemoryConfig] | None = None) -> list[MemoryRow]:
-    if configs is None:
-        configs = OPT_CONFIGS
+def memory_report() -> list[MemoryRow]:
     rows = []
-    for cfg in configs:
+    for cfg in OPT_CONFIGS:
         params_m = round(cfg.total_params / cfg.num_layers / 1e6, 1)
         mem_mb = round(params_m * 2.0, 1)  # FP16: two bytes per parameter
         ffn = 8 * cfg.hidden_dim * cfg.hidden_dim
@@ -236,24 +233,19 @@ def memory_report(configs: list[MemoryConfig] | None = None) -> list[MemoryRow]:
 
 
 def export_memory_csv(rows: list[MemoryRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["Model", "Tot. Params", "#Layers", "Params/L (M)", "Mem/L (MB)"])
-    for r in rows:
-        writer.writerow(
-            [r.name, r.total_display, r.num_layers, f"{r.params_per_layer_m:.1f}", f"{r.mem_per_layer_mb:.1f}"]
-        )
-    return buf.getvalue()
+    return csv_text(
+        ["Model", "Tot. Params", "#Layers", "Params/L (M)", "Mem/L (MB)"],
+        ((r.name, r.total_display, r.num_layers, f"{r.params_per_layer_m:.1f}",
+          f"{r.mem_per_layer_mb:.1f}") for r in rows),
+    )
 
 
 def export_module_split_csv(rows: list[MemoryRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["Model", "Hidden Size d", "FFN Params (8d^2)", "MHA Params (4d^2)", "FFN:MHA Ratio"])
-    for r in rows:
-        d = int(round(math.sqrt(r.ffn_params / 8)))
-        writer.writerow([r.name, f"{d:,}", f"{r.ffn_params:,}", f"{r.mha_params:,}", f"{r.ratio:.2f}"])
-    return buf.getvalue()
+    return csv_text(
+        ["Model", "Hidden Size d", "FFN Params (8d^2)", "MHA Params (4d^2)", "FFN:MHA Ratio"],
+        ((r.name, f"{int(round(math.sqrt(r.ffn_params / 8))):,}", f"{r.ffn_params:,}",
+          f"{r.mha_params:,}", f"{r.ratio:.2f}") for r in rows),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -285,4 +277,4 @@ class EvalReport:
             "pseudo_perplexity": self.pseudo_perplexity,
             "config": self.config,
         }
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json_text(payload)

@@ -10,8 +10,6 @@ follows.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import partial
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .linalg import frobenius
-from .model import FFN, MATRIX_IO, MHA, ActivationCache, FfnBlock, MhaBlock, ToyModel
+from .model import FFN, MATRIX_IO, MHA, ActivationCache, FfnBlock, MhaBlock, ToyModel, csv_text
 
 ROW = "row"
 COL = "col"
@@ -102,14 +100,6 @@ def reconstruction_gradient(
     return (2.0 / float(n_samples)) * residual @ x_in.T
 
 
-def _matrix_io(rec, matrix: str) -> tuple[np.ndarray, np.ndarray]:
-    """Input activations and dense-reference target for one matrix."""
-    if matrix not in MATRIX_IO:
-        raise ParameterError(f"unknown matrix {matrix!r}")
-    x_name, target_name = MATRIX_IO[matrix]
-    return getattr(rec, x_name), getattr(rec, target_name)
-
-
 # ---------------------------------------------------------------------------
 # Row-unit criteria: criterion(w, x_in, target, n_samples, rng) -> scores
 # ---------------------------------------------------------------------------
@@ -164,7 +154,7 @@ def _score_matrix(
     """Row-unit scores of one mask-bearing matrix against its
     dense-reference product."""
     rec = cache.blocks[block_index]
-    x_in, target = _matrix_io(rec, matrix)
+    x_in, target = (getattr(rec, name) for name in MATRIX_IO[matrix])
     score = UNIT_CRITERIA[criterion]
     if criterion == "wanda":  # the input statistic is frozen with the cache
         score = partial(score, x_l1=rec.col_l1(MATRIX_IO[matrix][0]))
@@ -235,9 +225,9 @@ def layer_importance(
             rec = cache.blocks[i]
             pooled: list[np.ndarray] = []
             for name, w in block.matrices.items():
-                x_in, _ = _matrix_io(rec, name)
-                x_l1 = rec.col_l1(MATRIX_IO[name][0])
-                pooled.append(wanda_unit(w, x_in, DEFAULT_AXES[name], cache.n_samples, x_l1))
+                x_name = MATRIX_IO[name][0]
+                pooled.append(wanda_unit(w, getattr(rec, x_name), DEFAULT_AXES[name],
+                                         cache.n_samples, rec.col_l1(x_name)))
             value = float(np.concatenate(pooled).mean())
             out.append(LayerImportance(i, block.kind, value))
         return out
@@ -271,12 +261,10 @@ def export_scores_csv(
 ) -> str:
     """CSV with columns layer,block_kind,unit_axis,unit_index,criterion,score
     from {block: block_unit_scores(...)}; every unit is a row unit."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["layer", "block_kind", "unit_axis", "unit_index", "criterion", "score"])
-    for i, per_matrix in scores.items():
-        kind = model.blocks[i].kind
-        for s in per_matrix.values():
-            for idx, score in enumerate(s):
-                writer.writerow([i, kind, ROW, idx, criterion, repr(float(score))])
-    return buf.getvalue()
+    rows = (
+        (i, model.blocks[i].kind, ROW, idx, criterion, score)
+        for i, per_matrix in scores.items()
+        for s in per_matrix.values()
+        for idx, score in enumerate(s)
+    )
+    return csv_text(["layer", "block_kind", "unit_axis", "unit_index", "criterion", "score"], rows)

@@ -9,6 +9,8 @@ each block's output straight into the next.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -397,18 +399,6 @@ class BlockActivations:
             return w @ x, None
         return frozen, zero
 
-    def product(self, matrix: str, w: np.ndarray) -> np.ndarray:
-        """w @ x for the frozen input x of `matrix`, read from the frozen
-        product when product_rows allows. The frozen array itself comes
-        back (read-only) when w is the dense matrix; every other result is
-        a fresh array."""
-        prod, zero = self.product_rows(matrix, w)
-        if zero is None:
-            return prod
-        out = prod.copy()
-        out[zero] = 0.0
-        return out
-
 
 @dataclass
 class ActivationCache:
@@ -455,9 +445,25 @@ def write_atomic(path: str, data: bytes):
         raise
 
 
+def csv_text(header: list[str], rows) -> str:
+    """The CSV artifact format: one header line, "\n" line ends, every
+    float written as repr(float(v))."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+    return buf.getvalue()
+
+
+def json_text(obj) -> str:
+    """The JSON artifact format: sorted keys, two-space indent, a final
+    newline."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_json_atomic(path: str, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    write_atomic(path, (text + "\n").encode("utf-8"))
+    write_atomic(path, json_text(obj).encode("utf-8"))
 
 
 def _blob_bytes(mat: np.ndarray) -> bytes:

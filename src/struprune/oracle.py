@@ -291,12 +291,12 @@ def _sq(arr):
     return float(np.sum(arr * arr))
 
 
-def mha_obj_a_reference(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len=None):
+def mha_obj_a_reference(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len):
     phi = row_softmax_reference(z, head_scale, seg_len)
     return alpha * _sq(a_attn - wv_eff @ a) + beta * _sq(a - phi)
 
 
-def mha_grad_a_reference(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len=None):
+def mha_grad_a_reference(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len):
     phi = row_softmax_reference(z, head_scale, seg_len)
     return -2.0 * alpha * wv_eff.T @ (a_attn - wv_eff @ a) + 2.0 * beta * (a - phi)
 
@@ -311,20 +311,17 @@ def mha_grad_attn_reference(a_attn, wo_eff, wv_eff, a, z_next_pre, alpha):
     )
 
 
-def mha_obj_z_reference(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len=None):
+def mha_obj_z_reference(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len):
     phi = row_softmax_reference(z, head_scale, seg_len)
     return beta * _sq(a - phi) + alpha * _sq(z - q_pre) + alpha * _sq(z - k_pre)
 
 
-def mha_grad_z_reference(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len=None):
+def mha_grad_z_reference(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len):
     phi = row_softmax_reference(z, head_scale, seg_len)
     resid = a - phi
-    if seg_len is None:
-        inner = np.sum(resid * phi, axis=1, keepdims=True)
-    else:
-        shaped = (resid * phi).reshape(z.shape[0], -1, seg_len)
-        inner = shaped.sum(axis=2, keepdims=True)
-        inner = np.broadcast_to(inner, shaped.shape).reshape(z.shape)
+    shaped = (resid * phi).reshape(z.shape[0], -1, seg_len)
+    inner = shaped.sum(axis=2, keepdims=True)
+    inner = np.broadcast_to(inner, shaped.shape).reshape(z.shape)
     soft_grad = -(2.0 * beta / head_scale) * phi * (resid - inner)
     return soft_grad + 2.0 * alpha * (z - q_pre) + 2.0 * alpha * (z - k_pre)
 

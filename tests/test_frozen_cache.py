@@ -94,8 +94,8 @@ class TestLossBits:
                 w[j, 0] = np.nextafter(w[j, 0], np.inf)
             rec = cache.blocks[i]
             x_name, prod_name = MATRIX_IO[name]
-            got = rec.product(name, w)
-            assert got.tobytes() == (w @ getattr(rec, x_name)).tobytes()
+            got, zero = rec.product_rows(name, w)
+            assert zero is None and got.tobytes() == (w @ getattr(rec, x_name)).tobytes()
             assert not np.array_equal(got[j], getattr(rec, prod_name)[j])
         assert_same_loss(pruned, cache)
 
@@ -118,7 +118,8 @@ class TestProduct:
         model, _, cache = decoder_toy
         for i, name, w in row_unit_matrices(model):
             rec = cache.blocks[i]
-            assert rec.product(name, w) is getattr(rec, MATRIX_IO[name][1])
+            prod, zero = rec.product_rows(name, w)
+            assert prod is getattr(rec, MATRIX_IO[name][1]) and zero is None
 
     def test_zero_rows_read_frozen_rows(self, ffn_toy):
         # A marker in place of the frozen product shows which rows the
@@ -130,21 +131,22 @@ class TestProduct:
                                  dense=rec.dense)
         w = model.blocks[0].w1.copy()
         w[::3] = -0.0
-        got = probe.product("w1", w)
-        zero = np.arange(len(w)) % 3 == 0
-        assert np.array_equal(got[~zero], marker[~zero])
-        assert not np.any(got[zero]) and not np.any(np.signbit(got[zero]))
-        assert got.flags.writeable and got.flags.c_contiguous
-        assert rec.product("w1", w).tobytes() == (w @ rec.input_pre).tobytes()
+        prod, zero = probe.product_rows("w1", w)
+        assert prod is marker and np.array_equal(zero, np.arange(len(w)) % 3 == 0)
+        # The flagged rows of the frozen product, read as +0.0, are the GEMM.
+        prod, zero = rec.product_rows("w1", w)
+        got = prod.copy()
+        got[zero] = 0.0
+        assert got.tobytes() == (w @ rec.input_pre).tobytes()
 
     def test_layout_or_unknown_dense_takes_gemm(self, ffn_toy):
         model, _, cache = ffn_toy
         rec = cache.blocks[0]
         w = np.asfortranarray(model.blocks[0].w1)
-        got = rec.product("w1", w)
-        assert got is not rec.z_pre and np.array_equal(got, w @ rec.input_pre)
+        got, zero = rec.product_rows("w1", w)
+        assert got is not rec.z_pre and zero is None and np.array_equal(got, w @ rec.input_pre)
         bare = BlockActivations(FFN, rec.input_pre, rec.z_pre, rec.a_pre, rec.out_pre, None)
-        assert bare.product("w1", model.blocks[0].w1) is not rec.z_pre
+        assert bare.product_rows("w1", model.blocks[0].w1)[0] is not rec.z_pre
 
     def test_non_finite_input_takes_gemm(self):
         x = np.array([[1.0, np.inf], [2.0, 3.0]])
@@ -154,8 +156,8 @@ class TestProduct:
         w = dense.copy()
         w[1] = 0.0
         with np.errstate(invalid="ignore"):  # 0 * inf
-            got = rec.product("w1", w)
-        assert np.isnan(got[1, 1]) and np.array_equal(got[0], frozen[0])
+            got, zero = rec.product_rows("w1", w)
+        assert zero is None and np.isnan(got[1, 1]) and np.array_equal(got[0], frozen[0])
 
 
 class TestClosedFormContextBits:
