@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.linalg
 
 from .allocation import SparsityPlan, binarize_by_threshold, round_half_away
-from .errors import ParameterError, SolverError
+from .errors import ParameterError, SingularSystemError, SolverError
 from .importance import UNIT_CRITERIA, UNIT_OWNER, unit_mask
-from .linalg import cho_solve, make_rng, relu, ridge_solve, row_softmax
+from .linalg import _cholesky, cho_solve, make_rng, relu, ridge_solve, row_softmax
 from .model import FFN, ActivationCache, BlockActivations, ToyModel, _worker_pool, csv_text
 
 
@@ -190,7 +189,7 @@ def ffn_update_activation(
     np.multiply(beta, act, out=act)
     np.add(rhs, act, out=rhs)
     del act  # freed before the solve copies rhs
-    factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+    factor = _cholesky(gram, f"activation update Gram matrix not positive definite at --beta {beta:g}")
     return cho_solve(factor, rhs)
 
 
@@ -531,39 +530,43 @@ def solve_block(
     against its frozen reference record; returns the block's trace rows
     and its post-prune objective at iteration 1. The iterates are
     released on return, so a block holds solver memory only while it is
-    being solved."""
+    being solved. Overflow is caught by the finiteness checks, not warned
+    about (np.errstate is per thread)."""
     trace = []
     initial_loss = 0.0
     try:
-        for it in range(1, cfg.outer_iters + 1):
-            state.iteration = it
-            if state.kind == FFN:
-                ffn_prune_step(state, rec, cfg, n_samples, rng)
-                if it == 1:
-                    initial_loss = ffn_objective(state, rec, cfg, n_samples)
-                state.a = None  # not read by the update; not kept alive through it
-                state.a = ffn_update_activation(
-                    state.effective("w2"), rec.out_pre, state.z, cfg.alpha, cfg.beta
-                )
-                state.z = ffn_update_output(
-                    state.effective("w1"), rec.input_pre, state.a, state.z, cfg.alpha, cfg.beta
-                )
-                state.teacher["w1"] = recover_weights(state.z, rec.input_pre, cfg.ridge_eps)
-                state.teacher["w2"] = recover_weights(rec.out_pre, state.a, cfg.ridge_eps)
-                objective = ffn_objective(state, rec, cfg, n_samples)
-            else:
-                mha_prune_step(state, rec, cfg, n_samples, rng)
-                if it == 1:
-                    initial_loss = mha_objective(state, rec, cfg, n_samples, seq_len)
-                mha_update(state, rec, cfg, seq_len)
-                wqk = recover_weights(state.z, rec.input_pre, cfg.ridge_eps)
-                state.teacher["wq"] = state.teacher["wk"] = wqk
-                state.teacher["wv"] = recover_weights(state.a_attn, state.a, cfg.ridge_eps)
-                state.teacher["wo"] = recover_weights(rec.out_pre, state.a_attn, cfg.ridge_eps)
-                objective = mha_objective(state, rec, cfg, n_samples, seq_len)
-            if not np.isfinite(objective):
-                raise SolverError(f"non-finite objective at layer {state.layer}, iteration {it}")
-            trace.append((it, state.layer, state.kind, objective))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for it in range(1, cfg.outer_iters + 1):
+                state.iteration = it
+                if state.kind == FFN:
+                    ffn_prune_step(state, rec, cfg, n_samples, rng)
+                    if it == 1:
+                        initial_loss = ffn_objective(state, rec, cfg, n_samples)
+                    state.a = None  # not read by the update; not kept alive through it
+                    state.a = ffn_update_activation(
+                        state.effective("w2"), rec.out_pre, state.z, cfg.alpha, cfg.beta
+                    )
+                    state.z = ffn_update_output(
+                        state.effective("w1"), rec.input_pre, state.a, state.z, cfg.alpha, cfg.beta
+                    )
+                    state.teacher["w1"] = recover_weights(state.z, rec.input_pre, cfg.ridge_eps)
+                    state.teacher["w2"] = recover_weights(rec.out_pre, state.a, cfg.ridge_eps)
+                    objective = ffn_objective(state, rec, cfg, n_samples)
+                else:
+                    mha_prune_step(state, rec, cfg, n_samples, rng)
+                    if it == 1:
+                        initial_loss = mha_objective(state, rec, cfg, n_samples, seq_len)
+                    mha_update(state, rec, cfg, seq_len)
+                    wqk = recover_weights(state.z, rec.input_pre, cfg.ridge_eps)
+                    state.teacher["wq"] = state.teacher["wk"] = wqk
+                    state.teacher["wv"] = recover_weights(state.a_attn, state.a, cfg.ridge_eps)
+                    state.teacher["wo"] = recover_weights(rec.out_pre, state.a_attn, cfg.ridge_eps)
+                    objective = mha_objective(state, rec, cfg, n_samples, seq_len)
+                if not np.isfinite(objective):
+                    raise SolverError(f"non-finite objective at layer {state.layer}, iteration {it}")
+                trace.append((it, state.layer, state.kind, objective))
+    except SingularSystemError as exc:
+        raise SingularSystemError(f"layer {state.layer}: {exc}") from exc
     finally:
         state.z = state.a = state.a_attn = None
     return trace, initial_loss

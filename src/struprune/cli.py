@@ -70,11 +70,20 @@ def _setup_logging():
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type of an int flag: an integer >= low."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+POSITIVE_INT = _int_at_least(1)
+NONNEGATIVE_INT = _int_at_least(0)
 
 
 def _real(rule: str = "", ok=lambda v: True):
@@ -92,10 +101,10 @@ def _real(rule: str = "", ok=lambda v: True):
     return real
 
 
-FINITE = _real()
 POSITIVE = _real(" > 0", lambda v: v > 0)
 GAMMA = _real(" in (0, 1]", lambda v: 0 < v <= 1)
 NONNEGATIVE = _real(" >= 0", lambda v: v >= 0)
+FRACTION = _real(" in (0, 1)", lambda v: 0 < v < 1)
 
 
 def _t_grid(text: str) -> list[float] | None:
@@ -116,16 +125,16 @@ def build_parser() -> Parser:
     def common(p, model=False, calib=False, method=False, out=True, seed=True, threads=True):
         p.add_argument("--config", help="JSON file with flag defaults; explicit flags win")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
         if threads:
-            p.add_argument("--threads", type=_positive_int, default=1)
+            p.add_argument("--threads", type=POSITIVE_INT, default=1)
         if model:
             p.add_argument("--model", required=True, help="model directory")
         if calib:
             p.add_argument("--calib", required=True, help="calibration directory")
         if method:
             p.add_argument("--method", choices=METHODS, default="softmax")
-            p.add_argument("--sparsity", type=FINITE, default=0.3, help="global sparsity target")
+            p.add_argument("--sparsity", type=FRACTION, default=0.3, help="fraction of units to prune, in (0, 1)")
             p.add_argument("--temperature", type=POSITIVE, default=None)
             p.add_argument("--gamma", type=GAMMA, default=1.0, help="depth decay factor")
             p.add_argument("--rho", type=POSITIVE, default=1.0, help="attention/MLP importance ratio")
@@ -134,17 +143,17 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("gen", help="generate a seeded toy model")
     common(p)
-    p.add_argument("--d", type=int, default=16)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--ffn-dim", type=int, default=0, help="0 selects the 4*d default")
-    p.add_argument("--vocab", type=int, default=0)
+    p.add_argument("--d", type=POSITIVE_INT, default=16)
+    p.add_argument("--layers", type=POSITIVE_INT, default=2)
+    p.add_argument("--heads", type=POSITIVE_INT, default=2)
+    p.add_argument("--ffn-dim", type=NONNEGATIVE_INT, default=0, help="0 selects the 4*d default")
+    p.add_argument("--vocab", type=NONNEGATIVE_INT, default=0)
     p.add_argument("--layout", choices=("decoder", "ffn", "mha"), default="decoder")
 
     p = sub.add_parser("calibrate", help="generate a seeded calibration set")
     common(p, model=True)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--seq-len", type=int, default=16)
+    p.add_argument("--n", type=POSITIVE_INT, default=8)
+    p.add_argument("--seq-len", type=POSITIVE_INT, default=16)
     p.add_argument("--kind", choices=("dense", "tokens"), default="dense")
 
     p = sub.add_parser("plan", help="compute a sparsity plan")
@@ -157,8 +166,8 @@ def build_parser() -> Parser:
     common(p, model=True, calib=True, method=True)
     p.add_argument("--alpha", type=POSITIVE, default=1.0)
     p.add_argument("--beta", type=POSITIVE, default=1.0)
-    p.add_argument("--iters", type=int, default=8, help="outer iterations")
-    p.add_argument("--inner", type=int, default=30, help="gradient steps per MHA sub-solve")
+    p.add_argument("--iters", type=POSITIVE_INT, default=8, help="outer iterations")
+    p.add_argument("--inner", type=NONNEGATIVE_INT, default=30, help="gradient steps per MHA sub-solve")
     p.add_argument("--lr", type=POSITIVE, default=0.01)
     p.add_argument("--eps", type=NONNEGATIVE, default=1e-6, help="ridge regularization")
 
@@ -170,7 +179,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("sweep", help="temperature grid search")
     common(p, model=True, calib=True)
     p.add_argument("--allocator", choices=("softmax", "inverse-weight"), default="softmax")
-    p.add_argument("--sparsity", type=FINITE, default=0.3)
+    p.add_argument("--sparsity", type=FRACTION, default=0.3)
     p.add_argument("--t-grid", type=_t_grid, default="",
                    help="comma-separated temperatures; empty = auto grid")
     p.add_argument("--alpha", type=POSITIVE, default=1.0)

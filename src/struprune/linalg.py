@@ -62,16 +62,19 @@ def ridge_solve(a: np.ndarray, b: np.ndarray, eps: float = 0.0) -> np.ndarray:
                 f"normal equations singular at eps=0 (cond={cond:.3e}); pass eps > 0"
             )
     rhs = a.T @ b
-    try:
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "Cholesky factorization failed; pass eps > 0"
-        ) from exc
-    x = cho_solve(factor, rhs)
+    x = cho_solve(_cholesky(gram, "Cholesky factorization failed; pass eps > 0"), rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("ridge_solve produced non-finite entries; pass eps > 0")
     return x
+
+
+def _cholesky(gram: np.ndarray, failure: str) -> tuple[np.ndarray, bool]:
+    """scipy's lower Cholesky factor of gram; a gram that is not positive
+    definite raises SingularSystemError(failure)."""
+    try:
+        return scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(failure) from exc
 
 
 def _lapack_routine(name: str, *argtypes):
@@ -137,8 +140,13 @@ def softmax_vec(x, temperature: float) -> np.ndarray:
         raise ParameterError("softmax_vec needs at least one entry")
     if not np.all(np.isfinite(arr)):
         raise ParameterError("softmax_vec inputs must be finite")
-    scaled = -arr / temperature
-    scaled -= scaled.max()
+    with np.errstate(over="ignore"):
+        scaled = -arr / temperature
+        if not np.all(np.isfinite(scaled)):
+            raise ParameterError(
+                f"temperature {temperature!r} is too small: importance / temperature overflows"
+            )
+        scaled -= scaled.max()  # an entry far below the max may go to -inf: weight 0
     w = np.exp(scaled)
     return w / w.sum()
 

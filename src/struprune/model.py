@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 import threading
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapabilityError, DimensionError, FormatError, ParameterError
+from .errors import CapabilityError, DimensionError, FormatError, ParameterError, SolverError
 from .linalg import row_softmax
 
 FORMAT_VERSION = 1
@@ -447,19 +448,31 @@ def write_atomic(path: str, data: bytes):
 
 def csv_text(header: list[str], rows) -> str:
     """The CSV artifact format: one header line, "\n" line ends, every
-    float written as repr(float(v))."""
+    float written as repr(float(v)). A NaN or inf raises SolverError
+    naming its column."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+        cells = []
+        for name, v in zip(header, row):
+            if isinstance(v, (float, np.floating)):
+                if not math.isfinite(v):
+                    raise SolverError(f"CSV artifact column {name!r} holds {float(v)!r}")
+                v = repr(float(v))
+            cells.append(v)
+        writer.writerow(cells)
     return buf.getvalue()
 
 
 def json_text(obj) -> str:
     """The JSON artifact format: sorted keys, two-space indent, a final
-    newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    newline. A NaN or inf raises SolverError naming its field."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    for line in text.splitlines():  # every number sits on a line of its own
+        if line.rstrip(",").endswith(("NaN", "Infinity")):
+            raise SolverError(f"JSON artifact holds a non-finite value: {line.strip().rstrip(',')}")
+    return text
 
 
 def write_json_atomic(path: str, obj):

@@ -329,11 +329,12 @@ class TestNonFiniteInput:
         _one_error_line(capsys, "calib.bin", "non-finite")
 
     def test_report_json_rejects_nan(self):
+        from struprune.errors import SolverError
         from struprune.evaluation import EvalReport
 
         report = EvalReport(per_layer_loss=[(0, "ffn", float("nan"))], total_loss=float("nan"),
                             sparsity_per_layer=[(0, "ffn", 0.0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(SolverError, match='"loss": NaN'):
             report.to_json()
 
 
@@ -396,9 +397,10 @@ class TestFlagValues:
 ADMM_SHORT = ["--iters", "1", "--inner", "2"]
 
 
-# Each bad float value exits 1 at parse time with one error line naming the
-# flag, before any work, whatever the method reads; a --config value goes
-# through the same flag type.
+# Each bad float value (and each out-of-range --sparsity or int value)
+# exits 1 at parse time with one error line naming the flag, before any
+# work, whatever the method reads; a --config value goes through the same
+# flag type.
 @pytest.mark.parametrize("command, argv, config, flag", [
     ("admm", ["--gamma", "nan", *ADMM_SHORT], None, "--gamma"),
     ("admm", ["--gamma", "5", *ADMM_SHORT], None, "--gamma"),
@@ -412,6 +414,11 @@ ADMM_SHORT = ["--iters", "1", "--inner", "2"]
     ("sweep", ["--t-grid", ","], None, "--t-grid"),
     ("eval", ["--alpha", "nan"], None, "--alpha"),
     ("plan", [], {"temperature": -2.0}, "--temperature"),
+    ("plan", ["--sparsity", "1"], None, "--sparsity"),
+    ("sweep", ["--sparsity", "0", "--t-grid", "1"], None, "--sparsity"),
+    ("admm", ["--iters", "0"], None, "--iters"),
+    ("admm", ["--inner", "-1"], None, "--inner"),
+    ("prune", ["--seed", "-1"], None, "--seed"),
 ])
 def test_bad_float_flag_rejected(workspace, capsys, command, argv, config, flag):
     tmp, model, calib = workspace
@@ -428,3 +435,71 @@ def test_bad_float_flag_rejected(workspace, capsys, command, argv, config, flag)
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0], err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--d", "0"], "--d"),
+    (["gen", "--layers", "0"], "--layers"),
+    (["gen", "--heads", "-1"], "--heads"),
+    (["gen", "--ffn-dim", "-1"], "--ffn-dim"),
+    (["gen", "--vocab", "-2"], "--vocab"),
+    (["calibrate", "--model", "m", "--n", "0"], "--n"),
+    (["calibrate", "--model", "m", "--seq-len", "0"], "--seq-len"),
+])
+def test_bad_int_flag_rejected(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 1
+    _one_error_line(capsys, flag)
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def pin_fixture(tmp_path_factory):
+    """The d=16 decoder of the pins, a magnitude-pruned copy, and a copy
+    with every blob multiplied by 1e36 (still finite in float32)."""
+    root = tmp_path_factory.mktemp("pin-fixture")
+    model, calib, pruned, big = (str(root / n) for n in ("model", "calib", "pruned", "big"))
+    assert run("gen", "--d", "16", "--layers", "2", "--heads", "2", "--seed", "101",
+               "--out", model) == 0
+    assert run("calibrate", "--model", model, "--n", "8", "--seq-len", "16", "--seed", "202",
+               "--out", calib) == 0
+    assert run("prune", "--model", model, "--calib", calib, "--method", "magnitude",
+               "--out", pruned) == 0
+    shutil.copytree(model, big)
+    with open(os.path.join(big, "manifest.json"), encoding="utf-8") as fh:
+        for entry in json.load(fh)["matrices"]:
+            blob = os.path.join(big, entry["file"])
+            scaled = np.fromfile(blob, dtype="<f4") * np.float32(1e36)
+            assert np.isfinite(scaled).all()
+            scaled.tofile(blob)
+    return {"root": root, "model": model, "calib": calib, "pruned": pruned, "big": big}
+
+
+# Overflowing values exit 1 (a temperature too small for the importances)
+# or 2 (a numerical failure), with one stderr line and no warning.
+@pytest.mark.parametrize("argv, code, needles", [
+    (["plan", "--method", "softmax", "--temperature", "1e-310"], 1, ["temperature 1e-310"]),
+    (["admm", "--temperature", "1e-310"], 1, ["temperature 1e-310"]),
+    (["sweep", "--t-grid", "1e-310"], 1, ["temperature 1e-310"]),
+    (["sweep", "--t-grid", "1", "--alpha", "1e308"], 2, ["'total_loss'", "inf"]),
+    (["eval", "--model", "{pruned}", "--dense", "{model}", "--alpha", "1e308"], 2,
+     ['"loss": Infinity']),
+    (["admm", "--beta", "1e-17"], 2, ["--beta 1e-17", "layer 1"]),
+    (["admm", "--alpha", "1e308"], 2, ["layer 0"]),
+    (["admm", "--beta", "1e308"], 2, ["layer 0"]),
+    (["admm", "--lr", "1e308"], 2, ["layer 0"]),
+    (["plan", "--model", "{big}", "--method", "closed-form"], 2, ["layer 2", "not finite"]),
+    (["prune", "--model", "{big}", "--method", "closed-form"], 2, ["layer 2", "not finite"]),
+])
+def test_overflow_exits_with_one_line(pin_fixture, capsys, argv, code, needles):
+    argv = [a.format(**pin_fixture) for a in argv]
+    if "--model" not in argv:
+        argv += ["--model", pin_fixture["model"]]
+    out = os.path.join(pin_fixture["root"], "out")
+    assert run(*argv, "--calib", pin_fixture["calib"], "--out", out) == code
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    prefix = "error:" if code == 1 else "solver error:"
+    assert len(lines) == 1 and lines[0].startswith(prefix), err
+    for needle in needles:
+        assert needle in lines[0], err

@@ -182,6 +182,12 @@ class TestSoftmaxVec:
     def test_extreme_inputs_stable(self):
         out = softmax_vec([1e4, -1e4], 1.0)
         assert np.all(np.isfinite(out)) and abs(out.sum() - 1.0) < 1e-12
+        # The max subtraction overflows to -inf for the first entry: weight 0.
+        assert softmax_vec([1.7e308, -1.7e308], 1.0).tolist() == [0.0, 1.0]
+
+    def test_temperature_too_small_for_inputs(self):
+        with pytest.raises(ParameterError, match="temperature 1e-310"):
+            softmax_vec([0.0, 2.0], 1e-310)
 
 
 class TestRowSoftmax:
