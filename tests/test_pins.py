@@ -126,3 +126,53 @@ def test_oneshot_output_digest(decoder_dirs, tmp_path, command, flags, digest):
 def test_square_ffn_closed_form_digest(square_ffn_dirs, tmp_path, command, digest):
     flags = ["--method", "closed-form", *PLAN_FLAGS]
     assert _dir_digest(square_ffn_dirs, tmp_path, command, flags) == digest
+
+
+# `gen` alone, per layout (d 16, seed 101, the other flags at their
+# defaults): the sha256 of manifest.json and of every blob.
+GEN_PINS = {
+    ("decoder", "--vocab", "32"): {
+        "embed.bin": "6f634b55d60c8fdedd5b285eaaf75c60c61f3fb48b961ad300bfa6a825061598",
+        "head.bin": "06f4cfd8cf038c036909605920560f0e8b398c95b7e83b92d0ec1de6340576de",
+        "layer0_mha_wk.bin": "b30efa822084385d2d4f5f6d36c809ab97fc6d13983bb86fd681e0ae4eafa462",
+        "layer0_mha_wo.bin": "efe02b200a70e3e95a9aa3ed874f1cbaed3ee22730c40157c6c344d671ae8725",
+        "layer0_mha_wq.bin": "e3f01917ab679411ad3276c75ad63e06e490d00b5ed5a89caabf71dd2a356c75",
+        "layer0_mha_wv.bin": "841cdd224dfb1eeb322785bd2b97da4ecc702204301747039ddaabe39c3c7c24",
+        "layer1_ffn_w1.bin": "592cd0062b1ad0dcee50d555fbea477daee339c6ab9fdacff89610b7f062fef7",
+        "layer1_ffn_w2.bin": "8279d44f8a52866535bf5b5b070786838b6e085f629d8d037911f3bce93ecd6f",
+        "layer2_mha_wk.bin": "296ab2d7f33c601dc37e948dd69f30461939ea5754c6e408bbacf48ea2a66fe4",
+        "layer2_mha_wo.bin": "d8e95ddaee872a081680890455a5280778632491e1b3f4229edd034e0380563c",
+        "layer2_mha_wq.bin": "03380660a559cf4d7e64b82c2f80f53ce0364d67a2da24244ac498e349aa89ec",
+        "layer2_mha_wv.bin": "2366aefdfc0c19fb81c4cd107dc91e403035a90e84fefc1fc2185322881abeb6",
+        "layer3_ffn_w1.bin": "5e47040a4bf447df9054f9f528260eee87ee47c16b39c9f37bc407e42734b844",
+        "layer3_ffn_w2.bin": "9064377c2be08f99914a7940a558692602bc2a4cfa7ea8313c5ddedf84de4796",
+        "manifest.json": "72e9698567ae3a76134525c5ec3c0e083f2108af8d2d6fe716882cf54d04211d",
+    },
+    ("ffn",): {
+        "layer0_ffn_w1.bin": "82e2d6a5d0be9b689751b6300b0562301eb1d9db1f43a788a2862c78a59d8b93",
+        "layer0_ffn_w2.bin": "501188e65ebeb06dfb910eedcf6f5d1948a759fe06c8dbb169711505ff0dc5ac",
+        "layer1_ffn_w1.bin": "dd6cf1ae523772f1bf970d83bf02c9993c1c43cb89fa29de910ec418465fe20b",
+        "layer1_ffn_w2.bin": "dd65c49667034b2055a4ccff92ee3b9e7dea425502f7ff211bb35813eedd8c44",
+        "manifest.json": "3b6297a093d0c887361056b0b3966f214da6f24938da1bd850262f98c9c3fb45",
+    },
+    ("mha",): {
+        "layer0_mha_wk.bin": "b30efa822084385d2d4f5f6d36c809ab97fc6d13983bb86fd681e0ae4eafa462",
+        "layer0_mha_wo.bin": "efe02b200a70e3e95a9aa3ed874f1cbaed3ee22730c40157c6c344d671ae8725",
+        "layer0_mha_wq.bin": "e3f01917ab679411ad3276c75ad63e06e490d00b5ed5a89caabf71dd2a356c75",
+        "layer0_mha_wv.bin": "841cdd224dfb1eeb322785bd2b97da4ecc702204301747039ddaabe39c3c7c24",
+        "layer1_mha_wk.bin": "e3954007769251617091f1fd4d9f5f33f19c868c549885499b8aef0f74df8b38",
+        "layer1_mha_wo.bin": "307289c4cd52e867b08b69faff90baee51dc4889afd5d3a14ac23e8fd643cccb",
+        "layer1_mha_wq.bin": "4d3ca7d46c7f54ec0a7a197da6d1a8807e5d45317277d9e7cc28f5523c5df50b",
+        "layer1_mha_wv.bin": "a1c191123aadc79ad10bfa5b151990ebebcdcba07782176dd5a7ecfdab92ddb4",
+        "manifest.json": "66adf2bc27530c853046dfd9e90b5f2f68ebfc49d073b6daccd53d3b09eb0d0c",
+    },
+}
+
+
+@pytest.mark.parametrize("layout", sorted(GEN_PINS), ids=lambda layout: layout[0])
+def test_gen_digest(tmp_path, layout):
+    out = tmp_path / "model"
+    assert cli_main(["gen", "--layout", *layout, "--d", "16", "--seed", "101", "--out", str(out)]) == 0
+    produced = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in sorted(os.listdir(out))}
+    assert produced == GEN_PINS[layout]
