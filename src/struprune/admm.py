@@ -19,9 +19,10 @@ import numpy as np
 
 from .allocation import SparsityPlan, binarize_by_threshold, round_half_away
 from .errors import ParameterError, SingularSystemError, SolverError
-from .importance import UNIT_CRITERIA, UNIT_OWNER, unit_mask
+from .importance import UNIT_CRITERIA
 from .linalg import _cholesky, cho_solve, make_rng, relu, ridge_solve, row_softmax
-from .model import FFN, ActivationCache, BlockActivations, ToyModel, _worker_pool, csv_text
+from .model import (FFN, MASK_BEARING, UNIT_OWNER, ActivationCache, BlockActivations, ToyModel,
+                    _worker_pool, csv_text, unit_mask)
 
 
 @dataclass
@@ -508,12 +509,10 @@ def _init_state(layer: int, block, plan: SparsityPlan, rec: BlockActivations) ->
     retention = plan.retention_for(layer)
     state = BlockState(layer, block.kind, dict(block.matrices), dict(block.matrices))
     state.z, state.a, state.a_attn = rec.z_pre, rec.a_pre, rec.a_attn_pre
-    if block.kind == FFN:
-        state.budget = {"w1": round_half_away(retention * block.w1.shape[0])}
-    else:
-        d = block.wq.shape[0]
-        k = round_half_away(retention * d)
-        state.budget = {"wq": k, "wk": k, "wv": k}
+    state.budget = {
+        m: round_half_away(retention * block.matrices[m].shape[0]) for m in MASK_BEARING[block.kind]
+    }
+    if block.kind != FFN:
         state.num_heads = block.num_heads
     return state
 

@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import ParameterError, SolverError
 from .evaluation import total_reconstruction_loss
-from .importance import MASK_BEARING, block_unit_scores, layer_importance, unit_mask
+from .importance import block_unit_scores, layer_importance
 from .linalg import softmax_vec
-from .model import FFN, MHA, ActivationCache, ToyModel, _worker_pool, csv_text
+from .model import FFN, MASK_BEARING, MHA, ActivationCache, ToyModel, _worker_pool, csv_text, unit_mask
 
 SPARSITY_CAP = 0.95
 
@@ -394,7 +394,7 @@ def global_closed_form_masks(
 
 def apply_masks(model: ToyModel, masks: dict[int, dict[str, np.ndarray]]) -> ToyModel:
     """Multiplicative structured zeroing of every matrix by its owner's
-    mask (importance.UNIT_OWNER), in place on the copy."""
+    mask (model.UNIT_OWNER), in place on the copy."""
     pruned = model.copy()
     for i, per_matrix in masks.items():
         for name, w in pruned.blocks[i].matrices.items():

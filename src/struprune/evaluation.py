@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, ParameterError
-from .importance import MASK_BEARING
 from .model import (
+    MASK_BEARING,
     MATRIX_IO,
     ActivationCache,
     CalibrationSet,

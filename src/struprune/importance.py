@@ -17,29 +17,8 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .linalg import frobenius
-from .model import FFN, MATRIX_IO, MHA, ActivationCache, FfnBlock, MhaBlock, ToyModel, csv_text
-
-ROW = "row"
-COL = "col"
-
-# Axis of each matrix's structured units.
-DEFAULT_AXES = {"w1": ROW, "w2": COL, "wq": ROW, "wk": ROW, "wv": ROW, "wo": COL}
-
-# Matrices whose unit masks are chosen directly.
-MASK_BEARING = {FFN: ("w1",), MHA: ("wq", "wk", "wv")}
-
-# The mask-bearing matrix whose mask zeroes each matrix's units: removing
-# an FFN hidden unit removes a w1 row and the matching w2 column, and
-# removing an attention channel's wv row removes the matching wo column.
-UNIT_OWNER = {"w1": "w1", "w2": "w1", "wq": "wq", "wk": "wk", "wv": "wv", "wo": "wv"}
-
-
-def unit_mask(name: str, masks: dict) -> np.ndarray:
-    """The 0/1 factor that zeroes the pruned units of matrix `name`, from
-    its owner's bits in `masks` (matrix name -> bool array): a column for
-    a row-unit matrix, a row for w2/wo."""
-    bits = masks[UNIT_OWNER[name]].astype(np.float64)
-    return bits[:, None] if DEFAULT_AXES[name] == ROW else bits[None, :]
+from .model import (COL, DEFAULT_AXES, FFN, MASK_BEARING, MATRIX_IO, ROW, ActivationCache, MhaBlock,
+                    ToyModel, csv_text)
 
 
 @dataclass
@@ -202,11 +181,9 @@ def module_importance(block, gamma: float, rho: float, layer_one_based: int) -> 
     if layer_one_based < 1:
         raise ParameterError("layer index is 1-based")
     depth = gamma ** layer_one_based
-    if isinstance(block, MhaBlock):
-        return depth * rho * sum(attention_head_term(w_h) for w_h in head_matrices(block))
-    if isinstance(block, FfnBlock):
+    if block.kind == FFN:
         return depth * (mlp_matrix_term(block.w1) + mlp_matrix_term(block.w2))
-    raise ParameterError(f"unknown block type {type(block).__name__}")
+    return depth * rho * sum(attention_head_term(w_h) for w_h in head_matrices(block))
 
 
 def layer_importance(

@@ -18,7 +18,7 @@ import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +40,28 @@ MATRIX_IO = {
     "wv": ("a_pre", "a_attn_pre"),
     "wo": ("a_attn_pre", "out_pre"),
 }
+
+ROW = "row"
+COL = "col"
+
+# Axis of each matrix's structured units.
+DEFAULT_AXES = {"w1": ROW, "w2": COL, "wq": ROW, "wk": ROW, "wv": ROW, "wo": COL}
+
+# Matrices whose unit masks are chosen directly.
+MASK_BEARING = {FFN: ("w1",), MHA: ("wq", "wk", "wv")}
+
+# The mask-bearing matrix whose mask zeroes each matrix's units: removing
+# an FFN hidden unit removes a w1 row and the matching w2 column, and
+# removing an attention channel's wv row removes the matching wo column.
+UNIT_OWNER = {"w1": "w1", "w2": "w1", "wq": "wq", "wk": "wk", "wv": "wv", "wo": "wv"}
+
+
+def unit_mask(name: str, masks: dict) -> np.ndarray:
+    """The 0/1 factor that zeroes the pruned units of matrix `name`, from
+    its owner's bits in `masks` (matrix name -> bool array): a column for
+    a row-unit matrix, a row for w2/wo."""
+    bits = masks[UNIT_OWNER[name]].astype(np.float64)
+    return bits[:, None] if DEFAULT_AXES[name] == ROW else bits[None, :]
 
 
 @dataclass(frozen=True)
@@ -65,23 +87,28 @@ class ModelArch:
             raise ParameterError("vocab must be >= 0")
 
 
+class _Matrices:
+    """A block's matrices, in the order of its class's `names`."""
+
+    @property
+    def matrices(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self.names}
+
+    def copy(self):
+        return replace(self, **{name: getattr(self, name).copy() for name in self.names})
+
+
 @dataclass
-class FfnBlock:
+class FfnBlock(_Matrices):
     w1: np.ndarray  # (ffn_dim, d) up projection
     w2: np.ndarray  # (d, ffn_dim) down projection
 
     kind = FFN
-
-    @property
-    def matrices(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "w2": self.w2}
-
-    def copy(self) -> "FfnBlock":
-        return FfnBlock(self.w1.copy(), self.w2.copy())
+    names = ("w1", "w2")
 
 
 @dataclass
-class MhaBlock:
+class MhaBlock(_Matrices):
     wq: np.ndarray  # (d, d)
     wk: np.ndarray
     wv: np.ndarray
@@ -89,15 +116,7 @@ class MhaBlock:
     num_heads: int
 
     kind = MHA
-
-    @property
-    def matrices(self) -> dict[str, np.ndarray]:
-        return {"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo}
-
-    def copy(self) -> "MhaBlock":
-        return MhaBlock(
-            self.wq.copy(), self.wk.copy(), self.wv.copy(), self.wo.copy(), self.num_heads
-        )
+    names = ("wq", "wk", "wv", "wo")
 
     def head_slices(self) -> list[slice]:
         d_head = self.wq.shape[0] // self.num_heads
@@ -105,6 +124,21 @@ class MhaBlock:
 
 
 Block = FfnBlock | MhaBlock
+
+
+def block_shapes(arch: ModelArch, kind: str) -> dict[str, tuple[int, int]]:
+    """(rows, cols) of each matrix of a `kind` block under `arch`, in the
+    block's name order: the one shape rule of generation and load."""
+    if kind == FFN:
+        return {"w1": (arch.ffn_dim, arch.d), "w2": (arch.d, arch.ffn_dim)}
+    return dict.fromkeys(MhaBlock.names, (arch.d, arch.d))
+
+
+def _make_block(cls, arch: ModelArch, matrix) -> Block:
+    """A `cls` block under `arch` whose matrices come from
+    matrix(name, shape), called in the block's name order."""
+    mats = {name: matrix(name, shape) for name, shape in block_shapes(arch, cls.kind).items()}
+    return cls(**mats, num_heads=arch.num_heads) if cls is MhaBlock else cls(**mats)
 
 
 @dataclass
@@ -177,22 +211,14 @@ def generate_toy_model(arch: ModelArch, rng: np.random.Generator, layout: str = 
     def draw(rows: int, cols: int) -> np.ndarray:
         return rng.normal(0.0, 1.0, size=(rows, cols)) / np.sqrt(cols)
 
-    blocks: list[Block] = []
-    for _ in range(arch.num_layers):
-        if layout in ("decoder", "mha"):
-            blocks.append(
-                MhaBlock(
-                    draw(arch.d, arch.d),
-                    draw(arch.d, arch.d),
-                    draw(arch.d, arch.d),
-                    draw(arch.d, arch.d),
-                    arch.num_heads,
-                )
-            )
-        if layout in ("decoder", "ffn"):
-            blocks.append(FfnBlock(draw(arch.ffn_dim, arch.d), draw(arch.d, arch.ffn_dim)))
-    if layout not in ("decoder", "ffn", "mha"):
+    layers = {"decoder": (MhaBlock, FfnBlock), "ffn": (FfnBlock,), "mha": (MhaBlock,)}
+    if layout not in layers:
         raise ParameterError(f"unknown layout {layout!r}")
+    blocks = [
+        _make_block(cls, arch, lambda _, shape: draw(*shape))
+        for _ in range(arch.num_layers)
+        for cls in layers[layout]
+    ]
     embed = head = None
     if arch.vocab > 0:
         embed = draw(arch.d, arch.vocab)
@@ -506,6 +532,10 @@ def _is_positive_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
+# Manifest "arch" key -> ModelArch field.
+ARCH_KEYS = {"d": "d", "L": "num_layers", "h": "num_heads", "ffn_dim": "ffn_dim", "vocab": "vocab"}
+
+
 def _check_manifest_entry(index: int, entry) -> None:
     """Each matrices[] entry names a matrix, its positive shape, and a blob
     that is a plain file name inside the model directory."""
@@ -537,13 +567,7 @@ def save_model(model: ToyModel, path: str):
         write_atomic(os.path.join(path, fname), _blob_bytes(mat))
     manifest = {
         "format_version": FORMAT_VERSION,
-        "arch": {
-            "d": model.arch.d,
-            "L": model.arch.num_layers,
-            "h": model.arch.num_heads,
-            "ffn_dim": model.arch.ffn_dim,
-            "vocab": model.arch.vocab,
-        },
+        "arch": {key: getattr(model.arch, attr) for key, attr in ARCH_KEYS.items()},
         "matrices": entries,
     }
     write_json_atomic(os.path.join(path, "manifest.json"), manifest)
@@ -560,16 +584,10 @@ def load_model(path: str) -> ToyModel:
             f"bad magic: format_version={manifest.get('format_version')!r}, expected {FORMAT_VERSION}"
         )
     arch_raw = manifest.get("arch", {})
-    for key in ("d", "L", "h", "ffn_dim", "vocab"):
+    for key in ARCH_KEYS:
         if key not in arch_raw:
             raise FormatError(f"manifest arch missing field {key!r}")
-    arch = ModelArch(
-        d=arch_raw["d"],
-        num_layers=arch_raw["L"],
-        num_heads=arch_raw["h"],
-        ffn_dim=arch_raw["ffn_dim"],
-        vocab=arch_raw["vocab"],
-    )
+    arch = ModelArch(**{attr: arch_raw[key] for key, attr in ARCH_KEYS.items()})
     entries = manifest.get("matrices", [])
     # Validate the whole manifest against the directory before any blob read.
     for index, entry in enumerate(entries):
@@ -588,30 +606,16 @@ def load_model(path: str) -> ToyModel:
         for e in entries
     }
 
+    # Models store one block per "layer{i}" slot, found by its first matrix
+    # (MHA before FFN); decoder layouts save MHA and FFN under separate
+    # consecutive indices.
     blocks: list[Block] = []
-    idx = 0
     while True:
-        ffn_key = f"layer{idx}.{FFN}.w1"
-        mha_key = f"layer{idx}.{MHA}.wq"
-        if mha_key in mats:
-            blocks.append(
-                MhaBlock(
-                    _pop(mats, f"layer{idx}.{MHA}.wq"),
-                    _pop(mats, f"layer{idx}.{MHA}.wk"),
-                    _pop(mats, f"layer{idx}.{MHA}.wv"),
-                    _pop(mats, f"layer{idx}.{MHA}.wo"),
-                    arch.num_heads,
-                )
-            )
-        elif ffn_key in mats:
-            blocks.append(
-                FfnBlock(_pop(mats, f"layer{idx}.{FFN}.w1"), _pop(mats, f"layer{idx}.{FFN}.w2"))
-            )
-        else:
+        prefix = f"layer{len(blocks)}"
+        cls = next((c for c in (MhaBlock, FfnBlock) if f"{prefix}.{c.kind}.{c.names[0]}" in mats), None)
+        if cls is None:
             break
-        idx += 1
-    # Models store one block per "layer{i}" slot; decoder layouts save MHA
-    # and FFN under separate consecutive indices.
+        blocks.append(_make_block(cls, arch, lambda name, _: _pop(mats, f"{prefix}.{cls.kind}.{name}")))
     embed = mats.pop("embed", None)
     head = mats.pop("head", None)
     if mats:
@@ -619,8 +623,12 @@ def load_model(path: str) -> ToyModel:
     if not blocks:
         raise FormatError("manifest contains no decoder blocks")
     for i, block in enumerate(blocks):
-        for name, mat in block.matrices.items():
-            _check_block_shape(arch, block, name, mat, i)
+        for name, want in block_shapes(arch, block.kind).items():
+            if getattr(block, name).shape != want:
+                raise FormatError(
+                    f"matrix layer{i}.{block.kind}.{name} has shape {getattr(block, name).shape}, "
+                    f"manifest arch implies {want}"
+                )
     return ToyModel(arch, blocks, embed, head)
 
 
@@ -630,30 +638,14 @@ def _pop(mats: dict, key: str) -> np.ndarray:
     return mats.pop(key)
 
 
-def _check_block_shape(arch: ModelArch, block: Block, name: str, mat: np.ndarray, idx: int):
-    if block.kind == FFN:
-        want = (arch.ffn_dim, arch.d) if name == "w1" else (arch.d, arch.ffn_dim)
-    else:
-        want = (arch.d, arch.d)
-    if mat.shape != want:
-        raise FormatError(
-            f"matrix layer{idx}.{block.kind}.{name} has shape {mat.shape}, manifest arch implies {want}"
-        )
-
-
 def save_calibration(calib: CalibrationSet, path: str, d: int):
     os.makedirs(path, exist_ok=True)
+    sidecar = {"N": calib.n_samples, "seq_len": calib.seq_len, "d": d}
     if calib.is_tokens:
         blob = np.ascontiguousarray(calib.tokens, dtype="<u4").tobytes()
-        sidecar = {
-            "N": calib.n_samples,
-            "seq_len": calib.seq_len,
-            "d": d,
-            "kind": "tokens",
-        }
+        sidecar["kind"] = "tokens"
     else:
         blob = _blob_bytes(calib.inputs.reshape(-1, calib.inputs.shape[2]))
-        sidecar = {"N": calib.n_samples, "seq_len": calib.seq_len, "d": d}
     write_atomic(os.path.join(path, "calib.bin"), blob)
     write_json_atomic(os.path.join(path, "calib.json"), sidecar)
 

@@ -20,11 +20,11 @@ from itertools import combinations
 import numpy as np
 import scipy.linalg
 
-from .allocation import MASK_BEARING, ClosedFormContext, unit_scores_closed_form
+from .allocation import ClosedFormContext, unit_scores_closed_form
 from .errors import ParameterError, SizeError
 from .evaluation import LossReport, MemoryConfig
 from .linalg import relu, row_softmax
-from .model import FFN, calibration_input
+from .model import FFN, MASK_BEARING, calibration_input
 
 ENUM_UNIT_CAP = 12
 

@@ -25,9 +25,9 @@ from struprune.admm import (
 from struprune.allocation import apply_masks, build_masks, uniform_plan
 from struprune.errors import ParameterError, SingularSystemError, SolverError
 from struprune.evaluation import total_reconstruction_loss
-from struprune.importance import MASK_BEARING
 from struprune.linalg import make_rng, relu
 from struprune.model import (
+    MASK_BEARING,
     ModelArch,
     capture_reference_activations,
     generate_toy_model,
@@ -362,7 +362,7 @@ class TestOuterLoop:
 
 
 class TestUnitRule:
-    """One structured-unit rule (importance.UNIT_OWNER) for the one-shot
+    """One structured-unit rule (model.UNIT_OWNER) for the one-shot
     and the solver paths."""
 
     @pytest.mark.parametrize("layout", ["decoder", "ffn"])

@@ -12,7 +12,6 @@ import pytest
 from conftest import build_toy
 from struprune import oracle
 from struprune.allocation import (
-    MASK_BEARING,
     apply_masks,
     build_masks,
     closed_form_context,
@@ -21,11 +20,14 @@ from struprune.allocation import (
     uniform_plan,
 )
 from struprune.evaluation import total_reconstruction_loss
-from struprune.importance import DEFAULT_AXES, ROW, block_unit_scores, layer_importance, wanda_unit
+from struprune.importance import block_unit_scores, layer_importance, wanda_unit
 from struprune.linalg import make_rng
 from struprune.model import (
+    DEFAULT_AXES,
     FFN,
+    MASK_BEARING,
     MATRIX_IO,
+    ROW,
     BlockActivations,
     ModelArch,
     capture_reference_activations,
