@@ -385,8 +385,9 @@ def _descend(x0, obj, grad, steps, lr, label, layer, lipschitz=None):
     beyond 10x the entry value aborts with the entry objective and the
     step and value of the blow-up. For a quadratic sub-solve, lipschitz()
     gives the gradient's Lipschitz constant L; it is evaluated only on
-    that path, and 1/L is the suggested step size. grad must return a
-    fresh array: the step x - lr * grad(x) is written into it."""
+    that path, and 1/L is the suggested step size unless L overflows.
+    grad must return a fresh array: the step x - lr * grad(x) is written
+    into it."""
     x = x0
     start = obj(x0)
     for step in range(1, steps + 1):
@@ -395,7 +396,11 @@ def _descend(x0, obj, grad, steps, lr, label, layer, lipschitz=None):
         x = np.subtract(x, g, out=_out(g, x, g))
         value = obj(x)
         if not np.isfinite(value) or value > 10.0 * max(start, 1e-30):
-            hint = "" if lipschitz is None else f"; suggested --lr {1.0 / lipschitz():.3g} (1/L)"
+            hint = ""
+            if lipschitz is not None:
+                inv_l = 1.0 / lipschitz()
+                hint = (f"; suggested --lr {inv_l:.3g} (1/L)" if 0.0 < inv_l < np.inf
+                        else "; the Lipschitz constant L overflows: lower --alpha or --beta")
             raise SolverError(
                 f"{label} sub-solve diverged at layer {layer} with --lr {lr:g} "
                 f"(objective trace: {start:.6g} at entry, {value:.6g} at step {step} of {steps}){hint}"

@@ -123,6 +123,18 @@ def test_divergence_message_suggests_step_size(fixtures, capsys):
     assert math.isfinite(suggested) and 0.0 < suggested < 3.0
 
 
+# At 1e308 the Lipschitz constant overflows to inf and 1/L rounds to 0, so
+# the message names the flags that overflow it instead of a step size.
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+def test_divergence_message_when_lipschitz_overflows(fixtures, capsys, flag):
+    code, _ = _admm(fixtures, "decoder", f"overflow{flag}", flag, "1e308", "--iters", "1")
+    assert code == 2
+    line = _solver_error_line(capsys)
+    assert "activation sub-solve diverged at layer 0" in line
+    assert "suggested --lr" not in line
+    assert line.endswith("the Lipschitz constant L overflows: lower --alpha or --beta"), line
+
+
 def test_threads_below_one_rejected():
     model, _, cache = build_toy("ffn")
     with pytest.raises(ParameterError, match="threads"):
