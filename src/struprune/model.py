@@ -64,6 +64,16 @@ def unit_mask(name: str, masks: dict) -> np.ndarray:
     return bits[:, None] if DEFAULT_AXES[name] == ROW else bits[None, :]
 
 
+# Manifest "arch" key -> (ModelArch field, the least value it takes).
+ARCH_KEYS = {
+    "d": ("d", 1),
+    "L": ("num_layers", 1),
+    "h": ("num_heads", 1),
+    "ffn_dim": ("ffn_dim", 1),
+    "vocab": ("vocab", 0),
+}
+
+
 @dataclass(frozen=True)
 class ModelArch:
     d: int
@@ -73,18 +83,15 @@ class ModelArch:
     vocab: int = 0
 
     def __post_init__(self):
-        if self.d < 1 or self.num_layers < 1 or self.num_heads < 1:
-            raise ParameterError("d, num_layers and num_heads must be >= 1")
+        if self.ffn_dim == 0:
+            object.__setattr__(self, "ffn_dim", 4 * self.d)
+        for attr, least in ARCH_KEYS.values():
+            if getattr(self, attr) < least:
+                raise ParameterError(f"{attr} must be >= {least}, got {getattr(self, attr)}")
         if self.d % self.num_heads != 0:
             raise ParameterError(
                 f"hidden dim {self.d} not divisible by num_heads {self.num_heads}"
             )
-        if self.ffn_dim == 0:
-            object.__setattr__(self, "ffn_dim", 4 * self.d)
-        if self.ffn_dim < 1:
-            raise ParameterError("ffn_dim must be >= 1")
-        if self.vocab < 0:
-            raise ParameterError("vocab must be >= 0")
 
 
 class _Matrices:
@@ -132,6 +139,12 @@ def block_shapes(arch: ModelArch, kind: str) -> dict[str, tuple[int, int]]:
     if kind == FFN:
         return {"w1": (arch.ffn_dim, arch.d), "w2": (arch.d, arch.ffn_dim)}
     return dict.fromkeys(MhaBlock.names, (arch.d, arch.d))
+
+
+def vocab_shapes(arch: ModelArch) -> dict[str, tuple[int, int]]:
+    """(rows, cols) of the token embedding and the output head, which a
+    model has when arch.vocab > 0, in draw order."""
+    return {"embed": (arch.d, arch.vocab), "head": (arch.vocab, arch.d)}
 
 
 def _make_block(cls, arch: ModelArch, matrix) -> Block:
@@ -221,8 +234,7 @@ def generate_toy_model(arch: ModelArch, rng: np.random.Generator, layout: str = 
     ]
     embed = head = None
     if arch.vocab > 0:
-        embed = draw(arch.d, arch.vocab)
-        head = draw(arch.vocab, arch.d)
+        embed, head = (draw(*shape) for shape in vocab_shapes(arch).values())
     return ToyModel(arch, blocks, embed, head)
 
 
@@ -528,12 +540,8 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise FormatError(f"{what} holds {bad} non-finite value(s) (NaN or Inf)")
 
 
-def _is_positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
-
-
-# Manifest "arch" key -> ModelArch field.
-ARCH_KEYS = {"d": "d", "L": "num_layers", "h": "num_heads", "ffn_dim": "ffn_dim", "vocab": "vocab"}
+def _is_int_at_least(value, least: int = 1) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _check_manifest_entry(index: int, entry) -> None:
@@ -544,8 +552,10 @@ def _check_manifest_entry(index: int, entry) -> None:
     for key in ("name", "rows", "cols", "file"):
         if key not in entry:
             raise FormatError(f"manifest matrices[{index}] missing field {key!r}")
+    if not isinstance(entry["name"], str):
+        raise FormatError(f"manifest matrices[{index}]: name must be a string, got {entry['name']!r}")
     for key in ("rows", "cols"):
-        if not _is_positive_int(entry[key]):
+        if not _is_int_at_least(entry[key]):
             raise FormatError(
                 f"manifest matrix {entry['name']!r}: {key} must be a positive int, got {entry[key]!r}"
             )
@@ -567,7 +577,7 @@ def save_model(model: ToyModel, path: str):
         write_atomic(os.path.join(path, fname), _blob_bytes(mat))
     manifest = {
         "format_version": FORMAT_VERSION,
-        "arch": {key: getattr(model.arch, attr) for key, attr in ARCH_KEYS.items()},
+        "arch": {key: getattr(model.arch, attr) for key, (attr, _) in ARCH_KEYS.items()},
         "matrices": entries,
     }
     write_json_atomic(os.path.join(path, "manifest.json"), manifest)
@@ -579,16 +589,25 @@ def load_model(path: str) -> ToyModel:
         raise FormatError(f"missing manifest.json under {path}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise FormatError(
-            f"bad magic: format_version={manifest.get('format_version')!r}, expected {FORMAT_VERSION}"
-        )
+    if not isinstance(manifest, dict):
+        raise FormatError("manifest.json must hold a JSON object")
+    version = manifest.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatError(f"bad magic: format_version={version!r}, expected {FORMAT_VERSION}")
     arch_raw = manifest.get("arch", {})
-    for key in ARCH_KEYS:
+    if not isinstance(arch_raw, dict):
+        raise FormatError(f"manifest arch must be an object, got {arch_raw!r}")
+    for key, (_, least) in ARCH_KEYS.items():
         if key not in arch_raw:
             raise FormatError(f"manifest arch missing field {key!r}")
-    arch = ModelArch(**{attr: arch_raw[key] for key, attr in ARCH_KEYS.items()})
+        if not _is_int_at_least(arch_raw[key], least):
+            raise FormatError(
+                f"manifest arch field {key!r} must be an int >= {least}, got {arch_raw[key]!r}"
+            )
+    arch = ModelArch(**{attr: arch_raw[key] for key, (attr, _) in ARCH_KEYS.items()})
     entries = manifest.get("matrices", [])
+    if not isinstance(entries, list):
+        raise FormatError(f"manifest matrices must be a list, got {entries!r}")
     # Validate the whole manifest against the directory before any blob read.
     for index, entry in enumerate(entries):
         _check_manifest_entry(index, entry)
@@ -622,13 +641,16 @@ def load_model(path: str) -> ToyModel:
         raise FormatError(f"manifest lists unplaceable matrices: {sorted(mats)}")
     if not blocks:
         raise FormatError("manifest contains no decoder blocks")
-    for i, block in enumerate(blocks):
-        for name, want in block_shapes(arch, block.kind).items():
-            if getattr(block, name).shape != want:
-                raise FormatError(
-                    f"matrix layer{i}.{block.kind}.{name} has shape {getattr(block, name).shape}, "
-                    f"manifest arch implies {want}"
-                )
+    named = [
+        (f"layer{i}.{block.kind}.{name}", getattr(block, name), want)
+        for i, block in enumerate(blocks)
+        for name, want in block_shapes(arch, block.kind).items()
+    ]
+    named += [(name, mat, want) for (name, want), mat in zip(vocab_shapes(arch).items(), (embed, head))
+              if mat is not None]
+    for name, mat, want in named:
+        if mat.shape != want:
+            raise FormatError(f"matrix {name} has shape {mat.shape}, manifest arch implies {want}")
     return ToyModel(arch, blocks, embed, head)
 
 
@@ -656,10 +678,12 @@ def load_calibration(path: str) -> CalibrationSet:
         raise FormatError(f"missing calib.json under {path}")
     with open(sidecar_path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
+    if not isinstance(sidecar, dict):
+        raise FormatError("calib.json must hold a JSON object")
     for key in ("N", "seq_len", "d"):
         if key not in sidecar:
             raise FormatError(f"calibration sidecar missing field {key!r}")
-        if not _is_positive_int(sidecar[key]):
+        if not _is_int_at_least(sidecar[key]):
             raise FormatError(
                 f"calibration sidecar field {key!r} must be a positive int, got {sidecar[key]!r}"
             )

@@ -281,6 +281,33 @@ class TestMalformedInput:
         assert run("plan", "--model", model, "--calib", calib, "--out", str(tmp / "o")) == 1
         _one_error_line(capsys, "cols")
 
+    # Each wrong type or value in the manifest's top level or arch exits 1
+    # with one error line naming the field; a bool is not an int.
+    @pytest.mark.parametrize("mutate, needle", [
+        (lambda m: list(m.items()), "JSON object"),
+        (lambda m: {**m, "arch": None}, "arch"),
+        (lambda m: {**m, "matrices": 5}, "matrices"),
+        (lambda m: {**m, "arch": {**m["arch"], "d": str(m["arch"]["d"])}}, "'d'"),
+        (lambda m: {**m, "arch": {**m["arch"], "L": "x"}}, "'L'"),
+        (lambda m: {**m, "arch": {**m["arch"], "h": 0}}, "'h'"),
+        (lambda m: {**m, "arch": {**m["arch"], "vocab": 1.5}}, "'vocab'"),
+        (lambda m: {**m, "arch": {**m["arch"], "vocab": -1}}, "'vocab'"),
+        (lambda m: {**m, "arch": {**m["arch"], "ffn_dim": float(m["arch"]["ffn_dim"])}}, "'ffn_dim'"),
+        (lambda m: {**m, "format_version": True}, "format_version"),
+        (lambda m: {**m, "matrices": [{**m["matrices"][0], "name": 3}, *m["matrices"][1:]]},
+         "matrices[0]"),
+    ], ids=["list", "arch-null", "matrices-int", "d-str", "L-str", "h-zero", "vocab-float",
+            "vocab-negative", "ffn_dim-float", "format_version-bool", "name-int"])
+    def test_bad_manifest_field(self, workspace, capsys, mutate, needle):
+        tmp, model, calib = workspace
+        path = os.path.join(model, "manifest.json")
+        manifest = mutate(json.loads(read(path)))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        assert run("plan", "--model", model, "--calib", calib, "--out", str(tmp / "p")) == 1
+        _one_error_line(capsys, needle)
+        assert not os.path.exists(tmp / "p")
+
     def test_calibration_negative_count(self, workspace, capsys):
         tmp, model, calib = workspace
 

@@ -180,6 +180,21 @@ class TestModelIO:
         with pytest.raises(FormatError, match="magic"):
             load_model(path)
 
+    # The embedding and head follow the manifest's vocab like the block
+    # matrices follow d and ffn_dim; a token id past the embedding would
+    # otherwise index out of range.
+    def test_vocab_disagrees_with_blobs(self, tmp_path):
+        model = generate_toy_model(ModelArch(d=4, num_layers=1, num_heads=1, vocab=6), make_rng(3))
+        path = str(tmp_path / "m")
+        save_model(model, path)
+        with open(os.path.join(path, "manifest.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["arch"]["vocab"] = 9
+        with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(FormatError, match=r"embed has shape \(4, 6\), manifest arch implies \(4, 9\)"):
+            load_model(path)
+
     def test_vocab_head_round_trip(self, tmp_path):
         arch = ModelArch(d=4, num_layers=1, num_heads=1, vocab=6)
         model = generate_toy_model(arch, make_rng(3))

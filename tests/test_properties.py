@@ -1,7 +1,9 @@
-"""Property tests of the exit-code contract over numeric flag values.
+"""Property tests of the exit-code contract over numeric flag values and
+manifest mutations.
 
 Whatever value a float or int flag of plan, prune, admm, sweep or eval
-takes, the CLI exits 0, 1 or 2 and prints no traceback and no warning;
+takes, and whichever one manifest field is dropped or retyped, the CLI
+exits 0, 1 or 2 and prints no traceback and no warning;
 exit 1 prints one `error:` line and exit 2 one `solver error:` line; and
 a run that exits 0 writes only artifacts that parse as strict JSON or CSV
 and hold no NaN or inf.
@@ -167,3 +169,37 @@ def test_sweep_contract(dirs, allocator, drawn):
 @example(drawn=pairs("--alpha", "1e308"))
 def test_eval_contract(dirs, drawn):
     run_contract(dirs, "eval", list(sum(drawn, ())))
+
+
+DROP = "<drop>"
+FIELD_VALUES = st.sampled_from([DROP, None, True, 1.5, "8", -1, 0, 10**6, [], {}])
+
+
+@settings(SETTINGS, max_examples=40)
+@given(data=st.data())
+def test_manifest_mutation_contract(dirs, data):
+    """One field of the manifest (top level, arch.*, or one matrices[i].*)
+    dropped or given another type or value; `plan` reads the result."""
+    root, model, _, _ = dirs
+    with open(os.path.join(model, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    fields = [(key,) for key in manifest] + [("arch", key) for key in manifest["arch"]] + [
+        ("matrices", i, key) for i, entry in enumerate(manifest["matrices"]) for key in entry
+    ]
+    *parents, key = data.draw(st.sampled_from(fields), label="field")
+    value = data.draw(FIELD_VALUES, label="value")
+    target = manifest
+    for parent in parents:
+        target = target[parent]
+    if value == DROP:
+        del target[key]
+    else:
+        target[key] = value
+    mutated = tempfile.mkdtemp(dir=root)
+    try:
+        shutil.copytree(model, mutated, dirs_exist_ok=True)
+        with open(os.path.join(mutated, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        run_contract(dirs, "plan", ["--model", mutated])  # the later --model wins
+    finally:
+        shutil.rmtree(mutated, ignore_errors=True)
