@@ -139,16 +139,17 @@ class TestModelIO:
             assert n1 == n2
             assert np.array_equal(a.astype(np.float32), b.astype(np.float32))
 
-    @pytest.mark.parametrize("layout, vocab", [("decoder", 32), ("ffn", 0), ("mha", 0)])
-    def test_save_load_save_byte_identical(self, tmp_path, layout, vocab):
-        arch = ModelArch(d=16, num_layers=2, num_heads=2, vocab=vocab)
-        model = generate_toy_model(arch, make_rng(101), layout=layout)
-        p1, p2 = str(tmp_path / "m1"), str(tmp_path / "m2")
-        save_model(model, p1)
-        save_model(load_model(p1), p2)
-        for name in sorted(os.listdir(p1)):
-            with open(os.path.join(p1, name), "rb") as f1, open(os.path.join(p2, name), "rb") as f2:
-                assert f1.read() == f2.read(), name
+    def test_save_load_save_byte_identical(self, tmp_path):
+        for layout, vocab in [("decoder", 32), ("ffn", 0), ("mha", 0)]:
+            arch = ModelArch(d=16, num_layers=2, num_heads=2, vocab=vocab)
+            model = generate_toy_model(arch, make_rng(101), layout=layout)
+            p1, p2 = str(tmp_path / layout / "m1"), str(tmp_path / layout / "m2")
+            save_model(model, p1)
+            save_model(load_model(p1), p2)
+            assert sorted(os.listdir(p1)) == sorted(os.listdir(p2)), layout
+            for name in sorted(os.listdir(p1)):
+                with open(os.path.join(p1, name), "rb") as f1, open(os.path.join(p2, name), "rb") as f2:
+                    assert f1.read() == f2.read(), (layout, name)
 
     def test_truncated_blob(self, tmp_path, decoder_toy):
         model, _, _ = decoder_toy
