@@ -67,6 +67,10 @@ def test_golden_trace_decoder(decoder_dirs):
          "2cf76253e9151097a32bd3c3ffd7eb8ff0324f704c28aa1a21167b76194d029c"),
         ("admm", "l0", "trace.csv",
          "7fdd5893b3bbb5fbdfac865f07e8ef2d0ac0e151d956e5efa1fbd25979a903ad"),
+        ("admm", "inverse-weight", "trace.csv",
+         "0c371f53f55c15dad4fd925b3003fe3fb98c09ceed4d05c407640beb6337da3b"),
+        ("admm", "wanda-local", "trace.csv",
+         "2e018c0f2cc84ae75830b192c2dddd18783603d7447a9996b68040a88515641d"),
         ("plan", "magnitude", "scores.csv",
          "f345a22dbca09100c73893b2655e1753f354f0e0c440fccd20af44fca1c91c21"),
         ("plan", "l0", "scores.csv",
@@ -108,6 +112,16 @@ def _dir_digest(dirs, out, command, flags) -> str:
          "5179417e4f1e1014553ff50f409d3f28ed2bdaa469e3e503b37bb803c495c12d"),
         ("sweep", ["--t-grid", "0.5,1,2", *PLAN_FLAGS],
          "aea9276ad9ca0e4deb49de0deea928684cb571dfb5405e9b76f9c30151bfa907"),
+        ("prune", ["--method", "wanda-local", *PLAN_FLAGS],
+         "cf939aaeaead6af83bd4d3b1357c2abf7bfe12ceaa9118ccfe6761c59efa9592"),
+        ("prune", ["--method", "l0", *PLAN_FLAGS],
+         "8848fe27743fc04ece96e761a17de536091327663fed62b6c958c67cbc53c4df"),
+        ("prune", ["--method", "snip", *PLAN_FLAGS],
+         "67dfecf67c18954b2b6f7edfca0a40111fc95c801df51ae912cd78779dc1e064"),
+        ("prune", ["--method", "inverse-weight", *PLAN_FLAGS],
+         "277c191594ecb4bbebd91cc4bd4fe8fb9ffa85548129e23f62628fa4fac2caae"),
+        ("sweep", ["--allocator", "inverse-weight", "--t-grid", "0.5,1,2", *PLAN_FLAGS],
+         "e8b75c64557540a521a575be4012dc70873fccfc8cb0b52169ec28a61a3d9218"),
     ],
 )
 def test_oneshot_output_digest(decoder_dirs, tmp_path, command, flags, digest):
