@@ -13,13 +13,12 @@ run_outer_loop solves the blocks on a thread pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .allocation import SparsityPlan, binarize_by_threshold, round_half_away
 from .errors import ParameterError, SingularSystemError, SolverError
-from .importance import UNIT_CRITERIA
+from .importance import l0_gates, unit_scores
 from .linalg import _cholesky, cho_solve, make_rng, relu, ridge_solve, row_softmax
 from .model import (FFN, MASK_BEARING, UNIT_OWNER, ActivationCache, BlockActivations, ToyModel,
                     _worker_pool, csv_text, unit_mask)
@@ -123,9 +122,6 @@ def _refit_cols(w_hat: np.ndarray, bits: np.ndarray, a_in: np.ndarray, target: n
 # ---------------------------------------------------------------------------
 
 
-SOLVER_CRITERIA = {**UNIT_CRITERIA, "l0": partial(UNIT_CRITERIA["l0"], steps=100)}
-
-
 def prune_scores(
     w_hat: np.ndarray,
     x_pre: np.ndarray,
@@ -136,7 +132,7 @@ def prune_scores(
 ) -> np.ndarray:
     """Unit scores for one mask-bearing matrix: w_hat acts on the frozen
     reference input x_pre; target is the teacher's product on the current
-    input."""
+    input. Criteria other than closed-form and l0 are importance.unit_scores."""
     if criterion == "closed-form":
         # Exact per-unit decrease of the sample-summed prune objective
         # ||b_row - M_j c_row||^2: retaining unit j saves
@@ -149,9 +145,9 @@ def prune_scores(
         for r in _row_blocks(c_rows.shape[0]):
             np.sum(np.multiply(c_rows[r], target[r]), axis=1, out=gain[r])
         return 2.0 * gain - np.sum(np.multiply(c_rows, c_rows, out=c_rows), axis=1)
-    if criterion not in SOLVER_CRITERIA:
-        raise ParameterError(f"unknown mask criterion {criterion!r}")
-    return SOLVER_CRITERIA[criterion](w_hat, x_pre, target, n_samples, rng)
+    if criterion == "l0":  # the solver trains its gates for 100 steps
+        return l0_gates(w_hat, x_pre, target, n_samples, rng, steps=100)
+    return unit_scores(criterion, w_hat, x_pre, target, n_samples, rng)
 
 
 def ffn_prune_step(

@@ -349,6 +349,13 @@ def allocate_plan(
 # Mask construction and application
 # ---------------------------------------------------------------------------
 
+
+def unit_criterion(method: str) -> str:
+    """The criterion that ranks a method's units: wanda for the softmax,
+    inverse-weight and wanda-local methods, the method itself otherwise."""
+    return "wanda" if method in ("softmax", "inverse-weight", "wanda-local") else method
+
+
 def build_masks(
     model: ToyModel,
     cache: ActivationCache,
@@ -431,7 +438,7 @@ def temperature_sweep(
     threads: int = 1,
 ) -> tuple[float, SparsityPlan, list[tuple[float, float]]]:
     """Evaluate every temperature on a pool of `threads` workers: allocate,
-    mask by wanda scores, measure the total reconstruction loss of the
+    mask by the allocator's unit_criterion, measure the total reconstruction loss of the
     masked model. Returns the argmin temperature (ties to the smallest),
     its plan, and the loss table."""
     grid = [float(t) for t in grid]
@@ -440,7 +447,7 @@ def temperature_sweep(
 
     def evaluate(temp: float) -> tuple[float, SparsityPlan]:
         plan = allocate_plan(model, cache, allocator, r_bar, temp, gamma, rho)
-        masks = build_masks(model, cache, plan, "wanda")
+        masks = build_masks(model, cache, plan, unit_criterion(allocator))
         pruned = apply_masks(model, masks)
         loss = total_reconstruction_loss(pruned, cache, alpha=alpha).total
         return loss, plan

@@ -39,17 +39,6 @@ log = logging.getLogger("struprune")
 
 METHODS = ("closed-form", "softmax", "inverse-weight", "magnitude", "snip", "l0", "wanda-local")
 
-MASK_CRITERION_FOR_METHOD = {
-    "closed-form": "closed-form",
-    "softmax": "wanda",
-    "inverse-weight": "wanda",
-    "wanda-local": "wanda",
-    "magnitude": "magnitude",
-    "snip": "snip",
-    "l0": "l0",
-}
-
-
 class CliValidationError(Exception):
     pass
 
@@ -265,7 +254,7 @@ def cmd_plan(args) -> int:
     model, _, cache = _load_inputs(args)
     plan = _make_plan(args, model, cache)
     write_atomic(os.path.join(args.out, "plan.csv"), allocation.export_plan_csv(plan).encode())
-    criterion = MASK_CRITERION_FOR_METHOD[args.method]
+    criterion = allocation.unit_criterion(args.method)
     if criterion != "closed-form":
         rng = make_rng(args.seed)
         scores = {
@@ -286,7 +275,7 @@ def cmd_prune(args) -> int:
     else:
         plan = _make_plan(args, model, cache)
         masks = allocation.build_masks(
-            model, cache, plan, MASK_CRITERION_FOR_METHOD[args.method], make_rng(args.seed)
+            model, cache, plan, allocation.unit_criterion(args.method), make_rng(args.seed)
         )
     pruned = allocation.apply_masks(model, masks)
     save_model(pruned, args.out)
@@ -306,7 +295,7 @@ def cmd_admm(args) -> int:
         learning_rate=args.lr,
         ridge_eps=args.eps,
         seed=args.seed,
-        mask_criterion=MASK_CRITERION_FOR_METHOD[args.method],
+        mask_criterion=allocation.unit_criterion(args.method),
     )
     result = run_outer_loop(model, cache, plan, cfg, threads=args.threads)
     save_model(result.model, args.out)

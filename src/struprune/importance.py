@@ -1,8 +1,8 @@
 """Unit- and layer-level importance criteria.
 
 The activation-aware score `wanda_unit` averages the l1 norm of
-weight-times-input products per calibration sample. `UNIT_CRITERIA` is
-the one registry of row-unit criteria (wanda, magnitude, gradient
+weight-times-input products per calibration sample. `unit_scores` is
+the one dispatch of row-unit criteria (wanda, magnitude, gradient
 sensitivity, learnable gates) for both one-shot masks and the
 alternating solver; the attention/MLP split with geometric depth decay
 follows.
@@ -11,7 +11,6 @@ follows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -79,27 +78,6 @@ def reconstruction_gradient(
     return (2.0 / float(n_samples)) * residual @ x_in.T
 
 
-# ---------------------------------------------------------------------------
-# Row-unit criteria: criterion(w, x_in, target, n_samples, rng) -> scores
-# ---------------------------------------------------------------------------
-
-
-def wanda_rows(w, x_in, target, n_samples, rng=None, x_l1=None) -> np.ndarray:
-    return wanda_unit(w, x_in, ROW, n_samples, x_l1)
-
-
-def magnitude_rows(w, x_in, target, n_samples, rng=None) -> np.ndarray:
-    return magnitude_unit(w, ROW)
-
-
-def snip_rows(w, x_in, target, n_samples, rng=None) -> np.ndarray:
-    """Gradient sensitivity: per row, sum of |dL/dW * W| where L is the
-    quadratic reconstruction loss of w @ x_in against target. Identically
-    zero when the weights sit at the optimum."""
-    grad = reconstruction_gradient(w, x_in, target, n_samples)
-    return np.abs(grad * w).sum(axis=1)
-
-
 def l0_gates(
     w, x_in, target, n_samples, rng, steps: int = 200, lam: float = 1e-2, lr: float = 0.05
 ) -> np.ndarray:
@@ -123,21 +101,25 @@ def l0_gates(
     return 1.0 / (1.0 + np.exp(-theta))
 
 
-UNIT_CRITERIA = {"wanda": wanda_rows, "magnitude": magnitude_rows, "snip": snip_rows, "l0": l0_gates}
+def unit_scores(criterion, w, x_in, target, n_samples, rng=None, x_l1=None) -> np.ndarray:
+    """Row-unit scores of w acting on x_in under one criterion, the one
+    dispatch for one-shot masks and the alternating solver; target is the
+    product the rows should reproduce.
 
-
-def _score_matrix(
-    model: ToyModel, cache: ActivationCache, block_index: int, matrix: str,
-    criterion: str, rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Row-unit scores of one mask-bearing matrix against its
-    dense-reference product."""
-    rec = cache.blocks[block_index]
-    x_in, target = (getattr(rec, name) for name in MATRIX_IO[matrix])
-    score = UNIT_CRITERIA[criterion]
-    if criterion == "wanda":  # the input statistic is frozen with the cache
-        score = partial(score, x_l1=rec.col_l1(MATRIX_IO[matrix][0]))
-    return score(model.blocks[block_index].matrices[matrix], x_in, target, cache.n_samples, rng)
+    wanda: wanda_unit over rows, with x_l1 as in wanda_unit. magnitude:
+    the l1 norm of each row. snip (gradient sensitivity): per row, sum of
+    |dL/dW * W| where L is the quadratic reconstruction loss of w @ x_in
+    against target; identically zero when the weights sit at the optimum.
+    l0: the trained gates of l0_gates."""
+    if criterion == "wanda":
+        return wanda_unit(w, x_in, ROW, n_samples, x_l1)
+    if criterion == "magnitude":
+        return magnitude_unit(w, ROW)
+    if criterion == "snip":
+        return np.abs(reconstruction_gradient(w, x_in, target, n_samples) * w).sum(axis=1)
+    if criterion == "l0":
+        return l0_gates(w, x_in, target, n_samples, rng)
+    raise ParameterError(f"unknown criterion {criterion!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +205,17 @@ def block_unit_scores(
     criterion: str,
     rng: np.random.Generator | None = None,
 ) -> dict[str, np.ndarray]:
-    """Row-unit scores for every mask-bearing matrix of one block under the
-    named criterion (wanda | magnitude | snip | l0)."""
-    if criterion not in UNIT_CRITERIA:
-        raise ParameterError(f"unknown criterion {criterion!r}")
-    return {
-        name: _score_matrix(model, cache, block_index, name, criterion, rng)
-        for name in MASK_BEARING[model.blocks[block_index].kind]
-    }
+    """unit_scores of every mask-bearing matrix of one block against its
+    dense-reference product; wanda reads the input statistic frozen with
+    the cache."""
+    block, rec = model.blocks[block_index], cache.blocks[block_index]
+    scores = {}
+    for name in MASK_BEARING[block.kind]:
+        x_name, target_name = MATRIX_IO[name]
+        x_l1 = rec.col_l1(x_name) if criterion == "wanda" else None
+        scores[name] = unit_scores(criterion, block.matrices[name], getattr(rec, x_name),
+                                   getattr(rec, target_name), cache.n_samples, rng, x_l1)
+    return scores
 
 
 def export_scores_csv(
