@@ -438,9 +438,9 @@ def temperature_sweep(
     threads: int = 1,
 ) -> tuple[float, SparsityPlan, list[tuple[float, float]]]:
     """Evaluate every temperature on a pool of `threads` workers: allocate,
-    mask by the allocator's unit_criterion, measure the total reconstruction loss of the
-    masked model. Returns the argmin temperature (ties to the smallest),
-    its plan, and the loss table."""
+    mask by the allocator's unit_criterion, measure the total
+    reconstruction loss of the masked model. Returns the argmin
+    temperature (ties to the smallest), its plan, and the loss table."""
     grid = [float(t) for t in grid]
     if not grid:
         raise ParameterError("temperature grid is empty")

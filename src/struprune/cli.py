@@ -30,6 +30,7 @@ from .model import (
     load_calibration,
     load_model,
     make_calibration,
+    read_json,
     save_calibration,
     save_model,
     write_atomic,
@@ -190,8 +191,7 @@ def _parse_args(parser: Parser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
-    with open(args.config, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(args.config)
     if not isinstance(data, dict):
         raise CliValidationError("config file must hold a JSON object")
     flags = []
@@ -472,7 +472,7 @@ def main(argv=None) -> int:
         _setup_logging()
         args = _parse_args(build_parser(), argv)
         return COMMANDS[args.command](args)
-    except (CliValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CliValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, SingularSystemError) as exc:

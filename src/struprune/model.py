@@ -517,6 +517,16 @@ def write_json_atomic(path: str, obj):
     write_atomic(path, json_text(obj).encode("utf-8"))
 
 
+def read_json(path: str):
+    """Parse the JSON file at path. A file that does not decode as UTF-8
+    JSON, or nests too deep to parse, raises FormatError naming path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{path} is not valid JSON: {exc}") from None
+
+
 def _blob_bytes(mat: np.ndarray) -> bytes:
     return np.ascontiguousarray(mat, dtype="<f4").tobytes()
 
@@ -587,8 +597,7 @@ def load_model(path: str) -> ToyModel:
     manifest_path = os.path.join(path, "manifest.json")
     if not os.path.exists(manifest_path):
         raise FormatError(f"missing manifest.json under {path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise FormatError("manifest.json must hold a JSON object")
     version = manifest.get("format_version")
@@ -676,8 +685,7 @@ def load_calibration(path: str) -> CalibrationSet:
     sidecar_path = os.path.join(path, "calib.json")
     if not os.path.exists(sidecar_path):
         raise FormatError(f"missing calib.json under {path}")
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+    sidecar = read_json(sidecar_path)
     if not isinstance(sidecar, dict):
         raise FormatError("calib.json must hold a JSON object")
     for key in ("N", "seq_len", "d"):
@@ -687,13 +695,18 @@ def load_calibration(path: str) -> CalibrationSet:
             raise FormatError(
                 f"calibration sidecar field {key!r} must be a positive int, got {sidecar[key]!r}"
             )
+    is_tokens = "kind" in sidecar  # a dense sidecar carries no kind
+    if is_tokens and sidecar["kind"] != "tokens":
+        raise FormatError(
+            f"calibration sidecar field 'kind' must be 'tokens' or absent, got {sidecar['kind']!r}"
+        )
     n, seq, d = sidecar["N"], sidecar["seq_len"], sidecar["d"]
     blob_path = os.path.join(path, "calib.bin")
     if not os.path.exists(blob_path):
         raise FormatError("calibration blob calib.bin is missing")
     with open(blob_path, "rb") as fh:
         raw = fh.read()
-    if sidecar.get("kind") == "tokens":
+    if is_tokens:
         expected = n * seq * 4
         if len(raw) != expected:
             raise FormatError(f"token blob has {len(raw)} bytes, expected {expected}")

@@ -318,6 +318,38 @@ class TestMalformedInput:
         assert run("plan", "--model", model, "--calib", calib, "--out", str(tmp / "o")) == 1
         _one_error_line(capsys, "'N'", "positive int")
 
+    # A dense sidecar carries no kind; any kind but "tokens" is an error,
+    # not a dense read of the blob.
+    @pytest.mark.parametrize("kind", ["tokenz", ["tokens"], "dense", None, 1])
+    def test_calibration_unknown_kind(self, workspace, capsys, kind):
+        tmp, model, calib = workspace
+        _edit_json(os.path.join(calib, "calib.json"), lambda c: c.update(kind=kind))
+        assert run("plan", "--model", model, "--calib", calib, "--out", str(tmp / "o")) == 1
+        _one_error_line(capsys, "'kind'", repr(kind))
+
+    # A JSON input that does not parse exits 1 with one error line naming
+    # its file: cut short, nested past the parser's depth limit, or not
+    # UTF-8.
+    @pytest.mark.parametrize("damage", ["truncated", "deep", "not-utf8"])
+    @pytest.mark.parametrize("target", ["config", "manifest", "calib"])
+    def test_unparsable_json_names_file(self, workspace, capsys, target, damage):
+        tmp, model, calib = workspace
+        cfg = tmp / "cfg.json"
+        cfg.write_text(json.dumps({"sparsity": 0.35}))
+        path = {"config": str(cfg), "manifest": os.path.join(model, "manifest.json"),
+                "calib": os.path.join(calib, "calib.json")}[target]
+        with open(path, "rb") as fh:
+            text = fh.read()
+        opener, closer = (b'{"a":', b"}") if target == "calib" else (b"[", b"]")
+        bad = {"truncated": text[: len(text) // 2],
+               "deep": opener * 100000 + b"1" + closer * 100000,
+               "not-utf8": b"\xff\xfe" + text}[damage]
+        with open(path, "wb") as fh:
+            fh.write(bad)
+        assert run("plan", "--model", model, "--calib", calib, "--config", str(cfg),
+                   "--out", str(tmp / "o")) == 1
+        _one_error_line(capsys, path)
+
 
 def _poison_first_value(path, value=np.nan):
     with open(path, "r+b") as fh:

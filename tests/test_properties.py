@@ -1,9 +1,9 @@
 """Property tests of the exit-code contract over numeric flag values and
-manifest mutations.
+manifest and calibration-sidecar mutations.
 
 Whatever value a float or int flag of plan, prune, admm, sweep or eval
-takes, and whichever one manifest field is dropped or retyped, the CLI
-exits 0, 1 or 2 and prints no traceback and no warning;
+takes, and whichever one manifest or calib.json field is dropped or
+retyped, the CLI exits 0, 1 or 2 and prints no traceback and no warning;
 exit 1 prints one `error:` line and exit 2 one `solver error:` line; and
 a run that exits 0 writes only artifacts that parse as strict JSON or CSV
 and hold no NaN or inf.
@@ -180,7 +180,7 @@ FIELD_VALUES = st.sampled_from([DROP, None, True, 1.5, "8", -1, 0, 10**6, [], {}
 def test_manifest_mutation_contract(dirs, data):
     """One field of the manifest (top level, arch.*, or one matrices[i].*)
     dropped or given another type or value; `plan` reads the result."""
-    root, model, _, _ = dirs
+    _, model, _, _ = dirs
     with open(os.path.join(model, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     fields = [(key,) for key in manifest] + [("arch", key) for key in manifest["arch"]] + [
@@ -195,11 +195,36 @@ def test_manifest_mutation_contract(dirs, data):
         del target[key]
     else:
         target[key] = value
-    mutated = tempfile.mkdtemp(dir=root)
+    run_mutated(dirs, model, "manifest.json", manifest, "--model")
+
+
+CALIB_FIELDS = ("N", "seq_len", "d", "kind")  # the dense fixture's sidecar has no kind
+KIND_VALUES = st.sampled_from(["tokens", "tokenz", ["tokens"]])
+
+
+@settings(SETTINGS, max_examples=30)
+@given(key=st.sampled_from(CALIB_FIELDS), value=st.one_of(FIELD_VALUES, KIND_VALUES))
+def test_calibration_mutation_contract(dirs, key, value):
+    """One calib.json field dropped or given another type or value; `plan`
+    reads the result."""
+    _, _, calib, _ = dirs
+    with open(os.path.join(calib, "calib.json"), encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    if value == DROP:
+        sidecar.pop(key, None)
+    else:
+        sidecar[key] = value
+    run_mutated(dirs, calib, "calib.json", sidecar, "--calib")
+
+
+def run_mutated(dirs, source, name, data, flag):
+    """Run the contract of `plan` with `flag` naming a copy of directory
+    source whose file `name` holds data; the later flag wins."""
+    mutated = tempfile.mkdtemp(dir=dirs[0])
     try:
-        shutil.copytree(model, mutated, dirs_exist_ok=True)
-        with open(os.path.join(mutated, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh)
-        run_contract(dirs, "plan", ["--model", mutated])  # the later --model wins
+        shutil.copytree(source, mutated, dirs_exist_ok=True)
+        with open(os.path.join(mutated, name), "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        run_contract(dirs, "plan", [flag, mutated])
     finally:
         shutil.rmtree(mutated, ignore_errors=True)
