@@ -21,7 +21,7 @@ from .errors import ParameterError, SingularSystemError, SolverError
 from .importance import l0_gates, unit_scores
 from .linalg import _cholesky, cho_solve, make_rng, relu, ridge_solve, row_softmax
 from .model import (FFN, MASK_BEARING, UNIT_OWNER, ActivationCache, BlockActivations, ToyModel,
-                    _worker_pool, csv_text, unit_mask)
+                    _row_blocks, _worker_pool, csv_text, unit_mask)
 
 
 @dataclass
@@ -233,14 +233,9 @@ def ffn_objective(state: BlockState, rec: BlockActivations, cfg: SolverConfig, n
 # memory order: a matrix product is C-ordered, and an elementwise result
 # is Fortran-ordered only when all its full-size operands are. A
 # full-size temporary that only feeds a per-row sum or an add into an
-# owned buffer is built a block of rows at a time (_row_blocks): each
+# owned buffer is built a block of rows at a time (model._row_blocks): each
 # element, and each row's sum, sees the same operations, and two blocks
 # solved at once do not each hold one more ffn_dim x T array.
-
-
-def _row_blocks(n: int):
-    """Slices of 64 consecutive rows covering range(n)."""
-    return (slice(i, i + 64) for i in range(0, n, 64))
 
 
 def _order(x: np.ndarray) -> str | None:

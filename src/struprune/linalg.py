@@ -2,16 +2,17 @@
 
 All kernels are pure functions over immutable inputs and are deterministic
 for a fixed BLAS thread count. Everything is 64-bit internally; 32-bit
-appears only at the file boundary (see model.py).
+appears only at the file boundary (see model.py). scipy is imported on
+the first Cholesky factorization, not with this module, so commands that
+never factor never load it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.cython_lapack
 
 from .errors import DimensionError, ParameterError, SingularSystemError
 
@@ -71,28 +72,33 @@ def ridge_solve(a: np.ndarray, b: np.ndarray, eps: float = 0.0) -> np.ndarray:
 def _cholesky(gram: np.ndarray, failure: str) -> tuple[np.ndarray, bool]:
     """scipy's lower Cholesky factor of gram; a gram that is not positive
     definite raises SingularSystemError(failure)."""
+    import scipy.linalg  # on the first call; a dict lookup after that
+
     try:
         return scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(failure) from exc
 
 
-def _lapack_routine(name: str, *argtypes):
-    """The LAPACK routine scipy links, called through the function pointer
-    scipy.linalg.cython_lapack publishes. A ctypes CFUNCTYPE call releases
-    the GIL for its duration, where scipy's own wrappers hold it."""
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+_INT_P, _DOUBLE_P = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+
+
+@functools.cache
+def _dpotrs():
+    """dpotrs(uplo, n, nrhs, a, lda, b, ldb, info), the LAPACK routine
+    scipy links, called through the function pointer
+    scipy.linalg.cython_lapack publishes and looked up on first use. A
+    ctypes CFUNCTYPE call releases the GIL for its duration, where scipy's
+    own wrappers hold it. Pool threads that miss the cache at once each
+    build an equal wrapper, so the lookup takes no lock."""
+    import scipy.linalg.cython_lapack
+
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dpotrs"]
     api, obj, name_p = ctypes.pythonapi, ctypes.py_object, ctypes.c_char_p
     get_name = ctypes.PYFUNCTYPE(name_p, obj)(("PyCapsule_GetName", api))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, name_p)(("PyCapsule_GetPointer", api))
+    argtypes = (name_p, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P)
     return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
-
-
-_INT_P, _DOUBLE_P = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-# dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
-_DPOTRS = _lapack_routine(
-    "dpotrs", ctypes.c_char_p, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P
-)
 
 
 def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
@@ -116,7 +122,7 @@ def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
         raise SingularSystemError("Cholesky factor has a non-positive diagonal entry")
     dim, info = ctypes.c_int(c.shape[0]), ctypes.c_int(0)
     c_data, x_data = c.ctypes.data_as(_DOUBLE_P), x.ctypes.data_as(_DOUBLE_P)
-    _DPOTRS(b"L" if lower else b"U", dim, ctypes.c_int(x.shape[1]), c_data, dim, x_data, dim, info)
+    _dpotrs()(b"L" if lower else b"U", dim, ctypes.c_int(x.shape[1]), c_data, dim, x_data, dim, info)
     if info.value != 0:
         raise ParameterError(f"dpotrs rejected argument {-info.value}")
     return x

@@ -260,7 +260,7 @@ def calibration_input(model: ToyModel, calib: CalibrationSet) -> np.ndarray:
         flat = calib.tokens.reshape(-1)
         if flat.min() < 0 or flat.max() >= model.arch.vocab:
             raise ParameterError("token ids outside vocab range")
-        return model.embed[:, flat].copy()
+        return np.take(model.embed, flat, axis=1)
     if calib.inputs.shape[2] != model.arch.d:
         raise DimensionError(
             f"calibration dim {calib.inputs.shape[2]} != model hidden dim {model.arch.d}"
@@ -286,6 +286,13 @@ def _token_tiles(n_tokens: int) -> list[slice]:
     if n_tokens % 8:
         return [slice(0, n_tokens)]
     return [slice(s, min(s + TILE_TOKENS, n_tokens)) for s in range(0, n_tokens, TILE_TOKENS)]
+
+
+def _row_blocks(n: int):
+    """Slices of 64 consecutive rows covering range(n). A per-row sum (or
+    an elementwise op) taken a block at a time gives the bits of the
+    whole-array one, without a full-size temporary."""
+    return (slice(i, i + 64) for i in range(0, n, 64))
 
 
 @contextmanager
@@ -397,7 +404,10 @@ class BlockActivations:
         "input_pre"), the wanda input statistic; read-only."""
 
         def compute():
-            sums = np.sum(np.abs(getattr(self, name)), axis=1)
+            x = getattr(self, name)
+            sums = np.empty(x.shape[0])
+            for r in _row_blocks(x.shape[0]):
+                np.sum(np.abs(x[r]), axis=1, out=sums[r])
             sums.setflags(write=False)
             return sums
 
@@ -709,12 +719,12 @@ def load_calibration(path: str) -> CalibrationSet:
     if is_tokens:
         expected = n * seq * 4
         if len(raw) != expected:
-            raise FormatError(f"token blob has {len(raw)} bytes, expected {expected}")
+            raise FormatError(f"token blob {blob_path} has {len(raw)} bytes, expected {expected}")
         tokens = np.frombuffer(raw, dtype="<u4").astype(np.int64).reshape(n, seq)
         return CalibrationSet(tokens=tokens)
     expected = n * seq * d * 4
     if len(raw) != expected:
-        raise FormatError(f"calibration blob has {len(raw)} bytes, expected {expected}")
+        raise FormatError(f"calibration blob {blob_path} has {len(raw)} bytes, expected {expected}")
     inputs = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, seq, d)
     _check_finite(inputs, f"calibration blob {blob_path}")
     return CalibrationSet(inputs=inputs)

@@ -202,6 +202,15 @@ class TestColumnL1:
                 assert not sums.flags.writeable
                 assert rec.col_l1(name) is sums
 
+    @pytest.mark.parametrize("shape", [(1, 5), (63, 7), (64, 2047), (130, 9001), (65, 16384),
+                                       (3, 20000)])
+    def test_row_blocked_sums_match_whole_array(self, shape):
+        # Row blocks of 64 must give each row the bits of one whole-array
+        # sum, also when T % 8 != 0 and past numpy's 8192-element buffer.
+        x = make_rng(shape[1]).normal(size=shape)
+        rec = BlockActivations(FFN, x, x, x, x, None)
+        assert rec.col_l1("input_pre").tobytes() == np.sum(np.abs(x), axis=1).tobytes()
+
     def test_wanda_scores_unchanged(self, decoder_toy):
         model, _, cache = decoder_toy
         got = [li.value for li in layer_importance(model, cache, "wanda-sum")]

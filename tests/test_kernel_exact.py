@@ -193,7 +193,7 @@ def test_ffn_output_update(ffn_args):
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_row_blocked_kernels_across_blocks(layout):
-    # 150 rows: two full 64-row blocks of admm._row_blocks and a short one
+    # 150 rows: two full 64-row blocks of model._row_blocks and a short one
     # (the fixture's 64-row FFN fits in one block).
     rng = make_rng(11)
     all_f = layout == "all-F"

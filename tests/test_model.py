@@ -71,6 +71,14 @@ class TestCapture:
         cache = capture_reference_activations(model, calib)
         assert_close(cache.blocks[0].z_pre, calibration_input(model, calib), 0.0)
 
+    def test_token_input_gathers_embedding_columns(self):
+        arch = ModelArch(d=6, num_layers=1, num_heads=2, vocab=11)
+        model = generate_toy_model(arch, make_rng(4))
+        calib = make_calibration(arch, 3, 9, make_rng(5), kind="tokens")
+        x = calibration_input(model, calib)
+        assert x.flags.c_contiguous
+        assert x.tobytes() == model.embed[:, calib.tokens.reshape(-1)].copy().tobytes()
+
     def test_recapture_idempotent(self, decoder_toy):
         model, calib, cache = decoder_toy
         cache2 = capture_reference_activations(model, calib)

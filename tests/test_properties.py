@@ -1,9 +1,9 @@
-"""Property tests of the exit-code contract over numeric flag values and
-manifest and calibration-sidecar mutations.
+"""Property tests of the exit-code contract over numeric flag values,
+manifest and calibration-sidecar mutations, and blob size mutations.
 
 Whatever value a float or int flag of plan, prune, admm, sweep or eval
-takes, and whichever one manifest or calib.json field is dropped or
-retyped, the CLI exits 0, 1 or 2 and prints no traceback and no warning;
+takes, whichever one manifest or calib.json field is dropped or retyped,
+and whichever one blob is truncated or extended, the CLI exits 0, 1 or 2 and prints no traceback and no warning;
 exit 1 prints one `error:` line and exit 2 one `solver error:` line; and
 a run that exits 0 writes only artifacts that parse as strict JSON or CSV
 and hold no NaN or inf.
@@ -119,6 +119,7 @@ def run_contract(dirs, command, argv):
         else:
             prefix = "error:" if code == 1 else "solver error:"
             assert len(lines) == 1 and lines[0].startswith(prefix), (full, stderr)
+        return code, stderr
     finally:
         shutil.rmtree(out, ignore_errors=True)
 
@@ -195,7 +196,7 @@ def test_manifest_mutation_contract(dirs, data):
         del target[key]
     else:
         target[key] = value
-    run_mutated(dirs, model, "manifest.json", manifest, "--model")
+    run_mutated(dirs, model, "--model", write_json("manifest.json", manifest))
 
 
 CALIB_FIELDS = ("N", "seq_len", "d", "kind")  # the dense fixture's sidecar has no kind
@@ -214,17 +215,49 @@ def test_calibration_mutation_contract(dirs, key, value):
         sidecar.pop(key, None)
     else:
         sidecar[key] = value
-    run_mutated(dirs, calib, "calib.json", sidecar, "--calib")
+    run_mutated(dirs, calib, "--calib", write_json("calib.json", sidecar))
 
 
-def run_mutated(dirs, source, name, data, flag):
+@settings(SETTINGS, max_examples=30)
+@given(data=st.data())
+def test_blob_mutation_contract(dirs, data):
+    """One model blob or calib.bin truncated or extended by a drawn byte
+    count; `plan` reads the result and exits 1 with one `error:` line."""
+    _, model, calib, _ = dirs
+    blobs = [("--model", model, name) for name in sorted(os.listdir(model)) if name.endswith(".bin")]
+    # calib.bin in about half the examples, one of the model blobs otherwise
+    blob = st.one_of(st.just(("--calib", calib, "calib.bin")), st.sampled_from(blobs))
+    flag, source, name = data.draw(blob, label="blob")
+    size = os.path.getsize(os.path.join(source, name))
+    delta = data.draw(st.integers(-size, 64).filter(bool), label="byte delta")
+
+    def resize(directory):
+        with open(os.path.join(directory, name), "r+b") as fh:
+            fh.truncate(size + delta)  # extending pads with zero bytes
+
+    code, stderr = run_mutated(dirs, source, flag, resize)
+    assert code == 1, stderr
+    if name == "calib.bin":
+        assert "calib.bin" in stderr, stderr
+
+
+def write_json(name, data):
+    """A mutation that overwrites file `name` of a directory with data."""
+
+    def write(directory):
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+
+    return write
+
+
+def run_mutated(dirs, source, flag, mutate):
     """Run the contract of `plan` with `flag` naming a copy of directory
-    source whose file `name` holds data; the later flag wins."""
+    source that mutate(copy) has changed; the later flag wins."""
     mutated = tempfile.mkdtemp(dir=dirs[0])
     try:
         shutil.copytree(source, mutated, dirs_exist_ok=True)
-        with open(os.path.join(mutated, name), "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
-        run_contract(dirs, "plan", [flag, mutated])
+        mutate(mutated)
+        return run_contract(dirs, "plan", [flag, mutated])
     finally:
         shutil.rmtree(mutated, ignore_errors=True)
