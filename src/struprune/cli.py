@@ -207,6 +207,25 @@ def _parse_args(parser: Parser, argv: list[str]) -> argparse.Namespace:
         raise CliValidationError(f"config {args.config}: {exc}") from None
 
 
+def _check_out(args) -> None:
+    """--out may not be an input directory (--model, --dense, --calib) or
+    lie inside one, after resolving links: writing there would overwrite
+    or mix into the inputs."""
+    out = getattr(args, "out", None)
+    if out is None:
+        return
+    real_out = os.path.realpath(out)
+    for flag in ("model", "dense", "calib"):
+        src = getattr(args, flag, None)
+        if src is None:
+            continue
+        real_src = os.path.realpath(src)
+        if os.path.commonpath([real_out, real_src]) == real_src:
+            raise CliValidationError(
+                f"--out {out} is or lies inside --{flag} {src}; write the outputs elsewhere"
+            )
+
+
 def _wanda_importances(model, cache) -> list[float]:
     return [li.value for li in layer_importance(model, cache, "wanda-sum")]
 
@@ -320,6 +339,10 @@ def cmd_eval(args) -> int:
         pruned, cache, alpha=args.alpha, threads=args.threads
     )
     del cache  # the reference is not needed by pseudo-perplexity
+    for (layer, kind, value), terms in zip(loss.per_layer, loss.terms):
+        names = evaluation.LOSS_TERMS[kind]
+        split = " ".join(f"{name}={term!r}" for name, term in zip(names, terms))
+        log.debug("layer %d %s loss %r, unscaled terms %s", layer, kind, value, split)
     ppl = None
     if calib.is_tokens and pruned.head is not None:
         ppl = evaluation.pseudo_perplexity(pruned, calib, threads=args.threads)
@@ -449,6 +472,17 @@ def cmd_verify(args) -> int:
     rhs = rng.normal(size=(512, 2048))
     same = np.array_equal(cho_solve(factor, rhs), oracle.cho_solve_reference(factor, rhs))
     check("GIL-free Cholesky solve matches scipy's (512 x 2048)", same, "solutions differ")
+    # The loss's leaf-by-leaf squared residual sums against np.sum of the
+    # plain expression on this machine's numpy, at sizes that are not
+    # multiples of 8 and span several pairwise leaves.
+    same = True
+    for rows, cols in ((37, 4099), (301, 1001)):
+        target, q, k = (rng.normal(size=(rows, cols)) for _ in range(3))
+        zq, zk = rng.random(rows) < 0.3, rng.random(rows) < 0.3
+        for products in (((q, zq),), ((k, None),), ((q, zq), (k, zk))):
+            got = evaluation._sq_residual(target, *products)
+            same &= got == oracle.sq_residual_reference(target, *products)
+    check("blockwise loss sums match np.sum (37 x 4099, 301 x 1001)", same, "sums differ")
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing check(s)")
     return 0 if failures == 0 else 1
 
@@ -471,6 +505,7 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         args = _parse_args(build_parser(), argv)
+        _check_out(args)
         return COMMANDS[args.command](args)
     except (CliValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

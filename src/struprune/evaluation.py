@@ -9,20 +9,25 @@ printed value.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, ParameterError
 from .model import (
+    FFN,
     MASK_BEARING,
     MATRIX_IO,
+    MHA,
     ActivationCache,
     CalibrationSet,
     FfnBlock,
     ToyModel,
     _dense_forward,
+    _pairwise_sum,
     _token_tiles,
     _worker_pool,
     calibration_input,
@@ -31,10 +36,16 @@ from .model import (
 )
 
 
+# The terms of each block kind's loss, in the order they are summed.
+LOSS_TERMS = {FFN: ("up", "down"), MHA: ("qk", "val", "out")}
+
+
 @dataclass
 class LossReport:
     per_layer: list[tuple[int, str, float]]
     total: float
+    # Each block's unscaled squared residual sums, named by LOSS_TERMS.
+    terms: list[tuple[float, ...]] = field(default_factory=list)
 
 
 def total_reconstruction_loss(
@@ -43,19 +54,20 @@ def total_reconstruction_loss(
     """Layer reconstruction loss against the frozen dense reference held
     in the activation cache, normalized by the calibration sample count.
 
-    Per FFN block: alpha * (||dense down product - pruned down product||^2
-    + ||dense up product - pruned up product||^2) on the reference
-    activations. MHA blocks compare the output projection, the value
-    projection, and the shared query/key consensus. Zero iff the pruned
+    Per FFN block: alpha * (||dense up product - pruned up product||^2
+    + ||dense down product - pruned down product||^2) on the reference
+    activations. MHA blocks compare the shared query/key consensus, the
+    value projection and the output projection. Zero iff the pruned
     weights act identically to the dense ones on the calibration support.
 
     The per-block losses are computed on a pool of `threads` workers and
     summed in block order. The row-unit products (w1, wq, wk, wv) are read
     from the cache when each pruned row is the dense row or zero
     (BlockActivations.product_rows); the column-masked w2 and wo products
-    are GEMMs. Temporaries are written in place into arrays this function
-    owns, with the bits of the plain expressions
-    (oracle.total_reconstruction_loss_reference).
+    are whole GEMMs. No residual is built whole: each squared residual is
+    summed a leaf of numpy's pairwise tree at a time (model._pairwise_sum)
+    in a leaf-sized buffer, with the bits of np.sum of the plain
+    expressions (oracle.total_reconstruction_loss_reference).
     """
     if [b.kind for b in model_pruned.blocks] != [rec.kind for rec in cache.blocks]:
         raise ParameterError("pruned model and activation cache disagree on block layout")
@@ -64,31 +76,27 @@ def total_reconstruction_loss(
         _check_shapes(i, pb, rec)
     scale = alpha * (1.0 / float(cache.n_samples))
     with _worker_pool(pairs, threads) as run:
-        losses = run(lambda pair: scale * _block_loss(*pair))
-    per_layer = [(i, pb.kind, loss) for i, (pb, loss) in enumerate(zip(model_pruned.blocks, losses))]
-    return LossReport(per_layer, float(sum(l for _, _, l in per_layer)))
+        terms = run(lambda pair: _block_terms(*pair))
+    # The terms are added left to right, (qk + val) + out: sum() of floats
+    # compensates its rounding on Python 3.12 and would change the bits.
+    per_layer = [
+        (i, pb.kind, scale * functools.reduce(operator.add, t))
+        for i, (pb, t) in enumerate(zip(model_pruned.blocks, terms))
+    ]
+    return LossReport(per_layer, float(sum(l for _, _, l in per_layer)), terms)
 
 
-def _block_loss(pb, rec) -> float:
-    """The unscaled sum of a block's squared residual terms."""
+def _block_terms(pb, rec) -> tuple[float, ...]:
+    """The unscaled sums of a block's squared residuals: (up, down) for
+    FFN, (qk, val, out) for MHA."""
     if isinstance(pb, FfnBlock):
-        up = _sq_residual(rec.z_pre, *rec.product_rows("w1", pb.w1))
-        down = _sq_residual(rec.out_pre, pb.w2 @ rec.a_pre)
-        return up + down
-    q, zq = rec.product_rows("wq", pb.wq)
-    k, zk = rec.product_rows("wk", pb.wk)
-    # Rows where q or k reads as zero are summed from their masked rows
-    # before the full sum may overwrite an owned q or k.
-    fix = zq if zk is None else (zk if zq is None else zq | zk)
-    fixed = None if fix is None else _masked_rows(q, zq, fix) + _masked_rows(k, zk, fix)
-    cons_pruned = np.add(q, k, out=_owned(q, k))
-    if fixed is not None:
-        cons_pruned[fix] = fixed
-    np.multiply(0.5, cons_pruned, out=cons_pruned)
-    qk = _sq_residual(rec.z_pre, cons_pruned)
-    val = _sq_residual(rec.a_attn_pre, *rec.product_rows("wv", pb.wv))
-    out = _sq_residual(rec.out_pre, pb.wo @ rec.a_attn_pre)
-    return qk + val + out
+        up = _sq_residual(rec.z_pre, rec.product_rows("w1", pb.w1))
+        down = _sq_residual(rec.out_pre, (pb.w2 @ rec.a_pre, None))
+        return up, down
+    qk = _sq_residual(rec.z_pre, rec.product_rows("wq", pb.wq), rec.product_rows("wk", pb.wk))
+    val = _sq_residual(rec.a_attn_pre, rec.product_rows("wv", pb.wv))
+    out = _sq_residual(rec.out_pre, (pb.wo @ rec.a_attn_pre, None))
+    return qk, val, out
 
 
 def _check_shapes(layer: int, block, rec) -> None:
@@ -104,27 +112,47 @@ def _check_shapes(layer: int, block, rec) -> None:
             )
 
 
-def _owned(*arrays: np.ndarray) -> np.ndarray | None:
-    """The first array this function may write into: product results are
-    fresh, the frozen products read-only."""
-    return next((a for a in arrays if a.flags.writeable), None)
+def _sq_residual(target: np.ndarray, *products) -> float:
+    """sum((target - p)^2) over C-contiguous operands (as capture and
+    GEMMs make them), where p is the one product given or the consensus
+    0.5 * (p1 + p2) of two. Each product is an (array, zero) pair of
+    BlockActivations.product_rows whose rows flagged in zero read as
+    +0.0."""
+    t = target.reshape(-1)
+    reads = [_row_reader(prod, zero) for prod, zero in products]
+
+    def fill(lo, hi, out, *spare):
+        p = reads[0](lo, hi, out)
+        if len(reads) == 2:
+            np.add(p, reads[1](lo, hi, spare[0]), out=out)
+            p = np.multiply(0.5, out, out=out)
+        np.subtract(t[lo:hi], p, out=out)
+        np.multiply(out, out, out=out)
+
+    return _pairwise_sum(t.size, fill, buffers=len(reads))
 
 
-def _masked_rows(prod: np.ndarray, zero: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
-    """prod[rows] with the rows flagged in `zero` read as +0.0."""
-    sub = prod[rows]
-    if zero is not None:
-        sub[zero[rows]] = 0.0
-    return sub
+def _row_reader(prod: np.ndarray, zero: np.ndarray | None):
+    """read(lo, hi, out): the flat range [lo, hi) of prod with the rows
+    flagged in zero read as +0.0; a view of prod where no flagged row
+    meets the range, else a copy in out."""
+    flat = prod.reshape(-1)
+    if zero is None:
+        return lambda lo, hi, out: flat[lo:hi]
+    # Flat [start, stop) spans of the runs of flagged rows.
+    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False)) * prod.shape[1]
+    starts, stops = edges[0::2], edges[1::2]
 
+    def read(lo, hi, out):
+        first, last = np.searchsorted(stops, lo, "right"), np.searchsorted(starts, hi)
+        if first == last:
+            return flat[lo:hi]
+        out[:] = flat[lo:hi]
+        for start, stop in zip(starts[first:last], stops[first:last]):
+            out[max(start, lo) - lo:min(stop, hi) - lo] = 0.0
+        return out
 
-def _sq_residual(target: np.ndarray, prod: np.ndarray, zero: np.ndarray | None = None) -> float:
-    """sum((target - prod)^2) with the rows flagged in `zero` of prod read
-    as +0.0; the temporaries are written into prod when it is owned."""
-    resid = np.subtract(target, prod, out=_owned(prod))
-    if zero is not None:
-        resid[zero] = target[zero]  # target - (+0.0) is target
-    return float(np.sum(np.multiply(resid, resid, out=resid)))
+    return read
 
 
 def pseudo_perplexity(model: ToyModel, calib: CalibrationSet, threads: int = 1) -> float:

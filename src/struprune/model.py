@@ -295,6 +295,37 @@ def _row_blocks(n: int):
     return (slice(i, i + 64) for i in range(0, n, 64))
 
 
+# np.sum over a C-contiguous float64 array adds its flat elements
+# pairwise: a range of n > 128 elements splits at n//2 rounded down to a
+# multiple of 8, and a range of at most 128 is one unrolled loop.
+# _pairwise_sum walks that tree and sums each node of at most
+# PAIRWISE_LEAF elements (512 KiB) with np.sum.
+PAIRWISE_LEAF = 1 << 16
+
+
+def _pairwise_sum(n: int, fill, buffers: int = 1) -> float:
+    """np.sum of an n-element C-contiguous array, bit for bit, without
+    building it: fill(lo, hi, *out) writes the array's flat range [lo, hi)
+    into out[0], using `buffers` leaf-sized arrays out as scratch."""
+    width = max(PAIRWISE_LEAF, 128)
+    scratch = [np.empty(min(n, width)) for _ in range(buffers)]
+    return float(_pairwise_node(0, n, width, fill, scratch))
+
+
+def _pairwise_node(lo: int, size: int, width: int, fill, scratch):
+    # A module-level function, not a closure: a closure that calls itself
+    # is a reference cycle, which would keep fill's arrays alive until
+    # the garbage collector runs.
+    if size <= width:
+        out = [buf[:size] for buf in scratch]
+        fill(lo, lo + size, *out)
+        return np.sum(out[0])
+    half = size // 2
+    half -= half % 8
+    return (_pairwise_node(lo, half, width, fill, scratch)
+            + _pairwise_node(lo + half, size - half, width, fill, scratch))
+
+
 @contextmanager
 def _worker_pool(items, threads: int):
     """A runner: run(fn) calls fn on every item, on up to `threads`

@@ -365,8 +365,19 @@ def ffn_objective_reference(w1_eff, w2_eff, rec, a, z, alpha, beta, n_samples):
 #
 # The plain-expression bodies of evaluation.total_reconstruction_loss and
 # allocation.closed_form_context: every product a GEMM, every temporary a
-# fresh array. The production forms read the row-unit products from the
-# frozen activation cache; tests require the same bits.
+# fresh array, every squared residual summed whole by np.sum. The
+# production forms read the row-unit products from the frozen activation
+# cache, and the loss sums each squared residual a leaf of numpy's
+# pairwise tree at a time (model._pairwise_sum) without building it;
+# tests and `verify` require the same bits.
+
+
+def sq_residual_reference(target, *products):
+    """np.sum of the squared residual that evaluation._sq_residual sums by
+    leaves: target - p for one product, p = 0.5 * (p1 + p2) for two, each
+    an (array, zero) pair whose rows flagged in zero read as +0.0."""
+    read = [p if zero is None else np.where(zero[:, None], 0.0, p) for p, zero in products]
+    return _sq(target - (read[0] if len(read) == 1 else 0.5 * (read[0] + read[1])))
 
 
 def total_reconstruction_loss_reference(model_pruned, cache, alpha=1.0):

@@ -132,6 +132,33 @@ class TestDeterminismAndSafety:
                    "--sparsity", "0.3", "--out", str(tmp / "out")) == 0
         assert (dir_bytes(model), dir_bytes(calib)) == before
 
+    @pytest.mark.parametrize("command, out, flag", [
+        ("prune", "model", "--model"),
+        ("prune", "calib", "--calib"),
+        ("prune", "model/sub", "--model"),
+        ("prune", "link-to-model", "--model"),
+        ("admm", "model", "--model"),
+        ("admm", "calib/../calib/.", "--calib"),
+        ("eval", "pruned", "--model"),
+        ("eval", "model", "--dense"),
+        ("eval", "calib/sub", "--calib"),
+    ])
+    def test_out_over_an_input_exits_one(self, workspace, capsys, command, out, flag):
+        tmp, model, calib = workspace
+        os.symlink(model, str(tmp / "link-to-model"))
+        inputs = ["--model", model, "--calib", calib, "--method", "magnitude"]
+        if command == "eval":
+            assert run("prune", *inputs, "--out", str(tmp / "pruned")) == 0
+            inputs = ["--model", str(tmp / "pruned"), "--dense", model, "--calib", calib]
+        elif command == "admm":
+            inputs += ["--iters", "1"]
+        out = str(tmp / out)
+        before = dir_bytes(model), dir_bytes(calib)
+        capsys.readouterr()
+        assert run(command, *inputs, "--out", out) == 1
+        _one_error_line(capsys, f"--out {out}", flag)
+        assert (dir_bytes(model), dir_bytes(calib)) == before
+
     def test_idempotent_overwrite(self, workspace):
         tmp, model, calib = workspace
         out = str(tmp / "plan")

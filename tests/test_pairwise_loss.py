@@ -1,0 +1,227 @@
+"""The reconstruction loss sums each squared residual a leaf of numpy's
+pairwise tree at a time (model._pairwise_sum): the bits of np.sum of the
+plain expression, without a residual-sized temporary, and the same bits
+on every pool size.
+
+The d=16 fixtures fit in one leaf, so the property tests shrink the leaf
+to make the tree split."""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from struprune import evaluation, oracle
+from struprune import model as model_module
+from struprune.allocation import apply_masks, build_masks, temperature_sweep, uniform_plan
+from struprune.cli import main
+from struprune.evaluation import _sq_residual, total_reconstruction_loss
+from struprune.linalg import make_rng
+from struprune.model import (
+    MASK_BEARING,
+    ModelArch,
+    _pairwise_sum,
+    capture_reference_activations,
+    generate_toy_model,
+    make_calibration,
+)
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+# Leaf sizes to patch in. _pairwise_sum never makes a leaf below 128
+# elements: numpy sums a node of at most 128 in one unrolled loop, not by
+# splitting it, so smaller sizes would run the 128 case again.
+LEAVES = [128, 129, 136, 4096]
+# Row-flag patterns of a product: none, some, every row, no row.
+PATTERNS = ["none", "some", "all", "empty"]
+
+
+@contextlib.contextmanager
+def leaf(size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "PAIRWISE_LEAF", size)
+        yield
+
+
+def flags(rng, pattern, rows):
+    if pattern == "none":
+        return None
+    if pattern == "some":
+        return rng.random(rows) < 0.4
+    return np.full(rows, pattern == "all")
+
+
+@SETTINGS
+@given(size=st.integers(0, 5000), width=st.sampled_from(LEAVES))
+def test_pairwise_sum_is_np_sum(size, width):
+    values = make_rng(size).normal(size=size) ** 2
+    with leaf(width):
+        got = _pairwise_sum(size, lambda lo, hi, out: np.copyto(out, values[lo:hi]))
+    assert got == float(np.sum(values))
+
+
+@SETTINGS
+@given(rows=st.integers(1, 40), cols=st.integers(1, 300), width=st.sampled_from(LEAVES),
+       pq=st.sampled_from(PATTERNS), pk=st.sampled_from(PATTERNS), seed=st.integers(0, 99))
+def test_sq_residual_is_np_sum(rows, cols, width, pq, pk, seed):
+    rng = make_rng(seed)
+    target, q, k = (rng.normal(size=(rows, cols)) for _ in range(3))
+    q, k = (q, flags(rng, pq, rows)), (k, flags(rng, pk, rows))
+    with leaf(width):
+        for products in ((q,), (k,), (q, k)):
+            got = _sq_residual(target, *products)
+            assert got == oracle.sq_residual_reference(target, *products), products
+
+
+def random_pruned(seed, layout, draw_mask):
+    """A small random model, its frozen cache, and the model with its row
+    units zeroed by draw_mask(rng, rows) per mask-bearing matrix; wq and wk
+    are drawn apart."""
+    rng = make_rng(seed)
+    heads = int(rng.integers(1, 3))
+    arch = ModelArch(d=2 * heads * int(rng.integers(1, 4)), num_layers=int(rng.integers(1, 3)),
+                     num_heads=heads, ffn_dim=int(rng.integers(3, 20)))
+    model = generate_toy_model(arch, rng, layout=layout)
+    calib = make_calibration(arch, int(rng.integers(1, 6)), int(rng.integers(1, 20)), rng)
+    cache = capture_reference_activations(model, calib)
+    masks = {
+        i: {name: ~draw_mask(rng, block.matrices[name].shape[0])
+            for name in MASK_BEARING[block.kind]}
+        for i, block in enumerate(model.blocks)
+    }
+    return model, cache, apply_masks(model, masks)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10_000), layout=st.sampled_from(["decoder", "ffn", "mha"]),
+       pattern=st.sampled_from(["some", "all", "empty"]), width=st.sampled_from(LEAVES))
+def test_loss_is_reference(seed, layout, pattern, width):
+    _, cache, pruned = random_pruned(seed, layout, lambda rng, rows: flags(rng, pattern, rows))
+    with leaf(width):
+        got = total_reconstruction_loss(pruned, cache, alpha=1.3)
+    ref = oracle.total_reconstruction_loss_reference(pruned, cache, alpha=1.3)
+    assert got.per_layer == ref.per_layer
+    assert got.total == ref.total
+
+
+def test_block_terms_are_added_left_to_right(monkeypatch):
+    """(1 + e) + e rounds to 1 for e = 2^-53; a compensated sum (sum() of
+    floats on Python 3.12, math.fsum) gives 1 + 2^-52 and other bits than
+    the reference's (qk + val) + out."""
+    _, cache, pruned = random_pruned(3, "mha", lambda rng, rows: flags(rng, "some", rows))
+    monkeypatch.setattr(evaluation, "_block_terms", lambda pb, rec: (1.0, 2.0**-53, 2.0**-53))
+    got = total_reconstruction_loss(pruned, cache, alpha=cache.n_samples)
+    assert [loss for _, _, loss in got.per_layer] == [1.0] * len(pruned.blocks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10, database=None)
+@given(seed=st.integers(0, 10_000), layout=st.sampled_from(["decoder", "ffn", "mha"]))
+def test_identical_bits_on_every_pool_size(seed, layout):
+    model, cache, pruned = random_pruned(seed, layout, lambda rng, rows: rng.random(rows) < 0.4)
+    with leaf(128):
+        loss = [total_reconstruction_loss(pruned, cache, threads=t) for t in (1, 2, 3)]
+        sweep = [temperature_sweep(model, cache, [0.3, 1.0, 3.0], "softmax", 0.4, threads=t)
+                 for t in (1, 2, 3)]
+    assert loss[0] == loss[1] == loss[2]
+    tables = [(best, plan.entries, table) for best, plan, table in sweep]
+    assert tables[0] == tables[1] == tables[2]
+
+
+# An FFN block whose ffn_dim x T residual is 8 MiB: 256 x 4096 float64.
+WIDE_FFN = ModelArch(d=16, num_layers=1, num_heads=1, ffn_dim=256)
+WIDE_N, WIDE_SEQ = 64, 64
+
+
+@pytest.fixture(scope="module")
+def wide_ffn():
+    model = generate_toy_model(WIDE_FFN, make_rng(5), layout="ffn")
+    calib = make_calibration(WIDE_FFN, WIDE_N, WIDE_SEQ, make_rng(6))
+    cache = capture_reference_activations(model, calib)
+    residual = WIDE_FFN.ffn_dim * WIDE_N * WIDE_SEQ * 8
+    assert residual >= 8 * 2**20
+    return model, cache, residual
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loss_builds_no_residual(wide_ffn):
+    model, cache, residual = wide_ffn
+    pruned = apply_masks(model, build_masks(model, cache, uniform_plan(model, 0.4), "wanda"))
+    total_reconstruction_loss(pruned, cache)  # memoized input statistics first
+    peak = traced_peak(lambda: total_reconstruction_loss(pruned, cache))
+    assert peak < residual, f"peak {peak} B, residual {residual} B"
+
+
+def test_sweep_builds_no_residual(wide_ffn):
+    model, cache, residual = wide_ffn
+
+    def run():
+        temperature_sweep(model, cache, [0.5, 1.0], "softmax", 0.4, threads=2)
+
+    run()  # memoized input statistics first
+    peak = traced_peak(run)
+    assert peak < residual, f"peak {peak} B, residual {residual} B"
+
+
+def test_refit_loss_builds_one_product(wide_ffn):
+    """Refit w1 rows are neither the dense row nor zero, so the loss of an
+    admm output still takes the whole w1 @ input_pre GEMM: one ffn_dim x T
+    product, but no residual beside it."""
+    model, cache, residual = wide_ffn
+    pruned = apply_masks(model, build_masks(model, cache, uniform_plan(model, 0.4), "wanda"))
+    pruned.blocks[0].w1 *= 1 + 1e-3
+    total_reconstruction_loss(pruned, cache)  # memoized input statistics first
+    peak = traced_peak(lambda: total_reconstruction_loss(pruned, cache))
+    assert peak < 1.25 * residual, f"peak {peak} B, residual {residual} B"
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def test_debug_log_splits_eval_loss(tmp_path):
+    """STRUPRUNE_LOG=debug adds one line per block with its loss terms;
+    stdout and every artifact byte stay those of the info level."""
+    model, calib, pruned, out = (str(tmp_path / n) for n in ("model", "calib", "pruned", "out"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--d", "16", "--layers", "2", "--heads", "2", "--seed", "3",
+                     "--out", model]) == 0
+        assert main(["calibrate", "--model", model, "--n", "4", "--seq-len", "8", "--seed", "4",
+                     "--out", calib]) == 0
+        assert main(["prune", "--model", model, "--calib", calib, "--method", "magnitude",
+                     "--out", pruned]) == 0
+    runs = {}
+    for level in ("info", "debug"):
+        env = dict(os.environ, STRUPRUNE_LOG=level, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "struprune.cli", "eval", "--model", pruned, "--dense", model,
+             "--calib", calib, "--threads", "2", "--out", out],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        files = {}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                files[name] = fh.read()
+        runs[level] = (done.stdout, files, done.stderr.splitlines())
+    assert runs["info"][:2] == runs["debug"][:2]
+    assert not [line for line in runs["info"][2] if line.startswith("DEBUG")]
+    extra = [line for line in runs["debug"][2] if line.startswith("DEBUG")]
+    assert [line.split()[3:5] for line in extra] == [["0", "mha"], ["1", "ffn"], ["2", "mha"], ["3", "ffn"]], extra
+    assert all(line.startswith("DEBUG struprune: layer ") for line in extra)
+    assert any(line.startswith("INFO") for line in runs["info"][2])
+    assert "qk=" in extra[0] and "val=" in extra[0] and "out=" in extra[0]
+    assert "up=" in extra[1] and "down=" in extra[1]
