@@ -20,7 +20,7 @@ from .allocation import SparsityPlan, binarize_by_threshold, round_half_away
 from .errors import ParameterError, SingularSystemError, SolverError
 from .importance import l0_gates, unit_scores
 from .linalg import _cholesky, cho_solve, make_rng, relu, ridge_solve, row_softmax
-from .model import (FFN, MASK_BEARING, UNIT_OWNER, ActivationCache, BlockActivations, ToyModel,
+from .model import (FFN, MASK_BEARING, MATRIX_IO, UNIT_OWNER, ActivationCache, BlockActivations, ToyModel,
                     _row_blocks, _worker_pool, csv_text, unit_mask)
 
 
@@ -56,7 +56,7 @@ class BlockState:
     teacher: dict[str, np.ndarray]
     masks: dict[str, np.ndarray] = field(default_factory=dict)
     budget: dict[str, int] = field(default_factory=dict)
-    num_heads: int = 1
+    head_scale: float = 1.0  # MhaBlock.head_scale; unused by an FFN block
     iteration: int = 0  # outer iteration in progress; 0 before the solve
     z: np.ndarray | None = None
     a: np.ndarray | None = None
@@ -128,11 +128,13 @@ def prune_scores(
     target: np.ndarray,
     criterion: str,
     n_samples: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | None,
+    x_l1: np.ndarray | None,
 ) -> np.ndarray:
     """Unit scores for one mask-bearing matrix: w_hat acts on the frozen
-    reference input x_pre; target is the teacher's product on the current
-    input. Criteria other than closed-form and l0 are importance.unit_scores."""
+    reference input x_pre, whose col_l1 statistic is x_l1 (read by wanda
+    only); target is the teacher's product on the current input. Criteria
+    other than closed-form and l0 are importance.unit_scores."""
     if criterion == "closed-form":
         # Exact per-unit decrease of the sample-summed prune objective
         # ||b_row - M_j c_row||^2: retaining unit j saves
@@ -147,7 +149,7 @@ def prune_scores(
         return 2.0 * gain - np.sum(np.multiply(c_rows, c_rows, out=c_rows), axis=1)
     if criterion == "l0":  # the solver trains its gates for 100 steps
         return l0_gates(w_hat, x_pre, target, n_samples, rng, steps=100)
-    return unit_scores(criterion, w_hat, x_pre, target, n_samples, rng)
+    return unit_scores(criterion, w_hat, x_pre, target, n_samples, rng, x_l1)
 
 
 def ffn_prune_step(
@@ -161,8 +163,9 @@ def ffn_prune_step(
     retained w1 rows and the matching w2 columns onto the teachers'
     current products."""
     target_up = state.teacher["w1"] @ rec.input_pre
+    x_l1 = rec.col_l1("input_pre") if cfg.mask_criterion == "wanda" else None
     scores = prune_scores(
-        state.w_hat["w1"], rec.input_pre, target_up, cfg.mask_criterion, n_samples, rng
+        state.w_hat["w1"], rec.input_pre, target_up, cfg.mask_criterion, n_samples, rng, x_l1
     )
     mask = binarize_by_threshold(scores, state.budget["w1"])
     state.masks["w1"] = mask
@@ -296,44 +299,43 @@ class _Residual:
 # ---------------------------------------------------------------------------
 
 
-def mha_obj_a(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len, resid=None) -> float:
-    """alpha ||a_attn - Wv a||^2 + beta ||a - softmax(z)||^2; resid(a),
-    when given, returns a_attn - Wv a (a _Residual shared with the
-    gradient)."""
-    r = _residual(a_attn, wv_eff, a) if resid is None else resid(a)
+def mha_obj_a(a, resid, z, alpha, beta, head_scale, seg_len) -> float:
+    """alpha ||a_attn - Wv a||^2 + beta ||a - softmax(z)||^2, where
+    resid = _Residual(a_attn, Wv) is shared with the gradient."""
+    r = resid(a)
     phi = row_softmax(z, head_scale, seg_len)
     d = _minus(a, phi)
     soft = _sq_owned(d)
     return alpha * _sq(r, out=_out(d, r)) + beta * soft
 
 
-def mha_grad_a(a, wv_eff, a_attn, z, alpha, beta, head_scale, seg_len, resid=None) -> np.ndarray:
+def mha_grad_a(a, resid, z, alpha, beta, head_scale, seg_len) -> np.ndarray:
     """-2 alpha Wv'(a_attn - Wv a) + 2 beta (a - softmax(z)); resid as in
     mha_obj_a."""
-    r = _residual(a_attn, wv_eff, a) if resid is None else resid(a)
+    r = resid(a)
     phi = row_softmax(z, head_scale, seg_len)
-    g = (-2.0 * alpha * wv_eff.T) @ r
+    g = (-2.0 * alpha * resid.w.T) @ r
     d = _minus(a, phi)
     np.multiply(2.0 * beta, d, out=d)
     return np.add(g, d, out=g)
 
 
-def mha_obj_attn(a_attn, wo_eff, wv_eff, a, z_next_pre, alpha, v=None, resid=None) -> float:
-    """alpha ||z_next_pre - Wo a_attn||^2 + alpha ||a_attn - Wv a||^2; v,
-    when given, is Wv a, and resid(a_attn) returns z_next_pre - Wo a_attn
-    (a _Residual shared with the gradient)."""
-    r = _residual(z_next_pre, wo_eff, a_attn) if resid is None else resid(a_attn)
-    e = _residual(a_attn, wv_eff, a) if v is None else a_attn - v
+def mha_obj_attn(a_attn, resid, v, alpha) -> float:
+    """alpha ||z_next_pre - Wo a_attn||^2 + alpha ||a_attn - v||^2, where
+    v = Wv a and resid = _Residual(z_next_pre, Wo) is shared with the
+    gradient."""
+    r = resid(a_attn)
+    e = a_attn - v
     value = _sq_owned(e)
     return alpha * _sq(r, out=_out(e, r)) + alpha * value
 
 
-def mha_grad_attn(a_attn, wo_eff, wv_eff, a, z_next_pre, alpha, v=None, resid=None) -> np.ndarray:
-    """-2 alpha Wo'(z_next_pre - Wo a_attn) + 2 alpha (a_attn - Wv a); v and
-    resid as in mha_obj_attn."""
-    r = _residual(z_next_pre, wo_eff, a_attn) if resid is None else resid(a_attn)
-    g = (-2.0 * alpha * wo_eff.T) @ r
-    e = _residual(a_attn, wv_eff, a) if v is None else a_attn - v
+def mha_grad_attn(a_attn, resid, v, alpha) -> np.ndarray:
+    """-2 alpha Wo'(z_next_pre - Wo a_attn) + 2 alpha (a_attn - v); resid
+    and v as in mha_obj_attn."""
+    r = resid(a_attn)
+    g = (-2.0 * alpha * resid.w.T) @ r
+    e = a_attn - v
     np.multiply(2.0 * alpha, e, out=e)
     return np.add(g, e, out=g)
 
@@ -355,13 +357,19 @@ def mha_grad_z(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len) -> np.ndarr
     phi = row_softmax(z, head_scale, seg_len)
     resid = np.subtract(a, phi)
     prod = np.multiply(resid, phi)
-    # The plain form subtracts a C-ordered copy of inner spread over the
-    # segments, so the difference is C-ordered, and the segment reshape of
-    # a C-ordered resid is a view.
     inner = prod.reshape(z.shape[0], -1, seg_len).sum(axis=2, keepdims=True)
-    resid = np.ascontiguousarray(resid)
-    segments = resid.reshape(inner.shape[:2] + (seg_len,))
-    np.subtract(segments, inner, out=segments)
+    spread = np.broadcast_to(inner, inner.shape[:2] + (seg_len,))
+    if 1 in spread.shape[1:]:
+        # One segment, or one token per segment: the plain form's spread
+        # of inner is a view, and the difference takes numpy's layout.
+        resid = np.subtract(resid, spread.reshape(z.shape))
+    else:
+        # The plain form subtracts a C-ordered copy of the spread, so the
+        # difference is C-ordered, and the segment reshape of a C-ordered
+        # resid is a view.
+        resid = np.ascontiguousarray(resid)
+        segments = resid.reshape(spread.shape)
+        np.subtract(segments, inner, out=segments)
     np.multiply(-(2.0 * beta / head_scale), phi, out=phi)
     g = np.multiply(phi, resid, out=_out(phi, phi, resid))
     for pre in (q_pre, k_pre):
@@ -408,7 +416,6 @@ def mha_update(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three sequential gradient sub-solves: a, then a_attn, then z.
     The query and key branches share the single z iterate."""
-    head_scale = float(np.sqrt(state.w_hat["wq"].shape[0] // state.num_heads))
     wv = state.effective("wv")
     wo = state.effective("wo")
     wq = state.effective("wq")
@@ -418,8 +425,8 @@ def mha_update(
     resid_a = _Residual(state.a_attn, wv)
     a = _descend(
         state.a,
-        lambda x: mha_obj_a(x, wv, state.a_attn, state.z, cfg.alpha, cfg.beta, head_scale, seg_len, resid_a),
-        lambda x: mha_grad_a(x, wv, state.a_attn, state.z, cfg.alpha, cfg.beta, head_scale, seg_len, resid_a),
+        lambda x: mha_obj_a(x, resid_a, state.z, cfg.alpha, cfg.beta, state.head_scale, seg_len),
+        lambda x: mha_grad_a(x, resid_a, state.z, cfg.alpha, cfg.beta, state.head_scale, seg_len),
         cfg.inner_steps,
         cfg.learning_rate,
         "activation",
@@ -431,8 +438,8 @@ def mha_update(
     resid_o = _Residual(rec.out_pre, wo)
     a_attn = _descend(
         state.a_attn,
-        lambda x: mha_obj_attn(x, wo, wv, a, rec.out_pre, cfg.alpha, v, resid_o),
-        lambda x: mha_grad_attn(x, wo, wv, a, rec.out_pre, cfg.alpha, v, resid_o),
+        lambda x: mha_obj_attn(x, resid_o, v, cfg.alpha),
+        lambda x: mha_grad_attn(x, resid_o, v, cfg.alpha),
         cfg.inner_steps,
         cfg.learning_rate,
         "attention-activation",
@@ -442,8 +449,8 @@ def mha_update(
     state.a_attn = a_attn
     z = _descend(
         state.z,
-        lambda x: mha_obj_z(x, a, q_pre, k_pre, cfg.alpha, cfg.beta, head_scale, seg_len),
-        lambda x: mha_grad_z(x, a, q_pre, k_pre, cfg.alpha, cfg.beta, head_scale, seg_len),
+        lambda x: mha_obj_z(x, a, q_pre, k_pre, cfg.alpha, cfg.beta, state.head_scale, seg_len),
+        lambda x: mha_grad_z(x, a, q_pre, k_pre, cfg.alpha, cfg.beta, state.head_scale, seg_len),
         cfg.inner_steps,
         cfg.learning_rate,
         "output",
@@ -463,12 +470,15 @@ def mha_prune_step(
     """Mask each projection separately at the planned budget; the value
     mask owns the matching output-projection columns."""
     for name in ("wq", "wk", "wv"):
-        x_pre, x_cur = (rec.a_pre, state.a) if name == "wv" else (rec.input_pre, rec.input_pre)
+        x_name = MATRIX_IO[name][0]
+        x_pre = getattr(rec, x_name)
+        x_cur = state.a if name == "wv" else x_pre
         # From iteration 2 on wq and wk share one recovered teacher, so wk
         # reuses wq's target; nothing writes into a target.
         if not (name == "wk" and state.teacher["wk"] is state.teacher["wq"]):
             target = state.teacher[name] @ x_cur
-        scores = prune_scores(state.w_hat[name], x_pre, target, cfg.mask_criterion, n_samples, rng)
+        x_l1 = rec.col_l1(x_name) if cfg.mask_criterion == "wanda" else None
+        scores = prune_scores(state.w_hat[name], x_pre, target, cfg.mask_criterion, n_samples, rng, x_l1)
         mask = binarize_by_threshold(scores, state.budget[name])
         state.masks[name] = mask
         state.w_hat[name] = _refit_rows(state.w_hat[name], mask, x_cur, target, cfg.ridge_eps)
@@ -480,13 +490,12 @@ def mha_prune_step(
 def mha_objective(
     state: BlockState, rec: BlockActivations, cfg: SolverConfig, n_samples: int, seg_len: int
 ) -> float:
-    head_scale = float(np.sqrt(state.w_hat["wq"].shape[0] // state.num_heads))
     q_pre = state.effective("wq") @ rec.input_pre
     k_pre = state.effective("wk") @ rec.input_pre
     total = (
         cfg.alpha * _sq(rec.out_pre - state.effective("wo") @ state.a_attn)
         + cfg.alpha * _sq(state.a_attn - state.effective("wv") @ state.a)
-        + cfg.beta * _sq(state.a - row_softmax(state.z, head_scale, seg_len))
+        + cfg.beta * _sq(state.a - row_softmax(state.z, state.head_scale, seg_len))
         + cfg.alpha * _sq(state.z - q_pre)
         + cfg.alpha * _sq(state.z - k_pre)
     )
@@ -509,7 +518,7 @@ def _init_state(layer: int, block, plan: SparsityPlan, rec: BlockActivations) ->
         m: round_half_away(retention * block.matrices[m].shape[0]) for m in MASK_BEARING[block.kind]
     }
     if block.kind != FFN:
-        state.num_heads = block.num_heads
+        state.head_scale = block.head_scale
     return state
 
 

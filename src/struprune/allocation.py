@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError, SolverError
 from .evaluation import total_reconstruction_loss
-from .importance import block_unit_scores, layer_importance
+from .importance import LayerImportance, block_unit_scores, layer_importance
 from .linalg import softmax_vec
 from .model import FFN, MASK_BEARING, MHA, ActivationCache, ToyModel, _worker_pool, csv_text, unit_mask
 
@@ -75,12 +75,7 @@ class ClosedFormContext:
         )
 
 
-def closed_form_context(
-    model: ToyModel,
-    cache: ActivationCache,
-    layer: int,
-    matrix: str | None = None,
-) -> ClosedFormContext:
+def closed_form_context(model: ToyModel, cache: ActivationCache, layer: int, matrix: str) -> ClosedFormContext:
     """Build the per-unit context for one mask-bearing matrix from model
     state, averaging the bracketed products over calibration tokens. The
     products on the frozen inputs come from the cache when the matrix's
@@ -93,8 +88,6 @@ def closed_form_context(
     """
     block = model.blocks[layer]
     rec = cache.blocks[layer]
-    if matrix is None:
-        matrix = MASK_BEARING[block.kind][0]
     if matrix not in MASK_BEARING[block.kind]:
         raise ParameterError(f"matrix {matrix!r} carries no unit mask on a {block.kind} block")
     c = _mean_product(rec, matrix, block.matrices[matrix])
@@ -194,27 +187,20 @@ def _entry(layer, kind, imp, temp, sparsity, allocator) -> PlanEntry:
     return PlanEntry(layer, kind, float(imp), float(temp), retention, float(sparsity), allocator)
 
 
-def softmax_allocate(
-    importances,
-    r_bar: float,
-    temperature: float,
-    kinds: list[str] | None = None,
-) -> SparsityPlan:
-    """Raw energy allocation: sparsity_l = r_bar * L * softmax(-I/T).
+def softmax_allocate(importances: list[LayerImportance], r_bar: float, temperature: float) -> SparsityPlan:
+    """Raw energy allocation over the blocks of layer_importance:
+    sparsity_l = r_bar * L * softmax(-I/T).
 
     The values sum to r_bar * L exactly; individual entries may leave
     [0, 1] and post_correct is responsible for clipping."""
-    imps = np.asarray(importances, dtype=np.float64).ravel()
-    n_layers = imps.size
-    if n_layers == 0:
+    imps = np.array([li.value for li in importances], dtype=np.float64)
+    if imps.size == 0:
         raise ParameterError("allocation needs at least one layer")
     _check_target(r_bar)
-    weights = softmax_vec(imps, temperature)
-    raw = r_bar * n_layers * weights
-    if kinds is None:
-        kinds = [""] * n_layers
+    raw = r_bar * imps.size * softmax_vec(imps, temperature)
     entries = [
-        _entry(i, kinds[i], imps[i], temperature, raw[i], "softmax") for i in range(n_layers)
+        _entry(li.layer, li.block_kind, imps[i], temperature, raw[i], "softmax")
+        for i, li in enumerate(importances)
     ]
     return SparsityPlan(entries)
 
@@ -245,39 +231,26 @@ def post_correct(plan: SparsityPlan, r_bar: float) -> SparsityPlan:
     return SparsityPlan(entries)
 
 
-def inverse_weight_allocate(
-    attn_importances,
-    mlp_importances,
-    r_bar: float,
-    temperature: float,
-    attn_layers: list[int] | None = None,
-    mlp_layers: list[int] | None = None,
-) -> SparsityPlan:
-    """Per-family inverse weighting: sparsity_l = clip(r_bar * L_f *
-    (1 - w_l) / sum_j (1 - w_j), 0, SPARSITY_CAP) with w the negative softmax of
-    the family's importances."""
+def inverse_weight_allocate(importances: list[LayerImportance], r_bar: float, temperature: float) -> SparsityPlan:
+    """Per-family inverse weighting over the blocks of layer_importance:
+    sparsity_l = clip(r_bar * L_f * (1 - w_l) / sum_j (1 - w_j), 0,
+    SPARSITY_CAP) with w the negative softmax of the importances of the
+    block's family (MHA or FFN) and L_f that family's block count."""
     _check_target(r_bar)
     entries: list[PlanEntry] = []
-    families = [
-        (MHA, np.asarray(attn_importances, dtype=np.float64).ravel(), attn_layers),
-        (FFN, np.asarray(mlp_importances, dtype=np.float64).ravel(), mlp_layers),
-    ]
-    for kind, imps, layers in families:
-        n_family = imps.size
-        if n_family < 2:
+    for kind in (MHA, FFN):
+        family = [li for li in importances if li.block_kind == kind]
+        if len(family) < 2:
             raise ParameterError(
                 f"inverse weighting needs >= 2 {kind} layers; the 1-w transform degenerates"
             )
-        if layers is None:
-            layers = list(range(n_family))
-        w = softmax_vec(imps, temperature)
-        inv = 1.0 - w
-        raw = r_bar * n_family * inv / inv.sum()
-        vals = np.clip(raw, 0.0, SPARSITY_CAP)
-        for i in range(n_family):
-            entries.append(
-                _entry(layers[i], kind, imps[i], temperature, vals[i], "inverse-weight")
-            )
+        imps = np.array([li.value for li in family], dtype=np.float64)
+        inv = 1.0 - softmax_vec(imps, temperature)
+        vals = np.clip(r_bar * len(family) * inv / inv.sum(), 0.0, SPARSITY_CAP)
+        entries += [
+            _entry(li.layer, kind, imps[i], temperature, vals[i], "inverse-weight")
+            for i, li in enumerate(family)
+        ]
     entries.sort(key=lambda e: e.layer)
     return SparsityPlan(entries)
 
@@ -322,22 +295,12 @@ def allocate_plan(
     rho: float = 1.0,
 ) -> SparsityPlan:
     """Method-dispatching plan builder used by the CLI and the sweep."""
-    kinds = [b.kind for b in model.blocks]
     if method == "softmax":
-        imps = [li.value for li in layer_importance(model, cache, "wanda-sum")]
-        return post_correct(softmax_allocate(imps, r_bar, temperature, kinds), r_bar)
+        imps = layer_importance(model, cache, "wanda-sum")
+        return post_correct(softmax_allocate(imps, r_bar, temperature), r_bar)
     if method == "inverse-weight":
-        lis = layer_importance(model, cache, "module-split", gamma=gamma, rho=rho)
-        attn = [(li.layer, li.value) for li in lis if li.block_kind == MHA]
-        mlp = [(li.layer, li.value) for li in lis if li.block_kind == FFN]
-        return inverse_weight_allocate(
-            [v for _, v in attn],
-            [v for _, v in mlp],
-            r_bar,
-            temperature,
-            attn_layers=[l for l, _ in attn],
-            mlp_layers=[l for l, _ in mlp],
-        )
+        imps = layer_importance(model, cache, "module-split", gamma=gamma, rho=rho)
+        return inverse_weight_allocate(imps, r_bar, temperature)
     if method == "closed-form":
         return closed_form_plan(model, cache, r_bar)
     if method in ("magnitude", "snip", "l0", "wanda-local"):

@@ -36,37 +36,28 @@ def _validate_inputs(w: np.ndarray, x_in: np.ndarray):
         )
 
 
-def wanda_unit(
-    w: np.ndarray, x_in: np.ndarray, axis: str, n_samples: int, x_l1: np.ndarray | None = None
-) -> np.ndarray:
+def wanda_unit(w: np.ndarray, x_in: np.ndarray, axis: str, n_samples: int, x_l1: np.ndarray) -> np.ndarray:
     """Per-unit score: sum of |w_ij| * |x_jt| over the non-unit axes,
-    divided by the calibration sample count. x_l1, when given, is x_in's
-    per-feature sum_t |x_jt| (BlockActivations.col_l1)."""
+    divided by the calibration sample count. x_l1 is x_in's per-feature
+    sum_t |x_jt|, the statistic BlockActivations.col_l1 computes once per
+    frozen array."""
     w = np.asarray(w, dtype=np.float64)
-    x_in = np.asarray(x_in, dtype=np.float64)
-    _validate_inputs(w, x_in)
+    _validate_inputs(w, np.asarray(x_in))
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
     abs_w = np.abs(w)
-    # sum_t |x_jt| per feature j
-    abs_x_rowsum = np.sum(np.abs(x_in), axis=1) if x_l1 is None else x_l1
     if axis == ROW:
-        scores = abs_w @ abs_x_rowsum
+        scores = abs_w @ x_l1
     elif axis == COL:
-        scores = np.sum(abs_w, axis=0) * abs_x_rowsum
+        scores = np.sum(abs_w, axis=0) * x_l1
     else:
         raise ParameterError(f"unknown unit axis {axis!r}")
     return scores / float(n_samples)
 
 
-def magnitude_unit(w: np.ndarray, axis: str) -> np.ndarray:
-    """l1 norm of each structured unit's weights."""
-    abs_w = np.abs(np.asarray(w, dtype=np.float64))
-    if axis == ROW:
-        return abs_w.sum(axis=1)
-    if axis == COL:
-        return abs_w.sum(axis=0)
-    raise ParameterError(f"unknown unit axis {axis!r}")
+def magnitude_unit(w: np.ndarray) -> np.ndarray:
+    """l1 norm of each row unit's weights."""
+    return np.abs(np.asarray(w, dtype=np.float64)).sum(axis=1)
 
 
 def reconstruction_gradient(
@@ -101,20 +92,21 @@ def l0_gates(
     return 1.0 / (1.0 + np.exp(-theta))
 
 
-def unit_scores(criterion, w, x_in, target, n_samples, rng=None, x_l1=None) -> np.ndarray:
+def unit_scores(criterion, w, x_in, target, n_samples, rng, x_l1) -> np.ndarray:
     """Row-unit scores of w acting on x_in under one criterion, the one
     dispatch for one-shot masks and the alternating solver; target is the
-    product the rows should reproduce.
+    product the rows should reproduce, and x_l1 is x_in's col_l1 statistic,
+    which only wanda reads (None for the other criteria).
 
-    wanda: wanda_unit over rows, with x_l1 as in wanda_unit. magnitude:
-    the l1 norm of each row. snip (gradient sensitivity): per row, sum of
-    |dL/dW * W| where L is the quadratic reconstruction loss of w @ x_in
-    against target; identically zero when the weights sit at the optimum.
-    l0: the trained gates of l0_gates."""
+    wanda: wanda_unit over rows. magnitude: the l1 norm of each row.
+    snip (gradient sensitivity): per row, sum of |dL/dW * W| where L is
+    the quadratic reconstruction loss of w @ x_in against target;
+    identically zero when the weights sit at the optimum. l0: the trained
+    gates of l0_gates."""
     if criterion == "wanda":
         return wanda_unit(w, x_in, ROW, n_samples, x_l1)
     if criterion == "magnitude":
-        return magnitude_unit(w, ROW)
+        return magnitude_unit(w)
     if criterion == "snip":
         return np.abs(reconstruction_gradient(w, x_in, target, n_samples) * w).sum(axis=1)
     if criterion == "l0":

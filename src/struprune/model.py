@@ -17,7 +17,7 @@ import os
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -125,9 +125,18 @@ class MhaBlock(_Matrices):
     kind = MHA
     names = ("wq", "wk", "wv", "wo")
 
+    @property
+    def d_head(self) -> int:
+        return self.wq.shape[0] // self.num_heads
+
+    @property
+    def head_scale(self) -> float:
+        """sqrt(d_head): the attention logit scale of the dense forward
+        and of the solver."""
+        return float(np.sqrt(self.d_head))
+
     def head_slices(self) -> list[slice]:
-        d_head = self.wq.shape[0] // self.num_heads
-        return [slice(i * d_head, (i + 1) * d_head) for i in range(self.num_heads)]
+        return [slice(i * self.d_head, (i + 1) * self.d_head) for i in range(self.num_heads)]
 
 
 Block = FfnBlock | MhaBlock
@@ -378,8 +387,7 @@ def _dense_forward(blocks, x: np.ndarray, seq_len: int, run):
                 np.multiply(0.5, z[:, t], out=z[:, t])
 
             run(qk_tile)
-            d_head = block.wq.shape[0] // block.num_heads
-            a = row_softmax(z, scale=float(np.sqrt(d_head)), seg_len=seq_len)
+            a = row_softmax(z, scale=block.head_scale, seg_len=seq_len)
             a_attn = np.empty((block.wv.shape[0], n_tokens))
             out = np.empty((block.wo.shape[0], n_tokens))
 
@@ -617,8 +625,18 @@ def _check_manifest_entry(index: int, entry) -> None:
         )
 
 
-def save_model(model: ToyModel, path: str):
+def _begin_save(path: str, manifest: str):
+    """Make the directory path and remove its old manifest, so that a save
+    interrupted before it writes the new manifest (always last) leaves no
+    manifest: loading then fails naming it, instead of reading old and new
+    blobs together."""
     os.makedirs(path, exist_ok=True)
+    with suppress(FileNotFoundError):
+        os.unlink(os.path.join(path, manifest))
+
+
+def save_model(model: ToyModel, path: str):
+    _begin_save(path, "manifest.json")
     entries = []
     for name, mat in model.named_matrices():
         fname = name.replace(".", "_") + ".bin"
@@ -711,7 +729,7 @@ def _pop(mats: dict, key: str) -> np.ndarray:
 
 
 def save_calibration(calib: CalibrationSet, path: str, d: int):
-    os.makedirs(path, exist_ok=True)
+    _begin_save(path, "calib.json")
     sidecar = {"N": calib.n_samples, "seq_len": calib.seq_len, "d": d}
     if calib.is_tokens:
         blob = np.ascontiguousarray(calib.tokens, dtype="<u4").tobytes()

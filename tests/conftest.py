@@ -13,8 +13,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from struprune.importance import LayerImportance  # noqa: E402
 from struprune.linalg import make_rng  # noqa: E402
 from struprune.model import (  # noqa: E402
+    FFN,
+    MHA,
     ModelArch,
     capture_reference_activations,
     generate_toy_model,
@@ -36,6 +39,18 @@ def build_toy(layout="decoder", arch=STD_ARCH, model_seed=STD_MODEL_SEED, calib_
     calib = make_calibration(arch, n_samples, seq_len, make_rng(calib_seed))
     cache = capture_reference_activations(model, calib)
     return model, calib, cache
+
+
+def importances(values, kind=FFN):
+    """layer_importance's list for blocks 0..n-1, all of one kind."""
+    return [LayerImportance(i, kind, float(v)) for i, v in enumerate(values)]
+
+
+def decoder_importances(attn, mlp):
+    """layer_importance's list for a decoder stack: MHA block i at layer
+    2i, FFN block i at layer 2i + 1."""
+    pairs = [(2 * i, MHA, v) for i, v in enumerate(attn)] + [(2 * i + 1, FFN, v) for i, v in enumerate(mlp)]
+    return [LayerImportance(layer, kind, float(v)) for layer, kind, v in sorted(pairs)]
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from struprune.allocation import (
     unit_scores_closed_form,
 )
 from struprune.admm import (
+    _Residual,
     ffn_update_activation,
     mha_grad_a,
     mha_grad_attn,
@@ -45,7 +46,7 @@ from struprune.oracle import (
     relaxed_mask,
 )
 
-from conftest import build_toy
+from conftest import build_toy, importances
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -141,7 +142,7 @@ def test_criterion_03_energy_cross_validation():
         imps = rng.normal(size=n_layers)
         temp = float(np.mean(np.abs(imps)) + rng.uniform(0.5, 1.5))
         r_bar = float(rng.uniform(0.3, 0.7))
-        plan = softmax_allocate(imps, r_bar, temp)
+        plan = softmax_allocate(importances(imps), r_bar, temp)
         closed = plan.sparsities()
         if closed.max() > 1.0 - 1e-5 or closed.min() < 1e-5:
             continue  # keep the box constraints inactive so both agree
@@ -239,16 +240,19 @@ def test_criterion_06_mha_gradient_correctness():
         z_next = rng.normal(size=(d, tokens))
         alpha = float(rng.uniform(0.5, 2.0))
         beta = float(rng.uniform(0.5, 2.0))
+        v = wv @ a
+        # finite_diff_grad perturbs x in place, and the memo is keyed on
+        # the iterate's identity, so every evaluation gets a fresh one.
         cases = [
             (
                 a,
-                lambda x: mha_obj_a(x, wv, a_attn, z, alpha, beta, scale, seg),
-                mha_grad_a(a, wv, a_attn, z, alpha, beta, scale, seg),
+                lambda x: mha_obj_a(x, _Residual(a_attn, wv), z, alpha, beta, scale, seg),
+                mha_grad_a(a, _Residual(a_attn, wv), z, alpha, beta, scale, seg),
             ),
             (
                 a_attn,
-                lambda x: mha_obj_attn(x, wo, wv, a, z_next, alpha),
-                mha_grad_attn(a_attn, wo, wv, a, z_next, alpha),
+                lambda x: mha_obj_attn(x, _Residual(z_next, wo), v, alpha),
+                mha_grad_attn(a_attn, _Residual(z_next, wo), v, alpha),
             ),
             (
                 z,

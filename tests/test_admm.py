@@ -6,6 +6,7 @@ from struprune.admm import (
     SolverConfig,
     _descend,
     _init_state,
+    _Residual,
     export_trace_csv,
     ffn_prune_step,
     ffn_update_activation,
@@ -183,20 +184,22 @@ class TestMhaUpdate:
         model, cache, state = mha_setup(tie_qk=True)
         cfg = SolverConfig()
         rec = cache.blocks[0]
-        scale = float(np.sqrt(model.arch.d // model.arch.num_heads))
+        scale = state.head_scale
+        assert scale == float(np.sqrt(model.arch.d // model.arch.num_heads))
         seg = cache.seq_len
         wq, wk = state.effective("wq"), state.effective("wk")
         wv, wo = state.effective("wv"), state.effective("wo")
         q_pre, k_pre = wq @ rec.input_pre, wk @ rec.input_pre
         a, a_attn, z = state.a, state.a_attn, state.z
+        resid_a, resid_o, v = _Residual(a_attn, wv), _Residual(rec.out_pre, wo), wv @ a
         objs = [
-            mha_obj_a(a, wv, a_attn, z, 1.0, 1.0, scale, seg),
-            mha_obj_attn(a_attn, wo, wv, a, rec.out_pre, 1.0),
+            mha_obj_a(a, resid_a, z, 1.0, 1.0, scale, seg),
+            mha_obj_attn(a_attn, resid_o, v, 1.0),
             mha_obj_z(z, a, q_pre, k_pre, 1.0, 1.0, scale, seg),
         ]
         grads = [
-            mha_grad_a(a, wv, a_attn, z, 1.0, 1.0, scale, seg),
-            mha_grad_attn(a_attn, wo, wv, a, rec.out_pre, 1.0),
+            mha_grad_a(a, resid_a, z, 1.0, 1.0, scale, seg),
+            mha_grad_attn(a_attn, resid_o, v, 1.0),
             mha_grad_z(z, a, q_pre, k_pre, 1.0, 1.0, scale, seg),
         ]
         for obj in objs:
@@ -217,16 +220,19 @@ class TestMhaUpdate:
         k_pre = rng.normal(size=(d, t))
         z_next = rng.normal(size=(d, t))
         alpha, beta = 1.1, 0.9
+        v = wv @ a
+        # finite_diff_grad perturbs x in place, and the memo is keyed on
+        # the iterate's identity, so every evaluation gets a fresh one.
         cases = [
             (
                 a,
-                lambda x: mha_obj_a(x, wv, a_attn, z, alpha, beta, scale, seg),
-                mha_grad_a(a, wv, a_attn, z, alpha, beta, scale, seg),
+                lambda x: mha_obj_a(x, _Residual(a_attn, wv), z, alpha, beta, scale, seg),
+                mha_grad_a(a, _Residual(a_attn, wv), z, alpha, beta, scale, seg),
             ),
             (
                 a_attn,
-                lambda x: mha_obj_attn(x, wo, wv, a, z_next, alpha),
-                mha_grad_attn(a_attn, wo, wv, a, z_next, alpha),
+                lambda x: mha_obj_attn(x, _Residual(z_next, wo), v, alpha),
+                mha_grad_attn(a_attn, _Residual(z_next, wo), v, alpha),
             ),
             (
                 z,

@@ -27,6 +27,7 @@ from struprune.errors import ParameterError
 from struprune.evaluation import total_reconstruction_loss
 from struprune.linalg import make_rng
 from struprune.model import (
+    MASK_BEARING,
     CalibrationSet,
     ModelArch,
     capture_reference_activations,
@@ -35,22 +36,23 @@ from struprune.model import (
 )
 from struprune.oracle import recover_multiplier, relaxed_mask
 
-from conftest import assert_close
+from conftest import assert_close, decoder_importances, importances
 
 
 class TestClosedFormContext:
     def test_dense_model_b_equals_c(self, decoder_toy):
         model, _, cache = decoder_toy
         for i in range(len(model.blocks)):
-            ctx = closed_form_context(model, cache, i)
-            assert_close(ctx.b, ctx.c, 1e-12)
+            for name in MASK_BEARING[model.blocks[i].kind]:
+                ctx = closed_form_context(model, cache, i, name)
+                assert_close(ctx.b, ctx.c, 1e-12)
 
     def test_zero_calibration_all_zero(self):
         arch = ModelArch(d=4, num_layers=1, num_heads=1)
         model = generate_toy_model(arch, make_rng(0), layout="ffn")
         calib = CalibrationSet(inputs=np.zeros((2, 3, 4)))
         cache = capture_reference_activations(model, calib)
-        ctx = closed_form_context(model, cache, 0)
+        ctx = closed_form_context(model, cache, 0, "w1")
         for vec in (ctx.b, ctx.c, ctx.d, ctx.z_pre):
             assert_close(vec, np.zeros_like(vec), 0.0)
 
@@ -59,7 +61,7 @@ class TestClosedFormContext:
         model = generate_toy_model(arch, make_rng(4), layout="ffn")
         calib = make_calibration(arch, 2, 4, make_rng(5))
         cache = capture_reference_activations(model, calib)
-        ctx = closed_form_context(model, cache, 0)
+        ctx = closed_form_context(model, cache, 0, "w1")
         x = cache.blocks[0].input_pre
         expected = (model.blocks[0].w1 @ x).mean(axis=1)
         assert_close(ctx.b, expected, 1e-12)
@@ -71,7 +73,7 @@ class TestClosedFormContext:
         model = generate_toy_model(arch, make_rng(6), layout="ffn")
         calib = make_calibration(arch, 2, 8, make_rng(7))
         cache = capture_reference_activations(model, calib)
-        ctx = closed_form_context(model, cache, 0)
+        ctx = closed_form_context(model, cache, 0, "w1")
         assert np.any(ctx.d != 0.0)
         rec = cache.blocks[0]
         assert_close(ctx.d, (model.blocks[0].w2 @ rec.a_pre).mean(axis=1), 1e-12)
@@ -209,15 +211,15 @@ class TestBinarize:
 
 class TestSoftmaxAllocate:
     def test_equal_importance_uniform(self):
-        plan = softmax_allocate([1.0] * 4, 0.5, 2.0)
+        plan = softmax_allocate(importances([1.0] * 4), 0.5, 2.0)
         assert_close(plan.sparsities(), [0.5] * 4, 1e-12)
 
     def test_hand_case(self):
-        plan = softmax_allocate([0.0, math.log(3.0)], 0.5, 1.0)
+        plan = softmax_allocate(importances([0.0, math.log(3.0)]), 0.5, 1.0)
         assert_close(plan.sparsities(), [0.75, 0.25], 1e-12)
 
     def test_high_temperature_uniform(self):
-        plan = softmax_allocate([1.0, 2.0, 9.0], 0.4, 1e9)
+        plan = softmax_allocate(importances([1.0, 2.0, 9.0]), 0.4, 1e9)
         assert_close(plan.sparsities(), [0.4] * 3, 1e-6)
 
     def test_budget_conservation(self, rng):
@@ -225,25 +227,33 @@ class TestSoftmaxAllocate:
             n = int(rng.integers(2, 9))
             imps = rng.normal(size=n)
             r_bar = float(rng.uniform(0.05, 0.95))
-            plan = softmax_allocate(imps, r_bar, float(rng.uniform(0.2, 5.0)))
+            plan = softmax_allocate(importances(imps), r_bar, float(rng.uniform(0.2, 5.0)))
             assert abs(plan.sparsities().sum() - r_bar * n) < 1e-12
 
     def test_monotone_in_importance(self, rng):
         imps = np.sort(rng.normal(size=6))
-        vals = softmax_allocate(imps, 0.5, 1.3).sparsities()
+        vals = softmax_allocate(importances(imps), 0.5, 1.3).sparsities()
         assert np.all(np.diff(vals) < 0)  # higher importance -> less sparsity
 
     def test_shift_invariance(self, rng):
         imps = rng.normal(size=5)
-        a = softmax_allocate(imps, 0.3, 0.9).sparsities()
-        b = softmax_allocate(imps + 17.0, 0.3, 0.9).sparsities()
+        a = softmax_allocate(importances(imps), 0.3, 0.9).sparsities()
+        b = softmax_allocate(importances(imps + 17.0), 0.3, 0.9).sparsities()
         assert_close(a, b, 1e-12)
 
     def test_domain_checks(self):
         with pytest.raises(ParameterError):
-            softmax_allocate([1.0], 1.5, 1.0)
+            softmax_allocate(importances([1.0]), 1.5, 1.0)
         with pytest.raises(ParameterError):
-            softmax_allocate([1.0], 0.5, 0.0)
+            softmax_allocate(importances([1.0]), 0.5, 0.0)
+        with pytest.raises(ParameterError):
+            softmax_allocate([], 0.5, 1.0)
+
+    def test_entries_carry_layer_and_kind(self):
+        imps = decoder_importances([1.0, 2.0], [3.0, 4.0])
+        plan = softmax_allocate(imps, 0.5, 1.0)
+        assert [(e.layer, e.block_kind) for e in plan.entries] == [(0, "mha"), (1, "ffn"), (2, "mha"),
+                                                                   (3, "ffn")]
 
 
 class TestPostCorrect:
@@ -272,7 +282,7 @@ class TestPostCorrect:
         assert_close(out.sparsities(), [0.75, 0.25], 1e-12)
 
     def test_in_range_plan_unchanged(self):
-        plan = softmax_allocate([1.0, 1.0], 0.5, 1.0)
+        plan = softmax_allocate(importances([1.0, 1.0]), 0.5, 1.0)
         out = post_correct(plan, 0.5)
         assert_close(out.sparsities(), plan.sparsities(), 1e-12)
 
@@ -299,24 +309,24 @@ class TestPostCorrect:
 
 class TestInverseWeight:
     def test_equal_importance_uniform(self):
-        plan = inverse_weight_allocate([2.0, 2.0, 2.0], [5.0, 5.0, 5.0], 0.4, 1.0)
+        plan = inverse_weight_allocate(decoder_importances([2.0, 2.0, 2.0], [5.0, 5.0, 5.0]), 0.4, 1.0)
         assert_close(plan.sparsities(), [0.4] * 6, 1e-12)
 
     def test_hand_case(self):
         plan = inverse_weight_allocate(
-            [0.0, math.log(3.0)], [0.0, math.log(3.0)], 0.5, 1.0,
-            attn_layers=[0, 2], mlp_layers=[1, 3],
+            decoder_importances([0.0, math.log(3.0)], [0.0, math.log(3.0)]), 0.5, 1.0
         )
+        assert [e.layer for e in plan.entries] == [0, 1, 2, 3]
         attn = [e.sparsity for e in plan.entries if e.block_kind == "mha"]
         assert_close(attn, [0.25, 0.75], 1e-12)
 
     def test_cap_engages(self):
-        plan = inverse_weight_allocate([0.0, 10.0], [0.0, 10.0], 0.6, 0.5)
+        plan = inverse_weight_allocate(decoder_importances([0.0, 10.0], [0.0, 10.0]), 0.6, 0.5)
         assert max(e.sparsity for e in plan.entries) == 0.95
 
     def test_single_layer_family_rejected(self):
         with pytest.raises(ParameterError):
-            inverse_weight_allocate([1.0], [1.0, 2.0], 0.5, 1.0)
+            inverse_weight_allocate(decoder_importances([1.0], [1.0, 2.0]), 0.5, 1.0)
 
 
 class TestMaskPipeline:

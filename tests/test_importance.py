@@ -43,25 +43,31 @@ def per_sample_wanda_oracle(w, x_in, n_samples):
     return scores
 
 
+def wanda(w, x_in, axis, n_samples):
+    """wanda_unit with x_in's per-feature l1 statistic, as
+    BlockActivations.col_l1 computes it."""
+    return wanda_unit(w, x_in, axis, n_samples, np.sum(np.abs(x_in), axis=1))
+
+
 class TestWandaUnit:
     def test_single_row_is_mean_l1(self, rng):
         w = rng.normal(size=(1, 4))
         x_in = rng.normal(size=(4, 6))
-        got = wanda_unit(w, x_in, "row", n_samples=3)
+        got = wanda(w, x_in, "row", n_samples=3)
         assert_close(got, per_sample_wanda_oracle(w, x_in, 3), 1e-12)
 
     def test_row_permutation_equivariance(self, rng):
         w = rng.normal(size=(5, 4))
         x_in = rng.normal(size=(4, 8))
         perm = np.array([3, 0, 4, 1, 2])
-        base = wanda_unit(w, x_in, "row", 2)
-        assert_close(wanda_unit(w[perm], x_in, "row", 2), base[perm], 1e-12)
+        base = wanda(w, x_in, "row", 2)
+        assert_close(wanda(w[perm], x_in, "row", 2), base[perm], 1e-12)
 
     def test_seeded_case_matches_loop_oracle(self):
         rng = make_rng(17)
         w = rng.normal(size=(4, 4))
         x_in = rng.normal(size=(4, 8))
-        assert_close(wanda_unit(w, x_in, "row", 4), per_sample_wanda_oracle(w, x_in, 4), 1e-12)
+        assert_close(wanda(w, x_in, "row", 4), per_sample_wanda_oracle(w, x_in, 4), 1e-12)
 
     def test_column_axis(self, rng):
         w = rng.normal(size=(3, 4))
@@ -69,35 +75,35 @@ class TestWandaUnit:
         expected = np.zeros(4)
         for j in range(4):
             expected[j] = np.sum(np.abs(np.outer(w[:, j], x_in[j, :]))) / 2
-        assert_close(wanda_unit(w, x_in, "col", 2), expected, 1e-12)
+        assert_close(wanda(w, x_in, "col", 2), expected, 1e-12)
 
     def test_nonnegative(self, rng):
         w = rng.normal(size=(6, 5))
         x_in = rng.normal(size=(5, 7))
-        assert np.all(wanda_unit(w, x_in, "row", 7) >= 0)
+        assert np.all(wanda(w, x_in, "row", 7) >= 0)
 
     def test_empty_calibration_rejected(self):
         with pytest.raises(ParameterError):
-            wanda_unit(np.ones((2, 3)), np.ones((3, 0)), "row", 1)
+            wanda(np.ones((2, 3)), np.ones((3, 0)), "row", 1)
 
 
 class TestMagnitude:
     def test_hand_case(self):
-        assert magnitude_unit(np.array([[3.0, -4.0]]), "row").tolist() == [7.0]
+        assert magnitude_unit(np.array([[3.0, -4.0]])).tolist() == [7.0]
 
     def test_zero_row(self):
-        assert magnitude_unit(np.zeros((2, 3)), "row").tolist() == [0.0, 0.0]
+        assert magnitude_unit(np.zeros((2, 3))).tolist() == [0.0, 0.0]
 
     def test_seeded_vs_loop_oracle(self):
         rng = make_rng(9)
         w = rng.normal(size=(5, 4))
         expected = [sum(abs(v) for v in row) for row in w]
-        assert_close(magnitude_unit(w, "row"), expected, 1e-12)
+        assert_close(magnitude_unit(w), expected, 1e-12)
 
     def test_permutation_equivariance(self, rng):
         w = rng.normal(size=(5, 4))
         perm = np.array([4, 2, 0, 1, 3])
-        assert_close(magnitude_unit(w[perm], "row"), magnitude_unit(w, "row")[perm], 0.0)
+        assert_close(magnitude_unit(w[perm]), magnitude_unit(w)[perm], 0.0)
 
 
 class TestSnip:

@@ -1,11 +1,14 @@
 """The in-place solver kernels return the bits of their plain-expression
 reference forms in oracle.py, in the same memory order, and never write
-into an argument."""
+into an argument: on the fixture's arrays, and on drawn shapes, segment
+lengths and memory orders."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import STD_SEQ, build_toy
+from conftest import STD_N, STD_SEQ, build_toy
 from struprune import oracle
 from struprune.admm import (
     BlockState,
@@ -96,39 +99,83 @@ def test_row_softmax(decoder, seg_len, fortran):
     assert_same(row_softmax(z, 2.0, seg_len), oracle.row_softmax_reference(z, 2.0, seg_len))
 
 
+def check_activation_kernels(a, wv, a_attn, z, alpha, beta, head_scale, seg_len):
+    """mha_obj_a and mha_grad_a called the way admm.mha_update calls
+    them: the objective fills the shared residual and the gradient at the
+    same iterate reuses it; a gradient on a fresh memo computes it."""
+    ref = (a, wv, a_attn, z, alpha, beta, head_scale, seg_len)
+    resid = _Residual(a_attn, wv)
+    assert_same(mha_obj_a(a, resid, z, alpha, beta, head_scale, seg_len),
+                oracle.mha_obj_a_reference(*ref))
+    ref_grad = oracle.mha_grad_a_reference(*ref)
+    assert_same(mha_grad_a(a, resid, z, alpha, beta, head_scale, seg_len), ref_grad)
+    assert_same(mha_grad_a(a, _Residual(a_attn, wv), z, alpha, beta, head_scale, seg_len), ref_grad)
+
+
+def check_attention_kernels(a_attn, wo, wv, a, out_pre, alpha):
+    """mha_obj_attn and mha_grad_attn as admm.mha_update calls them, with
+    v = Wv a formed once; memo use as in check_activation_kernels."""
+    ref = (a_attn, wo, wv, a, out_pre, alpha)
+    v = frozen(wv @ a)
+    resid = _Residual(out_pre, wo)
+    assert_same(mha_obj_attn(a_attn, resid, v, alpha), oracle.mha_obj_attn_reference(*ref))
+    ref_grad = oracle.mha_grad_attn_reference(*ref)
+    assert_same(mha_grad_attn(a_attn, resid, v, alpha), ref_grad)
+    assert_same(mha_grad_attn(a_attn, _Residual(out_pre, wo), v, alpha), ref_grad)
+
+
+def check_output_kernels(*args):
+    assert_same(mha_obj_z(*args), oracle.mha_obj_z_reference(*args))
+    assert_same(mha_grad_z(*args), oracle.mha_grad_z_reference(*args))
+
+
 @pytest.mark.parametrize("seg_len", [STD_SEQ])
 def test_activation_kernels(mha_args, seg_len):
     p = mha_args
-    args = (p["a"], p["wv"], p["a_attn"], p["z"], ALPHA, BETA, p["head_scale"], seg_len)
-    ref_obj = oracle.mha_obj_a_reference(*args)
-    ref_grad = oracle.mha_grad_a_reference(*args)
-    assert_same(mha_obj_a(*args), ref_obj)
-    assert_same(mha_grad_a(*args), ref_grad)
-    # The objective fills the shared residual, the gradient reuses it.
-    resid = _Residual(p["a_attn"], p["wv"])
-    assert_same(mha_obj_a(*args, resid), ref_obj)
-    assert_same(mha_grad_a(*args, resid), ref_grad)
+    check_activation_kernels(p["a"], p["wv"], p["a_attn"], p["z"], ALPHA, BETA, p["head_scale"], seg_len)
 
 
 def test_attention_kernels(mha_args):
     p = mha_args
-    args = (p["a_attn"], p["wo"], p["wv"], p["a"], p["out_pre"], ALPHA)
-    ref_obj = oracle.mha_obj_attn_reference(*args)
-    ref_grad = oracle.mha_grad_attn_reference(*args)
-    assert_same(mha_obj_attn(*args), ref_obj)
-    assert_same(mha_grad_attn(*args), ref_grad)
-    v = frozen(p["wv"] @ p["a"])
-    resid = _Residual(p["out_pre"], p["wo"])
-    assert_same(mha_obj_attn(*args, v, resid), ref_obj)
-    assert_same(mha_grad_attn(*args, v, resid), ref_grad)
+    check_attention_kernels(p["a_attn"], p["wo"], p["wv"], p["a"], p["out_pre"], ALPHA)
 
 
-@pytest.mark.parametrize("seg_len", [STD_SEQ])
+# One token per segment and one segment make the plain form's spread of
+# the segment sums a view, which changes the gradient's memory order.
+@pytest.mark.parametrize("seg_len", [1, STD_SEQ, STD_N * STD_SEQ])
 def test_output_kernels(mha_args, seg_len):
     p = mha_args
-    args = (p["z"], p["a"], p["q_pre"], p["k_pre"], ALPHA, BETA, p["head_scale"], seg_len)
-    assert_same(mha_obj_z(*args), oracle.mha_obj_z_reference(*args))
-    assert_same(mha_grad_z(*args), oracle.mha_grad_z_reference(*args))
+    check_output_kernels(p["z"], p["a"], p["q_pre"], p["k_pre"], ALPHA, BETA, p["head_scale"], seg_len)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """The arrays of one MHA block's sub-solves (d x d matrices, as every
+    MHA block has, and d x T iterates over T = segments * seg_len tokens),
+    a memory order per array, and a seed for the values."""
+    d = draw(st.integers(1, 9), label="d")
+    seg_len = draw(st.integers(1, 7), label="seg_len")
+    tokens = seg_len * draw(st.integers(1, 4), label="segments")
+    names = ("a", "z", "q_pre", "k_pre", "wv", "a_attn", "wo", "out_pre")
+    shapes = {name: (d, d) if name in ("wv", "wo") else (d, tokens) for name in names}
+    fortran = {name: draw(st.booleans(), label=f"{name} Fortran") for name in names}
+    rng = make_rng(draw(st.integers(0, 2**16), label="seed"))
+    arrays = {name: frozen(rng.normal(size=shape), fortran[name]) for name, shape in shapes.items()}
+    scalars = {"alpha": draw(st.floats(0.1, 3.0)), "beta": draw(st.floats(0.1, 3.0)),
+               "head_scale": draw(st.sampled_from([1.0, float(np.sqrt(2)), 2.0, 3.0]))}
+    return arrays, scalars, seg_len
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(kernel_inputs())
+def test_kernels_match_references_on_drawn_inputs(inputs):
+    p, s, seg_len = inputs
+    alpha, beta, scale = s["alpha"], s["beta"], s["head_scale"]
+    check_activation_kernels(p["a"], p["wv"], p["a_attn"], p["z"], alpha, beta, scale, seg_len)
+    check_attention_kernels(p["a_attn"], p["wo"], p["wv"], p["a"], p["out_pre"], alpha)
+    check_output_kernels(p["z"], p["a"], p["q_pre"], p["k_pre"], alpha, beta, scale, seg_len)
+    for seg in (None, seg_len):
+        assert_same(row_softmax(p["z"], scale, seg), oracle.row_softmax_reference(p["z"], scale, seg))
 
 
 def test_residual_memo_keyed_on_iterate(mha_args):
@@ -175,7 +222,7 @@ def ffn_args(request, decoder):
 
 def test_closed_form_scores(ffn_args):
     p = ffn_args
-    got = prune_scores(p["w1"], p["input_pre"], p["target"], "closed-form", 8)
+    got = prune_scores(p["w1"], p["input_pre"], p["target"], "closed-form", 8, None, None)
     assert_same(got, oracle.closed_form_scores_reference(p["w1"], p["input_pre"], p["target"]))
 
 
@@ -202,7 +249,7 @@ def test_row_blocked_kernels_across_blocks(layout):
     target = frozen(rng.normal(size=(150, 40)), all_f)
     a = frozen(rng.normal(size=(150, 40)), layout != "C")
     z = frozen(rng.normal(size=(150, 40)), all_f)
-    got = prune_scores(w, x, target, "closed-form", 8)
+    got = prune_scores(w, x, target, "closed-form", 8, None, None)
     assert_same(got, oracle.closed_form_scores_reference(w, x, target))
     args = (w, x, a, z, ALPHA, BETA)
     assert_same(ffn_update_output(*args), oracle.ffn_update_output_reference(*args))

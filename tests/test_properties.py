@@ -6,7 +6,8 @@ takes, whichever one manifest or calib.json field is dropped or retyped,
 and whichever one blob is truncated or extended, the CLI exits 0, 1 or 2 and prints no traceback and no warning;
 exit 1 prints one `error:` line and exit 2 one `solver error:` line; and
 a run that exits 0 writes only artifacts that parse as strict JSON or CSV
-and hold no NaN or inf.
+and hold no NaN or inf. A save interrupted at any file leaves a
+directory that loads as the old model or exits 1, never a mix.
 """
 
 import contextlib
@@ -18,12 +19,14 @@ import os
 import shutil
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from struprune import model as model_io
 from struprune.cli import METHODS, main
 
 SPECIAL = ["nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e-310", "1e-17", "1e308", "-1e308"]
@@ -261,3 +264,39 @@ def run_mutated(dirs, source, flag, mutate):
         return run_contract(dirs, "plan", [flag, mutated])
     finally:
         shutil.rmtree(mutated, ignore_errors=True)
+
+
+@settings(SETTINGS, max_examples=25)
+@given(method=st.sampled_from(METHODS), fail_at=st.integers(0, 12))
+def test_interrupted_save_never_loads_a_mix(dirs, method, fail_at):
+    """`prune` over an existing model directory stops when write_atomic
+    raises at a drawn file of the save (12 blobs, then the manifest). The
+    directory then loads as the old model, or `plan` on it exits 1 naming
+    the missing manifest."""
+    root, model, calib, _ = dirs
+    out = tempfile.mkdtemp(dir=root)
+    write = model_io.write_atomic
+    calls = []
+
+    def failing_write(path, data):
+        if len(calls) == fail_at:
+            raise OSError(f"interrupted writing {os.path.basename(path)}")
+        calls.append(path)
+        write(path, data)
+
+    try:
+        shutil.copytree(model, out, dirs_exist_ok=True)
+        with mock.patch.object(model_io, "write_atomic", failing_write), \
+                contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["prune", "--model", model, "--calib", calib, "--method", method,
+                         "--sparsity", "0.5", "--out", out]) == 1
+        assert len(calls) == fail_at
+        code, stderr = run_contract(dirs, "plan", ["--model", out])
+        if code == 0:
+            old, got = model_io.load_model(model), model_io.load_model(out)
+            assert all(np.array_equal(w, v) for (_, w), (_, v) in
+                       zip(old.named_matrices(), got.named_matrices(), strict=True))
+        else:
+            assert code == 1 and "manifest.json" in stderr, stderr
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
