@@ -190,3 +190,21 @@ def test_gen_digest(tmp_path, layout):
     produced = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in sorted(os.listdir(out))}
     assert produced == GEN_PINS[layout]
+
+
+# The admm solver's whole --out: model blobs, manifest, trace.csv and
+# plan.csv, so the refit weights are pinned and not only the trace.
+@pytest.mark.parametrize(
+    "fixture, method, digest",
+    [
+        ("decoder_dirs", "softmax",
+         "a282e34bbde41f1c9bab3153c0914c49f3978dce62d85bf15d330a4b248eb3f0"),
+        ("decoder_dirs", "closed-form",
+         "9281620f33acd1a193ba449b548d1cd21bc2f5f8788b9ccbdd1a0f72e6067ed4"),
+        ("square_ffn_dirs", "closed-form",
+         "2cdf858ce585ef5748a494a1188bead099ab38ddeec3e1be352058481e429474"),
+    ],
+)
+def test_admm_output_digest(request, tmp_path, fixture, method, digest):
+    dirs = request.getfixturevalue(fixture)
+    assert _dir_digest(dirs, tmp_path, "admm", ["--method", method, *ADMM_FLAGS]) == digest
