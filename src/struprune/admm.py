@@ -20,8 +20,8 @@ from .allocation import SparsityPlan, binarize_by_threshold, round_half_away
 from .errors import ParameterError, SingularSystemError, SolverError
 from .importance import l0_gates, unit_scores
 from .linalg import _cholesky, cho_solve, make_rng, relu, ridge_solve, row_softmax
-from .model import (FFN, MASK_BEARING, MATRIX_IO, UNIT_OWNER, ActivationCache, BlockActivations, ToyModel,
-                    _row_blocks, _worker_pool, csv_text, unit_mask)
+from .model import (DEFAULT_AXES, FFN, MASK_BEARING, MATRIX_IO, ROW, UNIT_OWNER, ActivationCache, BlockActivations,
+                    ToyModel, _row_blocks, _worker_pool, csv_text, unit_mask)
 
 
 @dataclass
@@ -88,38 +88,31 @@ def recover_weights(z: np.ndarray, a_prev: np.ndarray, eps: float) -> np.ndarray
     return ridge_solve(a_prev.T, z.T, eps).T
 
 
-def _refit_rows(w_hat: np.ndarray, bits: np.ndarray, x_in: np.ndarray, target: np.ndarray, eps: float) -> np.ndarray:
-    """Ridge-refit the retained rows of w_hat so they reproduce the target
-    rows on x_in; masked rows keep their previous values.
+# ---------------------------------------------------------------------------
+# Prune and refit (both block kinds)
+# ---------------------------------------------------------------------------
+
+
+def _refit(w_hat: np.ndarray, bits: np.ndarray, x_in: np.ndarray, target: np.ndarray, eps: float,
+           axis: str) -> np.ndarray:
+    """Ridge-refit the units of w_hat that bits keeps (rows, or columns
+    for axis COL) so its product on x_in reproduces the target; a column
+    unit reads its row of x_in, and pruned units keep their values.
 
     The fit is on the residual, so under-determined directions stay at the
     current weights and an already-optimal matrix is returned unchanged.
     """
     out = w_hat.copy()
-    retained = np.flatnonzero(bits)
-    if retained.size:
-        residual = target[retained] - w_hat[retained] @ x_in
-        sol = ridge_solve(x_in.T, residual.T, eps)
-        out[retained] = w_hat[retained] + sol.T
+    kept = np.flatnonzero(bits)
+    if kept.size:
+        row_units = axis == ROW
+        units = kept if row_units else (slice(None), kept)
+        x = x_in if row_units else x_in[kept]
+        w = w_hat[units]
+        residual = (target[kept] if row_units else target) - w @ x
+        sol = ridge_solve(x.T, residual.T, eps)
+        out[units] = w + sol.T
     return out
-
-
-def _refit_cols(w_hat: np.ndarray, bits: np.ndarray, a_in: np.ndarray, target: np.ndarray, eps: float) -> np.ndarray:
-    """Ridge-refit the retained columns of w_hat so the column-masked
-    product reproduces the target; inputs are the retained rows of a_in.
-    Residual-based like _refit_rows."""
-    out = w_hat.copy()
-    retained = np.flatnonzero(bits)
-    if retained.size:
-        residual = target - w_hat[:, retained] @ a_in[retained]
-        sol = ridge_solve(a_in[retained].T, residual.T, eps)
-        out[:, retained] = w_hat[:, retained] + sol.T
-    return out
-
-
-# ---------------------------------------------------------------------------
-# FFN subproblems
-# ---------------------------------------------------------------------------
 
 
 def prune_scores(
@@ -152,27 +145,44 @@ def prune_scores(
     return unit_scores(criterion, w_hat, x_pre, target, n_samples, rng, x_l1)
 
 
-def ffn_prune_step(
-    state: BlockState,
-    rec: BlockActivations,
-    cfg: SolverConfig,
-    n_samples: int,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Mask the hidden units at the planned budget, then ridge-refit the
-    retained w1 rows and the matching w2 columns onto the teachers'
-    current products."""
-    target_up = state.teacher["w1"] @ rec.input_pre
-    x_l1 = rec.col_l1("input_pre") if cfg.mask_criterion == "wanda" else None
-    scores = prune_scores(
-        state.w_hat["w1"], rec.input_pre, target_up, cfg.mask_criterion, n_samples, rng, x_l1
-    )
-    mask = binarize_by_threshold(scores, state.budget["w1"])
-    state.masks["w1"] = mask
-    state.w_hat["w1"] = _refit_rows(state.w_hat["w1"], mask, rec.input_pre, target_up, cfg.ridge_eps)
-    target_down = state.teacher["w2"] @ state.a
-    state.w_hat["w2"] = _refit_cols(state.w_hat["w2"], mask, state.a, target_down, cfg.ridge_eps)
-    return mask
+def _prune_step(
+    state: BlockState, rec: BlockActivations, cfg: SolverConfig, n_samples: int, rng: np.random.Generator | None
+) -> None:
+    """Mask each mask-bearing matrix of the block at its planned budget,
+    then ridge-refit the units its owner's mask keeps of every matrix onto
+    the teacher's product on the matrix's current input: the frozen
+    input_pre, or the iterate a (w2, wv) or a_attn (wo). The masks are
+    scored on the frozen reference inputs."""
+    current = {"input_pre": rec.input_pre, "a_pre": state.a, "a_attn_pre": state.a_attn}
+    for name, w in state.w_hat.items():
+        x_name = MATRIX_IO[name][0]
+        x_cur = current[x_name]
+        # From iteration 2 on wq and wk share one recovered teacher, so wk
+        # reuses wq's target; nothing writes into a target.
+        if not (name == "wk" and state.teacher["wk"] is state.teacher["wq"]):
+            target = state.teacher[name] @ x_cur
+        if UNIT_OWNER[name] == name:
+            x_l1 = rec.col_l1(x_name) if cfg.mask_criterion == "wanda" else None
+            scores = prune_scores(w, getattr(rec, x_name), target, cfg.mask_criterion, n_samples, rng, x_l1)
+            state.masks[name] = binarize_by_threshold(scores, state.budget[name])
+        state.w_hat[name] = _refit(w, state.masks[UNIT_OWNER[name]], x_cur, target, cfg.ridge_eps,
+                                   DEFAULT_AXES[name])
+
+
+def ffn_prune_step(state, rec, cfg, n_samples, rng) -> None:
+    """_prune_step of an FFN block, under a name of its own so that a
+    trace times the two block kinds apart."""
+    _prune_step(state, rec, cfg, n_samples, rng)
+
+
+def mha_prune_step(state, rec, cfg, n_samples, rng) -> None:
+    """_prune_step of an MHA block; see ffn_prune_step."""
+    _prune_step(state, rec, cfg, n_samples, rng)
+
+
+# ---------------------------------------------------------------------------
+# FFN subproblems
+# ---------------------------------------------------------------------------
 
 
 def ffn_update_activation(
@@ -458,33 +468,6 @@ def mha_update(
     )
     state.z = z
     return a, a_attn, z
-
-
-def mha_prune_step(
-    state: BlockState,
-    rec: BlockActivations,
-    cfg: SolverConfig,
-    n_samples: int,
-    rng: np.random.Generator | None = None,
-) -> dict[str, np.ndarray]:
-    """Mask each projection separately at the planned budget; the value
-    mask owns the matching output-projection columns."""
-    for name in ("wq", "wk", "wv"):
-        x_name = MATRIX_IO[name][0]
-        x_pre = getattr(rec, x_name)
-        x_cur = state.a if name == "wv" else x_pre
-        # From iteration 2 on wq and wk share one recovered teacher, so wk
-        # reuses wq's target; nothing writes into a target.
-        if not (name == "wk" and state.teacher["wk"] is state.teacher["wq"]):
-            target = state.teacher[name] @ x_cur
-        x_l1 = rec.col_l1(x_name) if cfg.mask_criterion == "wanda" else None
-        scores = prune_scores(state.w_hat[name], x_pre, target, cfg.mask_criterion, n_samples, rng, x_l1)
-        mask = binarize_by_threshold(scores, state.budget[name])
-        state.masks[name] = mask
-        state.w_hat[name] = _refit_rows(state.w_hat[name], mask, x_cur, target, cfg.ridge_eps)
-    target_o = state.teacher["wo"] @ state.a_attn
-    state.w_hat["wo"] = _refit_cols(state.w_hat["wo"], state.masks["wv"], state.a_attn, target_o, cfg.ridge_eps)
-    return state.masks
 
 
 def mha_objective(

@@ -677,8 +677,13 @@ def load_model(path: str) -> ToyModel:
     if not isinstance(entries, list):
         raise FormatError(f"manifest matrices must be a list, got {entries!r}")
     # Validate the whole manifest against the directory before any blob read.
+    seen = {"name": set(), "file": set()}
     for index, entry in enumerate(entries):
         _check_manifest_entry(index, entry)
+        for key, values in seen.items():
+            if entry[key] in values:
+                raise FormatError(f"manifest matrices[{index}] repeats {key} {entry[key]!r}")
+            values.add(entry[key])
         blob = os.path.join(path, entry["file"])
         if not os.path.exists(blob):
             raise FormatError(f"manifest lists matrix {entry['name']!r} but {entry['file']} is missing")

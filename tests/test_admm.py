@@ -69,7 +69,7 @@ class TestFfnPruneStep:
         model, cache, state = ffn_setup(retention=1.0)
         cfg = SolverConfig(ridge_eps=1e-10)
         rec = cache.blocks[0]
-        ffn_prune_step(state, rec, cfg, cache.n_samples)
+        ffn_prune_step(state, rec, cfg, cache.n_samples, make_rng(0))
         target = state.teacher["w1"] @ rec.input_pre
         loss = float(np.sum((target - state.effective("w1") @ rec.input_pre) ** 2))
         assert loss / cache.n_samples < 1e-9
@@ -78,7 +78,7 @@ class TestFfnPruneStep:
         model, cache, state = ffn_setup(retention=0.0)
         cfg = SolverConfig()
         rec = cache.blocks[0]
-        ffn_prune_step(state, rec, cfg, cache.n_samples)
+        ffn_prune_step(state, rec, cfg, cache.n_samples, make_rng(0))
         assert np.all(state.effective("w1") == 0.0)
         prune_loss = float(np.sum((state.teacher["w1"] @ rec.input_pre) ** 2))
         got = float(
@@ -100,7 +100,7 @@ class TestFfnPruneStep:
 
     def test_mask_at_planned_budget(self):
         model, cache, state = ffn_setup(retention=0.5)
-        ffn_prune_step(state, cache.blocks[0], SolverConfig(), cache.n_samples)
+        ffn_prune_step(state, cache.blocks[0], SolverConfig(), cache.n_samples, make_rng(0))
         assert state.masks["w1"].sum() == state.budget["w1"]
 
 
@@ -249,7 +249,7 @@ class TestMhaUpdate:
         model, cache, state = mha_setup(retention=0.5)
         cfg = SolverConfig(inner_steps=25, learning_rate=0.01)
         rec = cache.blocks[0]
-        mha_prune_step(state, rec, cfg, cache.n_samples)
+        mha_prune_step(state, rec, cfg, cache.n_samples, make_rng(0))
         before = mha_objective(state, rec, cfg, cache.n_samples, cache.seq_len)
         mha_update(state, rec, cfg, cache.seq_len)
         after = mha_objective(state, rec, cfg, cache.n_samples, cache.seq_len)

@@ -298,6 +298,26 @@ class TestMalformedInput:
                    "--out", str(tmp / "e")) == 1
         _one_error_line(capsys, entry["name"], "../outside/x.bin")
 
+    # A matrix listed twice, here with a second blob, would load the later
+    # blob; one blob named for w1 and w2, which have the same byte count,
+    # would load w1's bytes as w2.
+    @pytest.mark.parametrize("repeat", ["name", "file"])
+    def test_manifest_repeats_name_or_file(self, workspace, capsys, repeat):
+        tmp, model, calib = workspace
+        path = os.path.join(model, "manifest.json")
+        manifest = json.loads(read(path))
+        by_name = {e["name"]: e for e in manifest["matrices"]}
+        w1, w2 = by_name["layer1.ffn.w1"], by_name["layer1.ffn.w2"]
+        if repeat == "name":
+            shutil.copy(os.path.join(model, w1["file"]), os.path.join(model, "copy.bin"))
+            manifest["matrices"].append({**w1, "file": "copy.bin"})
+        else:
+            w2["file"] = w1["file"]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        assert run("plan", "--model", model, "--calib", calib, "--out", str(tmp / "o")) == 1
+        _one_error_line(capsys, repr(w1[repeat]))
+
     def test_manifest_nonpositive_shape(self, workspace, capsys):
         tmp, model, calib = workspace
 

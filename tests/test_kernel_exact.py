@@ -1,7 +1,8 @@
 """The in-place solver kernels return the bits of their plain-expression
 reference forms in oracle.py, in the same memory order, and never write
 into an argument: on the fixture's arrays, and on drawn shapes, segment
-lengths and memory orders."""
+lengths and memory orders. The solver's one refit equals the plain row
+and column slice expressions on drawn shapes, kept units and orders."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from struprune.admm import (
     BlockState,
     SolverConfig,
     _descend,
+    _refit,
     _Residual,
     ffn_objective,
     ffn_update_activation,
@@ -26,8 +28,8 @@ from struprune.admm import (
     mha_obj_z,
     prune_scores,
 )
-from struprune.linalg import make_rng, row_softmax
-from struprune.model import FFN, MHA
+from struprune.linalg import make_rng, ridge_solve, row_softmax
+from struprune.model import COL, FFN, MHA, ROW
 
 ALPHA, BETA = 0.7, 1.3
 SEGMENTS = [None, STD_SEQ]
@@ -261,3 +263,73 @@ def test_ffn_objective(ffn_args):
     state = BlockState(p["layer"], FFN, {"w1": p["w1"], "w2": p["w2"]}, {}, z=p["z"], a=p["a"])
     ref = oracle.ffn_objective_reference(p["w1"], p["w2"], rec, p["a"], p["z"], ALPHA, BETA, 8)
     assert_same(ffn_objective(state, rec, SolverConfig(alpha=ALPHA, beta=BETA), 8), ref)
+
+
+def refit_reference(w_hat, bits, x_in, target, eps, axis):
+    """The ridge refit of the kept rows (ROW) or columns (COL) of w_hat,
+    written out per axis."""
+    out = w_hat.copy()
+    kept = np.flatnonzero(bits)
+    if kept.size and axis == ROW:
+        residual = target[kept] - w_hat[kept] @ x_in
+        out[kept] = w_hat[kept] + ridge_solve(x_in.T, residual.T, eps).T
+    elif kept.size:
+        residual = target - w_hat[:, kept] @ x_in[kept]
+        out[:, kept] = w_hat[:, kept] + ridge_solve(x_in[kept].T, residual.T, eps).T
+    return out
+
+
+@st.composite
+def refit_inputs(draw):
+    """A matrix of `units` row or column units, its input x_in and target,
+    a kept-unit pattern (none, all or drawn) and a memory order per array."""
+    axis = draw(st.sampled_from([ROW, COL]), label="axis")
+    units, other = draw(st.integers(1, 9), label="units"), draw(st.integers(1, 9), label="other dim")
+    tokens = draw(st.integers(1, 12), label="tokens")
+    rng = make_rng(draw(st.integers(0, 2**16), label="seed"))
+    pattern = draw(st.sampled_from(["none", "all", "random"]), label="kept")
+    bits = {"none": np.zeros(units, bool), "all": np.ones(units, bool)}.get(pattern, rng.random(units) < 0.5)
+    shapes = {
+        "w_hat": (units, other) if axis == ROW else (other, units),
+        "x_in": (other if axis == ROW else units, tokens),
+        "target": (units if axis == ROW else other, tokens),
+    }
+    arrays = {name: frozen(rng.normal(size=shape), draw(st.booleans(), label=f"{name} Fortran"))
+              for name, shape in shapes.items()}
+    bits.setflags(write=False)
+    eps = draw(st.sampled_from([1e-3, 0.1, 1.0]), label="eps")
+    return arrays["w_hat"], bits, arrays["x_in"], arrays["target"], eps, axis
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(refit_inputs())
+def test_refit_matches_slice_expressions(args):
+    assert_same(_refit(*args), refit_reference(*args))
+
+
+@st.composite
+def ffn_kernel_inputs(draw):
+    """One FFN block's kernel arguments: w1 (n x d), the input (d x T), a
+    target and iterates (n x T), w2 (d x n), with n up to past two of
+    model._row_blocks' 64-row blocks, and a memory order per array."""
+    n, d = draw(st.integers(1, 140), label="n"), draw(st.integers(1, 9), label="d")
+    tokens = draw(st.integers(1, 12), label="tokens")
+    shapes = {"w1": (n, d), "x": (d, tokens), "target": (n, tokens), "a": (n, tokens),
+              "z": (n, tokens), "w2": (d, n), "out_pre": (d, tokens)}
+    rng = make_rng(draw(st.integers(0, 2**16), label="seed"))
+    arrays = {name: frozen(rng.normal(size=shape), draw(st.booleans(), label=f"{name} Fortran"))
+              for name, shape in shapes.items()}
+    alpha, beta = draw(st.floats(0.1, 3.0), label="alpha"), draw(st.floats(0.1, 3.0), label="beta")
+    return arrays, alpha, beta
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(ffn_kernel_inputs())
+def test_ffn_kernels_match_references_on_drawn_inputs(inputs):
+    p, alpha, beta = inputs
+    got = prune_scores(p["w1"], p["x"], p["target"], "closed-form", 8, None, None)
+    assert_same(got, oracle.closed_form_scores_reference(p["w1"], p["x"], p["target"]))
+    args = (p["w2"], p["out_pre"], p["z"], alpha, beta)
+    assert_same(ffn_update_activation(*args), oracle.ffn_update_activation_reference(*args))
+    args = (p["w1"], p["x"], p["a"], p["z"], alpha, beta)
+    assert_same(ffn_update_output(*args), oracle.ffn_update_output_reference(*args))
