@@ -47,8 +47,8 @@ class SolverConfig:
 @dataclass
 class BlockState:
     """Single-owner mutable state of one layer pair: its matrices, masks
-    and the iterates z, a and a_attn, which start as the frozen arrays of
-    the block's record (_init_state)."""
+    and the iterates z, a and a_attn, which start as the block's reference
+    arrays (_init_state)."""
 
     layer: int
     kind: str
@@ -163,7 +163,7 @@ def _prune_step(
             target = state.teacher[name] @ x_cur
         if UNIT_OWNER[name] == name:
             x_l1 = rec.col_l1(x_name) if cfg.mask_criterion == "wanda" else None
-            scores = prune_scores(w, getattr(rec, x_name), target, cfg.mask_criterion, n_samples, rng, x_l1)
+            scores = prune_scores(w, rec.array(x_name), target, cfg.mask_criterion, n_samples, rng, x_l1)
             state.masks[name] = binarize_by_threshold(scores, state.budget[name])
         state.w_hat[name] = _refit(w, state.masks[UNIT_OWNER[name]], x_cur, target, cfg.ridge_eps,
                                    DEFAULT_AXES[name])
@@ -493,10 +493,11 @@ def mha_objective(
 def _init_state(layer: int, block, plan: SparsityPlan, rec: BlockActivations) -> BlockState:
     # The solver replaces its matrices and iterates and never writes into
     # them (the refits copy first), so the state starts from the block's
-    # matrices and the record's frozen arrays themselves, not copies.
+    # matrices and the record's arrays themselves, not copies: a stored
+    # array, or a derived one (model.DERIVED) built here, read-only too.
     retention = plan.retention_for(layer)
     state = BlockState(layer, block.kind, dict(block.matrices), dict(block.matrices))
-    state.z, state.a, state.a_attn = rec.z_pre, rec.a_pre, rec.a_attn_pre
+    state.z, state.a, state.a_attn = (rec.array(name) for name in ("z_pre", "a_pre", "a_attn_pre"))
     state.budget = {
         m: round_half_away(retention * block.matrices[m].shape[0]) for m in MASK_BEARING[block.kind]
     }
@@ -577,18 +578,21 @@ def run_outer_loop(
     missing = [i for i in range(len(model.blocks)) if i not in layers]
     if missing:
         raise ParameterError(f"plan is missing entries for blocks {missing}")
-    states = [_init_state(i, b, plan, cache.blocks[i]) for i, b in enumerate(model.blocks)]
-    jobs = list(zip(states, make_rng(cfg.seed).spawn(len(states))))
+    jobs = list(enumerate(make_rng(cfg.seed).spawn(len(model.blocks))))
 
     def solve(job):
-        state, rng = job
+        # A block's state, and with it its first iterates, is made when
+        # the block's solve starts, not for every block up front.
+        layer, rng = job
+        rec = cache.blocks[layer]
+        state = _init_state(layer, model.blocks[layer], plan, rec)
         try:
-            return solve_block(state, cache.blocks[state.layer], cfg, cache.n_samples, cache.seq_len, rng)
+            return state, solve_block(state, rec, cfg, cache.n_samples, cache.seq_len, rng)
         except Exception as exc:  # returned, so every block finishes before one raises
-            return exc
+            return state, exc
 
     with _worker_pool(jobs, threads) as run:
-        results = run(solve)
+        states, results = zip(*run(solve))
     failures = [
         (state.iteration, state.layer, result)
         for state, result in zip(states, results)

@@ -24,6 +24,8 @@ from .errors import SingularSystemError, SolverError
 from .importance import layer_importance
 from .linalg import make_rng
 from .model import (
+    FFN,
+    SUB_TILE_TOKENS,
     ModelArch,
     capture_reference_activations,
     generate_toy_model,
@@ -446,17 +448,17 @@ def cmd_verify(args) -> int:
             f"gap={float(np.max(np.abs(closed - solved))):.3e}",
         )
     # Tiled forward against the single-pass one on this machine's BLAS:
-    # T = 2560 makes two token tiles of unequal width.
+    # T = 2560 makes two token tiles of unequal width. Every array of the
+    # forward is compared, the stored ones and those derived from them.
     arch = ModelArch(d=16, num_layers=2, num_heads=2, vocab=32)
     model = generate_toy_model(arch, rng)
     calib = make_calibration(arch, 160, 16, rng, kind="tokens")
     cache = capture_reference_activations(model, calib, threads=2)
-    tiled = [rec.frozen_arrays() for rec in cache.blocks]
     single = oracle.dense_forward_reference(model, calib)
     same = all(
-        (a is None and b is None) or np.array_equal(a, b)
-        for rec_t, rec_s in zip(tiled, single)
-        for a, b in zip(rec_t, rec_s)
+        np.array_equal(rec.array(name), want)
+        for rec, arrays in zip(cache.blocks, single)
+        for name, want in arrays.items()
     )
     ppl = evaluation.pseudo_perplexity(model, calib, threads=2)
     ppl_ref = oracle.pseudo_perplexity_reference(model, calib)
@@ -465,6 +467,18 @@ def cmd_verify(args) -> int:
         same and ppl == ppl_ref,
         f"arrays equal={same}, ppl {ppl!r} vs {ppl_ref!r}",
     )
+    # The loss's w2 product over relu sub-tiles against the whole GEMM,
+    # at the oneshot-wide FFN shape (k = 512) and on this fixture.
+    wide = generate_toy_model(ModelArch(d=128, num_layers=1, num_heads=1), rng, layout="ffn")
+    wide_cache = capture_reference_activations(wide, make_calibration(wide.arch, 40, 64, rng))
+    same = True
+    for m, c in ((wide, wide_cache), (model, cache)):
+        for block, rec in zip(m.blocks, c.blocks):
+            if block.kind == FFN:
+                w2 = block.w2 * (rng.random(block.w2.shape[1]) < 0.7)
+                same &= np.array_equal(rec.product("w2", w2), w2 @ rec.array("a_pre"))
+    check(f"sub-tiled w2 product matches the whole GEMM ({SUB_TILE_TOKENS}-token relu tiles)",
+          same, "products differ")
     # The GIL-free Cholesky solve against scipy's on this machine's LAPACK,
     # at the shape of one FFN activation solve (512 x 2048).
     w = rng.normal(size=(512, 512))

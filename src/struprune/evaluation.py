@@ -64,10 +64,12 @@ def total_reconstruction_loss(
     summed in block order. The row-unit products (w1, wq, wk, wv) are read
     from the cache when each pruned row is the dense row or zero
     (BlockActivations.product_rows); the column-masked w2 and wo products
-    are whole GEMMs. No residual is built whole: each squared residual is
-    summed a leaf of numpy's pairwise tree at a time (model._pairwise_sum)
-    in a leaf-sized buffer, with the bits of np.sum of the plain
-    expressions (oracle.total_reconstruction_loss_reference).
+    are GEMMs, w2's over relu sub-tiles (BlockActivations.product). No
+    residual is built whole: each squared residual is summed a leaf of
+    numpy's pairwise tree at a time (model._pairwise_sum) in a leaf-sized
+    buffer, the MHA consensus target derived there, with the bits of
+    np.sum of the plain expressions
+    (oracle.total_reconstruction_loss_reference).
     """
     if [b.kind for b in model_pruned.blocks] != [rec.kind for rec in cache.blocks]:
         raise ParameterError("pruned model and activation cache disagree on block layout")
@@ -91,12 +93,19 @@ def _block_terms(pb, rec) -> tuple[float, ...]:
     FFN, (qk, val, out) for MHA."""
     if isinstance(pb, FfnBlock):
         up = _sq_residual(rec.z_pre, rec.product_rows("w1", pb.w1))
-        down = _sq_residual(rec.out_pre, (pb.w2 @ rec.a_pre, None))
+        down = _sq_residual(rec.out_pre, (rec.product("w2", pb.w2), None))
         return up, down
-    qk = _sq_residual(rec.z_pre, rec.product_rows("wq", pb.wq), rec.product_rows("wk", pb.wk))
+    qk = _sq_residual(_flat_reader(rec, "z_pre"), rec.product_rows("wq", pb.wq),
+                      rec.product_rows("wk", pb.wk))
     val = _sq_residual(rec.a_attn_pre, rec.product_rows("wv", pb.wv))
-    out = _sq_residual(rec.out_pre, (pb.wo @ rec.a_attn_pre, None))
+    out = _sq_residual(rec.out_pre, (rec.product("wo", pb.wo), None))
     return qk, val, out
+
+
+def _flat_reader(rec, name: str):
+    """read(lo, hi, out): the flat range [lo, hi) of rec's derived array
+    `name`, derived into out from the same ranges of its sources."""
+    return lambda lo, hi, out: rec.derive(name, lambda a: a.reshape(-1)[lo:hi], out)
 
 
 def _check_shapes(layer: int, block, rec) -> None:
@@ -104,7 +113,7 @@ def _check_shapes(layer: int, block, rec) -> None:
     product it is compared against."""
     for name, w in block.matrices.items():
         x_name, prod_name = MATRIX_IO[name]
-        want = (getattr(rec, prod_name).shape[0], getattr(rec, x_name).shape[0])
+        want = (getattr(rec, prod_name).shape[0], rec.like(x_name).shape[0])
         if w.shape != want:
             raise DimensionError(
                 f"layer {layer} {block.kind} matrix {name}: pruned model has shape "
@@ -112,13 +121,15 @@ def _check_shapes(layer: int, block, rec) -> None:
             )
 
 
-def _sq_residual(target: np.ndarray, *products) -> float:
+def _sq_residual(target, *products) -> float:
     """sum((target - p)^2) over C-contiguous operands (as capture and
     GEMMs make them), where p is the one product given or the consensus
     0.5 * (p1 + p2) of two. Each product is an (array, zero) pair of
     BlockActivations.product_rows whose rows flagged in zero read as
-    +0.0."""
-    t = target.reshape(-1)
+    +0.0. The target is an array, or a derived array given as a function
+    read(lo, hi, out) that writes its flat range [lo, hi) into out."""
+    derived = not isinstance(target, np.ndarray)
+    read_target = target if derived else _row_reader(target, None)
     reads = [_row_reader(prod, zero) for prod, zero in products]
 
     def fill(lo, hi, out, *spare):
@@ -126,10 +137,12 @@ def _sq_residual(target: np.ndarray, *products) -> float:
         if len(reads) == 2:
             np.add(p, reads[1](lo, hi, spare[0]), out=out)
             p = np.multiply(0.5, out, out=out)
-        np.subtract(t[lo:hi], p, out=out)
+        # p is in out or a view of a product: the last spare is free.
+        np.subtract(read_target(lo, hi, spare[-1] if spare else None), p, out=out)
         np.multiply(out, out, out=out)
 
-    return _pairwise_sum(t.size, fill, buffers=len(reads))
+    size = products[0][0].size
+    return _pairwise_sum(size, fill, buffers=max(len(reads), 1 + derived))
 
 
 def _row_reader(prod: np.ndarray, zero: np.ndarray | None):

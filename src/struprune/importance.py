@@ -176,8 +176,9 @@ def layer_importance(
             rec = cache.blocks[i]
             pooled: list[np.ndarray] = []
             for name, w in block.matrices.items():
+                # wanda_unit reads only the shape of its input array.
                 x_name = MATRIX_IO[name][0]
-                pooled.append(wanda_unit(w, getattr(rec, x_name), DEFAULT_AXES[name],
+                pooled.append(wanda_unit(w, rec.like(x_name), DEFAULT_AXES[name],
                                          cache.n_samples, rec.col_l1(x_name)))
             value = float(np.concatenate(pooled).mean())
             out.append(LayerImportance(i, block.kind, value))
@@ -205,8 +206,8 @@ def block_unit_scores(
     for name in MASK_BEARING[block.kind]:
         x_name, target_name = MATRIX_IO[name]
         x_l1 = rec.col_l1(x_name) if criterion == "wanda" else None
-        scores[name] = unit_scores(criterion, block.matrices[name], getattr(rec, x_name),
-                                   getattr(rec, target_name), cache.n_samples, rng, x_l1)
+        scores[name] = unit_scores(criterion, block.matrices[name], rec.array(x_name),
+                                   rec.array(target_name), cache.n_samples, rng, x_l1)
     return scores
 
 

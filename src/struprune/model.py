@@ -41,6 +41,31 @@ MATRIX_IO = {
     "wo": ("a_attn_pre", "out_pre"),
 }
 
+
+def _relu(z, out=None):
+    return np.maximum(z, 0.0, out=out)
+
+
+def _consensus(q, k, out=None):
+    total = np.add(q, k, out=out)
+    return np.multiply(0.5, total, out=total)
+
+
+# The record arrays capture stores for each block kind, and the arrays it
+# derives instead, each as (sources, fn): the array is fn(*sources), an
+# elementwise op of the dense forward on stored arrays of its shape (FFN
+# a = relu(z), MHA z = 0.5 * (q + k)). Any part of it is fn of the same
+# part of its sources, bit for bit, so a reader rebuilds only the part it
+# needs (BlockActivations.derive).
+STORED = {
+    FFN: ("input_pre", "z_pre", "out_pre"),
+    MHA: ("input_pre", "q_pre", "k_pre", "a_pre", "a_attn_pre", "out_pre"),
+}
+DERIVED = {
+    FFN: {"a_pre": (("z_pre",), _relu)},
+    MHA: {"z_pre": (("q_pre", "k_pre"), _consensus)},
+}
+
 ROW = "row"
 COL = "col"
 
@@ -287,14 +312,20 @@ def calibration_input(model: ToyModel, calib: CalibrationSet) -> np.ndarray:
 # about one random shape in five differed by an ulp otherwise.
 TILE_TOKENS = 2048
 
+# Token sub-tiles of a GEMM on a derived input (BlockActivations.product).
+# On OpenBLAS a (128 x 512) @ (512 x T) product over 16- to 2048-token
+# column tiles matched the whole GEMM bit for bit, and over 8-token tiles
+# it did not.
+SUB_TILE_TOKENS = 512
 
-def _token_tiles(n_tokens: int) -> list[slice]:
-    """The column slices the dense forward runs over. They depend on the
-    token count alone, never on the pool size, so every pool size writes
-    the same bits."""
+
+def _token_tiles(n_tokens: int, width: int = TILE_TOKENS) -> list[slice]:
+    """The column slices of `width` tokens a tiled GEMM runs over (one
+    slice when T % 8 != 0). They depend on the token count alone, never
+    on the pool size, so every pool size writes the same bits."""
     if n_tokens % 8:
         return [slice(0, n_tokens)]
-    return [slice(s, min(s + TILE_TOKENS, n_tokens)) for s in range(0, n_tokens, TILE_TOKENS)]
+    return [slice(s, min(s + width, n_tokens)) for s in range(0, n_tokens, width)]
 
 
 def _row_blocks(n: int):
@@ -358,23 +389,22 @@ def _dense_forward(blocks, x: np.ndarray, seq_len: int, run):
 
     A block's arrays are allocated when the block is reached. Its GEMMs
     and the exact elementwise ops (relu, the q/k consensus) run per token
-    tile, each writing its column slice; row_softmax runs once on the
-    whole z, since it normalizes across the tokens of a sample. The bits
-    are those of oracle.dense_forward_reference."""
+    tile, each writing its column slice, the tile's relu into a buffer of
+    its own; row_softmax runs once on the whole z, since it normalizes
+    across the tokens of a sample, and z is dropped after it (DERIVED).
+    The bits are those of oracle.dense_forward_reference."""
     n_tokens = x.shape[1]
     for block in blocks:
         if block.kind == FFN:
             z = np.empty((block.w1.shape[0], n_tokens))
-            a = np.empty_like(z)
             out = np.empty((block.w2.shape[0], n_tokens))
 
             def ffn_tile(t):
                 np.matmul(block.w1, x[:, t], out=z[:, t])
-                np.maximum(z[:, t], 0.0, out=a[:, t])  # relu
-                np.matmul(block.w2, a[:, t], out=out[:, t])
+                np.matmul(block.w2, _relu(z[:, t]), out=out[:, t])
 
             run(ffn_tile)
-            rec = BlockActivations(FFN, x, z, a, out, None)
+            rec = BlockActivations(FFN, x, z, None, out, None)
         else:
             q = np.empty((block.wq.shape[0], n_tokens))
             k = np.empty_like(q)
@@ -383,11 +413,11 @@ def _dense_forward(blocks, x: np.ndarray, seq_len: int, run):
             def qk_tile(t):
                 np.matmul(block.wq, x[:, t], out=q[:, t])
                 np.matmul(block.wk, x[:, t], out=k[:, t])
-                np.add(q[:, t], k[:, t], out=z[:, t])
-                np.multiply(0.5, z[:, t], out=z[:, t])
+                _consensus(q[:, t], k[:, t], out=z[:, t])
 
             run(qk_tile)
             a = row_softmax(z, scale=block.head_scale, seg_len=seq_len)
+            z = None
             a_attn = np.empty((block.wv.shape[0], n_tokens))
             out = np.empty((block.wo.shape[0], n_tokens))
 
@@ -396,25 +426,27 @@ def _dense_forward(blocks, x: np.ndarray, seq_len: int, run):
                 np.matmul(block.wo, a_attn[:, t], out=out[:, t])
 
             run(vo_tile)
-            rec = BlockActivations(MHA, x, z, a, out, a_attn, q, k)
+            rec = BlockActivations(MHA, x, None, a, out, a_attn, q, k)
         yield rec
         x = out
 
 
 @dataclass
 class BlockActivations:
-    """Per-block record of frozen dense-reference values; the *_pre
-    arrays are read-only after capture.
+    """Per-block record of the frozen dense reference: the arrays of
+    STORED[kind], read-only after capture, and None for the rest. The
+    arrays of DERIVED[kind] are rebuilt from the stored ones by whoever
+    reads them, in the part they read.
 
     `dense` holds the block's dense matrices that formed the frozen
     products (read-only references, not copies). Input statistics of the
-    frozen arrays (col_l1) are computed on first use, once per record,
+    record's arrays (col_l1) are computed on first use, once per record,
     also when pool threads ask for them at the same time."""
 
     kind: str
     input_pre: np.ndarray
-    z_pre: np.ndarray
-    a_pre: np.ndarray
+    z_pre: np.ndarray | None
+    a_pre: np.ndarray | None
     out_pre: np.ndarray
     a_attn_pre: np.ndarray | None
     q_pre: np.ndarray | None = None
@@ -423,11 +455,59 @@ class BlockActivations:
     stats: dict = field(default_factory=dict, repr=False, compare=False)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
-    def frozen_arrays(self):
-        return (
-            self.input_pre, self.z_pre, self.a_pre, self.out_pre,
-            self.a_attn_pre, self.q_pre, self.k_pre,
-        )
+    def frozen_arrays(self) -> dict[str, np.ndarray]:
+        """The stored arrays, by name in STORED[kind] order."""
+        return {name: getattr(self, name) for name in STORED[self.kind]}
+
+    def derive(self, name: str, part=None, out=None) -> np.ndarray:
+        """The derived array `name` (DERIVED[kind]), or the part of it that
+        part(array) selects of each source array; written into out, or
+        into a fresh array when out is None."""
+        sources, fn = DERIVED[self.kind][name]
+        arrays = [getattr(self, s) for s in sources]
+        return fn(*(arrays if part is None else map(part, arrays)), out=out)
+
+    def array(self, name: str) -> np.ndarray | None:
+        """Array `name` whole and read-only, for a caller that needs all of
+        it: a stored array itself, or a derived one built here."""
+        if name not in DERIVED[self.kind]:
+            return getattr(self, name)
+        arr = self.derive(name)
+        arr.setflags(write=False)
+        return arr
+
+    def like(self, name: str) -> np.ndarray:
+        """A stored array of the shape of array `name`: the array itself,
+        or the first source of a derived one."""
+        derived = DERIVED[self.kind].get(name)
+        return getattr(self, name if derived is None else derived[0][0])
+
+    def _row_parts(self, name: str):
+        """(rows, values) of array `name` for each _row_blocks slice: views
+        of a stored array; a derived one is derived a block at a time into
+        one buffer, which the next block overwrites."""
+        x = self.like(name)
+        derived = name in DERIVED[self.kind]
+        buf = np.empty((min(64, x.shape[0]), x.shape[1])) if derived else None
+        for r in _row_blocks(x.shape[0]):
+            yield r, self.derive(name, lambda a: a[r], buf[:len(x[r])]) if derived else x[r]
+
+    def product(self, matrix: str, w: np.ndarray) -> np.ndarray:
+        """w @ x for the input x of `matrix` (MATRIX_IO), a fresh array. A
+        derived x is derived SUB_TILE_TOKENS tokens at a time into one
+        buffer, each sub-tile's GEMM writing its column slice of the
+        product: the bits of the whole GEMM, without x whole."""
+        x_name = MATRIX_IO[matrix][0]
+        if x_name not in DERIVED[self.kind]:
+            return w @ getattr(self, x_name)
+        rows, n_tokens = self.like(x_name).shape
+        tiles = _token_tiles(n_tokens, SUB_TILE_TOKENS)
+        buf = np.empty(rows * (tiles[0].stop - tiles[0].start))
+        prod = np.empty((w.shape[0], n_tokens))
+        for t in tiles:
+            tile = buf[:rows * (t.stop - t.start)].reshape(rows, -1)
+            np.matmul(w, self.derive(x_name, lambda a: a[:, t], tile), out=prod[:, t])
+        return prod
 
     def _memo(self, key, compute):
         value = self.stats.get(key)
@@ -439,21 +519,21 @@ class BlockActivations:
         return value
 
     def col_l1(self, name: str) -> np.ndarray:
-        """Per-feature sum_t |x_jt| of the frozen array `name` (e.g.
+        """Per-feature sum_t |x_jt| of the record's array `name` (e.g.
         "input_pre"), the wanda input statistic; read-only."""
 
         def compute():
-            x = getattr(self, name)
-            sums = np.empty(x.shape[0])
-            for r in _row_blocks(x.shape[0]):
-                np.sum(np.abs(x[r]), axis=1, out=sums[r])
+            sums = np.empty(self.like(name).shape[0])
+            for r, x in self._row_parts(name):
+                np.sum(np.abs(x), axis=1, out=sums[r])
             sums.setflags(write=False)
             return sums
 
         return self._memo(("col_l1", name), compute)
 
     def _finite(self, name: str) -> bool:
-        return self._memo(("finite", name), lambda: bool(np.isfinite(getattr(self, name)).all()))
+        return self._memo(("finite", name),
+                          lambda: all(np.isfinite(x).all() for _, x in self._row_parts(name)))
 
     def product_rows(self, matrix: str, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """w @ x for the frozen input x of `matrix` (MATRIX_IO), as a pair
@@ -465,9 +545,9 @@ class BlockActivations:
         the zero rows of w, if there are any; this is bit for bit w @ x: a
         GEMM row of a same-shaped, same-layout product depends only on its
         own row of w, and an all-zero row on a finite input gives +0.0.
-        Any other w takes the GEMM, a fresh array with `zero` None."""
+        Any other w takes the GEMM (product), a fresh array with `zero`
+        None."""
         x_name, prod_name = MATRIX_IO[matrix]
-        x = getattr(self, x_name)
         frozen = getattr(self, prod_name)
         dense = self.dense.get(matrix)
         if (
@@ -477,14 +557,14 @@ class BlockActivations:
             or w.shape != dense.shape
             or w.strides != dense.strides
         ):
-            return w @ x, None
+            return self.product(matrix, w), None
         zero = ~np.any(w, axis=1)
         if not np.all(zero | np.all(w == dense, axis=1)):
-            return w @ x, None
+            return self.product(matrix, w), None
         if not zero.any():
             return frozen, None
         if not self._finite(x_name):
-            return w @ x, None
+            return self.product(matrix, w), None
         return frozen, zero
 
 
@@ -499,17 +579,16 @@ def capture_reference_activations(
     model: ToyModel, calib: CalibrationSet, threads: int = 1
 ) -> ActivationCache:
     """Dense forward pass, its token tiles on a pool of `threads`
-    workers; freezes the reference values and the dense block matrices
-    that formed them (marked read-only in place, not copied). The bytes
-    are the same for every `threads`."""
+    workers; freezes the reference values of STORED and the dense block
+    matrices that formed them (marked read-only in place, not copied).
+    The bytes are the same for every `threads`."""
     x = calibration_input(model, calib)
     records: list[BlockActivations] = []
     with _worker_pool(_token_tiles(x.shape[1]), threads) as run:
         for block, rec in zip(model.blocks, _dense_forward(model.blocks, x, calib.seq_len, run)):
             rec.dense = dict(block.matrices)
-            for arr in (*rec.frozen_arrays(), *rec.dense.values()):
-                if arr is not None:
-                    arr.setflags(write=False)
+            for arr in (*rec.frozen_arrays().values(), *rec.dense.values()):
+                arr.setflags(write=False)
             records.append(rec)
     return ActivationCache(records, calib.n_samples, calib.seq_len)
 

@@ -220,18 +220,18 @@ def mha_forward(block, x, seq_len=None):
 
 
 def dense_forward_reference(model, calib):
-    """Per block, the frozen arrays of capture in
-    BlockActivations.frozen_arrays() order: (input_pre, z_pre, a_pre,
-    out_pre, a_attn_pre, q_pre, k_pre), None where a kind has none."""
+    """Per block, every array of its forward by BlockActivations name,
+    the ones capture stores and the ones it derives."""
     x = calibration_input(model, calib)
     arrays = []
     for block in model.blocks:
         if block.kind == FFN:
             z, a, out = ffn_forward(block, x)
-            arrays.append((x, z, a, out, None, None, None))
+            arrays.append({"input_pre": x, "z_pre": z, "a_pre": a, "out_pre": out})
         else:
             q, k, z, a, a_attn, out = mha_forward(block, x, calib.seq_len)
-            arrays.append((x, z, a, out, a_attn, q, k))
+            arrays.append({"input_pre": x, "q_pre": q, "k_pre": k, "z_pre": z, "a_pre": a,
+                           "a_attn_pre": a_attn, "out_pre": out})
         x = out
     return arrays
 
@@ -241,16 +241,15 @@ def cache_checksum(cache) -> str:
     mutation of the pre values changes it."""
     h = hashlib.sha256()
     for rec in cache.blocks:
-        for arr in rec.frozen_arrays():
-            if arr is not None:
-                h.update(arr.tobytes())
+        for arr in rec.frozen_arrays().values():
+            h.update(arr.tobytes())
     return h.hexdigest()
 
 
 def pseudo_perplexity_reference(model, calib):
     """evaluation.pseudo_perplexity as the single-pass forward and a
     per-token loop."""
-    x = dense_forward_reference(model, calib)[-1][3]
+    x = dense_forward_reference(model, calib)[-1]["out_pre"]
     logits = model.head @ x
     logits = logits - logits.max(axis=0, keepdims=True)
     logz = np.log(np.sum(np.exp(logits), axis=0))
@@ -365,7 +364,8 @@ def ffn_objective_reference(w1_eff, w2_eff, rec, a, z, alpha, beta, n_samples):
 #
 # The plain-expression bodies of evaluation.total_reconstruction_loss and
 # allocation.closed_form_context: every product a GEMM, every temporary a
-# fresh array, every squared residual summed whole by np.sum. The
+# fresh array, every squared residual summed whole by np.sum, and the
+# arrays capture does not store (FFN a, MHA z) derived whole. The
 # production forms read the row-unit products from the frozen activation
 # cache, and the loss sums each squared residual a leaf of numpy's
 # pairwise tree at a time (model._pairwise_sum) without building it;
@@ -386,11 +386,11 @@ def total_reconstruction_loss_reference(model_pruned, cache, alpha=1.0):
     for i, (pb, rec) in enumerate(zip(model_pruned.blocks, cache.blocks)):
         if pb.kind == FFN:
             up = _sq(rec.z_pre - pb.w1 @ rec.input_pre)
-            down = _sq(rec.out_pre - pb.w2 @ rec.a_pre)
+            down = _sq(rec.out_pre - pb.w2 @ relu(rec.z_pre))
             loss = alpha * inv_n * (up + down)
         else:
             cons_pruned = 0.5 * (pb.wq @ rec.input_pre + pb.wk @ rec.input_pre)
-            qk = _sq(rec.z_pre - cons_pruned)
+            qk = _sq(0.5 * (rec.q_pre + rec.k_pre) - cons_pruned)
             val = _sq(rec.a_attn_pre - pb.wv @ rec.a_pre)
             out = _sq(rec.out_pre - pb.wo @ rec.a_attn_pre)
             loss = alpha * inv_n * (qk + val + out)
@@ -408,7 +408,7 @@ def closed_form_context_reference(model, cache, layer, matrix=None):
     b = c.copy()
     n = b.size
     if block.kind == FFN and matrix == "w1" and model.arch.ffn_dim == model.arch.d:
-        d_vec = (block.w2 @ rec.a_pre).mean(axis=1)
+        d_vec = (block.w2 @ relu(rec.z_pre)).mean(axis=1)
         z_pre = rec.out_pre.mean(axis=1)
     else:
         d_vec = np.zeros(n)

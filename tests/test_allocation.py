@@ -76,7 +76,7 @@ class TestClosedFormContext:
         ctx = closed_form_context(model, cache, 0, "w1")
         assert np.any(ctx.d != 0.0)
         rec = cache.blocks[0]
-        assert_close(ctx.d, (model.blocks[0].w2 @ rec.a_pre).mean(axis=1), 1e-12)
+        assert_close(ctx.d, (model.blocks[0].w2 @ np.maximum(rec.z_pre, 0.0)).mean(axis=1), 1e-12)
         assert_close(ctx.z_pre, rec.out_pre.mean(axis=1), 1e-12)
 
     def test_mha_context_is_degenerate(self, decoder_toy):

@@ -60,7 +60,7 @@ class TestReconstructionLoss:
             if db.kind == "ffn":
                 terms = [
                     (db.w1 - pb.w1) @ rec.input_pre,
-                    (db.w2 - pb.w2) @ rec.a_pre,
+                    (db.w2 - pb.w2) @ np.maximum(rec.z_pre, 0.0),
                 ]
             else:
                 terms = [

@@ -4,6 +4,7 @@ capture freezes the dense matrices those products came from."""
 
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,13 +25,18 @@ from struprune.importance import block_unit_scores, layer_importance, wanda_unit
 from struprune.linalg import make_rng
 from struprune.model import (
     DEFAULT_AXES,
+    DERIVED,
     FFN,
     MASK_BEARING,
     MATRIX_IO,
+    MHA,
     ROW,
+    STORED,
     BlockActivations,
     ModelArch,
     capture_reference_activations,
+    generate_toy_model,
+    make_calibration,
 )
 
 SQUARE_FFN = ModelArch(d=16, num_layers=2, num_heads=2, ffn_dim=16)
@@ -60,6 +66,16 @@ def assert_same_loss(pruned, cache, alpha=1.7):
 def assert_same_context(got, ref):
     for field in ("b", "c", "d", "z_pre"):
         assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), field
+
+
+def plain_array(rec, name):
+    """Array `name` of rec, by its plain expression where capture derives
+    it."""
+    if (rec.kind, name) == (FFN, "a_pre"):
+        return np.maximum(rec.z_pre, 0.0)
+    if (rec.kind, name) == (MHA, "z_pre"):
+        return 0.5 * (rec.q_pre + rec.k_pre)
+    return getattr(rec, name)
 
 
 def row_unit_matrices(model):
@@ -198,7 +214,7 @@ class TestColumnL1:
         for rec in cache.blocks:
             for name in ("input_pre", "a_pre"):
                 sums = rec.col_l1(name)
-                assert np.array_equal(sums, np.sum(np.abs(getattr(rec, name)), axis=1))
+                assert sums.tobytes() == np.sum(np.abs(plain_array(rec, name)), axis=1).tobytes()
                 assert not sums.flags.writeable
                 assert rec.col_l1(name) is sums
 
@@ -211,6 +227,14 @@ class TestColumnL1:
         rec = BlockActivations(FFN, x, x, x, x, None)
         assert rec.col_l1("input_pre").tobytes() == np.sum(np.abs(x), axis=1).tobytes()
 
+    @pytest.mark.parametrize("shape", [(1, 5), (63, 7), (130, 9001), (65, 16384)])
+    def test_row_blocked_sums_of_a_derived_array(self, shape):
+        # relu(z) is derived a 64-row block at a time into one buffer.
+        z = make_rng(shape[1]).normal(size=shape)
+        rec = BlockActivations(FFN, z, z, None, z, None)
+        want = np.sum(np.abs(np.maximum(z, 0.0)), axis=1)
+        assert rec.col_l1("a_pre").tobytes() == want.tobytes()
+
     def test_wanda_scores_unchanged(self, decoder_toy):
         model, _, cache = decoder_toy
         got = [li.value for li in layer_importance(model, cache, "wanda-sum")]
@@ -218,13 +242,13 @@ class TestColumnL1:
         for i, block in enumerate(model.blocks):
             pooled = []
             for name, w in block.matrices.items():
-                x = getattr(cache.blocks[i], MATRIX_IO[name][0])
+                x = plain_array(cache.blocks[i], MATRIX_IO[name][0])
                 pooled.append(wanda_unit(w, x, DEFAULT_AXES[name], cache.n_samples, np.sum(np.abs(x), axis=1)))
             want.append(float(np.concatenate(pooled).mean()))
         assert got == want
         for i, block in enumerate(model.blocks):
             for name, scores in block_unit_scores(model, cache, i, "wanda").items():
-                x_in = getattr(cache.blocks[i], MATRIX_IO[name][0])
+                x_in = plain_array(cache.blocks[i], MATRIX_IO[name][0])
                 expect = wanda_unit(block.matrices[name], x_in, ROW, cache.n_samples,
                                     np.sum(np.abs(x_in), axis=1))
                 assert scores.tobytes() == expect.tobytes()
@@ -269,4 +293,68 @@ class TestColumnL1:
         for rec in cache4.blocks:
             for (stat, name), sums in rec.stats.items():
                 if stat == "col_l1":
-                    assert np.array_equal(sums, np.sum(np.abs(getattr(rec, name)), axis=1))
+                    assert np.array_equal(sums, np.sum(np.abs(plain_array(rec, name)), axis=1))
+
+
+def layout_bytes(arch, layout, n_tokens, tables):
+    """Bytes of the record arrays named in tables (kind -> names) over a
+    model's blocks, from the shapes alone: z_pre and a_pre of an FFN block
+    have ffn_dim rows, every other array d; a block's input_pre is the
+    previous block's out_pre, so only the first block's counts."""
+    kinds = {"decoder": (MHA, FFN), "ffn": (FFN,), "mha": (MHA,)}[layout] * arch.num_layers
+    rows = arch.d
+    for kind in kinds:
+        for name in tables[kind]:
+            if name != "input_pre":
+                wide = kind == FFN and name in ("z_pre", "a_pre")
+                rows += arch.ffn_dim if wide else arch.d
+    return rows * n_tokens * 8
+
+
+def unique_stored_bytes(cache):
+    return sum({id(a): a.nbytes for rec in cache.blocks for a in rec.frozen_arrays().values()}.values())
+
+
+class TestStoredLayout:
+    """Capture stores only what no reader can recompute exactly; the FFN
+    relu and the MHA q/k consensus are derived where read."""
+
+    def test_records_hold_the_stored_arrays_only(self, decoder_toy):
+        _, _, cache = decoder_toy
+        want = {FFN: {"input_pre", "z_pre", "out_pre"},
+                MHA: {"input_pre", "q_pre", "k_pre", "a_pre", "a_attn_pre", "out_pre"}}
+        assert {kind: set(names) for kind, names in STORED.items()} == want
+        for rec in cache.blocks:
+            assert set(rec.frozen_arrays()) == want[rec.kind]
+            for name in DERIVED[rec.kind]:
+                assert getattr(rec, name) is None
+
+    def test_closed_form_matches_capture_and_the_benchmark_shapes(self, decoder_toy):
+        model, calib, cache = decoder_toy
+        tokens = calib.n_samples * calib.seq_len
+        assert unique_stored_bytes(cache) == layout_bytes(model.arch, "decoder", tokens, STORED)
+        # The oneshot-wide benchmark: d=128, 4 decoder layers, ffn_dim 512,
+        # N=128 x 64 tokens.
+        wide = ModelArch(d=128, num_layers=4, num_heads=4, ffn_dim=512, vocab=512)
+        assert layout_bytes(wide, "decoder", 128 * 64, STORED) == 328 * 2**20
+        both = {kind: STORED[kind] + tuple(DERIVED[kind]) for kind in STORED}
+        assert layout_bytes(wide, "decoder", 128 * 64, both) == 488 * 2**20
+
+    def test_capture_and_loss_peak_below_the_whole_layout(self):
+        # T = 2560 spans two capture tiles and five relu sub-tiles.
+        arch = ModelArch(d=16, num_layers=2, num_heads=2)
+        model = generate_toy_model(arch, make_rng(21), layout="decoder")
+        calib = make_calibration(arch, 160, 16, make_rng(22))
+        pruned = one_shot_pruned(model, capture_reference_activations(model, calib), "wanda")
+        tracemalloc.start()
+        try:
+            cache = capture_reference_activations(model, calib)
+            total_reconstruction_loss(pruned, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = unique_stored_bytes(cache)
+        assert stored == layout_bytes(arch, "decoder", 2560, STORED)
+        # The layout that also stored FFN a and MHA z.
+        derived = sum(rec.like(name).nbytes for rec in cache.blocks for name in DERIVED[rec.kind])
+        assert peak < stored + derived, f"peak {peak} B, stored {stored} B, derived {derived} B"

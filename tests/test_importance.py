@@ -291,7 +291,7 @@ class TestLayerImportance:
         model, _, cache = decoder_toy
         got = layer_importance(model, cache, "wanda-sum")
         io_for = {
-            "w1": lambda r: r.input_pre, "w2": lambda r: r.a_pre,
+            "w1": lambda r: r.input_pre, "w2": lambda r: np.maximum(r.z_pre, 0.0),
             "wq": lambda r: r.input_pre, "wk": lambda r: r.input_pre,
             "wv": lambda r: r.a_pre, "wo": lambda r: r.a_attn_pre,
         }

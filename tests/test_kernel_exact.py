@@ -82,7 +82,7 @@ def mha_args(request, decoder):
     args = {
         "a": frozen(_noisy(rng, rec.a_pre, 0.01), fortran=request.param != "C"),
         "a_attn": frozen(_noisy(rng, rec.a_attn_pre, 0.05), all_f),
-        "z": frozen(_noisy(rng, rec.z_pre, 0.1), all_f),
+        "z": frozen(_noisy(rng, 0.5 * (rec.q_pre + rec.k_pre), 0.1), all_f),
         "q_pre": frozen(block.wq @ rec.input_pre, all_f),
         "k_pre": frozen(block.wk @ rec.input_pre, all_f),
         "out_pre": frozen(rec.out_pre, all_f),
@@ -97,7 +97,8 @@ def mha_args(request, decoder):
 @pytest.mark.parametrize("fortran", [False, True])
 def test_row_softmax(decoder, seg_len, fortran):
     model, cache = decoder
-    z = frozen(_noisy(make_rng(3), cache.blocks[0].z_pre, 0.1), fortran)
+    rec = cache.blocks[0]
+    z = frozen(_noisy(make_rng(3), 0.5 * (rec.q_pre + rec.k_pre), 0.1), fortran)
     assert_same(row_softmax(z, 2.0, seg_len), oracle.row_softmax_reference(z, 2.0, seg_len))
 
 
@@ -212,7 +213,7 @@ def ffn_args(request, decoder):
     return {
         "layer": layer,
         "rec": rec,
-        "a": frozen(_noisy(rng, rec.a_pre, 0.05), fortran=request.param != "C"),
+        "a": frozen(_noisy(rng, np.maximum(rec.z_pre, 0.0), 0.05), fortran=request.param != "C"),
         "z": frozen(z, all_f),
         "input_pre": frozen(rec.input_pre, all_f),
         "out_pre": frozen(rec.out_pre, all_f),
