@@ -115,34 +115,50 @@ def _refit(w_hat: np.ndarray, bits: np.ndarray, x_in: np.ndarray, target: np.nda
     return out
 
 
+def _product(rec: BlockActivations, matrix: str, w: np.ndarray) -> np.ndarray:
+    """w @ x for the frozen input x of `matrix`, as
+    BlockActivations.product_rows gives it: when w is the captured dense
+    matrix, the record's frozen product itself (read-only), not a GEMM."""
+    prod, zero = rec.product_rows(matrix, w)
+    if zero is not None:
+        prod = prod.copy()
+        prod[zero] = 0.0
+    return prod
+
+
 def prune_scores(
     w_hat: np.ndarray,
-    x_pre: np.ndarray,
+    rec: BlockActivations,
+    name: str,
     target: np.ndarray,
     criterion: str,
     n_samples: int,
     rng: np.random.Generator | None,
-    x_l1: np.ndarray | None,
 ) -> np.ndarray:
-    """Unit scores for one mask-bearing matrix: w_hat acts on the frozen
-    reference input x_pre, whose col_l1 statistic is x_l1 (read by wanda
-    only); target is the teacher's product on the current input. Criteria
-    other than closed-form and l0 are importance.unit_scores."""
+    """Unit scores for the mask-bearing matrix `name`: w_hat acts on its
+    frozen reference input in rec (MATRIX_IO), whose col_l1 statistic
+    wanda reads; target is the teacher's product on the current input.
+    Criteria other than closed-form and l0 are importance.unit_scores."""
+    x_name = MATRIX_IO[name][0]
     if criterion == "closed-form":
         # Exact per-unit decrease of the sample-summed prune objective
         # ||b_row - M_j c_row||^2: retaining unit j saves
         # 2 <c_j, b_j> - ||c_j||^2. This is the tie-aware completion of
         # thresholding the ratio score (identical ordering when the unit
         # weights c_j^2 are constant) and stays informative at the
-        # pristine state, where every ratio score is exactly 1.
-        c_rows = w_hat @ x_pre
-        gain = np.empty(c_rows.shape[0])
-        for r in _row_blocks(c_rows.shape[0]):
-            np.sum(np.multiply(c_rows[r], target[r]), axis=1, out=gain[r])
-        return 2.0 * gain - np.sum(np.multiply(c_rows, c_rows, out=c_rows), axis=1)
+        # pristine state, where every ratio score is exactly 1. c_rows
+        # may be the frozen product, so nothing writes into it.
+        c_rows = _product(rec, name, w_hat)
+        gain, norm = np.empty(len(c_rows)), np.empty(len(c_rows))
+        for r in _row_blocks(len(c_rows)):
+            c = c_rows[r]
+            np.sum(np.multiply(c, target[r]), axis=1, out=gain[r])
+            np.sum(np.multiply(c, c), axis=1, out=norm[r])
+        return 2.0 * gain - norm
     if criterion == "l0":  # the solver trains its gates for 100 steps
-        return l0_gates(w_hat, x_pre, target, n_samples, rng, steps=100)
-    return unit_scores(criterion, w_hat, x_pre, target, n_samples, rng, x_l1)
+        return l0_gates(w_hat, rec.array(x_name), target, n_samples, rng, steps=100)
+    x_l1 = rec.col_l1(x_name) if criterion == "wanda" else None
+    return unit_scores(criterion, w_hat, rec.array(x_name), target, n_samples, rng, x_l1)
 
 
 def _prune_step(
@@ -152,18 +168,25 @@ def _prune_step(
     then ridge-refit the units its owner's mask keeps of every matrix onto
     the teacher's product on the matrix's current input: the frozen
     input_pre, or the iterate a (w2, wv) or a_attn (wo). The masks are
-    scored on the frozen reference inputs."""
+    scored on the frozen reference inputs.
+
+    Until the first update (outer iteration 1) every current input is
+    the record's own array (_init_state), so a teacher that is still the
+    captured dense matrix has its product read from the record."""
     current = {"input_pre": rec.input_pre, "a_pre": state.a, "a_attn_pre": state.a_attn}
+    first = state.iteration <= 1
     for name, w in state.w_hat.items():
-        x_name = MATRIX_IO[name][0]
-        x_cur = current[x_name]
+        x_cur = current[MATRIX_IO[name][0]]
         # From iteration 2 on wq and wk share one recovered teacher, so wk
         # reuses wq's target; nothing writes into a target.
         if not (name == "wk" and state.teacher["wk"] is state.teacher["wq"]):
-            target = state.teacher[name] @ x_cur
+            teacher = state.teacher[name]
+            if first and teacher is rec.dense.get(name):
+                target = _product(rec, name, teacher)
+            else:
+                target = teacher @ x_cur
         if UNIT_OWNER[name] == name:
-            x_l1 = rec.col_l1(x_name) if cfg.mask_criterion == "wanda" else None
-            scores = prune_scores(w, rec.array(x_name), target, cfg.mask_criterion, n_samples, rng, x_l1)
+            scores = prune_scores(w, rec, name, target, cfg.mask_criterion, n_samples, rng)
             state.masks[name] = binarize_by_threshold(scores, state.budget[name])
         state.w_hat[name] = _refit(w, state.masks[UNIT_OWNER[name]], x_cur, target, cfg.ridge_eps,
                                    DEFAULT_AXES[name])
@@ -213,15 +236,14 @@ def ffn_update_output(
 ) -> np.ndarray:
     """Piecewise output update: z1 = masked product on the reference
     input, z2 the convex blend with a; coordinates negative in the
-    pre-update z take z1, the rest take z2."""
-    z1 = w1_eff @ input_pre
-    # np.where lays its result out like the C-ordered product z1, so the
-    # blend is built in a buffer laid out like z1.
-    z = np.multiply(alpha, z1)
+    pre-update z take z1, the rest take z2. The blend is built a block of
+    rows at a time and written into z1's own (C-ordered) buffer."""
+    z = w1_eff @ input_pre
     for r in _row_blocks(z.shape[0]):
-        np.add(np.multiply(beta, a[r]), z[r], out=z[r])
-    np.divide(z, alpha + beta, out=z)
-    np.copyto(z, z1, where=z_prev < 0.0)
+        blend = np.multiply(alpha, z[r])
+        np.add(np.multiply(beta, a[r]), blend, out=blend)
+        np.divide(blend, alpha + beta, out=blend)
+        np.copyto(z[r], blend, where=~(z_prev[r] < 0.0))
     return z
 
 
@@ -573,7 +595,13 @@ def run_outer_loop(
     thread count: rows are merged in (iteration, layer) order, the
     post-prune losses are summed in block order, and of several failing
     blocks the one that fails at the smallest (iteration, layer) raises,
-    as it would in a sequential sweep over iterations."""
+    as it would in a sequential sweep over iterations.
+
+    The call consumes the cache: each block's record is released
+    (cache.blocks[layer] = None) when that block's solve ends, also when
+    it fails, so solved blocks hold no memory while others are solved. A
+    caller that needs the records afterwards passes a shallow copy,
+    ActivationCache(list(cache.blocks), cache.n_samples, cache.seq_len)."""
     layers = {e.layer for e in plan.entries}
     missing = [i for i in range(len(model.blocks)) if i not in layers]
     if missing:
@@ -582,7 +610,8 @@ def run_outer_loop(
 
     def solve(job):
         # A block's state, and with it its first iterates, is made when
-        # the block's solve starts, not for every block up front.
+        # the block's solve starts, not for every block up front; its
+        # record is released when the solve ends.
         layer, rng = job
         rec = cache.blocks[layer]
         state = _init_state(layer, model.blocks[layer], plan, rec)
@@ -590,6 +619,8 @@ def run_outer_loop(
             return state, solve_block(state, rec, cfg, cache.n_samples, cache.seq_len, rng)
         except Exception as exc:  # returned, so every block finishes before one raises
             return state, exc
+        finally:
+            cache.blocks[layer] = None
 
     with _worker_pool(jobs, threads) as run:
         states, results = zip(*run(solve))

@@ -27,22 +27,16 @@ class LayerImportance:
     value: float
 
 
-def _validate_inputs(w: np.ndarray, x_in: np.ndarray):
-    if x_in.ndim != 2 or x_in.shape[1] < 1:
-        raise ParameterError("calibration activations must be a nonempty (d_in, tokens) matrix")
-    if w.shape[1] != x_in.shape[0]:
-        raise DimensionError(
-            f"weight expects {w.shape[1]} input features, activations carry {x_in.shape[0]}"
-        )
-
-
-def wanda_unit(w: np.ndarray, x_in: np.ndarray, axis: str, n_samples: int, x_l1: np.ndarray) -> np.ndarray:
+def wanda_unit(w: np.ndarray, axis: str, n_samples: int, x_l1: np.ndarray) -> np.ndarray:
     """Per-unit score: sum of |w_ij| * |x_jt| over the non-unit axes,
-    divided by the calibration sample count. x_l1 is x_in's per-feature
-    sum_t |x_jt|, the statistic BlockActivations.col_l1 computes once per
-    frozen array."""
+    divided by the calibration sample count, from x_l1, the input's
+    per-feature sum_t |x_jt| (BlockActivations.col_l1 computes it once
+    per frozen array)."""
     w = np.asarray(w, dtype=np.float64)
-    _validate_inputs(w, np.asarray(x_in))
+    if w.shape[1] != len(x_l1):
+        raise DimensionError(
+            f"weight expects {w.shape[1]} input features, activations carry {len(x_l1)}"
+        )
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
     abs_w = np.abs(w)
@@ -104,7 +98,7 @@ def unit_scores(criterion, w, x_in, target, n_samples, rng, x_l1) -> np.ndarray:
     identically zero when the weights sit at the optimum. l0: the trained
     gates of l0_gates."""
     if criterion == "wanda":
-        return wanda_unit(w, x_in, ROW, n_samples, x_l1)
+        return wanda_unit(w, ROW, n_samples, x_l1)
     if criterion == "magnitude":
         return magnitude_unit(w)
     if criterion == "snip":
@@ -176,10 +170,8 @@ def layer_importance(
             rec = cache.blocks[i]
             pooled: list[np.ndarray] = []
             for name, w in block.matrices.items():
-                # wanda_unit reads only the shape of its input array.
-                x_name = MATRIX_IO[name][0]
-                pooled.append(wanda_unit(w, rec.like(x_name), DEFAULT_AXES[name],
-                                         cache.n_samples, rec.col_l1(x_name)))
+                x_l1 = rec.col_l1(MATRIX_IO[name][0])
+                pooled.append(wanda_unit(w, DEFAULT_AXES[name], cache.n_samples, x_l1))
             value = float(np.concatenate(pooled).mean())
             out.append(LayerImportance(i, block.kind, value))
         return out

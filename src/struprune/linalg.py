@@ -128,8 +128,10 @@ def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
     return x
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(z, dtype=np.float64), 0.0)
+def relu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(z, 0) elementwise, written into out when given: the one relu of
+    the dense forward, the derived record arrays and the solver."""
+    return np.maximum(z, 0.0, out=out)
 
 
 def softmax_vec(x, temperature: float) -> np.ndarray:

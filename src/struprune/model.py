@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, FormatError, ParameterError, SolverError
-from .linalg import row_softmax
+from .linalg import relu, row_softmax
 
 FORMAT_VERSION = 1
 
@@ -42,10 +42,6 @@ MATRIX_IO = {
 }
 
 
-def _relu(z, out=None):
-    return np.maximum(z, 0.0, out=out)
-
-
 def _consensus(q, k, out=None):
     total = np.add(q, k, out=out)
     return np.multiply(0.5, total, out=total)
@@ -62,7 +58,7 @@ STORED = {
     MHA: ("input_pre", "q_pre", "k_pre", "a_pre", "a_attn_pre", "out_pre"),
 }
 DERIVED = {
-    FFN: {"a_pre": (("z_pre",), _relu)},
+    FFN: {"a_pre": (("z_pre",), relu)},
     MHA: {"z_pre": (("q_pre", "k_pre"), _consensus)},
 }
 
@@ -228,12 +224,12 @@ class CalibrationSet:
             raise ParameterError("calibration carries either dense inputs or tokens")
         if self.inputs is not None:
             self.inputs = np.asarray(self.inputs, dtype=np.float64)
-            if self.inputs.ndim != 3 or self.inputs.shape[0] < 1:
-                raise ParameterError("dense calibration must have shape (N, seq_len, d)")
+            if self.inputs.ndim != 3 or min(self.inputs.shape[:2]) < 1:
+                raise ParameterError("dense calibration must have shape (N, seq_len, d), N and seq_len >= 1")
         else:
             self.tokens = np.asarray(self.tokens, dtype=np.int64)
-            if self.tokens.ndim != 2 or self.tokens.shape[0] < 1:
-                raise ParameterError("token calibration must have shape (N, seq_len)")
+            if self.tokens.ndim != 2 or min(self.tokens.shape) < 1:
+                raise ParameterError("token calibration must have shape (N, seq_len), N and seq_len >= 1")
 
     @property
     def n_samples(self) -> int:
@@ -401,7 +397,7 @@ def _dense_forward(blocks, x: np.ndarray, seq_len: int, run):
 
             def ffn_tile(t):
                 np.matmul(block.w1, x[:, t], out=z[:, t])
-                np.matmul(block.w2, _relu(z[:, t]), out=out[:, t])
+                np.matmul(block.w2, relu(z[:, t]), out=out[:, t])
 
             run(ffn_tile)
             rec = BlockActivations(FFN, x, z, None, out, None)

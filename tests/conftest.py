@@ -18,6 +18,7 @@ from struprune.linalg import make_rng  # noqa: E402
 from struprune.model import (  # noqa: E402
     FFN,
     MHA,
+    ActivationCache,
     ModelArch,
     capture_reference_activations,
     generate_toy_model,
@@ -39,6 +40,13 @@ def build_toy(layout="decoder", arch=STD_ARCH, model_seed=STD_MODEL_SEED, calib_
     calib = make_calibration(arch, n_samples, seq_len, make_rng(calib_seed))
     cache = capture_reference_activations(model, calib)
     return model, calib, cache
+
+
+def cache_copy(cache):
+    """A shallow copy of cache, for a caller that reads the records after
+    admm.run_outer_loop, which releases the records of the cache it is
+    given."""
+    return ActivationCache(list(cache.blocks), cache.n_samples, cache.seq_len)
 
 
 def importances(values, kind=FFN):

@@ -46,7 +46,7 @@ from struprune.oracle import (
     relaxed_mask,
 )
 
-from conftest import build_toy, importances
+from conftest import build_toy, cache_copy, importances
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -408,7 +408,7 @@ def test_criterion_10_baseline_ordering():
         cfg = SolverConfig(
             outer_iters=4, inner_steps=20, learning_rate=0.01, seed=seed, mask_criterion=criterion
         )
-        result = run_outer_loop(model, cache, plan, cfg)
+        result = run_outer_loop(model, cache_copy(cache), plan, cfg)
         return total_reconstruction_loss(result.model, cache).total
 
     rows = []

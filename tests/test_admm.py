@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ from struprune.model import (
 )
 from struprune.oracle import cache_checksum, finite_diff_grad
 
-from conftest import assert_close, build_toy
+from conftest import assert_close, build_toy, cache_copy
 
 
 def ffn_setup(d=8, ffn_dim=0, n=4, seq=8, mseed=0, cseed=1, retention=1.0):
@@ -103,6 +105,30 @@ class TestFfnPruneStep:
         ffn_prune_step(state, cache.blocks[0], SolverConfig(), cache.n_samples, make_rng(0))
         assert state.masks["w1"].sum() == state.budget["w1"]
 
+    @pytest.mark.parametrize("criterion", ["closed-form", "wanda"])
+    def test_first_iteration_reads_targets_from_the_record(self, criterion):
+        # ffn_dim x T = 256 x 512; at retention 1/4 the w1 refit's kept
+        # rows of target, product and residual are 3/4 of one such array.
+        # Teacher copies are not the captured matrices, so the same step
+        # on them forms every product with a GEMM.
+        n, tokens = 256, 8 * 64
+        cfg = SolverConfig(mask_criterion=criterion)
+        _, cache, state = ffn_setup(d=16, ffn_dim=n, n=8, seq=64, retention=0.25)
+        rec = cache.blocks[0]
+        _, gemm_cache, gemm = ffn_setup(d=16, ffn_dim=n, n=8, seq=64, retention=0.25)
+        gemm.teacher = {name: w.copy() for name, w in gemm.teacher.items()}
+        ffn_prune_step(gemm, gemm_cache.blocks[0], cfg, cache.n_samples, make_rng(0))  # also loads scipy
+        tracemalloc.start()
+        try:
+            ffn_prune_step(state, rec, cfg, cache.n_samples, make_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * tokens * 8, f"peak {peak} B"
+        assert state.masks["w1"].tobytes() == gemm.masks["w1"].tobytes()
+        for name in ("w1", "w2"):
+            assert state.w_hat[name].tobytes() == gemm.w_hat[name].tobytes()
+
 
 class TestFfnUpdateActivation:
     def test_identity_weight_case(self):
@@ -165,6 +191,22 @@ class TestFfnUpdateOutput:
         a = rng.normal(size=(3, 4))
         z_prev = -np.ones((3, 4))
         assert_close(ffn_update_output(w1, x, a, z_prev, 1.0, 1.0), w1 @ x, 1e-12)
+
+    def test_holds_one_output_array(self, rng):
+        # Beyond its inputs: the result (ffn_dim x T) and, per 64-row
+        # block, the blend, beta * a and two boolean masks, under three
+        # 64-row float blocks in all.
+        n, tokens = 256, 512
+        w1, x = rng.normal(size=(n, 16)), rng.normal(size=(16, tokens))
+        a, z_prev = np.asfortranarray(rng.normal(size=(n, tokens))), rng.normal(size=(n, tokens))
+        tracemalloc.start()
+        try:
+            z = ffn_update_output(w1, x, a, z_prev, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.shape == (n, tokens)
+        assert peak < n * tokens * 8 + 3 * 64 * tokens * 8, f"peak {peak} B"
 
 
 class TestMhaUpdate:
@@ -313,7 +355,7 @@ class TestOuterLoop:
         model, calib, cache = ffn_toy
         plan = uniform_plan(model, 0.5)
         cfg = SolverConfig(outer_iters=3, seed=5)
-        r1 = run_outer_loop(model, cache, plan, cfg)
+        r1 = run_outer_loop(model, cache_copy(cache), plan, cfg)
         r2 = run_outer_loop(model, cache, plan, cfg)
         assert len(r1.trace) == 3 * len(model.blocks)
         assert r1.trace == r2.trace
@@ -324,7 +366,7 @@ class TestOuterLoop:
         checksum = cache_checksum(cache)
         plan = uniform_plan(model, 0.4)
         cfg = SolverConfig(outer_iters=2, inner_steps=10, learning_rate=0.01)
-        result = run_outer_loop(model, cache, plan, cfg)
+        result = run_outer_loop(model, cache_copy(cache), plan, cfg)
         assert cache_checksum(cache) == checksum
         for i, block in enumerate(result.model.blocks):
             masks = result.masks[i]
@@ -362,7 +404,7 @@ class TestOuterLoop:
         plan = uniform_plan(model, 0.5)
         masks = build_masks(model, cache, plan, "magnitude")
         oneshot = total_reconstruction_loss(apply_masks(model, masks), cache).total
-        result = run_outer_loop(model, cache, plan, SolverConfig(outer_iters=6))
+        result = run_outer_loop(model, cache_copy(cache), plan, SolverConfig(outer_iters=6))
         solved = total_reconstruction_loss(result.model, cache).total
         assert solved < oneshot
 

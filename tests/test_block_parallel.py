@@ -1,25 +1,30 @@
 """Block-parallel admm: --threads changes neither the artifacts nor the
-error a failing solve reports, and solver iterates hold memory only while
-their block is being solved."""
+error a failing solve reports, and solver iterates and frozen records hold
+memory only while their block is being solved."""
 
 import math
 import os
 import re
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from struprune import admm
 from struprune.admm import SolverConfig, _init_state, run_outer_loop, solve_block
 from struprune.allocation import uniform_plan
 from struprune.cli import main as cli_main
 from struprune.errors import ParameterError, SolverError
-from struprune.model import DERIVED, FFN, capture_reference_activations
+from struprune.linalg import make_rng
+from struprune.model import (DERIVED, FFN, ModelArch, capture_reference_activations, generate_toy_model,
+                             make_calibration)
 from struprune.oracle import cache_checksum
 
-from conftest import build_toy
+from conftest import build_toy, cache_copy
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 THREADS = ("1", "2", "3")
@@ -145,13 +150,14 @@ def test_pool_under_fast_thread_switching():
     model, _, cache = build_toy("decoder")
     plan = uniform_plan(model, 0.5)
     cfg = SolverConfig(outer_iters=2, inner_steps=5, mask_criterion="l0")
-    sequential = run_outer_loop(model, cache, plan, cfg)
+    sequential = run_outer_loop(model, cache_copy(cache), plan, cfg)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         pooled = run_outer_loop(model, cache, plan, cfg, threads=4)
     finally:
         sys.setswitchinterval(interval)
+    assert cache.blocks == [None] * len(model.blocks)
     assert pooled.trace == sequential.trace
     assert pooled.initial_post_prune_loss == sequential.initial_post_prune_loss
     for got, want in zip(pooled.model.blocks, sequential.model.blocks):
@@ -228,13 +234,77 @@ def test_blocks_release_iterates(threads, monkeypatch):
         return solve_block(state, *args)
 
     monkeypatch.setattr(admm, "solve_block", recording_solve)
-    run_outer_loop(model, cache, plan, SolverConfig(outer_iters=2, inner_steps=5), threads=threads)
+    run_outer_loop(model, cache_copy(cache), plan, SolverConfig(outer_iters=2, inner_steps=5), threads=threads)
     assert len(states) == len(model.blocks)
     assert all(_released(s) for s in states)
     assert cache_checksum(cache) == checksum
     states.clear()
     with pytest.raises(SolverError):
-        run_outer_loop(model, cache, plan, DIVERGING, threads=threads)
+        run_outer_loop(model, cache_copy(cache), plan, DIVERGING, threads=threads)
     assert len(states) == len(model.blocks)
     assert all(_released(s) for s in states)
     assert cache_checksum(cache) == checksum
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_records_released_as_blocks_finish(threads, monkeypatch):
+    model, _, cache = build_toy("decoder")
+    plan = uniform_plan(model, 0.5)
+    refs = [weakref.ref(rec) for rec in cache.blocks]
+    held = []
+
+    def recording_solve(state, *args):
+        held.append([rec is not None for rec in cache.blocks])
+        return solve_block(state, *args)
+
+    monkeypatch.setattr(admm, "solve_block", recording_solve)
+    run_outer_loop(model, cache, plan, SolverConfig(outer_iters=2, inner_steps=5), threads=threads)
+    assert cache.blocks == [None] * len(model.blocks)
+    assert all(ref() is None for ref in refs)
+    if threads == 1:
+        # Block i starts with blocks 0 .. i-1 released.
+        assert held == [[j >= i for j in range(len(model.blocks))] for i in range(len(model.blocks))]
+    # A failing solve releases them too.
+    _, _, cache = build_toy("decoder")
+    with pytest.raises(SolverError):
+        run_outer_loop(model, cache, plan, DIVERGING, threads=threads)
+    assert cache.blocks == [None] * len(model.blocks)
+
+
+@st.composite
+def solver_cases(draw):
+    """A small model of a drawn layout and width, its calibration (T = N
+    * seq_len, T % 8 != 0 included), a plan and a solver configuration
+    under the wanda, closed-form or l0 criterion."""
+    layout = draw(st.sampled_from(["decoder", "ffn", "mha"]), label="layout")
+    heads = draw(st.integers(1, 2), label="heads")
+    arch = ModelArch(d=heads * draw(st.integers(2, 4), label="head dim"),
+                     num_layers=draw(st.integers(1, 2), label="layers"), num_heads=heads)
+    n, seq = draw(st.integers(2, 4), label="N"), draw(st.sampled_from([3, 5, 8]), label="seq_len")
+    seed = draw(st.integers(0, 2**16), label="seed")
+    model = generate_toy_model(arch, make_rng(seed), layout=layout)
+    calib = make_calibration(arch, n, seq, make_rng(seed + 1))
+    criterion = draw(st.sampled_from(["wanda", "closed-form", "l0"]), label="criterion")
+    cfg = SolverConfig(outer_iters=2, inner_steps=3, seed=seed, mask_criterion=criterion)
+    return model, calib, uniform_plan(model, draw(st.sampled_from([0.25, 0.5]), label="sparsity")), cfg
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(solver_cases())
+def test_pool_size_changes_no_bit_and_every_record_is_released(case):
+    # A drawn solve may diverge; then every pool size raises the same error.
+    model, calib, plan, cfg = case
+    outcomes = []
+    for threads in (1, 2, 3):
+        cache = capture_reference_activations(model, calib)
+        try:
+            result = run_outer_loop(model, cache, plan, cfg, threads=threads)
+        except SolverError as exc:
+            outcomes.append(str(exc))
+        else:
+            weights = [w.tobytes() for block in result.model.blocks for w in block.matrices.values()]
+            outcomes.append((result.trace, result.initial_post_prune_loss, weights))
+        assert cache.blocks == [None] * len(model.blocks)
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    event("diverged" if isinstance(outcomes[0], str) else "solved")
+    event(f"T % 8 {'!=' if calib.n_samples * calib.seq_len % 8 else '=='} 0")

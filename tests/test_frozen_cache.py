@@ -243,14 +243,13 @@ class TestColumnL1:
             pooled = []
             for name, w in block.matrices.items():
                 x = plain_array(cache.blocks[i], MATRIX_IO[name][0])
-                pooled.append(wanda_unit(w, x, DEFAULT_AXES[name], cache.n_samples, np.sum(np.abs(x), axis=1)))
+                pooled.append(wanda_unit(w, DEFAULT_AXES[name], cache.n_samples, np.sum(np.abs(x), axis=1)))
             want.append(float(np.concatenate(pooled).mean()))
         assert got == want
         for i, block in enumerate(model.blocks):
             for name, scores in block_unit_scores(model, cache, i, "wanda").items():
                 x_in = plain_array(cache.blocks[i], MATRIX_IO[name][0])
-                expect = wanda_unit(block.matrices[name], x_in, ROW, cache.n_samples,
-                                    np.sum(np.abs(x_in), axis=1))
+                expect = wanda_unit(block.matrices[name], ROW, cache.n_samples, np.sum(np.abs(x_in), axis=1))
                 assert scores.tobytes() == expect.tobytes()
 
     def test_one_computation_under_fast_switching(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from struprune.errors import ParameterError
+from struprune.errors import DimensionError, ParameterError
 from struprune.importance import (
     attention_head_term,
     block_unit_scores,
@@ -46,7 +46,7 @@ def per_sample_wanda_oracle(w, x_in, n_samples):
 def wanda(w, x_in, axis, n_samples):
     """wanda_unit with x_in's per-feature l1 statistic, as
     BlockActivations.col_l1 computes it."""
-    return wanda_unit(w, x_in, axis, n_samples, np.sum(np.abs(x_in), axis=1))
+    return wanda_unit(w, axis, n_samples, np.sum(np.abs(x_in), axis=1))
 
 
 class TestWandaUnit:
@@ -82,9 +82,11 @@ class TestWandaUnit:
         x_in = rng.normal(size=(5, 7))
         assert np.all(wanda(w, x_in, "row", 7) >= 0)
 
-    def test_empty_calibration_rejected(self):
-        with pytest.raises(ParameterError):
-            wanda(np.ones((2, 3)), np.ones((3, 0)), "row", 1)
+    @pytest.mark.parametrize("axis", ["row", "col"])
+    def test_statistic_length_mismatch_names_both_sizes(self, axis):
+        # A DimensionError is a ValueError, which the CLI maps to exit 1.
+        with pytest.raises(DimensionError, match="expects 3 input features, activations carry 4"):
+            wanda_unit(np.ones((2, 3)), axis, 1, np.ones(4))
 
 
 class TestMagnitude:

@@ -15,6 +15,7 @@ from struprune.admm import (
     BlockState,
     SolverConfig,
     _descend,
+    _product,
     _refit,
     _Residual,
     ffn_objective,
@@ -29,7 +30,7 @@ from struprune.admm import (
     prune_scores,
 )
 from struprune.linalg import make_rng, ridge_solve, row_softmax
-from struprune.model import COL, FFN, MHA, ROW
+from struprune.model import COL, FFN, MATRIX_IO, MHA, ROW, BlockActivations
 
 ALPHA, BETA = 0.7, 1.3
 SEGMENTS = [None, STD_SEQ]
@@ -53,6 +54,14 @@ def assert_same(got, ref):
         ref.flags.c_contiguous,
         ref.flags.f_contiguous,
     )
+
+
+def closed_form_scores(w, x, target):
+    """prune_scores under the closed-form criterion for w acting on x,
+    the input_pre of a record that froze no dense matrix, so that c_rows
+    is the GEMM w @ x."""
+    rec = BlockActivations(FFN, x, None, None, None, None)
+    return prune_scores(w, rec, "w1", target, "closed-form", 8, None)
 
 
 def _noisy(rng, arr, scale):
@@ -225,8 +234,24 @@ def ffn_args(request, decoder):
 
 def test_closed_form_scores(ffn_args):
     p = ffn_args
-    got = prune_scores(p["w1"], p["input_pre"], p["target"], "closed-form", 8, None, None)
+    got = closed_form_scores(p["w1"], p["input_pre"], p["target"])
     assert_same(got, oracle.closed_form_scores_reference(p["w1"], p["input_pre"], p["target"]))
+
+
+@pytest.mark.parametrize("name", ["w1", "wq", "wk", "wv"])
+def test_closed_form_scores_of_a_dense_matrix_read_the_record(decoder, name):
+    # c_rows of a captured dense matrix is the record's frozen product,
+    # and the scores are those of the GEMM, bit for bit.
+    model, cache = decoder
+    rng = make_rng(3)
+    for block, rec in zip(model.blocks, cache.blocks):
+        if name in block.matrices:
+            w = block.matrices[name]
+            x = rec.array(MATRIX_IO[name][0])
+            target = frozen(_noisy(rng, w @ x, 0.1))
+            assert _product(rec, name, w) is getattr(rec, MATRIX_IO[name][1])
+            got = prune_scores(w, rec, name, target, "closed-form", 8, None)
+            assert_same(got, oracle.closed_form_scores_reference(w, x, target))
 
 
 def test_ffn_activation_update(ffn_args):
@@ -252,7 +277,7 @@ def test_row_blocked_kernels_across_blocks(layout):
     target = frozen(rng.normal(size=(150, 40)), all_f)
     a = frozen(rng.normal(size=(150, 40)), layout != "C")
     z = frozen(rng.normal(size=(150, 40)), all_f)
-    got = prune_scores(w, x, target, "closed-form", 8, None, None)
+    got = closed_form_scores(w, x, target)
     assert_same(got, oracle.closed_form_scores_reference(w, x, target))
     args = (w, x, a, z, ALPHA, BETA)
     assert_same(ffn_update_output(*args), oracle.ffn_update_output_reference(*args))
@@ -328,7 +353,7 @@ def ffn_kernel_inputs(draw):
 @given(ffn_kernel_inputs())
 def test_ffn_kernels_match_references_on_drawn_inputs(inputs):
     p, alpha, beta = inputs
-    got = prune_scores(p["w1"], p["x"], p["target"], "closed-form", 8, None, None)
+    got = closed_form_scores(p["w1"], p["x"], p["target"])
     assert_same(got, oracle.closed_form_scores_reference(p["w1"], p["x"], p["target"]))
     args = (p["w2"], p["out_pre"], p["z"], alpha, beta)
     assert_same(ffn_update_activation(*args), oracle.ffn_update_activation_reference(*args))

@@ -236,6 +236,14 @@ class TestCalibrationIO:
         with pytest.raises(CapabilityError):
             make_calibration(ModelArch(8, 1, 2), 2, 4, make_rng(0), kind="tokens")
 
+    def test_empty_calibration_rejected(self):
+        # Zero tokens per sample are rejected where the token count lives,
+        # before any statistic of the activations is taken.
+        with pytest.raises(ParameterError, match="seq_len >= 1"):
+            CalibrationSet(inputs=np.ones((2, 0, 3)))
+        with pytest.raises(ParameterError, match="seq_len >= 1"):
+            CalibrationSet(tokens=np.ones((2, 0), dtype=np.int64))
+
     def test_sidecar_fields(self, tmp_path):
         arch = ModelArch(8, 1, 2)
         calib = make_calibration(arch, 3, 5, make_rng(0))
