@@ -115,17 +115,6 @@ def _refit(w_hat: np.ndarray, bits: np.ndarray, x_in: np.ndarray, target: np.nda
     return out
 
 
-def _product(rec: BlockActivations, matrix: str, w: np.ndarray) -> np.ndarray:
-    """w @ x for the frozen input x of `matrix`, as
-    BlockActivations.product_rows gives it: when w is the captured dense
-    matrix, the record's frozen product itself (read-only), not a GEMM."""
-    prod, zero = rec.product_rows(matrix, w)
-    if zero is not None:
-        prod = prod.copy()
-        prod[zero] = 0.0
-    return prod
-
-
 def prune_scores(
     w_hat: np.ndarray,
     rec: BlockActivations,
@@ -148,7 +137,7 @@ def prune_scores(
         # weights c_j^2 are constant) and stays informative at the
         # pristine state, where every ratio score is exactly 1. c_rows
         # may be the frozen product, so nothing writes into it.
-        c_rows = _product(rec, name, w_hat)
+        c_rows = rec.product(name, w_hat)
         gain, norm = np.empty(len(c_rows)), np.empty(len(c_rows))
         for r in _row_blocks(len(c_rows)):
             c = c_rows[r]
@@ -182,7 +171,7 @@ def _prune_step(
         if not (name == "wk" and state.teacher["wk"] is state.teacher["wq"]):
             teacher = state.teacher[name]
             if first and teacher is rec.dense.get(name):
-                target = _product(rec, name, teacher)
+                target = rec.product(name, teacher)
             else:
                 target = teacher @ x_cur
         if UNIT_OWNER[name] == name:

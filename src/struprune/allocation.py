@@ -79,7 +79,7 @@ def closed_form_context(model: ToyModel, cache: ActivationCache, layer: int, mat
     """Build the per-unit context for one mask-bearing matrix from model
     state, averaging the bracketed products over calibration tokens. The
     products on the frozen inputs come from the cache when the matrix's
-    rows are dense rows or zero (BlockActivations.product_rows).
+    rows are dense rows or zero (BlockActivations.product).
 
     The coupling term d needs a downstream matrix acting on this matrix's
     output units; that product only conforms on a square chain, so it is
@@ -90,20 +90,11 @@ def closed_form_context(model: ToyModel, cache: ActivationCache, layer: int, mat
     rec = cache.blocks[layer]
     if matrix not in MASK_BEARING[block.kind]:
         raise ParameterError(f"matrix {matrix!r} carries no unit mask on a {block.kind} block")
-    c = _mean_product(rec, matrix, block.matrices[matrix])
+    c = rec.product(matrix, block.matrices[matrix]).mean(axis=1)
     b = c.copy()  # the teacher is the matrix itself: the same product
     if block.kind == FFN and matrix == "w1" and model.arch.ffn_dim == model.arch.d:
-        return ClosedFormContext(b, c, _mean_product(rec, "w2", block.w2), rec.out_pre.mean(axis=1))
+        return ClosedFormContext(b, c, rec.product("w2", block.w2).mean(axis=1), rec.out_pre.mean(axis=1))
     return ClosedFormContext(b, c, np.zeros(b.size), np.zeros(b.size))
-
-
-def _mean_product(rec, matrix: str, w: np.ndarray) -> np.ndarray:
-    """Per-row token mean of w @ x on the frozen input x of `matrix`."""
-    prod, zero = rec.product_rows(matrix, w)
-    mean = prod.mean(axis=1)
-    if zero is not None:
-        mean[zero] = 0.0
-    return mean
 
 
 def unit_scores_closed_form(ctx: ClosedFormContext) -> np.ndarray:
@@ -235,11 +226,16 @@ def inverse_weight_allocate(importances: list[LayerImportance], r_bar: float, te
     """Per-family inverse weighting over the blocks of layer_importance:
     sparsity_l = clip(r_bar * L_f * (1 - w_l) / sum_j (1 - w_j), 0,
     SPARSITY_CAP) with w the negative softmax of the importances of the
-    block's family (MHA or FFN) and L_f that family's block count."""
+    block's family (MHA or FFN) and L_f that family's block count. A
+    family with no blocks is skipped; one with a single block raises."""
+    if not importances:
+        raise ParameterError("allocation needs at least one layer")
     _check_target(r_bar)
     entries: list[PlanEntry] = []
     for kind in (MHA, FFN):
         family = [li for li in importances if li.block_kind == kind]
+        if not family:
+            continue
         if len(family) < 2:
             raise ParameterError(
                 f"inverse weighting needs >= 2 {kind} layers; the 1-w transform degenerates"

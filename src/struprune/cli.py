@@ -362,8 +362,6 @@ def cmd_eval(args) -> int:
         wall_time_s=time.perf_counter() - started,
     )
     write_atomic(os.path.join(args.out, "report.json"), report.to_json().encode())
-    rows = evaluation.memory_report()
-    write_atomic(os.path.join(args.out, "memory.csv"), evaluation.export_memory_csv(rows).encode())
     log.info("eval wall time %.3fs", report.wall_time_s)
     print(os.path.join(args.out, "report.json"))
     return 0

@@ -26,6 +26,7 @@ from .model import (
     CalibrationSet,
     FfnBlock,
     ToyModel,
+    _consensus,
     _dense_forward,
     _pairwise_sum,
     _token_tiles,
@@ -61,10 +62,11 @@ def total_reconstruction_loss(
     weights act identically to the dense ones on the calibration support.
 
     The per-block losses are computed on a pool of `threads` workers and
-    summed in block order. The row-unit products (w1, wq, wk, wv) are read
-    from the cache when each pruned row is the dense row or zero
-    (BlockActivations.product_rows); the column-masked w2 and wo products
-    are GEMMs, w2's over relu sub-tiles (BlockActivations.product). No
+    summed in block order. Every product is read through
+    BlockActivations.product_rows: from the cache when each pruned row is
+    the dense row or zero (the row-unit products w1, wq, wk, wv of a
+    masked model), else a GEMM (the column-masked w2 and wo, w2's over
+    relu sub-tiles). No
     residual is built whole: each squared residual is summed a leaf of
     numpy's pairwise tree at a time (model._pairwise_sum) in a leaf-sized
     buffer, the MHA consensus target derived there, with the bits of
@@ -93,12 +95,12 @@ def _block_terms(pb, rec) -> tuple[float, ...]:
     FFN, (qk, val, out) for MHA."""
     if isinstance(pb, FfnBlock):
         up = _sq_residual(rec.z_pre, rec.product_rows("w1", pb.w1))
-        down = _sq_residual(rec.out_pre, (rec.product("w2", pb.w2), None))
+        down = _sq_residual(rec.out_pre, rec.product_rows("w2", pb.w2))
         return up, down
     qk = _sq_residual(_flat_reader(rec, "z_pre"), rec.product_rows("wq", pb.wq),
                       rec.product_rows("wk", pb.wk))
     val = _sq_residual(rec.a_attn_pre, rec.product_rows("wv", pb.wv))
-    out = _sq_residual(rec.out_pre, (rec.product("wo", pb.wo), None))
+    out = _sq_residual(rec.out_pre, rec.product_rows("wo", pb.wo))
     return qk, val, out
 
 
@@ -135,8 +137,7 @@ def _sq_residual(target, *products) -> float:
     def fill(lo, hi, out, *spare):
         p = reads[0](lo, hi, out)
         if len(reads) == 2:
-            np.add(p, reads[1](lo, hi, spare[0]), out=out)
-            p = np.multiply(0.5, out, out=out)
+            p = _consensus(p, reads[1](lo, hi, spare[0]), out=out)
         # p is in out or a view of a product: the last spare is free.
         np.subtract(read_target(lo, hi, spare[-1] if spare else None), p, out=out)
         np.multiply(out, out, out=out)

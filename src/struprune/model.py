@@ -308,7 +308,7 @@ def calibration_input(model: ToyModel, calib: CalibrationSet) -> np.ndarray:
 # about one random shape in five differed by an ulp otherwise.
 TILE_TOKENS = 2048
 
-# Token sub-tiles of a GEMM on a derived input (BlockActivations.product).
+# Token sub-tiles of a GEMM on a derived input (BlockActivations._gemm).
 # On OpenBLAS a (128 x 512) @ (512 x T) product over 16- to 2048-token
 # column tiles matched the whole GEMM bit for bit, and over 8-token tiles
 # it did not.
@@ -489,10 +489,21 @@ class BlockActivations:
             yield r, self.derive(name, lambda a: a[r], buf[:len(x[r])]) if derived else x[r]
 
     def product(self, matrix: str, w: np.ndarray) -> np.ndarray:
-        """w @ x for the input x of `matrix` (MATRIX_IO), a fresh array. A
-        derived x is derived SUB_TILE_TOKENS tokens at a time into one
-        buffer, each sub-tile's GEMM writing its column slice of the
-        product: the bits of the whole GEMM, without x whole."""
+        """w @ x whole for the frozen input x of `matrix` (MATRIX_IO): read
+        from the record when product_rows finds every row of w dense or
+        zero (the frozen product itself, read-only, or a copy of it with
+        the zero rows set to +0.0), else the GEMM, a fresh array."""
+        prod, zero = self.product_rows(matrix, w)
+        if zero is not None:
+            prod = prod.copy()
+            prod[zero] = 0.0
+        return prod
+
+    def _gemm(self, matrix: str, w: np.ndarray) -> np.ndarray:
+        """w @ x for the input x of `matrix`, a fresh array. A derived x is
+        derived SUB_TILE_TOKENS tokens at a time into one buffer, each
+        sub-tile's GEMM writing its column slice of the product: the bits
+        of the whole GEMM, without x whole."""
         x_name = MATRIX_IO[matrix][0]
         if x_name not in DERIVED[self.kind]:
             return w @ getattr(self, x_name)
@@ -541,8 +552,7 @@ class BlockActivations:
         the zero rows of w, if there are any; this is bit for bit w @ x: a
         GEMM row of a same-shaped, same-layout product depends only on its
         own row of w, and an all-zero row on a finite input gives +0.0.
-        Any other w takes the GEMM (product), a fresh array with `zero`
-        None."""
+        Any other w takes the GEMM, a fresh array with `zero` None."""
         x_name, prod_name = MATRIX_IO[matrix]
         frozen = getattr(self, prod_name)
         dense = self.dense.get(matrix)
@@ -553,14 +563,14 @@ class BlockActivations:
             or w.shape != dense.shape
             or w.strides != dense.strides
         ):
-            return self.product(matrix, w), None
+            return self._gemm(matrix, w), None
         zero = ~np.any(w, axis=1)
         if not np.all(zero | np.all(w == dense, axis=1)):
-            return self.product(matrix, w), None
+            return self._gemm(matrix, w), None
         if not zero.any():
             return frozen, None
         if not self._finite(x_name):
-            return self.product(matrix, w), None
+            return self._gemm(matrix, w), None
         return frozen, zero
 
 

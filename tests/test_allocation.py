@@ -27,7 +27,9 @@ from struprune.errors import ParameterError
 from struprune.evaluation import total_reconstruction_loss
 from struprune.linalg import make_rng
 from struprune.model import (
+    FFN,
     MASK_BEARING,
+    MHA,
     CalibrationSet,
     ModelArch,
     capture_reference_activations,
@@ -327,6 +329,21 @@ class TestInverseWeight:
     def test_single_layer_family_rejected(self):
         with pytest.raises(ParameterError):
             inverse_weight_allocate(decoder_importances([1.0], [1.0, 2.0]), 0.5, 1.0)
+
+    @pytest.mark.parametrize("kind", [MHA, FFN])
+    def test_one_family_model(self, kind):
+        # A model with blocks of one kind gets that family's allocation, as
+        # in a decoder that has both; a lone block still has no 1-w form.
+        imps = [0.0, math.log(3.0), 1.0]
+        decoder = inverse_weight_allocate(decoder_importances(imps, imps), 0.5, 1.0)
+        only = importances(imps, kind)
+        plan = inverse_weight_allocate(only, 0.5, 1.0)
+        assert [e.layer for e in plan.entries] == [0, 1, 2]
+        assert plan.sparsities().tolist() == [e.sparsity for e in decoder.entries if e.block_kind == kind]
+        with pytest.raises(ParameterError, match=f">= 2 {kind} layers"):
+            inverse_weight_allocate(only[:1], 0.5, 1.0)
+        with pytest.raises(ParameterError, match="at least one layer"):
+            inverse_weight_allocate([], 0.5, 1.0)
 
 
 class TestMaskPipeline:

@@ -72,7 +72,7 @@ class TestPipeline:
         report = json.loads(read(os.path.join(evaldir, "report.json")))
         assert report["total_loss"] >= 0.0
         assert "wall_time" not in read(os.path.join(evaldir, "report.json"))
-        assert os.path.exists(os.path.join(evaldir, "memory.csv"))
+        assert os.listdir(evaldir) == ["report.json"]
 
         sweepdir = str(tmp / "sweep")
         assert run("sweep", "--model", model, "--calib", calib, "--t-grid", "0.5,1.0",
@@ -113,6 +113,21 @@ class TestPipeline:
             assert run("prune", "--model", model, "--calib", calib, "--method", method,
                        "--sparsity", "0.25", "--gamma", "0.9", "--rho", "1.5",
                        "--out", out) == 0
+
+    def test_inverse_weight_on_ffn_only_model(self, tmp_path):
+        # A model with no MHA block is allocated over its FFN family alone.
+        model, calib = str(tmp_path / "model"), str(tmp_path / "calib")
+        assert run("gen", "--d", "8", "--layers", "3", "--layout", "ffn", "--seed", "5", "--out", model) == 0
+        assert run("calibrate", "--model", model, "--n", "4", "--seq-len", "8", "--seed", "6", "--out", calib) == 0
+        plandir, sweepdir = str(tmp_path / "plan"), str(tmp_path / "sweep")
+        assert run("plan", "--model", model, "--calib", calib, "--method", "inverse-weight",
+                   "--sparsity", "0.3", "--out", plandir) == 0
+        rows = read_csv(os.path.join(plandir, "plan.csv"))
+        assert [r["block_kind"] for r in rows] == ["ffn"] * 3
+        assert abs(np.mean([float(r["sparsity"]) for r in rows]) - 0.3) < 1e-12
+        assert run("sweep", "--model", model, "--calib", calib, "--allocator", "inverse-weight",
+                   "--t-grid", "0.5,1.0", "--sparsity", "0.3", "--out", sweepdir) == 0
+        assert len(read_csv(os.path.join(sweepdir, "sweep.csv"))) == 2
 
 
 class TestDeterminismAndSafety:

@@ -138,6 +138,10 @@ class TestProduct:
             rec = cache.blocks[i]
             prod, zero = rec.product_rows(name, w)
             assert prod is getattr(rec, MATRIX_IO[name][1]) and zero is None
+        # product reads every captured dense matrix's frozen product.
+        for rec in cache.blocks:
+            for name, dense in rec.dense.items():
+                assert rec.product(name, dense) is getattr(rec, MATRIX_IO[name][1])
 
     def test_zero_rows_read_frozen_rows(self, ffn_toy):
         # A marker in place of the frozen product shows which rows the
@@ -156,6 +160,7 @@ class TestProduct:
         got = prod.copy()
         got[zero] = 0.0
         assert got.tobytes() == (w @ rec.input_pre).tobytes()
+        assert rec.product("w1", w).tobytes() == got.tobytes()
 
     def test_layout_or_unknown_dense_takes_gemm(self, ffn_toy):
         model, _, cache = ffn_toy

@@ -1,7 +1,7 @@
 """Tooling guards: every name a module under src/ or tests/ imports is used
-in that module (package __init__ re-exports and imports on a line marked
-`# noqa` are exempt), and every private module-level name of the package
-is read somewhere in src/, so a refactor cannot leave a dead helper."""
+in that module (imports on a line marked `# noqa` are exempt), and every
+private module-level name of the package is read somewhere in src/, so a
+refactor cannot leave a dead helper."""
 
 import ast
 import pathlib
@@ -33,7 +33,6 @@ def test_no_unused_imports():
     unused = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in files
-        if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert not unused, "unused imports:\n" + "\n".join(unused)

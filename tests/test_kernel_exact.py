@@ -15,7 +15,6 @@ from struprune.admm import (
     BlockState,
     SolverConfig,
     _descend,
-    _product,
     _refit,
     _Residual,
     ffn_objective,
@@ -249,7 +248,7 @@ def test_closed_form_scores_of_a_dense_matrix_read_the_record(decoder, name):
             w = block.matrices[name]
             x = rec.array(MATRIX_IO[name][0])
             target = frozen(_noisy(rng, w @ x, 0.1))
-            assert _product(rec, name, w) is getattr(rec, MATRIX_IO[name][1])
+            assert rec.product(name, w) is getattr(rec, MATRIX_IO[name][1])
             got = prune_scores(w, rec, name, target, "closed-form", 8, None)
             assert_same(got, oracle.closed_form_scores_reference(w, x, target))
 
