@@ -527,10 +527,12 @@ def solve_block(
 ) -> tuple[list[tuple[int, int, str, float]], float]:
     """Alternating solve of one layer pair for cfg.outer_iters iterations
     against its frozen reference record; returns the block's trace rows
-    and its post-prune objective at iteration 1. The iterates are
-    released on return, so a block holds solver memory only while it is
-    being solved. Overflow is caught by the finiteness checks, not warned
-    about (np.errstate is per thread)."""
+    and its post-prune objective at iteration 1. A lean record releases
+    its products once iteration 1's prune step and post-prune objective,
+    their last readers, are done; the iterates are released on return,
+    so a block holds solver memory only while it is being solved.
+    Overflow is caught by the finiteness checks, not warned about
+    (np.errstate is per thread)."""
     trace = []
     initial_loss = 0.0
     try:
@@ -541,6 +543,7 @@ def solve_block(
                     ffn_prune_step(state, rec, cfg, n_samples, rng)
                     if it == 1:
                         initial_loss = ffn_objective(state, rec, cfg, n_samples)
+                        rec.release_products()
                     state.a = None  # not read by the update; not kept alive through it
                     state.a = ffn_update_activation(
                         state.effective("w2"), rec.out_pre, state.z, cfg.alpha, cfg.beta
@@ -555,6 +558,7 @@ def solve_block(
                     mha_prune_step(state, rec, cfg, n_samples, rng)
                     if it == 1:
                         initial_loss = mha_objective(state, rec, cfg, n_samples, seq_len)
+                        rec.release_products()
                     mha_update(state, rec, cfg, seq_len)
                     wqk = recover_weights(state.z, rec.input_pre, cfg.ridge_eps)
                     state.teacher["wq"] = state.teacher["wk"] = wqk
@@ -586,6 +590,10 @@ def run_outer_loop(
     blocks the one that fails at the smallest (iteration, layer) raises,
     as it would in a sequential sweep over iterations.
 
+    A lean cache (capture_reference_activations(..., lean=True)) gives
+    the same result: each block's pool job rebuilds its record's products
+    for the block's outer iteration 1.
+
     The call consumes the cache: each block's record is released
     (cache.blocks[layer] = None) when that block's solve ends, also when
     it fails, so solved blocks hold no memory while others are solved. A
@@ -599,10 +607,12 @@ def run_outer_loop(
 
     def solve(job):
         # A block's state, and with it its first iterates, is made when
-        # the block's solve starts, not for every block up front; its
-        # record is released when the solve ends.
+        # the block's solve starts, not for every block up front, after a
+        # lean record has rebuilt its products; the record is released
+        # when the solve ends.
         layer, rng = job
         rec = cache.blocks[layer]
+        rec.rebuild_products()
         state = _init_state(layer, model.blocks[layer], plan, rec)
         try:
             return state, solve_block(state, rec, cfg, cache.n_samples, cache.seq_len, rng)

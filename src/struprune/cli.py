@@ -25,6 +25,8 @@ from .importance import layer_importance
 from .linalg import make_rng
 from .model import (
     FFN,
+    MATRIX_IO,
+    REBUILT,
     SUB_TILE_TOKENS,
     ModelArch,
     capture_reference_activations,
@@ -236,10 +238,10 @@ def _default_temperature(model, cache) -> float:
     return allocation.importance_scale(_wanda_importances(model, cache))
 
 
-def _load_inputs(args):
+def _load_inputs(args, lean: bool = False):
     model = load_model(args.model)
     calib = load_calibration(args.calib)
-    cache = capture_reference_activations(model, calib, threads=args.threads)
+    cache = capture_reference_activations(model, calib, threads=args.threads, lean=lean)
     return model, calib, cache
 
 
@@ -306,7 +308,9 @@ def cmd_prune(args) -> int:
 
 
 def cmd_admm(args) -> int:
-    model, _, cache = _load_inputs(args)
+    # Lean records: a block's products are alive only while the forward
+    # or the block's outer iteration 1 reads them.
+    model, _, cache = _load_inputs(args, lean=True)
     plan = _make_plan(args, model, cache)
     cfg = SolverConfig(
         alpha=args.alpha,
@@ -465,6 +469,19 @@ def cmd_verify(args) -> int:
         same and ppl == ppl_ref,
         f"arrays equal={same}, ppl {ppl!r} vs {ppl_ref!r}",
     )
+    # Lean records (admm's) rebuild those products one tile after another
+    # in one thread, for a read while absent (here with zero rows) and
+    # for a block's outer iteration 1.
+    lean = capture_reference_activations(model, calib, threads=2, lean=True)
+    same = True
+    for block, rec, full in zip(model.blocks, lean.blocks, cache.blocks):
+        for m in REBUILT[rec.kind]:
+            w = block.matrices[m] * (rng.random(block.matrices[m].shape[0]) < 0.7)[:, None]
+            same &= np.array_equal(rec.product(m, w), full.product(m, w))
+        rec.rebuild_products()
+        same &= all(np.array_equal(getattr(rec, MATRIX_IO[m][1]), getattr(full, MATRIX_IO[m][1]))
+                    for m in REBUILT[rec.kind])
+    check("lean records rebuild the captured products (T=2560)", same, "products differ")
     # The loss's w2 product over relu sub-tiles against the whole GEMM,
     # at the oneshot-wide FFN shape (k = 512) and on this fixture.
     wide = generate_toy_model(ModelArch(d=128, num_layers=1, num_heads=1), rng, layout="ffn")

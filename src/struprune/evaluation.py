@@ -29,6 +29,7 @@ from .model import (
     _consensus,
     _dense_forward,
     _pairwise_sum,
+    _tiled_product,
     _token_tiles,
     _worker_pool,
     calibration_input,
@@ -186,8 +187,7 @@ def pseudo_perplexity(model: ToyModel, calib: CalibrationSet, threads: int = 1) 
         for rec in _dense_forward(model.blocks, x, calib.seq_len, run):
             x = rec.out_pre
         rec = None  # release the last block's other arrays
-        logits = np.empty((model.head.shape[0], x.shape[1]))  # (vocab, tokens)
-        run(lambda t: np.matmul(model.head, x[:, t], out=logits[:, t]))
+        logits = _tiled_product(model.head, x, run)  # (vocab, tokens)
     # Every position but the last of each sample predicts the next token.
     n, seq = calib.n_samples, calib.seq_len
     cols = (np.arange(n)[:, None] * seq + np.arange(seq - 1)).ravel()

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .linalg import frobenius
 from .model import (COL, DEFAULT_AXES, FFN, MASK_BEARING, MATRIX_IO, ROW, ActivationCache, MhaBlock,
-                    ToyModel, csv_text)
+                    ToyModel, _row_blocks, csv_text)
 
 
 @dataclass
@@ -68,7 +68,9 @@ def l0_gates(
 ) -> np.ndarray:
     """Sigmoid gates per row trained by gradient descent on the
     reconstruction loss plus lam * sum(gates). Returns final gate values
-    in [0, 1]."""
+    in [0, 1]. Each step sums the gate gradient 64 rows at a time
+    (model._row_blocks) in one buffer, so it builds no full-size
+    temporary; the bits are those of oracle.l0_gates_reference."""
     if rng is None:
         raise ParameterError("l0 gates need an rng")
     if steps < 1:
@@ -78,10 +80,18 @@ def l0_gates(
     # deterministically per seed.
     theta = np.full(w.shape[0], 4.0) + rng.normal(0.0, 1e-3, size=w.shape[0])
     inv_n = 1.0 / float(n_samples)
+    # wx is C-ordered, so the plain step's full-size temporaries are too,
+    # and each row's sum adds the same elements in the same order.
+    buf = np.empty((min(64, wx.shape[0]), wx.shape[1]))
+    sums = np.empty(wx.shape[0])
     for _ in range(steps):
         g = 1.0 / (1.0 + np.exp(-theta))
-        residual = g[:, None] * wx - target
-        grad_g = 2.0 * inv_n * np.sum(residual * wx, axis=1) + lam
+        for r in _row_blocks(wx.shape[0]):
+            rows = wx[r]
+            residual = np.multiply(g[r, None], rows, out=buf[:len(rows)])
+            np.subtract(residual, target[r], out=residual)
+            np.sum(np.multiply(residual, rows, out=residual), axis=1, out=sums[r])
+        grad_g = 2.0 * inv_n * sums + lam
         theta -= lr * grad_g * g * (1.0 - g)
     return 1.0 / (1.0 + np.exp(-theta))
 

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import mmap
 import os
 import tempfile
 import threading
@@ -61,6 +62,13 @@ DERIVED = {
     FFN: {"a_pre": (("z_pre",), relu)},
     MHA: {"z_pre": (("q_pre", "k_pre"), _consensus)},
 }
+
+# The matrices whose stored products (MATRIX_IO) a lean record holds only
+# while its block is at outer iteration 1 of the solver: every stored
+# product but the block output out_pre, which is the next block's input.
+# Their inputs are stored, so the products are rebuilt from the dense
+# matrices (BlockActivations.rebuild_products).
+REBUILT = {FFN: ("w1",), MHA: ("wq", "wk", "wv")}
 
 ROW = "row"
 COL = "col"
@@ -378,53 +386,64 @@ def _worker_pool(items, threads: int):
         yield lambda fn: list(pool.map(fn, items))
 
 
+def _mapped_empty(rows: int, cols: int) -> np.ndarray:
+    """An uninitialized C-ordered float64 (rows, cols) array in a page
+    mapping of its own, whose pages go back to the OS when the array is
+    freed. The C allocator keeps a freed heap chunk resident in the arena
+    of the thread that made it, where no later main-thread allocation
+    reuses it."""
+    return np.frombuffer(mmap.mmap(-1, 8 * rows * cols), dtype=np.float64).reshape(rows, cols)
+
+
+def _tiled_product(w: np.ndarray, x: np.ndarray, run=None, out=None) -> np.ndarray:
+    """w @ x, each _token_tiles(T) column tile's GEMM writing its slice of
+    `out` (a fresh array when None), on the workers of `run` (a
+    _worker_pool runner over those tiles) or, when run is None, in the
+    calling thread. Capture forms every product this way, and a lean
+    record rebuilds its products this way, so a rebuilt product has
+    capture's bits."""
+    prod = np.empty((w.shape[0], x.shape[1])) if out is None else out
+
+    def tile(t):
+        np.matmul(w, x[:, t], out=prod[:, t])
+
+    if run is None:
+        for t in _token_tiles(x.shape[1]):
+            tile(t)
+    else:
+        run(tile)
+    return prod
+
+
+def _forward_block(block, x: np.ndarray, seq_len: int, run) -> "BlockActivations":
+    """The BlockActivations of one block of the dense forward from input x.
+    Each GEMM is a _tiled_product; relu runs per token tile into a buffer
+    of the tile's own that feeds the w2 GEMM, and row_softmax runs once
+    on the whole q/k consensus z, since it normalizes across the tokens of
+    a sample, and z is dropped after it (DERIVED)."""
+    if block.kind == FFN:
+        z = _tiled_product(block.w1, x, run)
+        out = np.empty((block.w2.shape[0], x.shape[1]))
+        run(lambda t: np.matmul(block.w2, relu(z[:, t]), out=out[:, t]))
+        return BlockActivations(FFN, x, z, None, out, None)
+    q = _tiled_product(block.wq, x, run)
+    k = _tiled_product(block.wk, x, run)
+    a = row_softmax(_consensus(q, k), scale=block.head_scale, seg_len=seq_len)
+    a_attn = _tiled_product(block.wv, a, run)
+    out = _tiled_product(block.wo, a_attn, run)
+    return BlockActivations(MHA, x, None, a, out, a_attn, q, k)
+
+
 def _dense_forward(blocks, x: np.ndarray, seq_len: int, run):
     """Yield each block's BlockActivations of the dense forward from input
-    x (d, T), block after block; `run` is a _worker_pool runner over
-    _token_tiles(T).
-
-    A block's arrays are allocated when the block is reached. Its GEMMs
-    and the exact elementwise ops (relu, the q/k consensus) run per token
-    tile, each writing its column slice, the tile's relu into a buffer of
-    its own; row_softmax runs once on the whole z, since it normalizes
-    across the tokens of a sample, and z is dropped after it (DERIVED).
-    The bits are those of oracle.dense_forward_reference."""
-    n_tokens = x.shape[1]
+    x (d, T), block after block (_forward_block); `run` is a _worker_pool
+    runner over _token_tiles(T). A block's arrays are allocated when the
+    block is reached, and only the yielded record holds them. The bits
+    are those of oracle.dense_forward_reference."""
     for block in blocks:
-        if block.kind == FFN:
-            z = np.empty((block.w1.shape[0], n_tokens))
-            out = np.empty((block.w2.shape[0], n_tokens))
-
-            def ffn_tile(t):
-                np.matmul(block.w1, x[:, t], out=z[:, t])
-                np.matmul(block.w2, relu(z[:, t]), out=out[:, t])
-
-            run(ffn_tile)
-            rec = BlockActivations(FFN, x, z, None, out, None)
-        else:
-            q = np.empty((block.wq.shape[0], n_tokens))
-            k = np.empty_like(q)
-            z = np.empty_like(q)
-
-            def qk_tile(t):
-                np.matmul(block.wq, x[:, t], out=q[:, t])
-                np.matmul(block.wk, x[:, t], out=k[:, t])
-                _consensus(q[:, t], k[:, t], out=z[:, t])
-
-            run(qk_tile)
-            a = row_softmax(z, scale=block.head_scale, seg_len=seq_len)
-            z = None
-            a_attn = np.empty((block.wv.shape[0], n_tokens))
-            out = np.empty((block.wo.shape[0], n_tokens))
-
-            def vo_tile(t):
-                np.matmul(block.wv, a[:, t], out=a_attn[:, t])
-                np.matmul(block.wo, a_attn[:, t], out=out[:, t])
-
-            run(vo_tile)
-            rec = BlockActivations(MHA, x, None, a, out, a_attn, q, k)
+        rec = _forward_block(block, x, seq_len, run)
         yield rec
-        x = out
+        x = rec.out_pre
 
 
 @dataclass
@@ -433,6 +452,12 @@ class BlockActivations:
     STORED[kind], read-only after capture, and None for the rest. The
     arrays of DERIVED[kind] are rebuilt from the stored ones by whoever
     reads them, in the part they read.
+
+    A lean record (capture with lean=True) holds the products of
+    REBUILT[kind] only between rebuild_products and release_products,
+    and the col_l1 statistics of the inputs that read them always. A
+    product read while it is absent (product, product_rows) is rebuilt
+    for that read and not stored.
 
     `dense` holds the block's dense matrices that formed the frozen
     products (read-only references, not copies). Input statistics of the
@@ -448,12 +473,51 @@ class BlockActivations:
     q_pre: np.ndarray | None = None
     k_pre: np.ndarray | None = None
     dense: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    lean: bool = field(default=False, compare=False)
     stats: dict = field(default_factory=dict, repr=False, compare=False)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def frozen_arrays(self) -> dict[str, np.ndarray]:
-        """The stored arrays, by name in STORED[kind] order."""
-        return {name: getattr(self, name) for name in STORED[self.kind]}
+        """The stored arrays the record holds, by name in STORED[kind]
+        order."""
+        arrays = {name: getattr(self, name) for name in STORED[self.kind]}
+        return {name: arr for name, arr in arrays.items() if arr is not None}
+
+    def _rebuilt(self, matrix: str) -> np.ndarray:
+        """The stored product of `matrix` as capture formed it: the tiled
+        GEMM of the dense matrix on the stored input, into a fresh
+        _mapped_empty array, so that its pages are returned when it is
+        released, whichever thread rebuilt it."""
+        dense, x = self.dense[matrix], getattr(self, MATRIX_IO[matrix][0])
+        return _tiled_product(dense, x, out=_mapped_empty(dense.shape[0], x.shape[1]))
+
+    def make_lean(self) -> None:
+        """Make the record lean: take the col_l1 statistics of every
+        matrix input that reads a REBUILT product (FFN a_pre, MHA
+        a_attn_pre), then drop the products."""
+        dropped = {MATRIX_IO[m][1] for m in REBUILT[self.kind]}
+        for x_name in {MATRIX_IO[m][0] for m in self.dense}:
+            derived = DERIVED[self.kind].get(x_name)
+            if dropped.intersection(derived[0] if derived else (x_name,)):
+                self.col_l1(x_name)
+        self.lean = True
+        self.release_products()
+
+    def rebuild_products(self) -> None:
+        """On a lean record, store its REBUILT products again, read-only,
+        with capture's bits; a full record holds them already."""
+        if self.lean:
+            for matrix in REBUILT[self.kind]:
+                prod = self._rebuilt(matrix)
+                prod.setflags(write=False)
+                setattr(self, MATRIX_IO[matrix][1], prod)
+
+    def release_products(self) -> None:
+        """On a lean record, drop its REBUILT products; a full record keeps
+        them."""
+        if self.lean:
+            for matrix in REBUILT[self.kind]:
+                setattr(self, MATRIX_IO[matrix][1], None)
 
     def derive(self, name: str, part=None, out=None) -> np.ndarray:
         """The derived array `name` (DERIVED[kind]), or the part of it that
@@ -492,10 +556,12 @@ class BlockActivations:
         """w @ x whole for the frozen input x of `matrix` (MATRIX_IO): read
         from the record when product_rows finds every row of w dense or
         zero (the frozen product itself, read-only, or a copy of it with
-        the zero rows set to +0.0), else the GEMM, a fresh array."""
+        the zero rows set to +0.0), else the GEMM, a fresh array. A
+        product rebuilt for this read has its zero rows set in place."""
         prod, zero = self.product_rows(matrix, w)
         if zero is not None:
-            prod = prod.copy()
+            if not prod.flags.writeable:
+                prod = prod.copy()
             prod[zero] = 0.0
         return prod
 
@@ -552,13 +618,16 @@ class BlockActivations:
         the zero rows of w, if there are any; this is bit for bit w @ x: a
         GEMM row of a same-shaped, same-layout product depends only on its
         own row of w, and an all-zero row on a finite input gives +0.0.
-        Any other w takes the GEMM, a fresh array with `zero` None."""
+        On a lean record that does not hold the product, `array` is the
+        product rebuilt for this read (_rebuilt), a fresh array with the
+        frozen product's bits. Any other w takes the GEMM, a fresh array
+        with `zero` None."""
         x_name, prod_name = MATRIX_IO[matrix]
         frozen = getattr(self, prod_name)
         dense = self.dense.get(matrix)
         if (
             dense is None
-            or not frozen.flags.c_contiguous
+            or (frozen is not None and not frozen.flags.c_contiguous)
             or w.dtype != dense.dtype
             or w.shape != dense.shape
             or w.strides != dense.strides
@@ -568,10 +637,10 @@ class BlockActivations:
         if not np.all(zero | np.all(w == dense, axis=1)):
             return self._gemm(matrix, w), None
         if not zero.any():
-            return frozen, None
-        if not self._finite(x_name):
+            zero = None
+        elif not self._finite(x_name):
             return self._gemm(matrix, w), None
-        return frozen, zero
+        return (self._rebuilt(matrix) if frozen is None else frozen), zero
 
 
 @dataclass
@@ -582,12 +651,17 @@ class ActivationCache:
 
 
 def capture_reference_activations(
-    model: ToyModel, calib: CalibrationSet, threads: int = 1
+    model: ToyModel, calib: CalibrationSet, threads: int = 1, lean: bool = False
 ) -> ActivationCache:
     """Dense forward pass, its token tiles on a pool of `threads`
     workers; freezes the reference values of STORED and the dense block
     matrices that formed them (marked read-only in place, not copied).
-    The bytes are the same for every `threads`."""
+    The bytes are the same for every `threads`.
+
+    With lean=True each record is lean (BlockActivations): once the
+    forward has passed a block, its REBUILT products are dropped, after
+    the col_l1 statistics of the inputs that read them (FFN a_pre, MHA
+    a_attn_pre) are taken, so no two blocks' products are alive at once."""
     x = calibration_input(model, calib)
     records: list[BlockActivations] = []
     with _worker_pool(_token_tiles(x.shape[1]), threads) as run:
@@ -595,6 +669,8 @@ def capture_reference_activations(
             rec.dense = dict(block.matrices)
             for arr in (*rec.frozen_arrays().values(), *rec.dense.values()):
                 arr.setflags(write=False)
+            if lean:
+                rec.make_lean()
             records.append(rec)
     return ActivationCache(records, calib.n_samples, calib.seq_len)
 

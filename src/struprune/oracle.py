@@ -331,6 +331,20 @@ def closed_form_scores_reference(w_hat, x_pre, target):
     return 2.0 * np.sum(c_rows * target, axis=1) - np.sum(c_rows * c_rows, axis=1)
 
 
+def l0_gates_reference(w, x_in, target, n_samples, rng, steps=200, lam=1e-2, lr=0.05):
+    """importance.l0_gates with the plain step, two full-size temporaries
+    per step."""
+    wx = w @ x_in
+    theta = np.full(w.shape[0], 4.0) + rng.normal(0.0, 1e-3, size=w.shape[0])
+    inv_n = 1.0 / float(n_samples)
+    for _ in range(steps):
+        g = 1.0 / (1.0 + np.exp(-theta))
+        residual = g[:, None] * wx - target
+        grad_g = 2.0 * inv_n * np.sum(residual * wx, axis=1) + lam
+        theta -= lr * grad_g * g * (1.0 - g)
+    return 1.0 / (1.0 + np.exp(-theta))
+
+
 def cho_solve_reference(factor, b):
     """linalg.cho_solve through scipy's own LAPACK wrapper."""
     return scipy.linalg.cho_solve(factor, b, check_finite=False)

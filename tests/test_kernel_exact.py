@@ -28,6 +28,7 @@ from struprune.admm import (
     mha_obj_z,
     prune_scores,
 )
+from struprune.importance import l0_gates
 from struprune.linalg import make_rng, ridge_solve, row_softmax
 from struprune.model import COL, FFN, MATRIX_IO, MHA, ROW, BlockActivations
 
@@ -61,6 +62,12 @@ def closed_form_scores(w, x, target):
     is the GEMM w @ x."""
     rec = BlockActivations(FFN, x, None, None, None, None)
     return prune_scores(w, rec, "w1", target, "closed-form", 8, None)
+
+
+def assert_same_l0_gates(w, x, target, steps=5):
+    args = (w, x, target, 8)
+    got = l0_gates(*args, make_rng(4), steps=steps)
+    assert_same(got, oracle.l0_gates_reference(*args, make_rng(4), steps=steps))
 
 
 def _noisy(rng, arr, scale):
@@ -237,6 +244,11 @@ def test_closed_form_scores(ffn_args):
     assert_same(got, oracle.closed_form_scores_reference(p["w1"], p["input_pre"], p["target"]))
 
 
+def test_l0_gates(ffn_args):
+    p = ffn_args
+    assert_same_l0_gates(p["w1"], p["input_pre"], p["target"], steps=100)
+
+
 @pytest.mark.parametrize("name", ["w1", "wq", "wk", "wv"])
 def test_closed_form_scores_of_a_dense_matrix_read_the_record(decoder, name):
     # c_rows of a captured dense matrix is the record's frozen product,
@@ -278,6 +290,7 @@ def test_row_blocked_kernels_across_blocks(layout):
     z = frozen(rng.normal(size=(150, 40)), all_f)
     got = closed_form_scores(w, x, target)
     assert_same(got, oracle.closed_form_scores_reference(w, x, target))
+    assert_same_l0_gates(w, x, target, steps=100)
     args = (w, x, a, z, ALPHA, BETA)
     assert_same(ffn_update_output(*args), oracle.ffn_update_output_reference(*args))
 
@@ -354,6 +367,7 @@ def test_ffn_kernels_match_references_on_drawn_inputs(inputs):
     p, alpha, beta = inputs
     got = closed_form_scores(p["w1"], p["x"], p["target"])
     assert_same(got, oracle.closed_form_scores_reference(p["w1"], p["x"], p["target"]))
+    assert_same_l0_gates(p["w1"], p["x"], p["target"])
     args = (p["w2"], p["out_pre"], p["z"], alpha, beta)
     assert_same(ffn_update_activation(*args), oracle.ffn_update_activation_reference(*args))
     args = (p["w1"], p["x"], p["a"], p["z"], alpha, beta)
