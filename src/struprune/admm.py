@@ -125,10 +125,9 @@ def prune_scores(
     rng: np.random.Generator | None,
 ) -> np.ndarray:
     """Unit scores for the mask-bearing matrix `name`: w_hat acts on its
-    frozen reference input in rec (MATRIX_IO), whose col_l1 statistic
-    wanda reads; target is the teacher's product on the current input.
-    Criteria other than closed-form and l0 are importance.unit_scores."""
-    x_name = MATRIX_IO[name][0]
+    frozen reference input in rec (MATRIX_IO); target is the teacher's
+    product on the current input. Criteria other than closed-form and l0
+    are importance.unit_scores."""
     if criterion == "closed-form":
         # Exact per-unit decrease of the sample-summed prune objective
         # ||b_row - M_j c_row||^2: retaining unit j saves
@@ -145,9 +144,8 @@ def prune_scores(
             np.sum(np.multiply(c, c), axis=1, out=norm[r])
         return 2.0 * gain - norm
     if criterion == "l0":  # the solver trains its gates for 100 steps
-        return l0_gates(w_hat, rec.array(x_name), target, n_samples, rng, steps=100)
-    x_l1 = rec.col_l1(x_name) if criterion == "wanda" else None
-    return unit_scores(criterion, w_hat, rec.array(x_name), target, n_samples, rng, x_l1)
+        return l0_gates(rec.product(name, w_hat), target, n_samples, rng, steps=100)
+    return unit_scores(criterion, w_hat, rec, name, target, n_samples, rng)
 
 
 def _prune_step(

@@ -239,10 +239,12 @@ def _default_temperature(model, cache) -> float:
 
 
 def _load_inputs(args, lean: bool = False):
+    """The model and its frozen reference on the calibration set; only
+    capture reads the calibration set, so it is freed when capture ends."""
     model = load_model(args.model)
-    calib = load_calibration(args.calib)
-    cache = capture_reference_activations(model, calib, threads=args.threads, lean=lean)
-    return model, calib, cache
+    cache = capture_reference_activations(model, load_calibration(args.calib), threads=args.threads,
+                                          lean=lean)
+    return model, cache
 
 
 def cmd_gen(args) -> int:
@@ -274,7 +276,7 @@ def _make_plan(args, model, cache):
 def cmd_plan(args) -> int:
     from .importance import block_unit_scores, export_scores_csv
 
-    model, _, cache = _load_inputs(args)
+    model, cache = _load_inputs(args)
     plan = _make_plan(args, model, cache)
     write_atomic(os.path.join(args.out, "plan.csv"), allocation.export_plan_csv(plan).encode())
     criterion = allocation.unit_criterion(args.method)
@@ -292,7 +294,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    model, _, cache = _load_inputs(args)
+    model, cache = _load_inputs(args)
     if args.method == "closed-form":
         masks, plan = allocation.global_closed_form_masks(model, cache, args.sparsity)
     else:
@@ -310,7 +312,7 @@ def cmd_prune(args) -> int:
 def cmd_admm(args) -> int:
     # Lean records: a block's products are alive only while the forward
     # or the block's outer iteration 1 reads them.
-    model, _, cache = _load_inputs(args, lean=True)
+    model, cache = _load_inputs(args, lean=True)
     plan = _make_plan(args, model, cache)
     cfg = SolverConfig(
         alpha=args.alpha,
@@ -372,7 +374,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    model, _, cache = _load_inputs(args)
+    model, cache = _load_inputs(args)
     grid = args.t_grid
     if grid is None:
         grid = allocation.default_temperature_grid(_wanda_importances(model, cache))
@@ -450,11 +452,12 @@ def cmd_verify(args) -> int:
             f"gap={float(np.max(np.abs(closed - solved))):.3e}",
         )
     # Tiled forward against the single-pass one on this machine's BLAS:
-    # T = 2560 makes two token tiles of unequal width. Every array of the
-    # forward is compared, the stored ones and those derived from them.
+    # T = 3040 makes two token tiles of unequal width, 2048 and 992, the
+    # second ending in a partial relu sub-tile. Every array of the forward
+    # is compared, the stored ones and those derived from them.
     arch = ModelArch(d=16, num_layers=2, num_heads=2, vocab=32)
     model = generate_toy_model(arch, rng)
-    calib = make_calibration(arch, 160, 16, rng, kind="tokens")
+    calib = make_calibration(arch, 190, 16, rng, kind="tokens")
     cache = capture_reference_activations(model, calib, threads=2)
     single = oracle.dense_forward_reference(model, calib)
     same = all(
@@ -465,13 +468,13 @@ def cmd_verify(args) -> int:
     ppl = evaluation.pseudo_perplexity(model, calib, threads=2)
     ppl_ref = oracle.pseudo_perplexity_reference(model, calib)
     check(
-        "tiled forward matches single-pass forward (T=2560, 2 token tiles)",
+        "tiled forward matches single-pass forward (T=3040, 2 token tiles)",
         same and ppl == ppl_ref,
         f"arrays equal={same}, ppl {ppl!r} vs {ppl_ref!r}",
     )
-    # Lean records (admm's) rebuild those products one tile after another
-    # in one thread, for a read while absent (here with zero rows) and
-    # for a block's outer iteration 1.
+    # Lean records (admm's) form those products one tile after another in
+    # one thread, for a read while absent (here with zero rows) and for a
+    # block's outer iteration 1.
     lean = capture_reference_activations(model, calib, threads=2, lean=True)
     same = True
     for block, rec, full in zip(model.blocks, lean.blocks, cache.blocks):
@@ -481,7 +484,7 @@ def cmd_verify(args) -> int:
         rec.rebuild_products()
         same &= all(np.array_equal(getattr(rec, MATRIX_IO[m][1]), getattr(full, MATRIX_IO[m][1]))
                     for m in REBUILT[rec.kind])
-    check("lean records rebuild the captured products (T=2560)", same, "products differ")
+    check("lean records rebuild the captured products (T=3040)", same, "products differ")
     # The loss's w2 product over relu sub-tiles against the whole GEMM,
     # at the oneshot-wide FFN shape (k = 512) and on this fixture.
     wide = generate_toy_model(ModelArch(d=128, num_layers=1, num_heads=1), rng, layout="ffn")

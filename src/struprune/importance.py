@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .linalg import frobenius
-from .model import (COL, DEFAULT_AXES, FFN, MASK_BEARING, MATRIX_IO, ROW, ActivationCache, MhaBlock,
-                    ToyModel, _row_blocks, csv_text)
+from .model import (COL, DEFAULT_AXES, FFN, MASK_BEARING, MATRIX_IO, ROW, ActivationCache,
+                    BlockActivations, MhaBlock, ToyModel, _row_blocks, csv_text)
 
 
 @dataclass
@@ -64,10 +64,11 @@ def reconstruction_gradient(
 
 
 def l0_gates(
-    w, x_in, target, n_samples, rng, steps: int = 200, lam: float = 1e-2, lr: float = 0.05
+    wx, target, n_samples, rng, steps: int = 200, lam: float = 1e-2, lr: float = 0.05
 ) -> np.ndarray:
-    """Sigmoid gates per row trained by gradient descent on the
-    reconstruction loss plus lam * sum(gates). Returns final gate values
+    """Sigmoid gates per row of w, from wx = w @ x_in (the gated product
+    is diag(g) @ wx), trained by gradient descent on the reconstruction
+    loss against target plus lam * sum(gates). Returns final gate values
     in [0, 1]. Each step sums the gate gradient 64 rows at a time
     (model._row_blocks) in one buffer, so it builds no full-size
     temporary; the bits are those of oracle.l0_gates_reference."""
@@ -75,13 +76,13 @@ def l0_gates(
         raise ParameterError("l0 gates need an rng")
     if steps < 1:
         raise ParameterError("steps must be >= 1")
-    wx = w @ x_in  # gated product is diag(g) @ wx
     # Saturated-open start with a tiny jitter so equal units break ties
     # deterministically per seed.
-    theta = np.full(w.shape[0], 4.0) + rng.normal(0.0, 1e-3, size=w.shape[0])
+    theta = np.full(wx.shape[0], 4.0) + rng.normal(0.0, 1e-3, size=wx.shape[0])
     inv_n = 1.0 / float(n_samples)
-    # wx is C-ordered, so the plain step's full-size temporaries are too,
-    # and each row's sum adds the same elements in the same order.
+    # wx is C-ordered, as a GEMM makes it, so the plain step's full-size
+    # temporaries are too, and each row's sum adds the same elements in
+    # the same order.
     buf = np.empty((min(64, wx.shape[0]), wx.shape[1]))
     sums = np.empty(wx.shape[0])
     for _ in range(steps):
@@ -96,25 +97,28 @@ def l0_gates(
     return 1.0 / (1.0 + np.exp(-theta))
 
 
-def unit_scores(criterion, w, x_in, target, n_samples, rng, x_l1) -> np.ndarray:
-    """Row-unit scores of w acting on x_in under one criterion, the one
-    dispatch for one-shot masks and the alternating solver; target is the
-    product the rows should reproduce, and x_l1 is x_in's col_l1 statistic,
-    which only wanda reads (None for the other criteria).
+def unit_scores(criterion, w, rec: BlockActivations, name, target, n_samples, rng) -> np.ndarray:
+    """Row-unit scores of w, in the place of block matrix `name`, acting
+    on its frozen input x_in in the record rec (MATRIX_IO) under one
+    criterion, the one dispatch for one-shot masks and the alternating
+    solver; target is the product the rows should reproduce. Each
+    criterion reads from rec only what it needs.
 
-    wanda: wanda_unit over rows. magnitude: the l1 norm of each row.
-    snip (gradient sensitivity): per row, sum of |dL/dW * W| where L is
-    the quadratic reconstruction loss of w @ x_in against target;
-    identically zero when the weights sit at the optimum. l0: the trained
-    gates of l0_gates."""
+    wanda: wanda_unit over rows, from x_in's col_l1 statistic. magnitude:
+    the l1 norm of each row. snip (gradient sensitivity): per row, sum of
+    |dL/dW * W| where L is the quadratic reconstruction loss of w @ x_in
+    against target; identically zero when the weights sit at the optimum.
+    l0: the trained gates of l0_gates on the record's product w @ x_in."""
+    x_name = MATRIX_IO[name][0]
     if criterion == "wanda":
-        return wanda_unit(w, ROW, n_samples, x_l1)
+        return wanda_unit(w, ROW, n_samples, rec.col_l1(x_name))
     if criterion == "magnitude":
         return magnitude_unit(w)
     if criterion == "snip":
-        return np.abs(reconstruction_gradient(w, x_in, target, n_samples) * w).sum(axis=1)
+        grad = reconstruction_gradient(w, rec.array(x_name), target, n_samples)
+        return np.abs(grad * w).sum(axis=1)
     if criterion == "l0":
-        return l0_gates(w, x_in, target, n_samples, rng)
+        return l0_gates(rec.product(name, w), target, n_samples, rng)
     raise ParameterError(f"unknown criterion {criterion!r}")
 
 
@@ -206,10 +210,9 @@ def block_unit_scores(
     block, rec = model.blocks[block_index], cache.blocks[block_index]
     scores = {}
     for name in MASK_BEARING[block.kind]:
-        x_name, target_name = MATRIX_IO[name]
-        x_l1 = rec.col_l1(x_name) if criterion == "wanda" else None
-        scores[name] = unit_scores(criterion, block.matrices[name], rec.array(x_name),
-                                   rec.array(target_name), cache.n_samples, rng, x_l1)
+        target = rec.array(MATRIX_IO[name][1])
+        scores[name] = unit_scores(criterion, block.matrices[name], rec, name, target,
+                                   cache.n_samples, rng)
     return scores
 
 

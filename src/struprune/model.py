@@ -316,7 +316,7 @@ def calibration_input(model: ToyModel, calib: CalibrationSet) -> np.ndarray:
 # about one random shape in five differed by an ulp otherwise.
 TILE_TOKENS = 2048
 
-# Token sub-tiles of a GEMM on a derived input (BlockActivations._gemm).
+# Token sub-tiles of a GEMM on a derived input (_tiled_product with fn).
 # On OpenBLAS a (128 x 512) @ (512 x T) product over 16- to 2048-token
 # column tiles matched the whole GEMM bit for bit, and over 8-token tiles
 # it did not.
@@ -395,17 +395,28 @@ def _mapped_empty(rows: int, cols: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * rows * cols), dtype=np.float64).reshape(rows, cols)
 
 
-def _tiled_product(w: np.ndarray, x: np.ndarray, run=None, out=None) -> np.ndarray:
-    """w @ x, each _token_tiles(T) column tile's GEMM writing its slice of
+def _tiled_product(w: np.ndarray, x: np.ndarray, run=None, out=None, fn=None) -> np.ndarray:
+    """w @ x, or w @ fn(x) for fn the DERIVED op of a derived input (FFN
+    relu), each _token_tiles(T) column tile's GEMM writing its slice of
     `out` (a fresh array when None), on the workers of `run` (a
     _worker_pool runner over those tiles) or, when run is None, in the
-    calling thread. Capture forms every product this way, and a lean
-    record rebuilds its products this way, so a rebuilt product has
-    capture's bits."""
+    calling thread. fn runs SUB_TILE_TOKENS columns at a time into one
+    buffer per tile, each sub-tile's GEMM writing its slice, so fn(x) is
+    never whole. This is the one GEMM over a record's tokens: capture,
+    every product a record forms (BlockActivations._gemm) and a lean
+    record's rebuild run it, so they all have capture's bits."""
     prod = np.empty((w.shape[0], x.shape[1])) if out is None else out
 
     def tile(t):
-        np.matmul(w, x[:, t], out=prod[:, t])
+        if fn is None:
+            np.matmul(w, x[:, t], out=prod[:, t])
+            return
+        subs = [slice(t.start + s.start, t.start + s.stop)
+                for s in _token_tiles(t.stop - t.start, SUB_TILE_TOKENS)]
+        buf = np.empty(x.shape[0] * (subs[0].stop - subs[0].start))
+        for s in subs:
+            part = buf[:x.shape[0] * (s.stop - s.start)].reshape(x.shape[0], -1)
+            np.matmul(w, fn(x[:, s], out=part), out=prod[:, s])
 
     if run is None:
         for t in _token_tiles(x.shape[1]):
@@ -417,14 +428,13 @@ def _tiled_product(w: np.ndarray, x: np.ndarray, run=None, out=None) -> np.ndarr
 
 def _forward_block(block, x: np.ndarray, seq_len: int, run) -> "BlockActivations":
     """The BlockActivations of one block of the dense forward from input x.
-    Each GEMM is a _tiled_product; relu runs per token tile into a buffer
-    of the tile's own that feeds the w2 GEMM, and row_softmax runs once
-    on the whole q/k consensus z, since it normalizes across the tokens of
-    a sample, and z is dropped after it (DERIVED)."""
+    Each GEMM is a _tiled_product, the w2 one on relu(z) (DERIVED); and
+    row_softmax runs once on the whole q/k consensus z, since it
+    normalizes across the tokens of a sample, and z is dropped after it
+    (DERIVED)."""
     if block.kind == FFN:
         z = _tiled_product(block.w1, x, run)
-        out = np.empty((block.w2.shape[0], x.shape[1]))
-        run(lambda t: np.matmul(block.w2, relu(z[:, t]), out=out[:, t]))
+        out = _tiled_product(block.w2, z, run, fn=relu)
         return BlockActivations(FFN, x, z, None, out, None)
     q = _tiled_product(block.wq, x, run)
     k = _tiled_product(block.wk, x, run)
@@ -455,9 +465,9 @@ class BlockActivations:
 
     A lean record (capture with lean=True) holds the products of
     REBUILT[kind] only between rebuild_products and release_products,
-    and the col_l1 statistics of the inputs that read them always. A
-    product read while it is absent (product, product_rows) is rebuilt
-    for that read and not stored.
+    and the col_l1 statistics of every matrix input always. A product
+    read while it is absent is formed like any other that the record
+    does not hold (product_rows), which needs the product's input stored.
 
     `dense` holds the block's dense matrices that formed the frozen
     products (read-only references, not copies). Input statistics of the
@@ -483,32 +493,23 @@ class BlockActivations:
         arrays = {name: getattr(self, name) for name in STORED[self.kind]}
         return {name: arr for name, arr in arrays.items() if arr is not None}
 
-    def _rebuilt(self, matrix: str) -> np.ndarray:
-        """The stored product of `matrix` as capture formed it: the tiled
-        GEMM of the dense matrix on the stored input, into a fresh
-        _mapped_empty array, so that its pages are returned when it is
-        released, whichever thread rebuilt it."""
-        dense, x = self.dense[matrix], getattr(self, MATRIX_IO[matrix][0])
-        return _tiled_product(dense, x, out=_mapped_empty(dense.shape[0], x.shape[1]))
-
     def make_lean(self) -> None:
         """Make the record lean: take the col_l1 statistics of every
-        matrix input that reads a REBUILT product (FFN a_pre, MHA
-        a_attn_pre), then drop the products."""
-        dropped = {MATRIX_IO[m][1] for m in REBUILT[self.kind]}
-        for x_name in {MATRIX_IO[m][0] for m in self.dense}:
-            derived = DERIVED[self.kind].get(x_name)
-            if dropped.intersection(derived[0] if derived else (x_name,)):
-                self.col_l1(x_name)
+        matrix input, then drop the REBUILT products."""
+        for matrix in self.dense:
+            self.col_l1(MATRIX_IO[matrix][0])
         self.lean = True
         self.release_products()
 
     def rebuild_products(self) -> None:
         """On a lean record, store its REBUILT products again, read-only,
-        with capture's bits; a full record holds them already."""
+        with capture's bits; a full record holds them already. Each is a
+        _mapped_empty array, so that its pages are returned when it is
+        released, whichever thread rebuilt it."""
         if self.lean:
             for matrix in REBUILT[self.kind]:
-                prod = self._rebuilt(matrix)
+                dense, x = self.dense[matrix], getattr(self, MATRIX_IO[matrix][0])
+                prod = _tiled_product(dense, x, out=_mapped_empty(dense.shape[0], x.shape[1]))
                 prod.setflags(write=False)
                 setattr(self, MATRIX_IO[matrix][1], prod)
 
@@ -556,31 +557,20 @@ class BlockActivations:
         """w @ x whole for the frozen input x of `matrix` (MATRIX_IO): read
         from the record when product_rows finds every row of w dense or
         zero (the frozen product itself, read-only, or a copy of it with
-        the zero rows set to +0.0), else the GEMM, a fresh array. A
-        product rebuilt for this read has its zero rows set in place."""
+        the zero rows set to +0.0), else the GEMM, a fresh array."""
         prod, zero = self.product_rows(matrix, w)
         if zero is not None:
-            if not prod.flags.writeable:
-                prod = prod.copy()
+            prod = prod.copy()
             prod[zero] = 0.0
         return prod
 
     def _gemm(self, matrix: str, w: np.ndarray) -> np.ndarray:
-        """w @ x for the input x of `matrix`, a fresh array. A derived x is
-        derived SUB_TILE_TOKENS tokens at a time into one buffer, each
-        sub-tile's GEMM writing its column slice of the product: the bits
-        of the whole GEMM, without x whole."""
+        """w @ x for the input x of `matrix`, a fresh array, as capture forms
+        it (_tiled_product): a derived x (FFN a_pre, of one source) is
+        derived a sub-tile at a time, never whole."""
         x_name = MATRIX_IO[matrix][0]
-        if x_name not in DERIVED[self.kind]:
-            return w @ getattr(self, x_name)
-        rows, n_tokens = self.like(x_name).shape
-        tiles = _token_tiles(n_tokens, SUB_TILE_TOKENS)
-        buf = np.empty(rows * (tiles[0].stop - tiles[0].start))
-        prod = np.empty((w.shape[0], n_tokens))
-        for t in tiles:
-            tile = buf[:rows * (t.stop - t.start)].reshape(rows, -1)
-            np.matmul(w, self.derive(x_name, lambda a: a[:, t], tile), out=prod[:, t])
-        return prod
+        derived = DERIVED[self.kind].get(x_name)
+        return _tiled_product(w, self.like(x_name), fn=derived[1] if derived else None)
 
     def _memo(self, key, compute):
         value = self.stats.get(key)
@@ -618,16 +608,16 @@ class BlockActivations:
         the zero rows of w, if there are any; this is bit for bit w @ x: a
         GEMM row of a same-shaped, same-layout product depends only on its
         own row of w, and an all-zero row on a finite input gives +0.0.
-        On a lean record that does not hold the product, `array` is the
-        product rebuilt for this read (_rebuilt), a fresh array with the
-        frozen product's bits. Any other w takes the GEMM, a fresh array
-        with `zero` None."""
+        Any other w, and any w while the record does not hold the product
+        (a lean one), takes the GEMM (_gemm), a fresh array with `zero`
+        None."""
         x_name, prod_name = MATRIX_IO[matrix]
         frozen = getattr(self, prod_name)
         dense = self.dense.get(matrix)
         if (
             dense is None
-            or (frozen is not None and not frozen.flags.c_contiguous)
+            or frozen is None
+            or not frozen.flags.c_contiguous
             or w.dtype != dense.dtype
             or w.shape != dense.shape
             or w.strides != dense.strides
@@ -640,7 +630,7 @@ class BlockActivations:
             zero = None
         elif not self._finite(x_name):
             return self._gemm(matrix, w), None
-        return (self._rebuilt(matrix) if frozen is None else frozen), zero
+        return frozen, zero
 
 
 @dataclass
@@ -660,8 +650,8 @@ def capture_reference_activations(
 
     With lean=True each record is lean (BlockActivations): once the
     forward has passed a block, its REBUILT products are dropped, after
-    the col_l1 statistics of the inputs that read them (FFN a_pre, MHA
-    a_attn_pre) are taken, so no two blocks' products are alive at once."""
+    the col_l1 statistics of its matrix inputs are taken, so no two
+    blocks' products are alive at once."""
     x = calibration_input(model, calib)
     records: list[BlockActivations] = []
     with _worker_pool(_token_tiles(x.shape[1]), threads) as run:

@@ -3,9 +3,12 @@ import json
 import os
 import shutil
 
+import weakref
+
 import numpy as np
 import pytest
 
+from struprune import cli
 from struprune.cli import main
 from struprune.model import load_model, save_calibration
 from struprune.model import CalibrationSet
@@ -146,6 +149,27 @@ class TestDeterminismAndSafety:
         assert run("prune", "--model", model, "--calib", calib, "--method", "wanda-local",
                    "--sparsity", "0.3", "--out", str(tmp / "out")) == 0
         assert (dir_bytes(model), dir_bytes(calib)) == before
+
+    def test_admm_frees_the_calibration_set_before_the_solve(self, workspace, monkeypatch):
+        # Only capture reads the calibration set; the solve runs without it.
+        tmp, model, calib = workspace
+        loaded, alive = [], []
+        load, solve = cli.load_calibration, cli.run_outer_loop
+
+        def load_calibration(path):
+            calib_set = load(path)
+            loaded.append(weakref.ref(calib_set))
+            return calib_set
+
+        def run_outer_loop(*args, **kwargs):
+            alive.append(loaded[0]() is not None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_calibration", load_calibration)
+        monkeypatch.setattr(cli, "run_outer_loop", run_outer_loop)
+        assert run("admm", "--model", model, "--calib", calib, "--method", "softmax",
+                   "--sparsity", "0.4", "--iters", "1", "--out", str(tmp / "out")) == 0
+        assert len(loaded) == 1 and alive == [False]
 
     @pytest.mark.parametrize("command, out, flag", [
         ("prune", "model", "--model"),

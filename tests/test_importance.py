@@ -165,7 +165,7 @@ class TestSnip:
 def _w1_gates(model, cache, rng, **kwargs):
     """l0 gate values of block 0's w1 against its dense reference."""
     rec = cache.blocks[0]
-    return l0_gates(model.blocks[0].w1, rec.input_pre, rec.z_pre, cache.n_samples, rng, **kwargs)
+    return l0_gates(model.blocks[0].w1 @ rec.input_pre, rec.z_pre, cache.n_samples, rng, **kwargs)
 
 
 class TestL0Gates:

@@ -65,9 +65,8 @@ def closed_form_scores(w, x, target):
 
 
 def assert_same_l0_gates(w, x, target, steps=5):
-    args = (w, x, target, 8)
-    got = l0_gates(*args, make_rng(4), steps=steps)
-    assert_same(got, oracle.l0_gates_reference(*args, make_rng(4), steps=steps))
+    got = l0_gates(w @ x, target, 8, make_rng(4), steps=steps)
+    assert_same(got, oracle.l0_gates_reference(w, x, target, 8, make_rng(4), steps=steps))
 
 
 def _noisy(rng, arr, scale):
