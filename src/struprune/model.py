@@ -10,10 +10,11 @@ each block's output straight into the next.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import io
 import json
 import math
-import mmap
 import os
 import tempfile
 import threading
@@ -370,6 +371,34 @@ def _pairwise_node(lo: int, size: int, width: int, fill, scratch):
             + _pairwise_node(lo + half, size - half, width, fill, scratch))
 
 
+# glibc's mallopt parameter for the most malloc arenas the process makes.
+M_ARENA_MAX = -8
+
+
+def _glibc_function(name: str):
+    """The C function `name` of the process's C library as a ctypes
+    function, or None when that library is not glibc or lacks it."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+    except (AttributeError, ValueError, OSError):
+        return None
+    return getattr(ctypes.CDLL(None), name, None)
+
+
+@functools.cache
+def _one_malloc_arena() -> None:
+    """Make glibc serve every later thread's allocations from the main
+    arena (mallopt M_ARENA_MAX = 1). By default each pool thread gets an
+    arena of its own, and a chunk freed there stays resident where no
+    other thread reuses it, so peak RSS climbs above live memory. Called
+    once, before the first pool thread starts; a no-op on any other C
+    library."""
+    mallopt = _glibc_function("mallopt")
+    if mallopt is not None:
+        mallopt(M_ARENA_MAX, 1)
+
+
 @contextmanager
 def _worker_pool(items, threads: int):
     """A runner: run(fn) calls fn on every item, on up to `threads`
@@ -382,17 +411,9 @@ def _worker_pool(items, threads: int):
     if workers <= 1:
         yield lambda fn: [fn(item) for item in items]
         return
+    _one_malloc_arena()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield lambda fn: list(pool.map(fn, items))
-
-
-def _mapped_empty(rows: int, cols: int) -> np.ndarray:
-    """An uninitialized C-ordered float64 (rows, cols) array in a page
-    mapping of its own, whose pages go back to the OS when the array is
-    freed. The C allocator keeps a freed heap chunk resident in the arena
-    of the thread that made it, where no later main-thread allocation
-    reuses it."""
-    return np.frombuffer(mmap.mmap(-1, 8 * rows * cols), dtype=np.float64).reshape(rows, cols)
 
 
 def _tiled_product(w: np.ndarray, x: np.ndarray, run=None, out=None, fn=None) -> np.ndarray:
@@ -503,13 +524,11 @@ class BlockActivations:
 
     def rebuild_products(self) -> None:
         """On a lean record, store its REBUILT products again, read-only,
-        with capture's bits; a full record holds them already. Each is a
-        _mapped_empty array, so that its pages are returned when it is
-        released, whichever thread rebuilt it."""
+        with capture's bits; a full record holds them already."""
         if self.lean:
             for matrix in REBUILT[self.kind]:
                 dense, x = self.dense[matrix], getattr(self, MATRIX_IO[matrix][0])
-                prod = _tiled_product(dense, x, out=_mapped_empty(dense.shape[0], x.shape[1]))
+                prod = _tiled_product(dense, x)
                 prod.setflags(write=False)
                 setattr(self, MATRIX_IO[matrix][1], prod)
 
@@ -687,19 +706,29 @@ def write_atomic(path: str, data: bytes):
 def csv_text(header: list[str], rows) -> str:
     """The CSV artifact format: one header line, "\n" line ends, every
     float written as repr(float(v)). A NaN or inf raises SolverError
-    naming its column."""
+    naming the column of the first one in row order. A column of floats
+    only is checked and formatted whole, the cells of any other one by
+    one."""
+    columns = list(zip(*rows))[:len(header)]
+    first_bad = []  # (row, column) of each column's first non-finite float
+    for j, col in enumerate(columns):
+        if all(issubclass(t, (float, np.floating)) for t in set(map(type, col))):
+            values = np.array(col, dtype=np.float64)
+            bad = np.flatnonzero(~np.isfinite(values)).tolist()
+            columns[j] = list(map(repr, values.tolist()))
+        else:
+            floats = [isinstance(v, (float, np.floating)) for v in col]
+            bad = [i for i, v in enumerate(col) if floats[i] and not math.isfinite(v)]
+            columns[j] = [repr(float(v)) if f else v for v, f in zip(col, floats)]
+        if bad:
+            first_bad.append((bad[0], j))
+    if first_bad:
+        i, j = min(first_bad)
+        raise SolverError(f"CSV artifact column {header[j]!r} holds {columns[j][i]}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        cells = []
-        for name, v in zip(header, row):
-            if isinstance(v, (float, np.floating)):
-                if not math.isfinite(v):
-                    raise SolverError(f"CSV artifact column {name!r} holds {float(v)!r}")
-                v = repr(float(v))
-            cells.append(v)
-        writer.writerow(cells)
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 
