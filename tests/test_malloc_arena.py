@@ -50,7 +50,7 @@ def test_glibc_function_is_none_off_glibc(monkeypatch):
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc lookup")
-def test_glibc_function_finds_mallopt_only():
+def test_glibc_function_finds_only_existing_functions():
     assert model._glibc_function("mallopt") is not None
     assert model._glibc_function("struprune_no_such_function") is None
 
