@@ -706,29 +706,19 @@ def write_atomic(path: str, data: bytes):
 def csv_text(header: list[str], rows) -> str:
     """The CSV artifact format: one header line, "\n" line ends, every
     float written as repr(float(v)). A NaN or inf raises SolverError
-    naming the column of the first one in row order. A column of floats
-    only is checked and formatted whole, the cells of any other one by
-    one."""
-    columns = list(zip(*rows))[:len(header)]
-    first_bad = []  # (row, column) of each column's first non-finite float
-    for j, col in enumerate(columns):
-        if all(issubclass(t, (float, np.floating)) for t in set(map(type, col))):
-            values = np.array(col, dtype=np.float64)
-            bad = np.flatnonzero(~np.isfinite(values)).tolist()
-            columns[j] = list(map(repr, values.tolist()))
-        else:
-            floats = [isinstance(v, (float, np.floating)) for v in col]
-            bad = [i for i, v in enumerate(col) if floats[i] and not math.isfinite(v)]
-            columns[j] = [repr(float(v)) if f else v for v, f in zip(col, floats)]
-        if bad:
-            first_bad.append((bad[0], j))
-    if first_bad:
-        i, j = min(first_bad)
-        raise SolverError(f"CSV artifact column {header[j]!r} holds {columns[j][i]}")
+    naming its column."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(zip(*columns))
+    for row in rows:
+        cells = []
+        for name, v in zip(header, row):
+            if isinstance(v, (float, np.floating)):
+                if not math.isfinite(v):
+                    raise SolverError(f"CSV artifact column {name!r} holds {float(v)!r}")
+                v = repr(float(v))
+            cells.append(v)
+        writer.writerow(cells)
     return buf.getvalue()
 
 

@@ -55,7 +55,11 @@ def test_glibc_function_finds_only_existing_functions():
     assert model._glibc_function("struprune_no_such_function") is None
 
 
-def test_admm_without_mallopt_writes_the_same_bytes(tmp_path, monkeypatch):
+def test_missing_mallopt_is_skipped_and_admm_writes_the_same_bytes(tmp_path, monkeypatch):
+    """With the lookup finding no mallopt, the pool calls nothing and
+    `admm --threads 2` exits 0 with the same bytes. The allocator of this
+    process stays as earlier pools set it, so this checks the skip, not
+    the arenas."""
     m, c = str(tmp_path / "model"), str(tmp_path / "calib")
     assert main(["gen", "--d", "8", "--layers", "2", "--heads", "2", "--seed", "7", "--out", m]) == 0
     assert main(["calibrate", "--model", m, "--n", "4", "--seq-len", "8", "--seed", "8", "--out", c]) == 0

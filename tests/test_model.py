@@ -1,14 +1,11 @@
-import csv
-import io
 import json
-import math
 import os
 
 import numpy as np
 import pytest
 
 from struprune import model as model_module
-from struprune.errors import CapabilityError, FormatError, ParameterError, SolverError
+from struprune.errors import CapabilityError, FormatError, ParameterError
 from struprune.linalg import make_rng, row_softmax
 from struprune.model import (
     CalibrationSet,
@@ -264,47 +261,3 @@ class TestCalibrationIO:
         with pytest.raises(FormatError):
             load_calibration(str(tmp_path / "c"))
 
-
-
-def cell_by_cell_csv(header, rows):
-    """The CSV artifact format written one cell at a time, as its rule
-    reads."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        cells = []
-        for name, v in zip(header, row):
-            if isinstance(v, (float, np.floating)):
-                if not math.isfinite(v):
-                    raise SolverError(f"CSV artifact column {name!r} holds {float(v)!r}")
-                v = repr(float(v))
-            cells.append(v)
-        writer.writerow(cells)
-    return buf.getvalue()
-
-
-class TestCsvText:
-    CELLS = [1, 2.5, np.float64(0.1), np.float32(1 / 3), "x", None, 1e16, -0.0, np.int64(3), True,
-             np.longdouble(1) / 3, float("nan"), float("inf"), np.float64(-np.inf)]
-
-    def test_same_bytes_and_error_as_cell_by_cell(self):
-        rng = np.random.default_rng(0)
-        for _ in range(2000):
-            ncol, nrow = int(rng.integers(1, 5)), int(rng.integers(0, 6))
-            pools = [rng.choice(len(self.CELLS), size=int(rng.integers(1, 4))) for _ in range(ncol)]
-            rows = [tuple(self.CELLS[rng.choice(p)] for p in pools) for _ in range(nrow)]
-            header = [f"c{j}" for j in range(ncol)]
-            try:
-                expected = cell_by_cell_csv(header, rows)
-            except SolverError as exc:
-                with pytest.raises(SolverError) as got:
-                    model_module.csv_text(header, rows)
-                assert str(got.value) == str(exc)
-            else:
-                assert model_module.csv_text(header, iter(rows)) == expected
-
-    def test_first_non_finite_in_row_order_is_named(self):
-        rows = [(1.0, 2.0), (3.0, float("nan")), (float("inf"), 4.0)]
-        with pytest.raises(SolverError, match="column 'b' holds nan"):
-            model_module.csv_text(["a", "b"], rows)
