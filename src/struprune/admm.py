@@ -18,7 +18,7 @@ import numpy as np
 
 from .allocation import SparsityPlan, binarize_by_threshold, round_half_away
 from .errors import ParameterError, SingularSystemError, SolverError
-from .importance import l0_gates, unit_scores
+from .importance import unit_scores
 from .linalg import _cholesky, cho_solve, make_rng, relu, ridge_solve, row_softmax
 from .model import (DEFAULT_AXES, FFN, MASK_BEARING, MATRIX_IO, ROW, UNIT_OWNER, ActivationCache, BlockActivations,
                     ToyModel, _row_blocks, _worker_pool, csv_text, unit_mask)
@@ -115,39 +115,6 @@ def _refit(w_hat: np.ndarray, bits: np.ndarray, x_in: np.ndarray, target: np.nda
     return out
 
 
-def prune_scores(
-    w_hat: np.ndarray,
-    rec: BlockActivations,
-    name: str,
-    target: np.ndarray,
-    criterion: str,
-    n_samples: int,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    """Unit scores for the mask-bearing matrix `name`: w_hat acts on its
-    frozen reference input in rec (MATRIX_IO); target is the teacher's
-    product on the current input. Criteria other than closed-form and l0
-    are importance.unit_scores."""
-    if criterion == "closed-form":
-        # Exact per-unit decrease of the sample-summed prune objective
-        # ||b_row - M_j c_row||^2: retaining unit j saves
-        # 2 <c_j, b_j> - ||c_j||^2. This is the tie-aware completion of
-        # thresholding the ratio score (identical ordering when the unit
-        # weights c_j^2 are constant) and stays informative at the
-        # pristine state, where every ratio score is exactly 1. c_rows
-        # may be the frozen product, so nothing writes into it.
-        c_rows = rec.product(name, w_hat)
-        gain, norm = np.empty(len(c_rows)), np.empty(len(c_rows))
-        for r in _row_blocks(len(c_rows)):
-            c = c_rows[r]
-            np.sum(np.multiply(c, target[r]), axis=1, out=gain[r])
-            np.sum(np.multiply(c, c), axis=1, out=norm[r])
-        return 2.0 * gain - norm
-    if criterion == "l0":  # the solver trains its gates for 100 steps
-        return l0_gates(rec.product(name, w_hat), target, n_samples, rng, steps=100)
-    return unit_scores(criterion, w_hat, rec, name, target, n_samples, rng)
-
-
 def _prune_step(
     state: BlockState, rec: BlockActivations, cfg: SolverConfig, n_samples: int, rng: np.random.Generator | None
 ) -> None:
@@ -155,11 +122,13 @@ def _prune_step(
     then ridge-refit the units its owner's mask keeps of every matrix onto
     the teacher's product on the matrix's current input: the frozen
     input_pre, or the iterate a (w2, wv) or a_attn (wo). The masks are
-    scored on the frozen reference inputs.
+    scored on the frozen reference inputs by importance.unit_scores,
+    whose l0 gates the solver trains for 100 steps.
 
     Until the first update (outer iteration 1) every current input is
-    the record's own array (_init_state), so a teacher that is still the
-    captured dense matrix has its product read from the record."""
+    the record's own array (_init_state), so the teacher's product is
+    the record's (rec.product: the frozen one for the captured dense
+    matrix, else the GEMM)."""
     current = {"input_pre": rec.input_pre, "a_pre": state.a, "a_attn_pre": state.a_attn}
     first = state.iteration <= 1
     for name, w in state.w_hat.items():
@@ -168,12 +137,9 @@ def _prune_step(
         # reuses wq's target; nothing writes into a target.
         if not (name == "wk" and state.teacher["wk"] is state.teacher["wq"]):
             teacher = state.teacher[name]
-            if first and teacher is rec.dense.get(name):
-                target = rec.product(name, teacher)
-            else:
-                target = teacher @ x_cur
-        if UNIT_OWNER[name] == name:
-            scores = prune_scores(w, rec, name, target, cfg.mask_criterion, n_samples, rng)
+            target = rec.product(name, teacher) if first else teacher @ x_cur
+        if name in MASK_BEARING[state.kind]:
+            scores = unit_scores(cfg.mask_criterion, w, rec, name, target, n_samples, rng, l0_steps=100)
             state.masks[name] = binarize_by_threshold(scores, state.budget[name])
         state.w_hat[name] = _refit(w, state.masks[UNIT_OWNER[name]], x_cur, target, cfg.ridge_eps,
                                    DEFAULT_AXES[name])

@@ -20,7 +20,6 @@ from .errors import CapabilityError, DimensionError, ParameterError
 from .model import (
     FFN,
     MASK_BEARING,
-    MATRIX_IO,
     MHA,
     ActivationCache,
     CalibrationSet,
@@ -112,11 +111,10 @@ def _flat_reader(rec, name: str):
 
 
 def _check_shapes(layer: int, block, rec) -> None:
-    """Each pruned matrix has the shape of the dense matrix whose frozen
-    product it is compared against."""
+    """Each pruned matrix has the shape of the dense matrix the record
+    captured."""
     for name, w in block.matrices.items():
-        x_name, prod_name = MATRIX_IO[name]
-        want = (getattr(rec, prod_name).shape[0], rec.like(x_name).shape[0])
+        want = rec.dense[name].shape
         if w.shape != want:
             raise DimensionError(
                 f"layer {layer} {block.kind} matrix {name}: pruned model has shape "

@@ -2,10 +2,10 @@
 
 The activation-aware score `wanda_unit` averages the l1 norm of
 weight-times-input products per calibration sample. `unit_scores` is
-the one dispatch of row-unit criteria (wanda, magnitude, gradient
-sensitivity, learnable gates) for both one-shot masks and the
-alternating solver; the attention/MLP split with geometric depth decay
-follows.
+the one dispatch of row-unit criteria (the solver's closed-form
+objective decrease, wanda, magnitude, gradient sensitivity, learnable
+gates) for both one-shot masks and the alternating solver; the
+attention/MLP split with geometric depth decay follows.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .linalg import frobenius
-from .model import (COL, DEFAULT_AXES, FFN, MASK_BEARING, MATRIX_IO, ROW, ActivationCache,
+from .model import (COL, DEFAULT_AXES, FFN, MASK_BEARING, MATRIX_IO, ROW, ROW_BLOCK, ActivationCache,
                     BlockActivations, MhaBlock, ToyModel, _row_blocks, csv_text)
 
 
@@ -69,7 +69,7 @@ def l0_gates(
     """Sigmoid gates per row of w, from wx = w @ x_in (the gated product
     is diag(g) @ wx), trained by gradient descent on the reconstruction
     loss against target plus lam * sum(gates). Returns final gate values
-    in [0, 1]. Each step sums the gate gradient 64 rows at a time
+    in [0, 1]. Each step sums the gate gradient ROW_BLOCK rows at a time
     (model._row_blocks) in one buffer, so it builds no full-size
     temporary; the bits are those of oracle.l0_gates_reference."""
     if rng is None:
@@ -83,7 +83,7 @@ def l0_gates(
     # wx is C-ordered, as a GEMM makes it, so the plain step's full-size
     # temporaries are too, and each row's sum adds the same elements in
     # the same order.
-    buf = np.empty((min(64, wx.shape[0]), wx.shape[1]))
+    buf = np.empty((min(ROW_BLOCK, wx.shape[0]), wx.shape[1]))
     sums = np.empty(wx.shape[0])
     for _ in range(steps):
         g = 1.0 / (1.0 + np.exp(-theta))
@@ -97,19 +97,35 @@ def l0_gates(
     return 1.0 / (1.0 + np.exp(-theta))
 
 
-def unit_scores(criterion, w, rec: BlockActivations, name, target, n_samples, rng) -> np.ndarray:
+def unit_scores(criterion, w, rec: BlockActivations, name, target, n_samples, rng,
+                l0_steps: int = 200) -> np.ndarray:
     """Row-unit scores of w, in the place of block matrix `name`, acting
     on its frozen input x_in in the record rec (MATRIX_IO) under one
     criterion, the one dispatch for one-shot masks and the alternating
     solver; target is the product the rows should reproduce. Each
     criterion reads from rec only what it needs.
 
-    wanda: wanda_unit over rows, from x_in's col_l1 statistic. magnitude:
-    the l1 norm of each row. snip (gradient sensitivity): per row, sum of
+    closed-form (the solver's): with c = w @ x_in, the exact per-unit
+    decrease of the prune objective ||target - M c||^2 summed over the
+    samples, 2 <c_j, target_j> - ||c_j||^2, the tie-aware completion of
+    thresholding allocation's ratio score (the same order when the unit
+    weights c_j^2 are constant); unlike that score, which is exactly 1
+    on an untouched model, it ranks units there too. wanda:
+    wanda_unit over rows, from x_in's col_l1 statistic. magnitude: the l1
+    norm of each row. snip (gradient sensitivity): per row, sum of
     |dL/dW * W| where L is the quadratic reconstruction loss of w @ x_in
     against target; identically zero when the weights sit at the optimum.
-    l0: the trained gates of l0_gates on the record's product w @ x_in."""
+    l0: the gates of l0_gates on w @ x_in, trained for l0_steps steps."""
     x_name = MATRIX_IO[name][0]
+    if criterion == "closed-form":
+        # c_rows may be the frozen product, so nothing writes into it.
+        c_rows = rec.product(name, w)
+        gain, norm = np.empty(len(c_rows)), np.empty(len(c_rows))
+        for r in _row_blocks(len(c_rows)):
+            c = c_rows[r]
+            np.sum(np.multiply(c, target[r]), axis=1, out=gain[r])
+            np.sum(np.multiply(c, c), axis=1, out=norm[r])
+        return 2.0 * gain - norm
     if criterion == "wanda":
         return wanda_unit(w, ROW, n_samples, rec.col_l1(x_name))
     if criterion == "magnitude":
@@ -118,7 +134,7 @@ def unit_scores(criterion, w, rec: BlockActivations, name, target, n_samples, rn
         grad = reconstruction_gradient(w, rec.array(x_name), target, n_samples)
         return np.abs(grad * w).sum(axis=1)
     if criterion == "l0":
-        return l0_gates(rec.product(name, w), target, n_samples, rng)
+        return l0_gates(rec.product(name, w), target, n_samples, rng, steps=l0_steps)
     raise ParameterError(f"unknown criterion {criterion!r}")
 
 

@@ -333,11 +333,15 @@ def _token_tiles(n_tokens: int, width: int = TILE_TOKENS) -> list[slice]:
     return [slice(s, min(s + width, n_tokens)) for s in range(0, n_tokens, width)]
 
 
+# Rows per block of _row_blocks, and of the buffers that hold one block.
+ROW_BLOCK = 64
+
+
 def _row_blocks(n: int):
-    """Slices of 64 consecutive rows covering range(n). A per-row sum (or
-    an elementwise op) taken a block at a time gives the bits of the
-    whole-array one, without a full-size temporary."""
-    return (slice(i, i + 64) for i in range(0, n, 64))
+    """Slices of ROW_BLOCK consecutive rows covering range(n). A per-row
+    sum (or an elementwise op) taken a block at a time gives the bits of
+    the whole-array one, without a full-size temporary."""
+    return (slice(i, i + ROW_BLOCK) for i in range(0, n, ROW_BLOCK))
 
 
 # np.sum over a C-contiguous float64 array adds its flat elements
@@ -568,7 +572,7 @@ class BlockActivations:
         one buffer, which the next block overwrites."""
         x = self.like(name)
         derived = name in DERIVED[self.kind]
-        buf = np.empty((min(64, x.shape[0]), x.shape[1])) if derived else None
+        buf = np.empty((min(ROW_BLOCK, x.shape[0]), x.shape[1])) if derived else None
         for r in _row_blocks(x.shape[0]):
             yield r, self.derive(name, lambda a: a[r], buf[:len(x[r])]) if derived else x[r]
 

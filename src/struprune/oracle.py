@@ -326,7 +326,7 @@ def mha_grad_z_reference(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len):
 
 
 def closed_form_scores_reference(w_hat, x_pre, target):
-    """admm.prune_scores with the closed-form criterion."""
+    """importance.unit_scores with the closed-form criterion."""
     c_rows = w_hat @ x_pre
     return 2.0 * np.sum(c_rows * target, axis=1) - np.sum(c_rows * c_rows, axis=1)
 

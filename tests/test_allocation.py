@@ -10,7 +10,9 @@ from struprune.allocation import (
     binarize_by_threshold,
     build_masks,
     closed_form_context,
+    closed_form_plan,
     closed_form_retention,
+    closed_form_scores,
     default_temperature_grid,
     export_plan_csv,
     export_sweep_csv,
@@ -25,10 +27,12 @@ from struprune.allocation import (
 )
 from struprune.errors import ParameterError
 from struprune.evaluation import total_reconstruction_loss
+from struprune.importance import unit_scores
 from struprune.linalg import make_rng
 from struprune.model import (
     FFN,
     MASK_BEARING,
+    MATRIX_IO,
     MHA,
     CalibrationSet,
     ModelArch,
@@ -38,7 +42,7 @@ from struprune.model import (
 )
 from struprune.oracle import recover_multiplier, relaxed_mask
 
-from conftest import assert_close, decoder_importances, importances
+from conftest import STD_ARCH, assert_close, build_toy, decoder_importances, importances
 
 
 class TestClosedFormContext:
@@ -344,6 +348,58 @@ class TestInverseWeight:
             inverse_weight_allocate(only[:1], 0.5, 1.0)
         with pytest.raises(ParameterError, match="at least one layer"):
             inverse_weight_allocate([], 0.5, 1.0)
+
+
+# Per-block keep fractions of the global closed-form masks at sparsity 0.5
+# on each untouched fixture: with every score tied, the early blocks are
+# kept whole.
+GLOBAL_KEPT = {"decoder": [1, 1, 0, 0], "ffn": [1, 0], "square-ffn": [1, 0]}
+
+
+@pytest.fixture(scope="module", params=sorted(GLOBAL_KEPT))
+def untouched(request):
+    """(name, model, cache): the decoder and FFN fixtures, and the FFN
+    fixture with ffn_dim = d, where the closed-form coupling term is live."""
+    if request.param == "square-ffn":
+        square = ModelArch(STD_ARCH.d, STD_ARCH.num_layers, STD_ARCH.num_heads, ffn_dim=STD_ARCH.d)
+        model, _, cache = build_toy("ffn", arch=square)
+    else:
+        model, _, cache = build_toy(request.param)
+    return request.param, model, cache
+
+
+class TestOneShotClosedFormOnAnUntouchedModel:
+    """Records what one-shot closed-form does on a dense model: every ratio
+    score is 1.0, so the plan is uniform and the global masks keep units in
+    (block, matrix, index) order, while the solver's closed-form criterion
+    (importance.unit_scores) ranks the same units. This fixes nothing; a
+    change to one-shot closed-form scoring updates it."""
+
+    def test_every_ratio_score_is_one(self, untouched):
+        _, model, cache = untouched
+        for i in range(len(model.blocks)):
+            for s in closed_form_scores(model, cache, i).values():
+                assert np.all(s == 1.0)
+
+    def test_the_plan_is_uniform(self, untouched):
+        _, model, cache = untouched
+        retentions = {e.retention for e in closed_form_plan(model, cache, 0.5).entries}
+        assert len(retentions) == 1
+
+    def test_global_masks_keep_early_blocks_whole(self, untouched):
+        name, model, cache = untouched
+        masks, _ = global_closed_form_masks(model, cache, 0.5)
+        kept = [np.concatenate(list(masks[i].values())).mean() for i in range(len(model.blocks))]
+        assert kept == GLOBAL_KEPT[name]
+
+    def test_the_solver_criterion_ranks_the_same_units(self, untouched):
+        _, model, cache = untouched
+        for block, rec in zip(model.blocks, cache.blocks):
+            for name in MASK_BEARING[block.kind]:
+                target = getattr(rec, MATRIX_IO[name][1])
+                s = unit_scores("closed-form", block.matrices[name], rec, name, target,
+                                cache.n_samples, None)
+                assert np.unique(s).size == s.size
 
 
 class TestMaskPipeline:

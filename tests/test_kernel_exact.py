@@ -26,9 +26,8 @@ from struprune.admm import (
     mha_obj_a,
     mha_obj_attn,
     mha_obj_z,
-    prune_scores,
 )
-from struprune.importance import l0_gates
+from struprune.importance import l0_gates, unit_scores
 from struprune.linalg import make_rng, ridge_solve, row_softmax
 from struprune.model import COL, FFN, MATRIX_IO, MHA, ROW, BlockActivations
 
@@ -57,11 +56,11 @@ def assert_same(got, ref):
 
 
 def closed_form_scores(w, x, target):
-    """prune_scores under the closed-form criterion for w acting on x,
+    """unit_scores under the closed-form criterion for w acting on x,
     the input_pre of a record that froze no dense matrix, so that c_rows
     is the GEMM w @ x."""
     rec = BlockActivations(FFN, x, None, None, None, None)
-    return prune_scores(w, rec, "w1", target, "closed-form", 8, None)
+    return unit_scores("closed-form", w, rec, "w1", target, 8, None)
 
 
 def assert_same_l0_gates(w, x, target, steps=5):
@@ -260,7 +259,7 @@ def test_closed_form_scores_of_a_dense_matrix_read_the_record(decoder, name):
             x = rec.array(MATRIX_IO[name][0])
             target = frozen(_noisy(rng, w @ x, 0.1))
             assert rec.product(name, w) is getattr(rec, MATRIX_IO[name][1])
-            got = prune_scores(w, rec, name, target, "closed-form", 8, None)
+            got = unit_scores("closed-form", w, rec, name, target, 8, None)
             assert_same(got, oracle.closed_form_scores_reference(w, x, target))
 
 
