@@ -12,11 +12,11 @@ run_outer_loop solves the blocks on a thread pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .allocation import SparsityPlan, binarize_by_threshold, round_half_away
+from .allocation import SparsityPlan, apply_masks, binarize_by_threshold, round_half_away
 from .errors import ParameterError, SingularSystemError, SolverError
 from .importance import unit_scores
 from .linalg import _cholesky, cho_solve, make_rng, relu, ridge_solve, row_softmax
@@ -600,18 +600,10 @@ def run_outer_loop(
         trace.extend(rows)
         initial_post_prune_loss += initial_loss
     trace.sort(key=lambda row: row[:2])
-    pruned = _masked_model(model, states)
     final_loss = float(sum(obj for t, _, _, obj in trace if t == cfg.outer_iters))
     masks = {s.layer: dict(s.masks) for s in states}
-    return AdmmResult(pruned, trace, initial_post_prune_loss, final_loss, masks)
-
-
-def _masked_model(model: ToyModel, states: list[BlockState]) -> ToyModel:
-    out = model.copy()
-    for state in states:
-        for name in state.w_hat:
-            setattr(out.blocks[state.layer], name, state.effective(name))
-    return out
+    refit = replace(model, blocks=[replace(model.blocks[s.layer], **s.w_hat) for s in states])
+    return AdmmResult(apply_masks(refit, masks), trace, initial_post_prune_loss, final_loss, masks)
 
 
 def export_trace_csv(trace: list[tuple[int, int, str, float]]) -> str:

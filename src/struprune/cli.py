@@ -234,10 +234,6 @@ def _wanda_importances(model, cache) -> list[float]:
     return [li.value for li in layer_importance(model, cache, "wanda-sum")]
 
 
-def _default_temperature(model, cache) -> float:
-    return allocation.importance_scale(_wanda_importances(model, cache))
-
-
 def _load_inputs(args, lean: bool = False):
     """The model and its frozen reference on the calibration set; only
     capture reads the calibration set, so it is freed when capture ends."""
@@ -267,7 +263,7 @@ def cmd_calibrate(args) -> int:
 def _make_plan(args, model, cache):
     temperature = args.temperature
     if temperature is None:
-        temperature = _default_temperature(model, cache)
+        temperature = allocation.importance_scale(_wanda_importances(model, cache))
     return allocation.allocate_plan(
         model, cache, args.method, args.sparsity, temperature, args.gamma, args.rho
     )

@@ -152,17 +152,16 @@ def _row_reader(prod: np.ndarray, zero: np.ndarray | None):
     flat = prod.reshape(-1)
     if zero is None:
         return lambda lo, hi, out: flat[lo:hi]
-    # Flat [start, stop) spans of the runs of flagged rows.
-    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False)) * prod.shape[1]
-    starts, stops = edges[0::2], edges[1::2]
+    cols = prod.shape[1]
 
     def read(lo, hi, out):
-        first, last = np.searchsorted(stops, lo, "right"), np.searchsorted(starts, hi)
-        if first == last:
+        first = lo // cols
+        flagged = np.flatnonzero(zero[first:(hi - 1) // cols + 1]) + first
+        if not flagged.size:
             return flat[lo:hi]
         out[:] = flat[lo:hi]
-        for start, stop in zip(starts[first:last], stops[first:last]):
-            out[max(start, lo) - lo:min(stop, hi) - lo] = 0.0
+        for row in flagged:
+            out[max(row * cols, lo) - lo:min(row * cols + cols, hi) - lo] = 0.0
         return out
 
     return read

@@ -420,17 +420,16 @@ def _worker_pool(items, threads: int):
         yield lambda fn: list(pool.map(fn, items))
 
 
-def _tiled_product(w: np.ndarray, x: np.ndarray, run=None, out=None, fn=None) -> np.ndarray:
+def _tiled_product(w: np.ndarray, x: np.ndarray, run=None, fn=None) -> np.ndarray:
     """w @ x, or w @ fn(x) for fn the DERIVED op of a derived input (FFN
     relu), each _token_tiles(T) column tile's GEMM writing its slice of
-    `out` (a fresh array when None), on the workers of `run` (a
-    _worker_pool runner over those tiles) or, when run is None, in the
-    calling thread. fn runs SUB_TILE_TOKENS columns at a time into one
+    a fresh array, on the workers of `run` (a _worker_pool runner over
+    those tiles) or, when run is None, in the calling thread. fn runs SUB_TILE_TOKENS columns at a time into one
     buffer per tile, each sub-tile's GEMM writing its slice, so fn(x) is
     never whole. This is the one GEMM over a record's tokens: capture,
     every product a record forms (BlockActivations._gemm) and a lean
     record's rebuild run it, so they all have capture's bits."""
-    prod = np.empty((w.shape[0], x.shape[1])) if out is None else out
+    prod = np.empty((w.shape[0], x.shape[1]))
 
     def tile(t):
         if fn is None:
@@ -517,14 +516,6 @@ class BlockActivations:
         order."""
         arrays = {name: getattr(self, name) for name in STORED[self.kind]}
         return {name: arr for name, arr in arrays.items() if arr is not None}
-
-    def make_lean(self) -> None:
-        """Make the record lean: take the col_l1 statistics of every
-        matrix input, then drop the REBUILT products."""
-        for matrix in self.dense:
-            self.col_l1(MATRIX_IO[matrix][0])
-        self.lean = True
-        self.release_products()
 
     def rebuild_products(self) -> None:
         """On a lean record, store its REBUILT products again, read-only,
@@ -683,7 +674,10 @@ def capture_reference_activations(
             for arr in (*rec.frozen_arrays().values(), *rec.dense.values()):
                 arr.setflags(write=False)
             if lean:
-                rec.make_lean()
+                for matrix in rec.dense:
+                    rec.col_l1(MATRIX_IO[matrix][0])
+                rec.lean = True
+                rec.release_products()
             records.append(rec)
     return ActivationCache(records, calib.n_samples, calib.seq_len)
 
@@ -881,30 +875,24 @@ def load_model(path: str) -> ToyModel:
         cls = next((c for c in (MhaBlock, FfnBlock) if f"{prefix}.{c.kind}.{c.names[0]}" in mats), None)
         if cls is None:
             break
-        blocks.append(_make_block(cls, arch, lambda name, _: _pop(mats, f"{prefix}.{cls.kind}.{name}")))
-    embed = mats.pop("embed", None)
-    head = mats.pop("head", None)
+        blocks.append(_make_block(cls, arch, lambda name, want: _pop(mats, f"{prefix}.{cls.kind}.{name}", want)))
+    embed, head = (_pop(mats, name, want) if name in mats else None for name, want in vocab_shapes(arch).items())
     if mats:
         raise FormatError(f"manifest lists unplaceable matrices: {sorted(mats)}")
     if not blocks:
         raise FormatError("manifest contains no decoder blocks")
-    named = [
-        (f"layer{i}.{block.kind}.{name}", getattr(block, name), want)
-        for i, block in enumerate(blocks)
-        for name, want in block_shapes(arch, block.kind).items()
-    ]
-    named += [(name, mat, want) for (name, want), mat in zip(vocab_shapes(arch).items(), (embed, head))
-              if mat is not None]
-    for name, mat, want in named:
-        if mat.shape != want:
-            raise FormatError(f"matrix {name} has shape {mat.shape}, manifest arch implies {want}")
     return ToyModel(arch, blocks, embed, head)
 
 
-def _pop(mats: dict, key: str) -> np.ndarray:
+def _pop(mats: dict, key: str, want: tuple[int, int]) -> np.ndarray:
+    """Take matrix `key` out of mats; its shape must be `want`, the
+    shape the manifest arch implies."""
     if key not in mats:
         raise FormatError(f"manifest incomplete: matrix {key!r} missing")
-    return mats.pop(key)
+    mat = mats.pop(key)
+    if mat.shape != want:
+        raise FormatError(f"matrix {key} has shape {mat.shape}, manifest arch implies {want}")
+    return mat
 
 
 def save_calibration(calib: CalibrationSet, path: str, d: int):
