@@ -120,9 +120,10 @@ def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.diagonal(c) > 0.0):
         raise SingularSystemError("Cholesky factor has a non-positive diagonal entry")
-    dim, info = ctypes.c_int(c.shape[0]), ctypes.c_int(0)
+    # LAPACK wants leading dimensions of at least 1, also for an empty system.
+    dim, lead, info = ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, c.shape[0])), ctypes.c_int(0)
     c_data, x_data = c.ctypes.data_as(_DOUBLE_P), x.ctypes.data_as(_DOUBLE_P)
-    _dpotrs()(b"L" if lower else b"U", dim, ctypes.c_int(x.shape[1]), c_data, dim, x_data, dim, info)
+    _dpotrs()(b"L" if lower else b"U", dim, ctypes.c_int(x.shape[1]), c_data, lead, x_data, lead, info)
     if info.value != 0:
         raise ParameterError(f"dpotrs rejected argument {-info.value}")
     return x

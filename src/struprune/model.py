@@ -16,7 +16,6 @@ import io
 import json
 import math
 import os
-import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
@@ -688,9 +687,13 @@ def capture_reference_activations(
 
 
 def write_atomic(path: str, data: bytes):
+    """Write data to a new file beside path, then rename it to path. The
+    file is made with mode 0o666 less the umask, as open(path, "wb")
+    makes it."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+import stat
 
 import weakref
 
@@ -10,7 +11,7 @@ import pytest
 
 from struprune import cli
 from struprune.cli import main
-from struprune.model import load_model, save_calibration
+from struprune.model import load_model, save_calibration, write_atomic
 from struprune.model import CalibrationSet
 
 
@@ -367,6 +368,13 @@ class TestMalformedInput:
         assert run("plan", "--model", model, "--calib", calib, "--out", str(tmp / "o")) == 1
         _one_error_line(capsys, "cols")
 
+    def test_manifest_arch_disagrees_with_block_matrix(self, workspace, capsys):
+        tmp, model, calib = workspace
+        _edit_json(os.path.join(model, "manifest.json"), lambda m: m["arch"].update(ffn_dim=24))
+        assert run("eval", "--model", model, "--dense", model, "--calib", calib,
+                   "--out", str(tmp / "e")) == 1
+        _one_error_line(capsys, "layer1.ffn.w1", "(32, 8)", "(24, 8)")
+
     # Each wrong type or value in the manifest's top level or arch exits 1
     # with one error line naming the field; a bool is not an int.
     @pytest.mark.parametrize("mutate, needle", [
@@ -495,6 +503,47 @@ class TestMismatchedModel:
                    "--out", str(out)) == 1
         _one_error_line(capsys, "layer 0 mha matrix wq", "(16, 16)", "(8, 8)")
         assert not (out / "report.json").exists()
+
+
+@pytest.fixture
+def umask_027():
+    old = os.umask(0o027)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def _open_mode(directory):
+    """The mode of a file that open(..., "wb") makes in directory."""
+    path = os.path.join(directory, "reference")
+    with open(path, "wb"):
+        pass
+    mode = _mode(path)
+    os.unlink(path)
+    return mode
+
+
+# Artifacts are made as open(path, "wb") makes a file, with mode 0o666
+# less the umask, not the 0o600 of a private temporary file.
+class TestArtifactModes:
+    def test_write_atomic_follows_the_umask(self, tmp_path, umask_027):
+        path = tmp_path / "a.bin"
+        write_atomic(str(path), b"x")
+        assert _mode(path) == _open_mode(tmp_path) == 0o640
+        assert path.read_bytes() == b"x" and os.listdir(tmp_path) == ["a.bin"]
+
+    def test_gen_manifest_and_blob(self, tmp_path, umask_027):
+        model = tmp_path / "model"
+        assert run("gen", "--d", "8", "--layers", "1", "--heads", "2", "--seed", "7", "--out", str(model)) == 0
+        want = _open_mode(model)
+        assert want == 0o640
+        assert _mode(model / "manifest.json") == want
+        assert _mode(model / "layer0_mha_wq.bin") == want
 
 
 class TestFlagValues:

@@ -97,7 +97,7 @@ def _max_tick_gap(solve) -> tuple[float, float]:
 
 
 class TestChoSolve:
-    @pytest.mark.parametrize("n", [1, 7, 128, 512])
+    @pytest.mark.parametrize("n", [0, 1, 7, 128, 512])
     @pytest.mark.parametrize("nrhs", [1, 2048])
     def test_bits_match_scipy(self, n, nrhs):
         rng = make_rng(n + nrhs)
@@ -129,6 +129,12 @@ class TestChoSolve:
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(DimensionError):
             cho_solve(_spd_factor(rng, 4), np.ones((5, 2)))
+
+    # LAPACK rejects a leading dimension below 1, also for an empty system.
+    def test_ridge_solve_on_no_columns(self, capfd):
+        x = ridge_solve(np.zeros((5, 0)), np.ones((5, 3)), 1e-6)
+        assert x.shape == (0, 3)
+        assert capfd.readouterr().err == ""
 
     def test_solve_releases_the_gil(self):
         # One FFN activation solve's shape, widened: 512 x 4096.

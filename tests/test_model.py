@@ -206,6 +206,21 @@ class TestModelIO:
         with pytest.raises(FormatError, match=r"embed has shape \(4, 6\), manifest arch implies \(4, 9\)"):
             load_model(path)
 
+    # A block matrix whose rows, cols and blob agree with each other but
+    # not with the arch: ffn_dim edited in the manifest.
+    def test_block_matrix_disagrees_with_arch(self, tmp_path):
+        model = generate_toy_model(ModelArch(d=4, num_layers=1, num_heads=1), make_rng(3))
+        path = str(tmp_path / "m")
+        save_model(model, path)
+        with open(os.path.join(path, "manifest.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["arch"]["ffn_dim"] = 12
+        with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(FormatError,
+                           match=r"layer1\.ffn\.w1 has shape \(16, 4\), manifest arch implies \(12, 4\)"):
+            load_model(path)
+
     def test_vocab_head_round_trip(self, tmp_path):
         arch = ModelArch(d=4, num_layers=1, num_heads=1, vocab=6)
         model = generate_toy_model(arch, make_rng(3))
