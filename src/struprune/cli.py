@@ -14,7 +14,10 @@ import json
 import logging
 import math
 import os
+import resource
 import sys
+import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .model import (
     REBUILT,
     SUB_TILE_TOKENS,
     ModelArch,
+    _malloc_policy,
     capture_reference_activations,
     generate_toy_model,
     load_calibration,
@@ -62,6 +66,25 @@ def _setup_logging():
     if level_name not in levels:
         raise CliValidationError(f"STRUPRUNE_LOG must be one of {sorted(levels)}, got {level_name!r}")
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
+
+
+@contextmanager
+def _resource_log(command: str):
+    """At debug level, log what the command cost the process: wall, user
+    and system seconds, minor page faults and the rise of the peak RSS
+    (ru_maxrss, kB on Linux), as getrusage deltas."""
+    if not log.isEnabledFor(logging.DEBUG):
+        yield
+        return
+    wall, before = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
+    try:
+        yield
+    finally:
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        log.debug("%s resources: wall %.3f s, user %.3f s, sys %.3f s, minflt %d, maxrss +%d kB (%d kB)",
+                  command, time.perf_counter() - wall, after.ru_utime - before.ru_utime,
+                  after.ru_stime - before.ru_stime, after.ru_minflt - before.ru_minflt,
+                  after.ru_maxrss - before.ru_maxrss, after.ru_maxrss)
 
 
 def _int_at_least(low: int):
@@ -532,9 +555,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         _setup_logging()
+        # The CLI owns its process, so freed memory stays resident for
+        # the next temporary instead of going back to the OS.
+        _malloc_policy(True)
         args = _parse_args(build_parser(), argv)
         _check_out(args)
-        return COMMANDS[args.command](args)
+        with _resource_log(args.command):
+            return COMMANDS[args.command](args)
     except (CliValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

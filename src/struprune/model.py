@@ -14,6 +14,7 @@ import ctypes
 import functools
 import io
 import json
+import logging
 import math
 import os
 import threading
@@ -25,6 +26,8 @@ import numpy as np
 
 from .errors import CapabilityError, DimensionError, FormatError, ParameterError, SolverError
 from .linalg import relu, row_softmax
+
+log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
 
@@ -374,8 +377,14 @@ def _pairwise_node(lo: int, size: int, width: int, fill, scratch):
             + _pairwise_node(lo + half, size - half, width, fill, scratch))
 
 
-# glibc's mallopt parameter for the most malloc arenas the process makes.
+# glibc's mallopt parameters: the trim threshold, the most chunks served
+# by mmap, and the most malloc arenas the process makes.
+M_TRIM_THRESHOLD = -1
+M_MMAP_MAX = -4
 M_ARENA_MAX = -8
+# Free memory at the top of the heap that glibc keeps before it returns
+# any to the OS; mallopt takes a C int, so this must stay below 2**31.
+KEEP_FREED_BYTES = 1 << 30
 
 
 def _glibc_function(name: str):
@@ -390,16 +399,32 @@ def _glibc_function(name: str):
 
 
 @functools.cache
-def _one_malloc_arena() -> None:
-    """Make glibc serve every later thread's allocations from the main
-    arena (mallopt M_ARENA_MAX = 1). By default each pool thread gets an
-    arena of its own, and a chunk freed there stays resident where no
-    other thread reuses it, so peak RSS climbs above live memory. Called
-    once, before the first pool thread starts; a no-op on any other C
-    library."""
+def _malloc_policy(keep_freed: bool) -> None:
+    """Set glibc's allocator policy for the rest of the process, once per
+    value of keep_freed; a no-op on any other C library.
+
+    Always: serve every later thread's allocations from the main arena
+    (M_ARENA_MAX = 1). By default each pool thread gets an arena of its
+    own, and a chunk freed there stays resident where no other thread
+    reuses it, so peak RSS climbs above live memory. _worker_pool sets
+    this before its first thread starts.
+
+    keep_freed: also serve large chunks from the heap, not from a fresh
+    mmap each (M_MMAP_MAX = 0), and keep up to KEEP_FREED_BYTES of free
+    heap top resident (M_TRIM_THRESHOLD), so a freed temporary's pages
+    serve the next one instead of being unmapped and faulted in zeroed
+    again. cli.main sets this for the process it runs in."""
     mallopt = _glibc_function("mallopt")
-    if mallopt is not None:
-        mallopt(M_ARENA_MAX, 1)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    settings = [(M_ARENA_MAX, 1)]
+    if keep_freed:
+        settings += [(M_MMAP_MAX, 0), (M_TRIM_THRESHOLD, KEEP_FREED_BYTES)]
+    for param, value in settings:
+        if mallopt(param, value) == 0:
+            log.debug("glibc mallopt rejected parameter %d = %d", param, value)
 
 
 @contextmanager
@@ -414,7 +439,7 @@ def _worker_pool(items, threads: int):
     if workers <= 1:
         yield lambda fn: [fn(item) for item in items]
         return
-    _one_malloc_arena()
+    _malloc_policy(False)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield lambda fn: list(pool.map(fn, items))
 

@@ -1,8 +1,11 @@
 import csv
 import json
 import os
+import re
 import shutil
 import stat
+import subprocess
+import sys
 
 import weakref
 
@@ -262,6 +265,31 @@ class TestConfigFile:
         cfg.write_text("[1, 2, 3]")
         assert run("plan", "--model", model, "--calib", calib, "--config", str(cfg),
                    "--out", str(tmp_path / "o")) == 1
+
+
+def test_debug_logs_one_resource_line_per_command(workspace):
+    """STRUPRUNE_LOG=debug adds one stderr line with the command's getrusage
+    deltas; stdout and every artifact byte stay those of the info level."""
+    tmp, model, calib = workspace
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    runs = {}
+    for level in ("info", "debug"):
+        out = str(tmp / level)
+        env = dict(os.environ, STRUPRUNE_LOG=level, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "struprune.cli", "prune", "--model", model, "--calib", calib,
+             "--method", "softmax", "--sparsity", "0.4", "--threads", "2", "--out", out],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        runs[level] = (done.stdout.replace(out, "OUT"), dir_bytes(out), done.stderr.splitlines())
+    assert runs["info"][:2] == runs["debug"][:2]
+    assert not [line for line in runs["info"][2] if "resources:" in line]
+    lines = [line for line in runs["debug"][2] if "resources:" in line]
+    assert len(lines) == 1 and re.fullmatch(
+        r"DEBUG struprune: prune resources: wall \d+\.\d{3} s, user \d+\.\d{3} s, "
+        r"sys \d+\.\d{3} s, minflt \d+, maxrss \+\d+ kB \(\d+ kB\)", lines[0]), lines
 
 
 def test_verify_subcommand_passes(capsys):

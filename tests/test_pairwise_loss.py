@@ -220,6 +220,9 @@ def test_debug_log_splits_eval_loss(tmp_path):
     assert runs["info"][:2] == runs["debug"][:2]
     assert not [line for line in runs["info"][2] if line.startswith("DEBUG")]
     extra = [line for line in runs["debug"][2] if line.startswith("DEBUG")]
+    # cli.main's one resource line per command (tests/test_cli.py) aside
+    assert [line for line in extra if " resources: " in line] == [extra[-1]]
+    extra = extra[:-1]
     assert [line.split()[3:5] for line in extra] == [["0", "mha"], ["1", "ffn"], ["2", "mha"], ["3", "ffn"]], extra
     assert all(line.startswith("DEBUG struprune: layer ") for line in extra)
     assert any(line.startswith("INFO") for line in runs["info"][2])
