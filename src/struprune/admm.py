@@ -19,7 +19,7 @@ import numpy as np
 from .allocation import SparsityPlan, apply_masks, binarize_by_threshold, round_half_away
 from .errors import ParameterError, SingularSystemError, SolverError
 from .importance import unit_scores
-from .linalg import _cholesky, cho_solve, make_rng, relu, ridge_solve, row_softmax
+from .linalg import cho_solve, cholesky, make_rng, relu, ridge_solve, row_softmax
 from .model import (DEFAULT_AXES, FFN, MASK_BEARING, MATRIX_IO, ROW, UNIT_OWNER, ActivationCache, BlockActivations,
                     ToyModel, _row_blocks, _worker_pool, csv_text, unit_mask)
 
@@ -175,7 +175,7 @@ def ffn_update_activation(
     np.multiply(beta, act, out=act)
     np.add(rhs, act, out=rhs)
     del act  # freed before the solve copies rhs
-    factor = _cholesky(gram, f"activation update Gram matrix not positive definite at --beta {beta:g}")
+    factor = cholesky(gram, f"activation update Gram matrix not positive definite at --beta {beta:g}")
     return cho_solve(factor, rhs)
 
 

@@ -65,7 +65,10 @@ def _setup_logging():
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
     if level_name not in levels:
         raise CliValidationError(f"STRUPRUNE_LOG must be one of {sorted(levels)}, got {level_name!r}")
-    logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds the stderr handler only while the root logger has
+    # none, so the level goes on struprune's logger, set anew by each call.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(levels[level_name])
 
 
 @contextmanager
@@ -427,11 +430,9 @@ def cmd_memory(args) -> int:
 
 def cmd_verify(args) -> int:
     # Oracle machinery is test-path only; import it here, not at module load.
-    import scipy.linalg
-
     from . import oracle
     from .allocation import ClosedFormContext, binarize_by_threshold, unit_scores_closed_form
-    from .linalg import cho_solve, softmax_vec
+    from .linalg import cho_solve, cholesky, softmax_vec
 
     rng = make_rng(args.seed)
     failures = 0
@@ -516,10 +517,15 @@ def cmd_verify(args) -> int:
                 same &= np.array_equal(rec.product("w2", w2), w2 @ rec.array("a_pre"))
     check(f"sub-tiled w2 product matches the whole GEMM ({SUB_TILE_TOKENS}-token relu tiles)",
           same, "products differ")
-    # The GIL-free Cholesky solve against scipy's on this machine's LAPACK,
-    # at the shape of one FFN activation solve (512 x 2048).
+    # The GIL-free Cholesky factor and solve against scipy's on this
+    # machine's LAPACK, at the shape of one FFN activation solve (512 x 2048):
+    # the factor in values, both triangles and memory order.
     w = rng.normal(size=(512, 512))
-    factor = scipy.linalg.cho_factor(w.T @ w + np.eye(512), lower=True, check_finite=False)
+    gram = w.T @ w + np.eye(512)
+    factor = oracle.cholesky_reference(gram)
+    c, lower = cholesky(gram, "verify's Gram matrix not positive definite")
+    same = lower == factor[1] and c.strides == factor[0].strides and np.array_equal(c, factor[0])
+    check("linalg.cholesky matches scipy.linalg.cho_factor (512 x 512)", same, "factors differ")
     rhs = rng.normal(size=(512, 2048))
     same = np.array_equal(cho_solve(factor, rhs), oracle.cho_solve_reference(factor, rhs))
     check("GIL-free Cholesky solve matches scipy's (512 x 2048)", same, "solutions differ")

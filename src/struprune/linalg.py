@@ -2,15 +2,21 @@
 
 All kernels are pure functions over immutable inputs and are deterministic
 for a fixed BLAS thread count. Everything is 64-bit internally; 32-bit
-appears only at the file boundary (see model.py). scipy is imported on
-the first Cholesky factorization, not with this module, so commands that
-never factor never load it.
+appears only at the file boundary (see model.py). The Cholesky kernels
+call LAPACK dpotrf and dpotrs through the function pointers of scipy's
+extension module scipy.linalg.cython_lapack, which is loaded from its file
+on the first factorization or solve: commands that never factor never
+load scipy, and those that do never import the scipy.linalg package.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import threading
 
 import numpy as np
 
@@ -63,48 +69,83 @@ def ridge_solve(a: np.ndarray, b: np.ndarray, eps: float = 0.0) -> np.ndarray:
                 f"normal equations singular at eps=0 (cond={cond:.3e}); pass eps > 0"
             )
     rhs = a.T @ b
-    x = cho_solve(_cholesky(gram, "Cholesky factorization failed; pass eps > 0"), rhs)
+    x = cho_solve(cholesky(gram, "Cholesky factorization failed; pass eps > 0"), rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("ridge_solve produced non-finite entries; pass eps > 0")
     return x
 
 
-def _cholesky(gram: np.ndarray, failure: str) -> tuple[np.ndarray, bool]:
-    """scipy's lower Cholesky factor of gram; a gram that is not positive
-    definite raises SingularSystemError(failure)."""
-    import scipy.linalg  # on the first call; a dict lookup after that
+_INT_P, _DOUBLE_P, _CHAR_P = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double), ctypes.c_char_p
 
-    try:
-        return scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(failure) from exc
+# The LAPACK routines the kernels call, with their argument types.
+_LAPACK_ARGTYPES = {
+    # dpotrf(uplo, n, a, lda, info)
+    "dpotrf": (_CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P),
+    # dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
+    "dpotrs": (_CHAR_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P),
+}
 
-
-_INT_P, _DOUBLE_P = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+# Serializes the load of scipy.linalg.cython_lapack: a pool thread that
+# loads it while another one is still initialising it gets the module
+# half made, without its function-pointer table.
+_LAPACK_LOCK = threading.Lock()
 
 
 @functools.cache
-def _dpotrs():
-    """dpotrs(uplo, n, nrhs, a, lda, b, ldb, info), the LAPACK routine
-    scipy links, called through the function pointer
-    scipy.linalg.cython_lapack publishes and looked up on first use. A
-    ctypes CFUNCTYPE call releases the GIL for its duration, where scipy's
-    own wrappers hold it. Pool threads that miss the cache at once each
-    build an equal wrapper, so the lookup takes no lock."""
-    import scipy.linalg.cython_lapack
+def _cython_lapack():
+    """scipy.linalg.cython_lapack, loaded from its file without running
+    scipy/linalg/__init__.py (which imports all of scipy.linalg and, through
+    its array-API support, numpy.testing and numpy.f2py). Call it only with
+    _LAPACK_LOCK held."""
+    linalg_dir = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg.cython_lapack", [linalg_dir])
+    if spec is None:
+        raise ImportError(f"scipy.linalg.cython_lapack not found in {linalg_dir}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dpotrs"]
-    api, obj, name_p = ctypes.pythonapi, ctypes.py_object, ctypes.c_char_p
-    get_name = ctypes.PYFUNCTYPE(name_p, obj)(("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, name_p)(("PyCapsule_GetPointer", api))
-    argtypes = (name_p, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P)
-    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+@functools.cache
+def _lapack(name: str):
+    """The LAPACK routine name ("dpotrf" or "dpotrs") that scipy links, as a
+    ctypes function over the pointer scipy.linalg.cython_lapack publishes,
+    looked up on first use. A ctypes CFUNCTYPE call releases the GIL for its
+    duration, where scipy's own wrappers hold it. Pool threads that miss the
+    cache at once each build an equal wrapper; only the module load is locked."""
+    with _LAPACK_LOCK:
+        capsule = _cython_lapack().__pyx_capi__[name]
+    api, obj = ctypes.pythonapi, ctypes.py_object
+    get_name = ctypes.PYFUNCTYPE(_CHAR_P, obj)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, _CHAR_P)(("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *_LAPACK_ARGTYPES[name])(get_pointer(capsule, get_name(capsule)))
+
+
+def cholesky(gram: np.ndarray, failure: str) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of gram by LAPACK dpotrf, without holding the
+    GIL: the pair (c, True) that scipy.linalg.cho_factor(gram, lower=True,
+    check_finite=False) returns, bit for bit, since it factors the same
+    Fortran-ordered copy with the same routine. c's lower triangle is the
+    factor and its strict upper triangle keeps gram's entries. A gram that
+    is not positive definite raises SingularSystemError(failure)."""
+    c = np.array(gram, dtype=np.float64, order="F")
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise DimensionError(f"cholesky needs a square 2-D gram, got shape {c.shape}")
+    # LAPACK wants a leading dimension of at least 1, also for an empty gram.
+    dim, lead, info = ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, c.shape[0])), ctypes.c_int(0)
+    _lapack("dpotrf")(b"L", dim, c.ctypes.data_as(_DOUBLE_P), lead, info)
+    if info.value > 0:
+        raise SingularSystemError(failure)
+    if info.value < 0:
+        raise ParameterError(f"dpotrf rejected argument {-info.value}")
+    return c, True
 
 
 def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
-    """Solve A X = b from factor = scipy.linalg.cho_factor(A) with LAPACK
-    dpotrs, the routine scipy's cho_solve calls, without holding the GIL,
-    so solves on worker threads overlap.
+    """Solve A X = b from factor = cholesky(A, ...), or any factor of
+    scipy.linalg.cho_factor's form, with LAPACK dpotrs, the routine scipy's
+    cho_solve calls, without holding the GIL, so solves on worker threads
+    overlap.
 
     Solves in a new Fortran-ordered copy of b, which it returns: bit for
     bit what scipy's cho_solve(factor, b, check_finite=False) returns. A
@@ -123,7 +164,7 @@ def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
     # LAPACK wants leading dimensions of at least 1, also for an empty system.
     dim, lead, info = ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, c.shape[0])), ctypes.c_int(0)
     c_data, x_data = c.ctypes.data_as(_DOUBLE_P), x.ctypes.data_as(_DOUBLE_P)
-    _dpotrs()(b"L" if lower else b"U", dim, ctypes.c_int(x.shape[1]), c_data, lead, x_data, lead, info)
+    _lapack("dpotrs")(b"L" if lower else b"U", dim, ctypes.c_int(x.shape[1]), c_data, lead, x_data, lead, info)
     if info.value != 0:
         raise ParameterError(f"dpotrs rejected argument {-info.value}")
     return x

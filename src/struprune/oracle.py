@@ -345,6 +345,11 @@ def l0_gates_reference(w, x_in, target, n_samples, rng, steps=200, lam=1e-2, lr=
     return 1.0 / (1.0 + np.exp(-theta))
 
 
+def cholesky_reference(gram):
+    """linalg.cholesky through scipy's own LAPACK wrapper."""
+    return scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+
+
 def cho_solve_reference(factor, b):
     """linalg.cho_solve through scipy's own LAPACK wrapper."""
     return scipy.linalg.cho_solve(factor, b, check_finite=False)
@@ -354,8 +359,7 @@ def ffn_update_activation_reference(w_next, z_next_pre, z, alpha, beta):
     n = w_next.shape[1]
     gram = alpha * (w_next.T @ w_next) + beta * np.eye(n)
     rhs = alpha * (w_next.T @ z_next_pre) + beta * relu(z)
-    factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    return cho_solve_reference(factor, rhs)
+    return cho_solve_reference(cholesky_reference(gram), rhs)
 
 
 def ffn_update_output_reference(w1_eff, input_pre, a, z_prev, alpha, beta):

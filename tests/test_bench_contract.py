@@ -16,9 +16,6 @@ import pytest
 
 WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
 
-# The tracer records scipy.linalg.cho_factor under this name.
-CHOLESKY_ALIAS = "linalg.cholesky"
-
 
 def _load_workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
@@ -35,7 +32,7 @@ def _traced_functions() -> set[str]:
     names = {f for *_, funcs in WORKLOADS.LAYER_METRICS for f in funcs}
     for workload in WORKLOADS.WORKLOADS.values():
         names |= {key.split(">")[-1] for key in WORKLOADS.expected_counts(workload)}
-    return names - {CHOLESKY_ALIAS}
+    return names
 
 
 @pytest.mark.parametrize("name", sorted(_traced_functions()))

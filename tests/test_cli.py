@@ -6,7 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
-
+import textwrap
 import weakref
 
 import numpy as np
@@ -290,6 +290,34 @@ def test_debug_logs_one_resource_line_per_command(workspace):
     assert len(lines) == 1 and re.fullmatch(
         r"DEBUG struprune: prune resources: wall \d+\.\d{3} s, user \d+\.\d{3} s, "
         r"sys \d+\.\d{3} s, minflt \d+, maxrss \+\d+ kB \(\d+ kB\)", lines[0]), lines
+
+
+def test_each_main_call_applies_its_own_log_level(tmp_path):
+    """Two cli.main calls in one process, at error and then at debug: the
+    second logs its resource line although the first one set logging up
+    already; stdout and the artifact bytes are those of the first call."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = textwrap.dedent("""
+        import os, sys
+        from struprune.cli import main
+        for level in ("error", "debug"):
+            os.environ["STRUPRUNE_LOG"] = level
+            out = os.path.join(sys.argv[1], level)
+            assert main(["memory", "--out", out]) == 0
+            print("---", flush=True)
+            print("---", file=sys.stderr, flush=True)
+    """)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    stdout = done.stdout.split("---\n")
+    stderr = done.stderr.split("---\n")
+    assert stdout[0].replace(str(tmp_path / "error"), "OUT") == stdout[1].replace(str(tmp_path / "debug"), "OUT")
+    assert dir_bytes(str(tmp_path / "error")) == dir_bytes(str(tmp_path / "debug"))
+    assert stderr[0] == ""
+    assert re.fullmatch(r"DEBUG struprune: memory resources: wall .*\n", stderr[1]), stderr[1]
 
 
 def test_verify_subcommand_passes(capsys):

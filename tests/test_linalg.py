@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from struprune.errors import DimensionError, ParameterError, SingularSystemError
-from struprune.linalg import cho_solve, make_rng, relu, ridge_solve, row_softmax, softmax_vec
+from struprune.linalg import cho_solve, cholesky, make_rng, relu, ridge_solve, row_softmax, softmax_vec
 
 from conftest import assert_close
 
@@ -74,6 +74,16 @@ def _spd_factor(rng, n, lower=True):
     return scipy.linalg.cho_factor(a @ a.T + n * np.eye(n), lower=lower, check_finite=False)
 
 
+def _gram_layouts(rng, n):
+    """One positive definite gram, C-ordered, Fortran-ordered and as a
+    view that strides over every other column of a wider array."""
+    a = rng.normal(size=(n, n))
+    gram = a @ a.T + n * np.eye(n)
+    wide = np.zeros((n, 2 * n))
+    wide[:, ::2] = gram
+    return gram, np.asfortranarray(gram), wide[:, ::2]
+
+
 def _max_tick_gap(solve) -> tuple[float, float]:
     """Run solve() on a worker thread while this thread ticks every
     millisecond; return the longest gap between two ticks and the solve's
@@ -102,13 +112,39 @@ class TestChoSolve:
     def test_bits_match_scipy(self, n, nrhs):
         rng = make_rng(n + nrhs)
         b = rng.normal(size=(n, 2 * nrhs))
-        for lower in (True, False):
-            factor = _spd_factor(rng, n, lower)
-            for rhs in (b[:, :nrhs].copy(), np.asfortranarray(b[:, :nrhs]), b[:, ::2]):
+        rows_strided = np.repeat(b[:, :nrhs], 2, axis=0)[::2]
+        factors = [_spd_factor(rng, n, lower) for lower in (True, False)]
+        factors.append(cholesky(_gram_layouts(rng, n)[2], "unused"))
+        for factor in factors:
+            for rhs in (b[:, :nrhs].copy(), np.asfortranarray(b[:, :nrhs]), b[:, ::2], rows_strided):
                 x = cho_solve(factor, rhs)
                 ref = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
                 assert np.array_equal(x, ref)
                 assert x.flags.f_contiguous and x.shape == ref.shape
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 64, 512])
+    def test_cholesky_bits_match_scipy(self, n):
+        # The factor in values, both triangles and memory order, from each
+        # layout of the gram, which it leaves unchanged.
+        rng = make_rng(1000 + n)
+        for gram in _gram_layouts(rng, n):
+            before = gram.copy()
+            c, lower = cholesky(gram, "unused")
+            ref_c, ref_lower = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+            assert lower is True and ref_lower is True
+            assert np.array_equal(c, ref_c) and np.array_equal(gram, before)
+            assert c.strides == ref_c.strides and c.flags.f_contiguous
+
+    @pytest.mark.parametrize("gram", [-np.eye(3), np.ones((3, 3)), np.array([[1.0, 2.0], [2.0, 1.0]])],
+                             ids=["negative", "singular", "indefinite"])
+    def test_cholesky_not_positive_definite_raises_callers_message(self, gram):
+        with pytest.raises(SingularSystemError, match=r"^no factor at --beta 2\.5$"):
+            cholesky(gram, "no factor at --beta 2.5")
+
+    def test_cholesky_needs_a_square_matrix(self):
+        for gram in (np.ones((3, 2)), np.ones(4)):
+            with pytest.raises(DimensionError):
+                cholesky(gram, "unused")
 
     def test_rhs_left_unchanged(self, rng):
         factor = _spd_factor(rng, 16)
