@@ -554,9 +554,9 @@ def run_outer_loop(
     blocks the one that fails at the smallest (iteration, layer) raises,
     as it would in a sequential sweep over iterations.
 
-    A lean cache (capture_reference_activations(..., lean=True)) gives
-    the same result: each block's pool job rebuilds its record's products
-    for the block's outer iteration 1.
+    A lean cache (capture_reference_activations under a "lean"
+    CapturePolicy) gives the same result: each block's pool job rebuilds
+    its record's products for the block's outer iteration 1.
 
     The call consumes the cache: each block's record is released
     (cache.blocks[layer] = None) when that block's solve ends, also when

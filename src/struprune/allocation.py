@@ -78,8 +78,9 @@ class ClosedFormContext:
 def closed_form_context(model: ToyModel, cache: ActivationCache, layer: int, matrix: str) -> ClosedFormContext:
     """Build the per-unit context for one mask-bearing matrix from model
     state, averaging the bracketed products over calibration tokens. The
-    products on the frozen inputs come from the cache when the matrix's
-    rows are dense rows or zero (BlockActivations.product).
+    averages come from the dense products' row means, a record statistic
+    that capture may take before it drops the products, when the matrix's
+    rows are dense rows or zero (BlockActivations.row_means).
 
     The coupling term d needs a downstream matrix acting on this matrix's
     output units; that product only conforms on a square chain, so it is
@@ -90,10 +91,10 @@ def closed_form_context(model: ToyModel, cache: ActivationCache, layer: int, mat
     rec = cache.blocks[layer]
     if matrix not in MASK_BEARING[block.kind]:
         raise ParameterError(f"matrix {matrix!r} carries no unit mask on a {block.kind} block")
-    c = rec.product(matrix, block.matrices[matrix]).mean(axis=1)
+    c = rec.row_means(matrix, block.matrices[matrix])
     b = c.copy()  # the teacher is the matrix itself: the same product
     if block.kind == FFN and matrix == "w1" and model.arch.ffn_dim == model.arch.d:
-        return ClosedFormContext(b, c, rec.product("w2", block.w2).mean(axis=1), rec.out_pre.mean(axis=1))
+        return ClosedFormContext(b, c, rec.row_means("w2", block.w2), rec.out_pre.mean(axis=1))
     return ClosedFormContext(b, c, np.zeros(b.size), np.zeros(b.size))
 
 

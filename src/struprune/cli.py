@@ -28,11 +28,15 @@ from .importance import layer_importance
 from .linalg import make_rng
 from .model import (
     FFN,
+    FULL,
+    MASK_BEARING,
     MATRIX_IO,
     REBUILT,
     SUB_TILE_TOKENS,
+    CapturePolicy,
     ModelArch,
     _malloc_policy,
+    _masked_rows,
     capture_reference_activations,
     generate_toy_model,
     load_calibration,
@@ -260,13 +264,37 @@ def _wanda_importances(model, cache) -> list[float]:
     return [li.value for li in layer_importance(model, cache, "wanda-sum")]
 
 
-def _load_inputs(args, lean: bool = False):
-    """The model and its frozen reference on the calibration set; only
-    capture reads the calibration set, so it is freed when capture ends."""
+def _load_inputs(args, policy: CapturePolicy = FULL):
+    """The model and its frozen reference on the calibration set, as
+    `policy` keeps it; only capture reads the calibration set, so it is
+    freed when capture ends."""
     model = load_model(args.model)
     cache = capture_reference_activations(model, load_calibration(args.calib), threads=args.threads,
-                                          lean=lean)
+                                          policy=policy)
     return model, cache
+
+
+# The unit criteria that read a record only through statistics: wanda the
+# col_l1 of the inputs; closed-form, whose one-shot masks come from the
+# closed-form context, the row means of the products; magnitude reads the
+# weights alone.
+STATISTICS_CRITERIA = ("wanda", "magnitude", "closed-form")
+
+
+def _plan_statistics(method: str) -> tuple[str, ...]:
+    """The record statistics that _make_plan and the unit criterion read
+    under `method`: col_l1 (the wanda importances and criterion) and, for
+    a closed-form plan, the row means of the products."""
+    return ("col_l1",) + ("row_means",) * (method == "closed-form")
+
+
+def _one_shot_policy(method: str) -> CapturePolicy:
+    """What plan and prune capture: lean records with the statistics of
+    _plan_statistics when the unit criterion of `method` reads nothing
+    else, else every array (snip and l0 read the products)."""
+    if allocation.unit_criterion(method) in STATISTICS_CRITERIA:
+        return CapturePolicy("lean", _plan_statistics(method))
+    return FULL
 
 
 def cmd_gen(args) -> int:
@@ -298,7 +326,7 @@ def _make_plan(args, model, cache):
 def cmd_plan(args) -> int:
     from .importance import block_unit_scores, export_scores_csv
 
-    model, cache = _load_inputs(args)
+    model, cache = _load_inputs(args, _one_shot_policy(args.method))
     plan = _make_plan(args, model, cache)
     write_atomic(os.path.join(args.out, "plan.csv"), allocation.export_plan_csv(plan).encode())
     criterion = allocation.unit_criterion(args.method)
@@ -316,10 +344,12 @@ def cmd_plan(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    model, cache = _load_inputs(args)
     if args.method == "closed-form":
+        # The global masks read the row means alone.
+        model, cache = _load_inputs(args, CapturePolicy("lean", ("row_means",)))
         masks, plan = allocation.global_closed_form_masks(model, cache, args.sparsity)
     else:
+        model, cache = _load_inputs(args, _one_shot_policy(args.method))
         plan = _make_plan(args, model, cache)
         masks = allocation.build_masks(
             model, cache, plan, allocation.unit_criterion(args.method), make_rng(args.seed)
@@ -334,7 +364,7 @@ def cmd_prune(args) -> int:
 def cmd_admm(args) -> int:
     # Lean records: a block's products are alive only while the forward
     # or the block's outer iteration 1 reads them.
-    model, cache = _load_inputs(args, lean=True)
+    model, cache = _load_inputs(args, CapturePolicy("lean", _plan_statistics(args.method)))
     plan = _make_plan(args, model, cache)
     cfg = SolverConfig(
         alpha=args.alpha,
@@ -357,14 +387,22 @@ def cmd_admm(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    import time
+def _row_masked(pruned, dense) -> bool:
+    """Whether each mask-bearing matrix of pruned keeps every row of the
+    dense model's or zeroes it, block for block: then the loss reads its
+    row-unit terms from statistics (evaluation._row_term)."""
+    return [b.kind for b in pruned.blocks] == [b.kind for b in dense.blocks] and all(
+        _masked_rows(p.matrices[m], d.matrices[m]) is not None
+        for p, d in zip(pruned.blocks, dense.blocks) for m in MASK_BEARING[d.kind])
 
+
+def cmd_eval(args) -> int:
     started = time.perf_counter()
     pruned = load_model(args.model)
     dense = load_model(args.dense)
     calib = load_calibration(args.calib)
-    cache = capture_reference_activations(dense, calib, threads=args.threads)
+    policy = CapturePolicy("loss", ("energies",)) if _row_masked(pruned, dense) else FULL
+    cache = capture_reference_activations(dense, calib, threads=args.threads, policy=policy)
     loss = evaluation.total_reconstruction_loss(
         pruned, cache, alpha=args.alpha, threads=args.threads
     )
@@ -396,7 +434,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    model, cache = _load_inputs(args)
+    model, cache = _load_inputs(args, CapturePolicy("loss", ("col_l1", "energies")))
     grid = args.t_grid
     if grid is None:
         grid = allocation.default_temperature_grid(_wanda_importances(model, cache))
@@ -495,7 +533,7 @@ def cmd_verify(args) -> int:
     # Lean records (admm's) form those products one tile after another in
     # one thread, for a read while absent (here with zero rows) and for a
     # block's outer iteration 1.
-    lean = capture_reference_activations(model, calib, threads=2, lean=True)
+    lean = capture_reference_activations(model, calib, threads=2, policy=CapturePolicy("lean", ("col_l1",)))
     same = True
     for block, rec, full in zip(model.blocks, lean.blocks, cache.blocks):
         for m in REBUILT[rec.kind]:
@@ -540,6 +578,15 @@ def cmd_verify(args) -> int:
             got = evaluation._sq_residual(target, *products)
             same &= got == oracle.sq_residual_reference(target, *products)
     check("blockwise loss sums match np.sum (37 x 4099, 301 x 1001)", same, "sums differ")
+    # The row-unit loss terms of a row-masked model summed from one sum
+    # per row against np.sum of the plain expressions, on the T = 3040
+    # fixture, whose pairwise tree splits at row boundaries.
+    masks = {i: {m: rng.random(block.matrices[m].shape[0]) < 0.6 for m in MASK_BEARING[block.kind]}
+             for i, block in enumerate(model.blocks)}
+    pruned = allocation.apply_masks(model, masks)
+    got = evaluation.total_reconstruction_loss(pruned, cache).per_layer
+    want = oracle.total_reconstruction_loss_reference(pruned, cache).per_layer
+    check("row-unit loss terms from row sums match np.sum (T=3040)", got == want, "sums differ")
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing check(s)")
     return 0 if failures == 0 else 1
 

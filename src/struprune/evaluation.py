@@ -21,6 +21,7 @@ from .model import (
     FFN,
     MASK_BEARING,
     MHA,
+    ROW_TERMS,
     ActivationCache,
     CalibrationSet,
     FfnBlock,
@@ -28,6 +29,7 @@ from .model import (
     _consensus,
     _dense_forward,
     _pairwise_sum,
+    _row_pairwise_sum,
     _tiled_product,
     _token_tiles,
     _worker_pool,
@@ -62,16 +64,18 @@ def total_reconstruction_loss(
     weights act identically to the dense ones on the calibration support.
 
     The per-block losses are computed on a pool of `threads` workers and
-    summed in block order. Every product is read through
+    summed in block order, each with the bits of np.sum of the plain
+    expressions (oracle.total_reconstruction_loss_reference). The
+    row-unit terms (up, qk, val) of a masked model, whose pruned rows
+    are zero and the others dense, are summed from one statistic per
+    row (_row_term), when numpy's pairwise tree over the residual splits
+    no row. Every other term reads its products through
     BlockActivations.product_rows: from the cache when each pruned row is
-    the dense row or zero (the row-unit products w1, wq, wk, wv of a
-    masked model), else a GEMM (the column-masked w2 and wo, w2's over
-    relu sub-tiles). No
-    residual is built whole: each squared residual is summed a leaf of
-    numpy's pairwise tree at a time (model._pairwise_sum) in a leaf-sized
-    buffer, the MHA consensus target derived there, with the bits of
-    np.sum of the plain expressions
-    (oracle.total_reconstruction_loss_reference).
+    the dense row or zero, else a GEMM (the column-masked w2 and wo,
+    w2's over relu sub-tiles). No residual is built whole: each squared
+    residual is summed a leaf of numpy's pairwise tree at a time
+    (model._pairwise_sum) in a leaf-sized buffer, the MHA consensus
+    target derived there.
     """
     if [b.kind for b in model_pruned.blocks] != [rec.kind for rec in cache.blocks]:
         raise ParameterError("pruned model and activation cache disagree on block layout")
@@ -94,14 +98,32 @@ def _block_terms(pb, rec) -> tuple[float, ...]:
     """The unscaled sums of a block's squared residuals: (up, down) for
     FFN, (qk, val, out) for MHA."""
     if isinstance(pb, FfnBlock):
-        up = _sq_residual(rec.z_pre, rec.product_rows("w1", pb.w1))
+        up = _row_term(pb, rec, "up", lambda: _sq_residual(rec.z_pre, rec.product_rows("w1", pb.w1)))
         down = _sq_residual(rec.out_pre, rec.product_rows("w2", pb.w2))
         return up, down
-    qk = _sq_residual(_flat_reader(rec, "z_pre"), rec.product_rows("wq", pb.wq),
-                      rec.product_rows("wk", pb.wk))
-    val = _sq_residual(rec.a_attn_pre, rec.product_rows("wv", pb.wv))
+    qk = _row_term(pb, rec, "qk", lambda: _sq_residual(
+        _flat_reader(rec, "z_pre"), rec.product_rows("wq", pb.wq), rec.product_rows("wk", pb.wk)))
+    val = _row_term(pb, rec, "val", lambda: _sq_residual(rec.a_attn_pre, rec.product_rows("wv", pb.wv)))
     out = _sq_residual(rec.out_pre, rec.product_rows("wo", pb.wo))
     return qk, val, out
+
+
+def _row_term(pb, rec, term: str, leafwise):
+    """The row-unit loss term `term` (model.ROW_TERMS) of pruned block pb:
+    from the record's row energies when every row of each of the term's
+    matrices is its dense row or zero (BlockActivations.masked_rows) and
+    the energies give the term bit for bit (row_energies), numpy's
+    pairwise tree summed over one value per row (model._row_pairwise_sum);
+    else leafwise(), the sum of the residual a leaf at a time."""
+    zeros = [rec.masked_rows(m, pb.matrices[m]) for m in ROW_TERMS[rec.kind][term]]
+    energies = None if any(z is None for z in zeros) else rec.row_energies(term)
+    if energies is None:
+        return leafwise()
+    # Pattern c of a row has bit i set when matrix i zeroes it; row c - 1
+    # of energies holds it, and a kept row (pattern 0) adds +0.0.
+    pattern = sum(z.astype(np.intp) << i for i, z in enumerate(zeros))
+    values = np.where(pattern > 0, energies[pattern - 1, np.arange(pattern.size)], 0.0)
+    return _row_pairwise_sum(values, rec.out_pre.shape[1])
 
 
 def _flat_reader(rec, name: str):

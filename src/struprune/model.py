@@ -73,6 +73,18 @@ DERIVED = {
 # matrices (BlockActivations.rebuild_products).
 REBUILT = {FFN: ("w1",), MHA: ("wq", "wk", "wv")}
 
+# The row-unit terms of the reconstruction loss (evaluation.LOSS_TERMS),
+# by block kind: each compares the product of its matrices (the consensus
+# of two) with the dense one, so a pruned row's residual is a function
+# of the dense products alone and a kept row's is +0.0
+# (BlockActivations.row_energies).
+ROW_TERMS = {FFN: {"up": ("w1",)}, MHA: {"qk": ("wq", "wk"), "val": ("wv",)}}
+
+# The stored arrays a "loss" capture keeps (CapturePolicy): the inputs
+# and targets of the column-unit loss terms (w2, wo), whose products the
+# loss forms by GEMM, and the next block's input.
+LOSS_HELD = {FFN: ("z_pre", "out_pre"), MHA: ("a_attn_pre", "out_pre")}
+
 ROW = "row"
 COL = "col"
 
@@ -339,11 +351,17 @@ def _token_tiles(n_tokens: int, width: int = TILE_TOKENS) -> list[slice]:
 ROW_BLOCK = 64
 
 
-def _row_blocks(n: int):
-    """Slices of ROW_BLOCK consecutive rows covering range(n). A per-row
+def _row_blocks(n: int, height: int = ROW_BLOCK):
+    """Slices of `height` consecutive rows covering range(n). A per-row
     sum (or an elementwise op) taken a block at a time gives the bits of
     the whole-array one, without a full-size temporary."""
-    return (slice(i, i + ROW_BLOCK) for i in range(0, n, ROW_BLOCK))
+    return (slice(i, i + height) for i in range(0, n, height))
+
+
+# Bytes of a row block of a record statistic (BlockActivations._row_stat),
+# and so of each temporary that one of its jobs holds: as many rows as
+# fit, at least one.
+STAT_BLOCK_BYTES = 1 << 20
 
 
 # np.sum over a C-contiguous float64 array adds its flat elements
@@ -375,6 +393,34 @@ def _pairwise_node(lo: int, size: int, width: int, fill, scratch):
     half -= half % 8
     return (_pairwise_node(lo, half, width, fill, scratch)
             + _pairwise_node(lo + half, size - half, width, fill, scratch))
+
+
+def _row_pairwise_sum(row_sums: np.ndarray, cols: int) -> float | None:
+    """np.sum of a C-contiguous (len(row_sums), cols) float64 array, bit
+    for bit, from row_sums[i], the np.sum of its row i, alone; None when
+    some node of numpy's pairwise tree over the array (_pairwise_sum)
+    holds part of a row, or holds several rows in one unrolled loop of at
+    most 128 elements. A node of one row is that row's np.sum."""
+    return _row_node(row_sums, cols, 0, len(row_sums))
+
+
+def _row_node(row_sums, cols: int, lo: int, rows: int):
+    if rows == 1:
+        return float(row_sums[lo])
+    size = rows * cols
+    half = size // 2
+    half -= half % 8
+    if size <= 128 or half % cols:
+        return None
+    left = _row_node(row_sums, cols, lo, half // cols)
+    right = _row_node(row_sums, cols, lo + half // cols, rows - half // cols)
+    return None if left is None or right is None else left + right
+
+
+@functools.cache
+def _whole_row_tree(rows: int, cols: int) -> bool:
+    """Whether _row_pairwise_sum sums a (rows, cols) array."""
+    return _row_pairwise_sum(np.zeros(rows), cols) is not None
 
 
 # glibc's mallopt parameters: the trim threshold, the most chunks served
@@ -431,17 +477,24 @@ def _malloc_policy(keep_freed: bool) -> None:
 def _worker_pool(items, threads: int):
     """A runner: run(fn) calls fn on every item, on up to `threads`
     workers (in the calling thread when that is one), and returns the
-    results in item order once all have finished. The first exception in
-    item order propagates."""
+    results in item order once all have finished; run(fn, other) does
+    the same over the items of `other`, on the same workers. The first
+    exception in item order propagates."""
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     workers = min(threads, len(items))
     if workers <= 1:
-        yield lambda fn: [fn(item) for item in items]
+        yield lambda fn, over=items: _serial(fn, over)
         return
     _malloc_policy(False)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield lambda fn: list(pool.map(fn, items))
+        yield lambda fn, over=items: list(pool.map(fn, over))
+
+
+def _serial(fn, over):
+    """The runner of _worker_pool's signature that calls fn on each item
+    of `over` in the calling thread."""
+    return [fn(item) for item in over]
 
 
 def _tiled_product(w: np.ndarray, x: np.ndarray, run=None, fn=None) -> np.ndarray:
@@ -504,6 +557,16 @@ def _dense_forward(blocks, x: np.ndarray, seq_len: int, run):
         x = rec.out_pre
 
 
+def _masked_rows(w: np.ndarray, dense: np.ndarray) -> np.ndarray | None:
+    """Flags of the all-zero rows of w when every other row of w is the
+    row of `dense`, bit for bit, in an array of dense's dtype, shape and
+    layout; None for any other w."""
+    if w.dtype != dense.dtype or w.shape != dense.shape or w.strides != dense.strides:
+        return None
+    zero = ~np.any(w, axis=1)
+    return zero if np.all(zero | np.all(w == dense, axis=1)) else None
+
+
 @dataclass
 class BlockActivations:
     """Per-block record of the frozen dense reference: the arrays of
@@ -511,19 +574,21 @@ class BlockActivations:
     arrays of DERIVED[kind] are rebuilt from the stored ones by whoever
     reads them, in the part they read.
 
-    A lean record (capture with lean=True) holds the products of
-    REBUILT[kind] only between rebuild_products and release_products,
-    and the col_l1 statistics of every matrix input always. A product
-    read while it is absent is formed like any other that the record
-    does not hold (product_rows), which needs the product's input stored.
+    Capture drops some stored arrays under its CapturePolicy, after it
+    has taken the statistics their readers need. A lean record holds the
+    products of REBUILT[kind] only between rebuild_products and
+    release_products. A product read while it is absent is formed like
+    any other that the record does not hold (product_rows), which needs
+    the product's input stored.
 
     `dense` holds the block's dense matrices that formed the frozen
-    products (read-only references, not copies). Input statistics of the
-    record's arrays (col_l1) are computed on first use, once per record,
-    also when pool threads ask for them at the same time."""
+    products (read-only references, not copies). Statistics of the
+    record's arrays (col_l1, row means, row_energies) are computed on
+    first use or by capture, once per record, also when pool threads ask
+    for them at the same time."""
 
     kind: str
-    input_pre: np.ndarray
+    input_pre: np.ndarray | None
     z_pre: np.ndarray | None
     a_pre: np.ndarray | None
     out_pre: np.ndarray
@@ -558,6 +623,27 @@ class BlockActivations:
             for matrix in REBUILT[self.kind]:
                 setattr(self, MATRIX_IO[matrix][1], None)
 
+    def keep(self, policy: "CapturePolicy", run=_serial) -> None:
+        """Take the statistics of `policy` on the workers of `run` (a
+        _worker_pool runner), then drop the stored arrays it lets go."""
+        if "col_l1" in policy.stats:
+            for x_name in dict.fromkeys(MATRIX_IO[m][0] for m in self.dense):
+                self.col_l1(x_name, run)
+        if "row_means" in policy.stats:
+            for matrix in MASK_BEARING[self.kind]:
+                self._dense_means(matrix, run)
+        # A block whose row-unit terms its energies give bit for bit
+        # (row_energies) no longer needs the arrays of their products.
+        exact = "energies" in policy.stats and all(
+            [self.row_energies(term, run) is not None for term in ROW_TERMS[self.kind]])
+        if policy.held == "lean":
+            self.lean = True
+            self.release_products()
+        elif policy.held == "loss" and exact:
+            for name in STORED[self.kind]:
+                if name not in LOSS_HELD[self.kind]:
+                    setattr(self, name, None)
+
     def derive(self, name: str, part=None, out=None) -> np.ndarray:
         """The derived array `name` (DERIVED[kind]), or the part of it that
         part(array) selects of each source array; written into out, or
@@ -577,19 +663,20 @@ class BlockActivations:
 
     def like(self, name: str) -> np.ndarray:
         """A stored array of the shape of array `name`: the array itself,
-        or the first source of a derived one."""
+        or the first source of a derived one. Raises CapabilityError when
+        capture has dropped it (CapturePolicy)."""
         derived = DERIVED[self.kind].get(name)
-        return getattr(self, name if derived is None else derived[0][0])
+        arr = getattr(self, name if derived is None else derived[0][0])
+        if arr is None:
+            raise CapabilityError(f"this {self.kind} record no longer holds what {name} is read from; "
+                                  "its capture policy dropped it")
+        return arr
 
-    def _row_parts(self, name: str):
-        """(rows, values) of array `name` for each _row_blocks slice: views
-        of a stored array; a derived one is derived a block at a time into
-        one buffer, which the next block overwrites."""
+    def _rows(self, name: str, r: slice) -> np.ndarray:
+        """Rows r of array `name`: a view of a stored array, or a derived
+        one derived into a fresh array."""
         x = self.like(name)
-        derived = name in DERIVED[self.kind]
-        buf = np.empty((min(ROW_BLOCK, x.shape[0]), x.shape[1])) if derived else None
-        for r in _row_blocks(x.shape[0]):
-            yield r, self.derive(name, lambda a: a[r], buf[:len(x[r])]) if derived else x[r]
+        return self.derive(name, lambda a: a[r]) if name in DERIVED[self.kind] else x[r]
 
     def product(self, matrix: str, w: np.ndarray) -> np.ndarray:
         """w @ x whole for the frozen input x of `matrix` (MATRIX_IO): read
@@ -619,56 +706,125 @@ class BlockActivations:
                     value = self.stats[key] = compute()
         return value
 
-    def col_l1(self, name: str) -> np.ndarray:
-        """Per-feature sum_t |x_jt| of the record's array `name` (e.g.
-        "input_pre"), the wanda input statistic; read-only."""
+    def _row_stat(self, key, source: str, fill, run=_serial, cases: tuple = ()) -> np.ndarray:
+        """Statistic `key`, memoised and read-only: an array of shape
+        (*cases, rows of array `source`) whose columns r fill(r, out)
+        writes, out being those columns, for each row block r of
+        _stat_blocks, on the workers of `run` (a _worker_pool runner). A
+        per-row sum taken a block at a time has the bits of the
+        whole-array one."""
 
         def compute():
-            sums = np.empty(self.like(name).shape[0])
-            for r, x in self._row_parts(name):
-                np.sum(np.abs(x), axis=1, out=sums[r])
-            sums.setflags(write=False)
-            return sums
+            stat = np.empty((*cases, self.like(source).shape[0]))
+            run(lambda r: fill(r, stat[..., r]), self._stat_blocks(source))
+            stat.setflags(write=False)
+            return stat
 
-        return self._memo(("col_l1", name), compute)
+        return self._memo(key, compute)
 
-    def _finite(self, name: str) -> bool:
-        return self._memo(("finite", name),
-                          lambda: all(np.isfinite(x).all() for _, x in self._row_parts(name)))
+    def _stat_blocks(self, name: str) -> list[slice]:
+        """The row blocks of array `name` that its statistics are taken
+        over, STAT_BLOCK_BYTES each."""
+        rows, cols = self.like(name).shape
+        return list(_row_blocks(rows, max(1, STAT_BLOCK_BYTES // (8 * cols))))
+
+    def col_l1(self, name: str, run=_serial) -> np.ndarray:
+        """Per-feature sum_t |x_jt| of the record's array `name` (e.g.
+        "input_pre"), the wanda input statistic; read-only."""
+        derived = name in DERIVED[self.kind]
+
+        def fill(r, out):
+            x = self._rows(name, r)
+            np.sum(np.abs(x, out=x if derived else None), axis=1, out=out)
+
+        return self._row_stat(("col_l1", name), name, fill, run)
+
+    def _finite(self, name: str, run=_serial) -> bool:
+        return self._memo(("finite", name), lambda: all(run(
+            lambda r: bool(np.isfinite(self._rows(name, r)).all()), self._stat_blocks(name))))
+
+    def _dense_means(self, matrix: str, run=_serial) -> np.ndarray:
+        """Row means over the tokens of the frozen dense product of
+        `matrix` (MATRIX_IO), the closed-form context's statistic."""
+        prod_name = MATRIX_IO[matrix][1]
+        return self._row_stat(("row_means", matrix), prod_name,
+                              lambda r, out: np.mean(self._rows(prod_name, r), axis=1, out=out), run)
+
+    def masked_rows(self, matrix: str, w: np.ndarray) -> np.ndarray | None:
+        """_masked_rows of w against the captured dense `matrix`."""
+        dense = self.dense.get(matrix)
+        return None if dense is None else _masked_rows(w, dense)
+
+    def row_means(self, matrix: str, w: np.ndarray) -> np.ndarray:
+        """(w @ x).mean(axis=1) for the frozen input x of `matrix`, bit for
+        bit, a fresh array: where product_rows reads the frozen product,
+        the dense product's row means (a statistic, which capture may
+        take before it drops the product) with the zero rows of w read as
+        +0.0; else the mean of the product."""
+        zero = self.masked_rows(matrix, w)
+        known = ("row_means", matrix) in self.stats or getattr(self, MATRIX_IO[matrix][1]) is not None
+        if zero is None or not known or (zero.any() and not self._finite(MATRIX_IO[matrix][0])):
+            return self.product(matrix, w).mean(axis=1)
+        return np.where(zero, 0.0, self._dense_means(matrix))
+
+    def row_energies(self, term: str, run=_serial) -> np.ndarray | None:
+        """Per-row sums over the tokens of the squared residual of the
+        row-unit loss term `term` (ROW_TERMS), for each pattern of pruned
+        rows whose other rows are dense: row c - 1 holds pattern c, which
+        has bit i set when the row of the term's matrix i is zero.
+
+        A pruned row's residual is the target row minus +0.0, or minus
+        half the other matrix's product row for a consensus row pruned in
+        one matrix (0.5 * (+0.0 + p) and 0.5 * p differ only in the sign
+        of a zero, which squaring drops); a kept row's is +0.0. So, summed
+        as np.sum(r * r, axis=1) is, these give the term's sum bit for bit
+        (evaluation) through _row_pairwise_sum. None when they cannot: the
+        tree splits a row, an input of the products is not finite (a zero
+        row would give NaN), or a sum is not finite (a kept row's residual
+        would be NaN)."""
+        matrices = ROW_TERMS[self.kind][term]
+        x_name, source = MATRIX_IO[matrices[0]]
+        rows = self.dense[matrices[0]].shape[0]
+        if not _whole_row_tree(rows, self.out_pre.shape[1]) or not self._finite(x_name, run):
+            return None
+        names = [MATRIX_IO[m][1] for m in matrices]
+
+        def fill(r, out):
+            prods = [self._rows(name, r) for name in names]
+            if len(prods) == 1:
+                np.sum(np.square(prods[0]), axis=1, out=out[0])
+                return
+            t, resid = _consensus(*prods), np.empty_like(prods[0])
+            for c, other in ((0, prods[1]), (1, prods[0])):
+                np.multiply(0.5, other, out=resid)
+                np.subtract(t, resid, out=resid)
+                np.sum(np.multiply(resid, resid, out=resid), axis=1, out=out[c])
+            np.sum(np.multiply(t, t, out=t), axis=1, out=out[2])
+
+        sums = self._row_stat(("energies", term), source, fill, run, cases=(2 ** len(names) - 1,))
+        return sums if np.isfinite(sums).all() else None
 
     def product_rows(self, matrix: str, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """w @ x for the frozen input x of `matrix` (MATRIX_IO), as a pair
         (array, zero): w @ x is `array` with the rows flagged in `zero`
         read as +0.0, or `array` itself when `zero` is None.
 
-        When every row of w equals the captured dense row or is all zero,
-        `array` is the frozen dense product (read-only) and `zero` flags
-        the zero rows of w, if there are any; this is bit for bit w @ x: a
-        GEMM row of a same-shaped, same-layout product depends only on its
-        own row of w, and an all-zero row on a finite input gives +0.0.
-        Any other w, and any w while the record does not hold the product
-        (a lean one), takes the GEMM (_gemm), a fresh array with `zero`
-        None."""
+        When every row of w equals the captured dense row or is all zero
+        (masked_rows), `array` is the frozen dense product (read-only) and
+        `zero` flags the zero rows of w, if there are any; this is bit for
+        bit w @ x: a GEMM row of a same-shaped, same-layout product
+        depends only on its own row of w, and an all-zero row on a finite
+        input gives +0.0. Any other w, and any w while the record does not
+        hold the product (a lean one), takes the GEMM (_gemm), a fresh
+        array with `zero` None."""
         x_name, prod_name = MATRIX_IO[matrix]
         frozen = getattr(self, prod_name)
-        dense = self.dense.get(matrix)
-        if (
-            dense is None
-            or frozen is None
-            or not frozen.flags.c_contiguous
-            or w.dtype != dense.dtype
-            or w.shape != dense.shape
-            or w.strides != dense.strides
-        ):
+        zero = None
+        if frozen is not None and frozen.flags.c_contiguous:
+            zero = self.masked_rows(matrix, w)
+        if zero is None or (zero.any() and not self._finite(x_name)):
             return self._gemm(matrix, w), None
-        zero = ~np.any(w, axis=1)
-        if not np.all(zero | np.all(w == dense, axis=1)):
-            return self._gemm(matrix, w), None
-        if not zero.any():
-            zero = None
-        elif not self._finite(x_name):
-            return self._gemm(matrix, w), None
-        return frozen, zero
+        return frozen, (zero if zero.any() else None)
 
 
 @dataclass
@@ -678,30 +834,63 @@ class ActivationCache:
     seq_len: int
 
 
+@dataclass(frozen=True)
+class CapturePolicy:
+    """What capture_reference_activations keeps of each record once the
+    dense forward has passed its block, and the statistics it takes
+    first, while the block's arrays are all alive (BlockActivations.keep).
+
+    held:
+    - "all": every stored array; a statistic is taken when first read.
+    - "lean": the records `admm` solves on (BlockActivations.lean): the
+      products of REBUILT go, to be rebuilt for the block's outer
+      iteration 1.
+    - "loss": what the loss of a row-masked model reads besides
+      statistics, LOSS_HELD: the other stored arrays of each block whose
+      row-unit terms its energies give bit for bit (row_energies) go
+      (MHA q_pre, k_pre and a_pre; every block's input_pre, so the model
+      input too); any other block keeps them for the leafwise sums. A
+      product of a row-unit matrix other than its dense rows or zero can
+      no longer be formed there.
+    stats: any of "col_l1" (of every matrix input), "row_means" (of every
+    mask-bearing product) and "energies" (of every row-unit loss term)."""
+
+    held: str = "all"
+    stats: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.held not in ("all", "lean", "loss"):
+            raise ParameterError(f"unknown capture policy {self.held!r}")
+        unknown = set(self.stats) - {"col_l1", "row_means", "energies"}
+        if unknown:
+            raise ParameterError(f"unknown capture statistics {sorted(unknown)}")
+
+
+FULL = CapturePolicy()
+
+
 def capture_reference_activations(
-    model: ToyModel, calib: CalibrationSet, threads: int = 1, lean: bool = False
+    model: ToyModel, calib: CalibrationSet, threads: int = 1, policy: CapturePolicy = FULL
 ) -> ActivationCache:
     """Dense forward pass, its token tiles on a pool of `threads`
     workers; freezes the reference values of STORED and the dense block
     matrices that formed them (marked read-only in place, not copied).
     The bytes are the same for every `threads`.
 
-    With lean=True each record is lean (BlockActivations): once the
-    forward has passed a block, its REBUILT products are dropped, after
-    the col_l1 statistics of its matrix inputs are taken, so no two
-    blocks' products are alive at once."""
-    x = calibration_input(model, calib)
+    Once the forward has passed a block, the record keeps what `policy`
+    says (CapturePolicy): its statistics are taken on the same workers,
+    a block of rows per job, and then the arrays it lets go are dropped,
+    so no two blocks' dropped arrays are alive at once."""
+    n_tokens = calib.n_samples * calib.seq_len
     records: list[BlockActivations] = []
-    with _worker_pool(_token_tiles(x.shape[1]), threads) as run:
-        for block, rec in zip(model.blocks, _dense_forward(model.blocks, x, calib.seq_len, run)):
+    with _worker_pool(_token_tiles(n_tokens), threads) as run:
+        # Only the first record holds the model input, so it can go.
+        forward = _dense_forward(model.blocks, calibration_input(model, calib), calib.seq_len, run)
+        for block, rec in zip(model.blocks, forward):
             rec.dense = dict(block.matrices)
             for arr in (*rec.frozen_arrays().values(), *rec.dense.values()):
                 arr.setflags(write=False)
-            if lean:
-                for matrix in rec.dense:
-                    rec.col_l1(MATRIX_IO[matrix][0])
-                rec.lean = True
-                rec.release_products()
+            rec.keep(policy, run)
             records.append(rec)
     return ActivationCache(records, calib.n_samples, calib.seq_len)
 

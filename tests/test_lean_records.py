@@ -1,4 +1,4 @@
-"""Lean records (capture with lean=True), which admm reads: a block's
+"""Lean records (capture under a "lean" CapturePolicy), which admm reads: a block's
 GEMM products are held only while the forward or the block's outer
 iteration 1 reads them, and every product read from a lean record has
 the bits of the full capture's array."""
@@ -15,8 +15,8 @@ from struprune.allocation import allocate_plan, uniform_plan
 from struprune.cli import main as cli_main
 from struprune.importance import layer_importance
 from struprune.linalg import make_rng
-from struprune.model import (MATRIX_IO, REBUILT, STORED, ModelArch, capture_reference_activations,
-                             generate_toy_model, make_calibration)
+from struprune.model import (MATRIX_IO, REBUILT, STORED, CapturePolicy, ModelArch,
+                             capture_reference_activations, generate_toy_model, make_calibration)
 
 ARCH = ModelArch(d=16, num_layers=2, num_heads=2)
 # (N, seq_len): T = 2560 makes two capture tiles of unequal width (2048 and
@@ -29,7 +29,7 @@ def caches(layout, calib_name):
     model = generate_toy_model(ARCH, make_rng(31), layout=layout)
     calib = make_calibration(ARCH, *CALIBS[calib_name], make_rng(32))
     full = capture_reference_activations(model, calib)
-    lean = capture_reference_activations(model, calib, threads=2, lean=True)
+    lean = capture_reference_activations(model, calib, threads=2, policy=CapturePolicy("lean", ("col_l1",)))
     return model, full, lean
 
 

@@ -1,7 +1,9 @@
 """The reconstruction loss sums each squared residual a leaf of numpy's
 pairwise tree at a time (model._pairwise_sum): the bits of np.sum of the
 plain expression, without a residual-sized temporary, and the same bits
-on every pool size.
+on every pool size. The row-unit terms of a row-masked model are summed
+over that tree from one statistic per row (evaluation._row_term), with
+the same bits.
 
 The d=16 fixtures fit in one leaf, so the property tests shrink the leaf
 to make the tree split."""
@@ -18,14 +20,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_toy
 from struprune import evaluation, oracle
 from struprune import model as model_module
 from struprune.allocation import apply_masks, build_masks, temperature_sweep, uniform_plan
 from struprune.cli import main
-from struprune.evaluation import _sq_residual, total_reconstruction_loss
+from struprune.evaluation import _flat_reader, _row_term, _sq_residual, total_reconstruction_loss
 from struprune.linalg import make_rng
 from struprune.model import (
     MASK_BEARING,
+    ROW_TERMS,
+    CapturePolicy,
     ModelArch,
     _pairwise_sum,
     capture_reference_activations,
@@ -131,6 +136,82 @@ def test_identical_bits_on_every_pool_size(seed, layout):
     assert loss[0] == loss[1] == loss[2]
     tables = [(best, plan.entries, table) for best, plan, table in sweep]
     assert tables[0] == tables[1] == tables[2]
+
+
+# The leafwise sums of the row-unit terms (evaluation._block_terms).
+LEAFWISE = {
+    "up": lambda pb, rec: _sq_residual(rec.z_pre, rec.product_rows("w1", pb.w1)),
+    "qk": lambda pb, rec: _sq_residual(_flat_reader(rec, "z_pre"), rec.product_rows("wq", pb.wq),
+                                       rec.product_rows("wk", pb.wk)),
+    "val": lambda pb, rec: _sq_residual(rec.a_attn_pre, rec.product_rows("wv", pb.wv)),
+}
+
+
+def row_masked(model, seed, kept):
+    """model with its row units zeroed, each mask-bearing matrix apart:
+    `kept` is the fraction of rows kept, or "all" or "none"."""
+    rng = make_rng(seed)
+    masks = {}
+    for i, block in enumerate(model.blocks):
+        masks[i] = {}
+        for name in MASK_BEARING[block.kind]:
+            rows = block.matrices[name].shape[0]
+            k = {"all": rows, "none": 0}.get(kept) if isinstance(kept, str) else round(kept * rows)
+            bits = np.zeros(rows, dtype=bool)
+            bits[rng.permutation(rows)[:k]] = True
+            masks[i][name] = bits
+    return apply_masks(model, masks)
+
+
+@pytest.mark.parametrize("kept", [0.7, 0.5, 0.3, "all", "none"])  # sparsity 0.3, 0.5, 0.7
+@pytest.mark.parametrize("layout", ["decoder", "ffn"])
+def test_row_terms_from_statistics_are_the_leafwise_sums(layout, kept):
+    model, calib, full = build_toy(layout)
+    # Statistics taken when first read, and taken by capture on two
+    # workers before it drops the products.
+    loss = capture_reference_activations(model, calib, threads=2,
+                                         policy=CapturePolicy("loss", ("energies",)))
+    for seed in range(4):
+        pruned = row_masked(model, seed, kept)
+        for pb, rec, lean in zip(pruned.blocks, full.blocks, loss.blocks):
+            for term in ROW_TERMS[rec.kind]:
+                want = LEAFWISE[term](pb, rec)
+                assert _row_term(pb, rec, term, lambda: None) == want, (term, seed)
+                assert _row_term(pb, lean, term, lambda: None) == want, (term, seed)
+        got = total_reconstruction_loss(pruned, loss)
+        ref = oracle.total_reconstruction_loss_reference(pruned, full)
+        assert (got.per_layer, got.total) == (ref.per_layer, ref.total)
+
+
+def test_row_split_takes_the_leafwise_path():
+    # T = 65: numpy's pairwise tree over a residual splits its rows.
+    model, _, cache = build_toy("decoder", n_samples=5, seq_len=13)
+    pruned = row_masked(model, 0, 0.5)
+    for pb, rec in zip(pruned.blocks, cache.blocks):
+        for term in ROW_TERMS[rec.kind]:
+            assert rec.row_energies(term) is None
+            assert _row_term(pb, rec, term, lambda: "leafwise") == "leafwise"
+    got = total_reconstruction_loss(pruned, cache)
+    ref = oracle.total_reconstruction_loss_reference(pruned, cache)
+    assert (got.per_layer, got.total) == (ref.per_layer, ref.total)
+
+
+@pytest.mark.parametrize("layout", ["decoder", "ffn"])
+def test_non_finite_input_takes_the_leafwise_path(layout):
+    model, calib, _ = build_toy(layout)
+    calib.inputs[0, 3, 5] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        cache = capture_reference_activations(model, calib, policy=CapturePolicy("loss", ("energies",)))
+        pruned = row_masked(model, 1, 0.5)
+        for pb, rec in zip(pruned.blocks, cache.blocks):
+            for term in ROW_TERMS[rec.kind]:
+                assert rec.row_energies(term) is None
+                assert _row_term(pb, rec, term, lambda: "leafwise") == "leafwise"
+            assert rec.input_pre is not None  # what the leafwise path reads stays
+        got = total_reconstruction_loss(pruned, cache)
+        ref = oracle.total_reconstruction_loss_reference(pruned, cache)
+    assert np.array_equal([v for _, _, v in got.per_layer], [v for _, _, v in ref.per_layer],
+                          equal_nan=True)
 
 
 # An FFN block whose ffn_dim x T residual is 8 MiB: 256 x 4096 float64.

@@ -1,0 +1,57 @@
+"""The peak memory of a one-shot stage run in process: capture drops
+what the stage reads only through statistics (model.CapturePolicy), and
+those bytes come off the stage's tracemalloc peak."""
+
+import contextlib
+import io
+import tracemalloc
+
+from conftest import STD_ARCH
+from struprune import cli
+
+# The decoder fixture's shapes (d = 16, 2 heads, ffn_dim 64) at 4 layers
+# on 8192 token ids: the arrays outweigh the process's small allocations,
+# and a token calibration set is small beside the d x T model input. Both
+# runs take the same statistics, with the same temporaries; the full one
+# takes them while it holds every array.
+LAYERS, MEMORY_N, MEMORY_SEQ = 4, 128, 64
+
+
+def _sweep_peak(tmp_path, monkeypatch, full: bool) -> int:
+    """tracemalloc peak of an in-process `sweep` (--threads 1); with full,
+    capture keeps every array, as a capture without a policy does."""
+    model, calib = str(tmp_path / "model"), str(tmp_path / "calib")
+    if full:
+        capture = cli.capture_reference_activations
+        monkeypatch.setattr(cli, "capture_reference_activations",
+                            lambda model, calib, threads=1, **_: capture(model, calib, threads))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["sweep", "--model", model, "--calib", calib, "--sparsity", "0.4",
+                             "--out", str(tmp_path / f"swept-{full}")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+
+
+def test_sweep_peak_drops_the_released_arrays(tmp_path, monkeypatch):
+    model, calib = str(tmp_path / "model"), str(tmp_path / "calib")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", "--d", str(STD_ARCH.d), "--layers", str(LAYERS),
+                         "--heads", str(STD_ARCH.num_heads), "--vocab", "32", "--seed", "101",
+                         "--out", model]) == 0
+        assert cli.main(["calibrate", "--model", model, "--n", str(MEMORY_N),
+                         "--seq-len", str(MEMORY_SEQ), "--kind", "tokens", "--seed", "202",
+                         "--out", calib]) == 0
+    _sweep_peak(tmp_path, monkeypatch, full=False)  # first-call imports and caches
+    full = _sweep_peak(tmp_path, monkeypatch, full=True)
+    lean = _sweep_peak(tmp_path, monkeypatch, full=False)
+    # Released: MHA q_pre, k_pre and a_pre, and the model input, all d x T.
+    d_by_t = STD_ARCH.d * MEMORY_N * MEMORY_SEQ * 8
+    released = (3 * LAYERS + 1) * d_by_t
+    assert lean <= full - released, f"peak {lean} B, full reference {full} B, released {released} B"
+    with open(tmp_path / "swept-True" / "sweep.csv", "rb") as a, \
+            open(tmp_path / "swept-False" / "sweep.csv", "rb") as b:
+        assert a.read() == b.read()
