@@ -12,6 +12,7 @@ run_outer_loop solves the blocks on a thread pool.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +23,8 @@ from .importance import unit_scores
 from .linalg import cho_solve, cholesky, make_rng, relu, ridge_solve, row_softmax
 from .model import (DEFAULT_AXES, FFN, MASK_BEARING, MATRIX_IO, ROW, UNIT_OWNER, ActivationCache, BlockActivations,
                     ToyModel, _row_blocks, _worker_pool, csv_text, unit_mask)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -364,16 +367,17 @@ def mha_grad_z(z, a, q_pre, k_pre, alpha, beta, head_scale, seg_len) -> np.ndarr
     return g
 
 
-def _descend(x0, obj, grad, steps, lr, label, layer, lipschitz=None):
+def _descend(x0, obj, grad, steps, lr, label, layer, iteration, lipschitz=None):
     """Plain gradient descent with a divergence guard: an objective blow-up
     beyond 10x the entry value aborts with the entry objective and the
     step and value of the blow-up. For a quadratic sub-solve, lipschitz()
     gives the gradient's Lipschitz constant L; it is evaluated only on
     that path, and 1/L is the suggested step size unless L overflows.
     grad must return a fresh array: the step x - lr * grad(x) is written
-    into it."""
+    into it. At debug level one line logs the objective at entry and at
+    exit, both values the descent computes anyway."""
     x = x0
-    start = obj(x0)
+    start = value = obj(x0)
     for step in range(1, steps + 1):
         g = grad(x)
         np.multiply(lr, g, out=g)
@@ -389,6 +393,8 @@ def _descend(x0, obj, grad, steps, lr, label, layer, lipschitz=None):
                 f"{label} sub-solve diverged at layer {layer} with --lr {lr:g} "
                 f"(objective trace: {start:.6g} at entry, {value:.6g} at step {step} of {steps}){hint}"
             )
+    log.debug("layer %d iteration %d %s sub-solve: objective %.6g at entry, %.6g at exit after %d steps",
+              layer, iteration, label, start, value, steps)
     return x
 
 
@@ -400,13 +406,12 @@ def mha_update(
     state: BlockState, rec: BlockActivations, cfg: SolverConfig, seg_len: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three sequential gradient sub-solves: a, then a_attn, then z.
-    The query and key branches share the single z iterate."""
+    The query and key branches share the single z iterate. Each sub-solve's
+    residual memo, and v, are released when it returns, and q_pre and
+    k_pre, read only by the z sub-solve, are formed after the attention
+    sub-solve, so the update holds only arrays a later phase reads."""
     wv = state.effective("wv")
     wo = state.effective("wo")
-    wq = state.effective("wq")
-    wk = state.effective("wk")
-    q_pre = wq @ rec.input_pre
-    k_pre = wk @ rec.input_pre
     resid_a = _Residual(state.a_attn, wv)
     a = _descend(
         state.a,
@@ -416,9 +421,11 @@ def mha_update(
         cfg.learning_rate,
         "activation",
         state.layer,
+        state.iteration,
         lambda: 2.0 * (cfg.alpha * _spectral_sq(wv) + cfg.beta),
     )
     state.a = a
+    resid_a = None
     v = wv @ a  # a is fixed in the attention sub-solve
     resid_o = _Residual(rec.out_pre, wo)
     a_attn = _descend(
@@ -429,9 +436,13 @@ def mha_update(
         cfg.learning_rate,
         "attention-activation",
         state.layer,
+        state.iteration,
         lambda: 2.0 * cfg.alpha * (_spectral_sq(wo) + 1.0),
     )
     state.a_attn = a_attn
+    v = resid_o = None
+    q_pre = state.effective("wq") @ rec.input_pre
+    k_pre = state.effective("wk") @ rec.input_pre
     z = _descend(
         state.z,
         lambda x: mha_obj_z(x, a, q_pre, k_pre, cfg.alpha, cfg.beta, state.head_scale, seg_len),
@@ -440,6 +451,7 @@ def mha_update(
         cfg.learning_rate,
         "output",
         state.layer,
+        state.iteration,
     )
     state.z = z
     return a, a_attn, z

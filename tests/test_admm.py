@@ -302,7 +302,7 @@ class TestMhaUpdate:
         obj = lambda x: float(np.sum(x * x))
         grad = lambda x: 2.0 * x
         with pytest.raises(SolverError, match="trace"):
-            _descend(x0, obj, grad, steps=10, lr=10.0, label="unit", layer=0)
+            _descend(x0, obj, grad, steps=10, lr=10.0, label="unit", layer=0, iteration=1)
 
 
 class TestRecoverWeights:

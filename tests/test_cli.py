@@ -267,29 +267,57 @@ class TestConfigFile:
                    "--out", str(tmp_path / "o")) == 1
 
 
-def test_debug_logs_one_resource_line_per_command(workspace):
-    """STRUPRUNE_LOG=debug adds one stderr line with the command's getrusage
-    deltas; stdout and every artifact byte stay those of the info level."""
-    tmp, model, calib = workspace
+def _runs_at_log_levels(tmp, *argv):
+    """The console entry point run in a fresh process at STRUPRUNE_LOG=info
+    and =debug, each writing to its own --out: per level, stdout (with the
+    out directory as OUT), the artifact bytes and the stderr lines."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     runs = {}
     for level in ("info", "debug"):
         out = str(tmp / level)
         env = dict(os.environ, STRUPRUNE_LOG=level, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        done = subprocess.run(
-            [sys.executable, "-m", "struprune.cli", "prune", "--model", model, "--calib", calib,
-             "--method", "softmax", "--sparsity", "0.4", "--threads", "2", "--out", out],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        done = subprocess.run([sys.executable, "-m", "struprune.cli", *argv, "--out", out],
+                              env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         runs[level] = (done.stdout.replace(out, "OUT"), dir_bytes(out), done.stderr.splitlines())
+    return runs
+
+
+def test_debug_logs_one_resource_line_per_command(workspace):
+    """STRUPRUNE_LOG=debug adds one stderr line with the command's getrusage
+    deltas; stdout and every artifact byte stay those of the info level."""
+    tmp, model, calib = workspace
+    runs = _runs_at_log_levels(tmp, "prune", "--model", model, "--calib", calib,
+                               "--method", "softmax", "--sparsity", "0.4", "--threads", "2")
     assert runs["info"][:2] == runs["debug"][:2]
     assert not [line for line in runs["info"][2] if "resources:" in line]
     lines = [line for line in runs["debug"][2] if "resources:" in line]
     assert len(lines) == 1 and re.fullmatch(
         r"DEBUG struprune: prune resources: wall \d+\.\d{3} s, user \d+\.\d{3} s, "
         r"sys \d+\.\d{3} s, minflt \d+, maxrss \+\d+ kB \(\d+ kB\)", lines[0]), lines
+
+
+def test_debug_logs_each_mha_sub_solve(workspace):
+    """At STRUPRUNE_LOG=debug admm logs one line per MHA sub-solve with its
+    layer, outer iteration and the objective at entry and at exit; stdout
+    and every artifact byte stay those of the info level, which logs none."""
+    tmp, model, calib = workspace
+    runs = _runs_at_log_levels(tmp, "admm", "--model", model, "--calib", calib, "--method", "softmax",
+                               "--sparsity", "0.5", "--iters", "2", "--inner", "3", "--threads", "2")
+    assert runs["info"][:2] == runs["debug"][:2]
+    assert not [line for line in runs["info"][2] if "sub-solve" in line]
+    pattern = re.compile(r"DEBUG struprune\.admm: layer (\d+) iteration (\d+) (activation|attention-activation|output) "
+                         r"sub-solve: objective (\S+) at entry, (\S+) at exit after 3 steps")
+    lines = [line for line in runs["debug"][2] if "sub-solve" in line]
+    matches = [pattern.fullmatch(line) for line in lines]
+    assert all(matches), lines
+    # The decoder's MHA blocks are layers 0 and 2; the two blocks run on
+    # the pool at once, so only each block's own lines keep their order.
+    in_order = [(it, label) for it in (1, 2) for label in ("activation", "attention-activation", "output")]
+    for layer in (0, 2):
+        assert [(int(m[2]), m[3]) for m in matches if int(m[1]) == layer] == in_order, lines
+    assert len(matches) == 2 * len(in_order)
 
 
 def test_each_main_call_applies_its_own_log_level(tmp_path):

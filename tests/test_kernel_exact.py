@@ -211,7 +211,7 @@ def test_descend_step_matches_plain_update(mha_args):
     x = x0
     for _ in range(3):
         x = x - 0.01 * grad(x)
-    assert_same(_descend(x0, obj, grad, 3, 0.01, "unit", 0), x)
+    assert_same(_descend(x0, obj, grad, 3, 0.01, "unit", 0, 1), x)
 
 
 @pytest.fixture(params=LAYOUTS)
