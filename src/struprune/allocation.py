@@ -24,7 +24,7 @@ from .errors import ParameterError, SolverError
 from .evaluation import total_reconstruction_loss
 from .importance import LayerImportance, block_unit_scores, layer_importance
 from .linalg import softmax_vec
-from .model import FFN, MASK_BEARING, MHA, ActivationCache, ToyModel, _worker_pool, csv_text, unit_mask
+from .model import FFN, MASK_BEARING, MHA, ActivationCache, ToyModel, csv_text, unit_mask
 
 SPARSITY_CAP = 0.95
 
@@ -397,23 +397,20 @@ def temperature_sweep(
     alpha: float = 1.0,
     threads: int = 1,
 ) -> tuple[float, SparsityPlan, list[tuple[float, float]]]:
-    """Evaluate every temperature on a pool of `threads` workers: allocate,
-    mask by the allocator's unit_criterion, measure the total
-    reconstruction loss of the masked model. Returns the argmin
-    temperature (ties to the smallest), its plan, and the loss table."""
+    """Evaluate every temperature, one after another: allocate, mask by
+    the allocator's unit_criterion, measure the total reconstruction loss
+    of the masked model over its blocks on a pool of `threads` workers.
+    Returns the argmin temperature (ties to the smallest), its plan, and
+    the loss table. One masked model is alive at a time."""
     grid = [float(t) for t in grid]
     if not grid:
         raise ParameterError("temperature grid is empty")
-
-    def evaluate(temp: float) -> tuple[float, SparsityPlan]:
+    results = []
+    for temp in grid:
         plan = allocate_plan(model, cache, allocator, r_bar, temp, gamma, rho)
         masks = build_masks(model, cache, plan, unit_criterion(allocator))
-        pruned = apply_masks(model, masks)
-        loss = total_reconstruction_loss(pruned, cache, alpha=alpha).total
-        return loss, plan
-
-    with _worker_pool(grid, threads) as run:
-        results = [(temp, loss, plan) for temp, (loss, plan) in zip(grid, run(evaluate))]
+        loss = total_reconstruction_loss(apply_masks(model, masks), cache, alpha=alpha, threads=threads)
+        results.append((temp, loss.total, plan))
     best_temp, _, best_plan = min(results, key=lambda r: (r[1], r[0]))
     table = [(temp, loss) for temp, loss, _ in results]
     return best_temp, best_plan, table

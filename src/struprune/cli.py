@@ -587,6 +587,25 @@ def cmd_verify(args) -> int:
     got = evaluation.total_reconstruction_loss(pruned, cache).per_layer
     want = oracle.total_reconstruction_loss_reference(pruned, cache).per_layer
     check("row-unit loss terms from row sums match np.sum (T=3040)", got == want, "sums differ")
+    # The loss terms whose products are formed by GEMM (the column-masked
+    # w2 and wo, refit w1, wq and wv rows), summed a token tile at a time,
+    # against np.sum of the plain expressions: four tiles of 1536 and of
+    # 2048 tokens.
+    tiled = ModelArch(d=16, num_layers=2, num_heads=2, ffn_dim=64)
+    tiled_model = generate_toy_model(tiled, rng)
+    same = True
+    for n_samples in (96, 128):
+        tiled_cache = capture_reference_activations(tiled_model, make_calibration(tiled, n_samples, 64, rng))
+        masks = {i: {m: rng.random(block.matrices[m].shape[0]) < 0.6 for m in MASK_BEARING[block.kind]}
+                 for i, block in enumerate(tiled_model.blocks)}
+        pruned = allocation.apply_masks(tiled_model, masks)
+        for block in pruned.blocks:
+            for m in ("w1", "wq", "wv"):
+                if m in block.matrices:
+                    block.matrices[m][...] *= 1 + 1e-3
+        got = evaluation.total_reconstruction_loss(pruned, tiled_cache).per_layer
+        same &= got == oracle.total_reconstruction_loss_reference(pruned, tiled_cache).per_layer
+    check("tile-wise loss row sums match np.sum (T=6144, 8192)", same, "sums differ")
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing check(s)")
     return 0 if failures == 0 else 1
 

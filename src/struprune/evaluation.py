@@ -19,19 +19,23 @@ import numpy as np
 from .errors import CapabilityError, DimensionError, ParameterError
 from .model import (
     FFN,
+    DERIVED,
     MASK_BEARING,
     MHA,
     ROW_TERMS,
+    TILE_TOKENS,
     ActivationCache,
     CalibrationSet,
     FfnBlock,
     ToyModel,
     _consensus,
     _dense_forward,
+    _pairwise_node,
     _pairwise_sum,
     _row_pairwise_sum,
     _tiled_product,
     _token_tiles,
+    _whole_row_tree,
     _worker_pool,
     calibration_input,
     csv_text,
@@ -69,13 +73,14 @@ def total_reconstruction_loss(
     row-unit terms (up, qk, val) of a masked model, whose pruned rows
     are zero and the others dense, are summed from one statistic per
     row (_row_term), when numpy's pairwise tree over the residual splits
-    no row. Every other term reads its products through
-    BlockActivations.product_rows: from the cache when each pruned row is
-    the dense row or zero, else a GEMM (the column-masked w2 and wo,
-    w2's over relu sub-tiles). No residual is built whole: each squared
-    residual is summed a leaf of numpy's pairwise tree at a time
-    (model._pairwise_sum) in a leaf-sized buffer, the MHA consensus
-    target derived there.
+    no row. Every other term (_sq_term) reads its products from the
+    cache when each pruned row is the dense row or zero
+    (BlockActivations.frozen_rows), else forms them by GEMM (the
+    column-masked w2 and wo, w2's over relu sub-tiles, and refit rows),
+    a token tile at a time when that tree splits no row. No residual is
+    built whole: each squared residual is summed a tile or a leaf of
+    numpy's pairwise tree at a time (model._pairwise_sum), the MHA
+    consensus target derived there.
     """
     if [b.kind for b in model_pruned.blocks] != [rec.kind for rec in cache.blocks]:
         raise ParameterError("pruned model and activation cache disagree on block layout")
@@ -98,32 +103,75 @@ def _block_terms(pb, rec) -> tuple[float, ...]:
     """The unscaled sums of a block's squared residuals: (up, down) for
     FFN, (qk, val, out) for MHA."""
     if isinstance(pb, FfnBlock):
-        up = _row_term(pb, rec, "up", lambda: _sq_residual(rec.z_pre, rec.product_rows("w1", pb.w1)))
-        down = _sq_residual(rec.out_pre, rec.product_rows("w2", pb.w2))
-        return up, down
-    qk = _row_term(pb, rec, "qk", lambda: _sq_residual(
-        _flat_reader(rec, "z_pre"), rec.product_rows("wq", pb.wq), rec.product_rows("wk", pb.wk)))
-    val = _row_term(pb, rec, "val", lambda: _sq_residual(rec.a_attn_pre, rec.product_rows("wv", pb.wv)))
-    out = _sq_residual(rec.out_pre, rec.product_rows("wo", pb.wo))
-    return qk, val, out
+        up = _row_term(pb, rec, "up", lambda: _sq_term(rec, "z_pre", ("w1", pb.w1)))
+        return up, _sq_term(rec, "out_pre", ("w2", pb.w2))
+    qk = _row_term(pb, rec, "qk", lambda: _sq_term(rec, "z_pre", ("wq", pb.wq), ("wk", pb.wk)))
+    val = _row_term(pb, rec, "val", lambda: _sq_term(rec, "a_attn_pre", ("wv", pb.wv)))
+    return qk, val, _sq_term(rec, "out_pre", ("wo", pb.wo))
 
 
-def _row_term(pb, rec, term: str, leafwise):
+def _row_term(pb, rec, term: str, fallback):
     """The row-unit loss term `term` (model.ROW_TERMS) of pruned block pb:
     from the record's row energies when every row of each of the term's
     matrices is its dense row or zero (BlockActivations.masked_rows) and
     the energies give the term bit for bit (row_energies), numpy's
     pairwise tree summed over one value per row (model._row_pairwise_sum);
-    else leafwise(), the sum of the residual a leaf at a time."""
+    else fallback(), the sum of the residual (_sq_term)."""
     zeros = [rec.masked_rows(m, pb.matrices[m]) for m in ROW_TERMS[rec.kind][term]]
     energies = None if any(z is None for z in zeros) else rec.row_energies(term)
     if energies is None:
-        return leafwise()
+        return fallback()
     # Pattern c of a row has bit i set when matrix i zeroes it; row c - 1
     # of energies holds it, and a kept row (pattern 0) adds +0.0.
     pattern = sum(z.astype(np.intp) << i for i, z in enumerate(zeros))
     values = np.where(pattern > 0, energies[pattern - 1, np.arange(pattern.size)], 0.0)
     return _row_pairwise_sum(values, rec.out_pre.shape[1])
+
+
+def _sq_term(rec, target: str, *matrices) -> float:
+    """sum((target - p)^2) for the record's array `target` and p = w @ x
+    for the one (matrix, w) pair given, or the consensus 0.5 * (p1 + p2)
+    of two, x the frozen input of each matrix (MATRIX_IO): the bits of
+    np.sum of the plain expression.
+
+    When the record must form some product by GEMM (frozen_rows is None),
+    T % 8 == 0 and numpy's pairwise tree over the residual splits no row
+    (_whole_row_tree), each row's sum is taken a token tile at a time
+    (_tile_sums), so no product is whole. Otherwise the products are
+    read or formed whole and the residual summed a leaf at a time
+    (_sq_residual)."""
+    frozen = [rec.frozen_rows(m, w) for m, w in matrices]
+    rows, cols = rec.like(target).shape
+    if all(frozen) or cols % 8 or not _whole_row_tree(rows, cols):
+        products = [f or (rec._gemm(m, w), None) for f, (m, w) in zip(frozen, matrices)]
+        derived = target in DERIVED[rec.kind]
+        return _sq_residual(_flat_reader(rec, target) if derived else getattr(rec, target), *products)
+    row_sums = _pairwise_node(0, cols, TILE_TOKENS, lambda lo, hi: _tile_sums(
+        rec, target, frozen, matrices, slice(lo, hi)))
+    return _row_pairwise_sum(row_sums, cols)
+
+
+def _tile_sums(rec, target: str, frozen, matrices, t: slice) -> np.ndarray:
+    """The per-row sums of _sq_term's squared residual over the token
+    columns t, a node of numpy's pairwise tree over one row of at most
+    TILE_TOKENS tokens: np.sum(axis=1) of the tile, which is each row's
+    np.sum of it. A product the record holds is copied from the tile of
+    its frozen array, its zero rows set to +0.0; any other is the GEMM
+    over the tile (BlockActivations._gemm), whose bits are those of the
+    same columns of the whole GEMM at T % 8 == 0 (model.TILE_TOKENS)."""
+    prods = []
+    for f, (m, w) in zip(frozen, matrices):
+        if f is None:
+            prods.append(rec._gemm(m, w, t))
+            continue
+        prod = np.array(f[0][:, t])
+        if f[1] is not None:
+            prod[f[1]] = 0.0
+        prods.append(prod)
+    p = prods[0] if len(prods) == 1 else _consensus(*prods, out=prods[0])
+    derived = target in DERIVED[rec.kind]
+    np.subtract(rec.derive(target, lambda a: a[:, t]) if derived else getattr(rec, target)[:, t], p, out=p)
+    return np.sum(np.multiply(p, p, out=p), axis=1)
 
 
 def _flat_reader(rec, name: str):

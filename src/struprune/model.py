@@ -378,21 +378,29 @@ def _pairwise_sum(n: int, fill, buffers: int = 1) -> float:
     into out[0], using `buffers` leaf-sized arrays out as scratch."""
     width = max(PAIRWISE_LEAF, 128)
     scratch = [np.empty(min(n, width)) for _ in range(buffers)]
-    return float(_pairwise_node(0, n, width, fill, scratch))
+
+    def leaf(lo, hi):
+        out = [buf[:hi - lo] for buf in scratch]
+        fill(lo, hi, *out)
+        return np.sum(out[0])
+
+    return float(_pairwise_node(0, n, width, leaf))
 
 
-def _pairwise_node(lo: int, size: int, width: int, fill, scratch):
+def _pairwise_node(lo: int, size: int, width: int, leaf):
+    """The sum over the node [lo, lo + size) of numpy's pairwise tree:
+    leaf(lo, hi) for a node of at most `width` (>= 128) elements, else
+    its two children's sums added. leaf may return an array of per-row
+    sums, added elementwise."""
     # A module-level function, not a closure: a closure that calls itself
-    # is a reference cycle, which would keep fill's arrays alive until
+    # is a reference cycle, which would keep leaf's arrays alive until
     # the garbage collector runs.
     if size <= width:
-        out = [buf[:size] for buf in scratch]
-        fill(lo, lo + size, *out)
-        return np.sum(out[0])
+        return leaf(lo, lo + size)
     half = size // 2
     half -= half % 8
-    return (_pairwise_node(lo, half, width, fill, scratch)
-            + _pairwise_node(lo + half, size - half, width, fill, scratch))
+    return (_pairwise_node(lo, half, width, leaf)
+            + _pairwise_node(lo + half, size - half, width, leaf))
 
 
 def _row_pairwise_sum(row_sums: np.ndarray, cols: int) -> float | None:
@@ -689,13 +697,14 @@ class BlockActivations:
             prod[zero] = 0.0
         return prod
 
-    def _gemm(self, matrix: str, w: np.ndarray) -> np.ndarray:
-        """w @ x for the input x of `matrix`, a fresh array, as capture forms
-        it (_tiled_product): a derived x (FFN a_pre, of one source) is
-        derived a sub-tile at a time, never whole."""
+    def _gemm(self, matrix: str, w: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
+        """w @ x for the token columns `cols` of the input x of `matrix`, a
+        fresh array, as capture forms it (_tiled_product): a derived x (FFN
+        a_pre, of one source) is derived a sub-tile at a time, never
+        whole."""
         x_name = MATRIX_IO[matrix][0]
         derived = DERIVED[self.kind].get(x_name)
-        return _tiled_product(w, self.like(x_name), fn=derived[1] if derived else None)
+        return _tiled_product(w, self.like(x_name)[:, cols], fn=derived[1] if derived else None)
 
     def _memo(self, key, compute):
         value = self.stats.get(key)
@@ -807,23 +816,30 @@ class BlockActivations:
     def product_rows(self, matrix: str, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """w @ x for the frozen input x of `matrix` (MATRIX_IO), as a pair
         (array, zero): w @ x is `array` with the rows flagged in `zero`
-        read as +0.0, or `array` itself when `zero` is None.
+        read as +0.0, or `array` itself when `zero` is None. That is
+        frozen_rows where the record reads it, else the GEMM (_gemm), a
+        fresh array with `zero` None."""
+        return self.frozen_rows(matrix, w) or (self._gemm(matrix, w), None)
+
+    def frozen_rows(self, matrix: str, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """w @ x for the frozen input x of `matrix` as the pair of
+        product_rows read from the record, or None when the record must
+        form it by GEMM.
 
         When every row of w equals the captured dense row or is all zero
-        (masked_rows), `array` is the frozen dense product (read-only) and
-        `zero` flags the zero rows of w, if there are any; this is bit for
-        bit w @ x: a GEMM row of a same-shaped, same-layout product
+        (masked_rows), the array is the frozen dense product (read-only)
+        and `zero` flags the zero rows of w, if there are any; this is bit
+        for bit w @ x: a GEMM row of a same-shaped, same-layout product
         depends only on its own row of w, and an all-zero row on a finite
         input gives +0.0. Any other w, and any w while the record does not
-        hold the product (a lean one), takes the GEMM (_gemm), a fresh
-        array with `zero` None."""
+        hold the product (a lean one), gives None."""
         x_name, prod_name = MATRIX_IO[matrix]
         frozen = getattr(self, prod_name)
         zero = None
         if frozen is not None and frozen.flags.c_contiguous:
             zero = self.masked_rows(matrix, w)
         if zero is None or (zero.any() and not self._finite(x_name)):
-            return self._gemm(matrix, w), None
+            return None
         return frozen, (zero if zero.any() else None)
 
 

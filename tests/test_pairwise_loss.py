@@ -2,18 +2,21 @@
 pairwise tree at a time (model._pairwise_sum): the bits of np.sum of the
 plain expression, without a residual-sized temporary, and the same bits
 on every pool size. The row-unit terms of a row-masked model are summed
-over that tree from one statistic per row (evaluation._row_term), with
-the same bits.
+over that tree from one statistic per row (evaluation._row_term), and a
+term whose product must be formed by GEMM one token tile at a time
+(evaluation._tile_sums), with the same bits.
 
 The d=16 fixtures fit in one leaf, so the property tests shrink the leaf
 to make the tree split."""
 
 import contextlib
+import gc
 import io
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,9 +33,12 @@ from struprune.linalg import make_rng
 from struprune.model import (
     MASK_BEARING,
     ROW_TERMS,
+    SUB_TILE_TOKENS,
+    TILE_TOKENS,
     CapturePolicy,
     ModelArch,
     _pairwise_sum,
+    _whole_row_tree,
     capture_reference_activations,
     generate_toy_model,
     make_calibration,
@@ -214,6 +220,77 @@ def test_non_finite_input_takes_the_leafwise_path(layout):
                           equal_nan=True)
 
 
+# (N, seq_len) of T = 792, 1920, 6144 and 8192: one tile of fewer than
+# TILE_TOKENS tokens, and numpy's pairwise tree over a row cut into four
+# tiles of 1536 and of 2048 tokens.
+TILED = [(99, 8), (120, 16), (96, 64), (128, 64)]
+TILE_ARCH = ModelArch(d=16, num_layers=2, num_heads=2, ffn_dim=64)
+
+
+def tile_calls(monkeypatch):
+    """The (target, tile width) of every evaluation._tile_sums call made
+    from here on."""
+    calls, real = [], evaluation._tile_sums
+
+    def spy(rec, target, frozen, matrices, t):
+        calls.append((target, t.stop - t.start))
+        return real(rec, target, frozen, matrices, t)
+
+    monkeypatch.setattr(evaluation, "_tile_sums", spy)
+    return calls
+
+
+def refit(pruned):
+    """A copy of pruned whose w1, wq and wv rows are neither dense nor
+    zero, as an admm refit leaves them; wk keeps its dense and zero rows,
+    so the qk term reads one product from the cache and forms the other."""
+    out = pruned.copy()
+    for block in out.blocks:
+        for name in ("w1", "wq", "wv"):
+            if name in block.matrices:
+                block.matrices[name][...] *= 1 + 1e-3
+    return out
+
+
+@pytest.mark.parametrize("n, seq", TILED)
+@pytest.mark.parametrize("layout", ["decoder", "ffn"])
+def test_tiled_terms_are_the_reference(layout, n, seq, monkeypatch):
+    model = generate_toy_model(TILE_ARCH, make_rng(7), layout=layout)
+    cache = capture_reference_activations(model, make_calibration(TILE_ARCH, n, seq, make_rng(8)))
+    masked = row_masked(model, 0, 0.5)
+    calls = tile_calls(monkeypatch)
+    for pruned, tiled in ((masked, {"out_pre"}), (refit(masked), {"out_pre", "z_pre", "a_attn_pre"})):
+        calls.clear()
+        got = total_reconstruction_loss(pruned, cache, threads=2)
+        ref = oracle.total_reconstruction_loss_reference(pruned, cache)
+        assert (got.per_layer, got.total) == (ref.per_layer, ref.total)
+        assert {target for target, _ in calls} == (tiled if layout == "decoder" else tiled - {"a_attn_pre"})
+        T = n * seq
+        width = T if T <= TILE_TOKENS else T // 4
+        assert {w for _, w in calls} == {width}
+
+
+@pytest.mark.parametrize("layout, arch, n, seq", [
+    # 24 rows at T = 2048: numpy's pairwise tree splits a 3-row node.
+    ("decoder", ModelArch(d=24, num_layers=2, num_heads=2, ffn_dim=48), 32, 64),
+    ("ffn", ModelArch(d=24, num_layers=2, num_heads=2, ffn_dim=48), 32, 64),
+    # The 1 x T product of w2 at T = 4100: a tree of one row, whose tiles
+    # would not be multiples of 8 tokens.
+    ("ffn", ModelArch(d=1, num_layers=2, num_heads=1, ffn_dim=8), 41, 100),
+])
+def test_untiled_shapes_take_the_leafwise_path(layout, arch, n, seq, monkeypatch):
+    T = n * seq
+    assert not _whole_row_tree(arch.d, T) or T % 8
+    model = generate_toy_model(arch, make_rng(7), layout=layout)
+    cache = capture_reference_activations(model, make_calibration(arch, n, seq, make_rng(8)))
+    calls = tile_calls(monkeypatch)
+    for pruned in (row_masked(model, 0, 0.5), refit(row_masked(model, 0, 0.5))):
+        got = total_reconstruction_loss(pruned, cache)
+        ref = oracle.total_reconstruction_loss_reference(pruned, cache)
+        assert (got.per_layer, got.total) == (ref.per_layer, ref.total)
+    assert calls == []
+
+
 # An FFN block whose ffn_dim x T residual is 8 MiB: 256 x 4096 float64.
 WIDE_FFN = ModelArch(d=16, num_layers=1, num_heads=1, ffn_dim=256)
 WIDE_N, WIDE_SEQ = 64, 64
@@ -257,16 +334,67 @@ def test_sweep_builds_no_residual(wide_ffn):
     assert peak < residual, f"peak {peak} B, residual {residual} B"
 
 
-def test_refit_loss_builds_one_product(wide_ffn):
+def test_refit_loss_builds_no_whole_product(wide_ffn):
     """Refit w1 rows are neither the dense row nor zero, so the loss of an
-    admm output still takes the whole w1 @ input_pre GEMM: one ffn_dim x T
-    product, but no residual beside it."""
+    admm output forms w1 @ input_pre by GEMM, one token tile at a time:
+    T = 4096 makes two tiles, each half an ffn_dim x T product."""
     model, cache, residual = wide_ffn
     pruned = apply_masks(model, build_masks(model, cache, uniform_plan(model, 0.4), "wanda"))
     pruned.blocks[0].w1 *= 1 + 1e-3
     total_reconstruction_loss(pruned, cache)  # memoized input statistics first
     peak = traced_peak(lambda: total_reconstruction_loss(pruned, cache))
-    assert peak < 1.25 * residual, f"peak {peak} B, residual {residual} B"
+    assert peak < 0.75 * residual, f"peak {peak} B, residual {residual} B"
+
+
+# Two FFN blocks whose w2 products are 64 x T, at T = 8192: four tiles.
+TWO_FFN = ModelArch(d=64, num_layers=2, num_heads=1, ffn_dim=64)
+
+
+@pytest.fixture(scope="module")
+def two_ffn():
+    model = generate_toy_model(TWO_FFN, make_rng(11), layout="ffn")
+    calib = make_calibration(TWO_FFN, 128, 64, make_rng(12))
+    return model, calib
+
+
+def test_sweep_holds_one_pruned_model(two_ffn):
+    """Above its cache, the sweep holds one pruned model and, on each of
+    its loss's block workers, one w2 tile product and one relu sub-tile."""
+    model, calib = two_ffn
+    cache = capture_reference_activations(model, calib)
+    threads = 2
+
+    def run():
+        temperature_sweep(model, cache, [0.5, 1.0, 2.0], "softmax", 0.4, threads=threads)
+
+    run()  # memoized input statistics first
+    peak = traced_peak(run)
+    copy = sum(w.nbytes for _, w in model.named_matrices())
+    tile = 8 * (TWO_FFN.d * TILE_TOKENS + TWO_FFN.ffn_dim * SUB_TILE_TOKENS)
+    assert peak < copy + threads * tile, f"peak {peak} B, model {copy} B, tile {tile} B"
+
+
+@pytest.mark.parametrize("stage", ["loss", "sweep"])
+def test_records_die_with_the_cache(two_ffn, stage):
+    """With the garbage collector off, no record outlives its cache once
+    the loss or the sweep has read it: nothing they leave holds a
+    reference cycle (a tree walk that is a closure calling itself would)."""
+    model, calib = two_ffn
+    cache = capture_reference_activations(model, calib)
+    pruned = apply_masks(model, build_masks(model, cache, uniform_plan(model, 0.4), "wanda"))
+    pruned.blocks[0].w1 *= 1 + 1e-3
+    gc.collect()
+    gc.disable()
+    try:
+        if stage == "loss":
+            total_reconstruction_loss(pruned, cache, threads=2)
+        else:
+            temperature_sweep(model, cache, [0.5, 1.0], "softmax", 0.4, threads=2)
+        records = [weakref.ref(rec) for rec in cache.blocks]
+        del cache
+        assert [r() for r in records] == [None] * len(records)
+    finally:
+        gc.enable()
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
