@@ -29,9 +29,9 @@ from .linalg import make_rng
 from .model import (
     FFN,
     FULL,
+    LOSS_TERMS,
     MASK_BEARING,
     MATRIX_IO,
-    REBUILT,
     SUB_TILE_TOKENS,
     CapturePolicy,
     ModelArch,
@@ -390,7 +390,7 @@ def cmd_admm(args) -> int:
 def _row_masked(pruned, dense) -> bool:
     """Whether each mask-bearing matrix of pruned keeps every row of the
     dense model's or zeroes it, block for block: then the loss reads its
-    row-unit terms from statistics (evaluation._row_term)."""
+    row-unit terms from statistics (evaluation._term)."""
     return [b.kind for b in pruned.blocks] == [b.kind for b in dense.blocks] and all(
         _masked_rows(p.matrices[m], d.matrices[m]) is not None
         for p, d in zip(pruned.blocks, dense.blocks) for m in MASK_BEARING[d.kind])
@@ -408,8 +408,7 @@ def cmd_eval(args) -> int:
     )
     del cache  # the reference is not needed by pseudo-perplexity
     for (layer, kind, value), terms in zip(loss.per_layer, loss.terms):
-        names = evaluation.LOSS_TERMS[kind]
-        split = " ".join(f"{name}={term!r}" for name, term in zip(names, terms))
+        split = " ".join(f"{name}={term!r}" for name, term in zip(LOSS_TERMS[kind], terms))
         log.debug("layer %d %s loss %r, unscaled terms %s", layer, kind, value, split)
     ppl = None
     if calib.is_tokens and pruned.head is not None:
@@ -536,12 +535,12 @@ def cmd_verify(args) -> int:
     lean = capture_reference_activations(model, calib, threads=2, policy=CapturePolicy("lean", ("col_l1",)))
     same = True
     for block, rec, full in zip(model.blocks, lean.blocks, cache.blocks):
-        for m in REBUILT[rec.kind]:
+        for m in MASK_BEARING[rec.kind]:
             w = block.matrices[m] * (rng.random(block.matrices[m].shape[0]) < 0.7)[:, None]
             same &= np.array_equal(rec.product(m, w), full.product(m, w))
         rec.rebuild_products()
         same &= all(np.array_equal(getattr(rec, MATRIX_IO[m][1]), getattr(full, MATRIX_IO[m][1]))
-                    for m in REBUILT[rec.kind])
+                    for m in MASK_BEARING[rec.kind])
     check("lean records rebuild the captured products (T=3040)", same, "products differ")
     # The loss's w2 product over relu sub-tiles against the whole GEMM,
     # at the oneshot-wide FFN shape (k = 512) and on this fixture.

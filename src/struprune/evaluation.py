@@ -18,15 +18,12 @@ import numpy as np
 
 from .errors import CapabilityError, DimensionError, ParameterError
 from .model import (
-    FFN,
     DERIVED,
+    LOSS_TERMS,
     MASK_BEARING,
-    MHA,
-    ROW_TERMS,
     TILE_TOKENS,
     ActivationCache,
     CalibrationSet,
-    FfnBlock,
     ToyModel,
     _consensus,
     _dense_forward,
@@ -41,10 +38,6 @@ from .model import (
     csv_text,
     json_text,
 )
-
-
-# The terms of each block kind's loss, in the order they are summed.
-LOSS_TERMS = {FFN: ("up", "down"), MHA: ("qk", "val", "out")}
 
 
 @dataclass
@@ -72,7 +65,7 @@ def total_reconstruction_loss(
     expressions (oracle.total_reconstruction_loss_reference). The
     row-unit terms (up, qk, val) of a masked model, whose pruned rows
     are zero and the others dense, are summed from one statistic per
-    row (_row_term), when numpy's pairwise tree over the residual splits
+    row (_term), when numpy's pairwise tree over the residual splits
     no row. Every other term (_sq_term) reads its products from the
     cache when each pruned row is the dense row or zero
     (BlockActivations.frozen_rows), else forms them by GEMM (the
@@ -100,32 +93,30 @@ def total_reconstruction_loss(
 
 
 def _block_terms(pb, rec) -> tuple[float, ...]:
-    """The unscaled sums of a block's squared residuals: (up, down) for
-    FFN, (qk, val, out) for MHA."""
-    if isinstance(pb, FfnBlock):
-        up = _row_term(pb, rec, "up", lambda: _sq_term(rec, "z_pre", ("w1", pb.w1)))
-        return up, _sq_term(rec, "out_pre", ("w2", pb.w2))
-    qk = _row_term(pb, rec, "qk", lambda: _sq_term(rec, "z_pre", ("wq", pb.wq), ("wk", pb.wk)))
-    val = _row_term(pb, rec, "val", lambda: _sq_term(rec, "a_attn_pre", ("wv", pb.wv)))
-    return qk, val, _sq_term(rec, "out_pre", ("wo", pb.wo))
+    """The unscaled sums of a block's squared residuals, one per term of
+    LOSS_TERMS[kind], in its order."""
+    return tuple(_term(pb, rec, term) for term in LOSS_TERMS[rec.kind])
 
 
-def _row_term(pb, rec, term: str, fallback):
-    """The row-unit loss term `term` (model.ROW_TERMS) of pruned block pb:
-    from the record's row energies when every row of each of the term's
-    matrices is its dense row or zero (BlockActivations.masked_rows) and
-    the energies give the term bit for bit (row_energies), numpy's
-    pairwise tree summed over one value per row (model._row_pairwise_sum);
-    else fallback(), the sum of the residual (_sq_term)."""
-    zeros = [rec.masked_rows(m, pb.matrices[m]) for m in ROW_TERMS[rec.kind][term]]
-    energies = None if any(z is None for z in zeros) else rec.row_energies(term)
-    if energies is None:
-        return fallback()
-    # Pattern c of a row has bit i set when matrix i zeroes it; row c - 1
-    # of energies holds it, and a kept row (pattern 0) adds +0.0.
-    pattern = sum(z.astype(np.intp) << i for i, z in enumerate(zeros))
-    values = np.where(pattern > 0, energies[pattern - 1, np.arange(pattern.size)], 0.0)
-    return _row_pairwise_sum(values, rec.out_pre.shape[1])
+def _term(pb, rec, term: str) -> float:
+    """The loss term `term` (model.LOSS_TERMS) of pruned block pb. A
+    row-unit term (of mask-bearing matrices) is read from the record's
+    row energies when every row of each of its matrices is its dense row
+    or zero (BlockActivations.masked_rows) and the energies give the term
+    bit for bit (row_energies): numpy's pairwise tree summed over one
+    value per row (model._row_pairwise_sum). Any other term is the sum of
+    its residual (_sq_term)."""
+    target, matrices = LOSS_TERMS[rec.kind][term]
+    if matrices[0] in MASK_BEARING[rec.kind]:
+        zeros = [rec.masked_rows(m, pb.matrices[m]) for m in matrices]
+        energies = None if any(z is None for z in zeros) else rec.row_energies(term)
+        if energies is not None:
+            # Pattern c of a row has bit i set when matrix i zeroes it; row
+            # c - 1 of energies holds it, and a kept row (pattern 0) adds +0.0.
+            pattern = sum(z.astype(np.intp) << i for i, z in enumerate(zeros))
+            values = np.where(pattern > 0, energies[pattern - 1, np.arange(pattern.size)], 0.0)
+            return _row_pairwise_sum(values, rec.out_pre.shape[1])
+    return _sq_term(rec, target, *((m, pb.matrices[m]) for m in matrices))
 
 
 def _sq_term(rec, target: str, *matrices) -> float:
@@ -195,10 +186,11 @@ def _check_shapes(layer: int, block, rec) -> None:
 def _sq_residual(target, *products) -> float:
     """sum((target - p)^2) over C-contiguous operands (as capture and
     GEMMs make them), where p is the one product given or the consensus
-    0.5 * (p1 + p2) of two. Each product is an (array, zero) pair of
-    BlockActivations.product_rows whose rows flagged in zero read as
-    +0.0. The target is an array, or a derived array given as a function
-    read(lo, hi, out) that writes its flat range [lo, hi) into out."""
+    0.5 * (p1 + p2) of two. Each product is an (array, zero) pair, as
+    BlockActivations.frozen_rows gives it, whose rows flagged in zero
+    read as +0.0. The target is an array, or a derived array given as a
+    function read(lo, hi, out) that writes its flat range [lo, hi) into
+    out."""
     derived = not isinstance(target, np.ndarray)
     read_target = target if derived else _row_reader(target, None)
     reads = [_row_reader(prod, zero) for prod, zero in products]

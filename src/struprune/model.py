@@ -66,19 +66,14 @@ DERIVED = {
     MHA: {"z_pre": (("q_pre", "k_pre"), _consensus)},
 }
 
-# The matrices whose stored products (MATRIX_IO) a lean record holds only
-# while its block is at outer iteration 1 of the solver: every stored
-# product but the block output out_pre, which is the next block's input.
-# Their inputs are stored, so the products are rebuilt from the dense
-# matrices (BlockActivations.rebuild_products).
-REBUILT = {FFN: ("w1",), MHA: ("wq", "wk", "wv")}
-
-# The row-unit terms of the reconstruction loss (evaluation.LOSS_TERMS),
-# by block kind: each compares the product of its matrices (the consensus
-# of two) with the dense one, so a pruned row's residual is a function
-# of the dense products alone and a kept row's is +0.0
-# (BlockActivations.row_energies).
-ROW_TERMS = {FFN: {"up": ("w1",)}, MHA: {"qk": ("wq", "wk"), "val": ("wv",)}}
+# The terms of each block kind's reconstruction loss, in the order they
+# are summed (evaluation), each as (target, matrices): the squared
+# residual of the stored or derived dense array `target` against the
+# pruned product of its matrices (MATRIX_IO), or the consensus of two.
+LOSS_TERMS = {
+    FFN: {"up": ("z_pre", ("w1",)), "down": ("out_pre", ("w2",))},
+    MHA: {"qk": ("z_pre", ("wq", "wk")), "val": ("a_attn_pre", ("wv",)), "out": ("out_pre", ("wo",))},
+}
 
 # The stored arrays a "loss" capture keeps (CapturePolicy): the inputs
 # and targets of the column-unit loss terms (w2, wo), whose products the
@@ -91,7 +86,12 @@ COL = "col"
 # Axis of each matrix's structured units.
 DEFAULT_AXES = {"w1": ROW, "w2": COL, "wq": ROW, "wk": ROW, "wv": ROW, "wo": COL}
 
-# Matrices whose unit masks are chosen directly.
+# Matrices whose unit masks are chosen directly. In a loss term of these
+# (a row-unit term) a pruned row's residual is a function of the dense
+# products alone and a kept row's is +0.0 (BlockActivations.row_energies).
+# Their products are every stored one but out_pre, the next block's
+# input, and their inputs are stored: a lean record holds the products
+# only at its block's outer iteration 1 (rebuild_products).
 MASK_BEARING = {FFN: ("w1",), MHA: ("wq", "wk", "wv")}
 
 # The mask-bearing matrix whose mask zeroes each matrix's units: removing
@@ -403,32 +403,23 @@ def _pairwise_node(lo: int, size: int, width: int, leaf):
             + _pairwise_node(lo + half, size - half, width, leaf))
 
 
-def _row_pairwise_sum(row_sums: np.ndarray, cols: int) -> float | None:
+def _row_pairwise_sum(row_sums: np.ndarray, cols: int) -> float:
     """np.sum of a C-contiguous (len(row_sums), cols) float64 array, bit
-    for bit, from row_sums[i], the np.sum of its row i, alone; None when
-    some node of numpy's pairwise tree over the array (_pairwise_sum)
-    holds part of a row, or holds several rows in one unrolled loop of at
-    most 128 elements. A node of one row is that row's np.sum."""
-    return _row_node(row_sums, cols, 0, len(row_sums))
-
-
-def _row_node(row_sums, cols: int, lo: int, rows: int):
-    if rows == 1:
-        return float(row_sums[lo])
-    size = rows * cols
-    half = size // 2
-    half -= half % 8
-    if size <= 128 or half % cols:
-        return None
-    left = _row_node(row_sums, cols, lo, half // cols)
-    right = _row_node(row_sums, cols, lo + half // cols, rows - half // cols)
-    return None if left is None or right is None else left + right
+    for bit, from row_sums[i], the np.sum of its row i, alone, where
+    _whole_row_tree(len(row_sums), cols) holds."""
+    return float(_pairwise_node(0, row_sums.size * cols, max(cols, 128),
+                                lambda lo, hi: row_sums[lo // cols]))
 
 
 @functools.cache
 def _whole_row_tree(rows: int, cols: int) -> bool:
-    """Whether _row_pairwise_sum sums a (rows, cols) array."""
-    return _row_pairwise_sum(np.zeros(rows), cols) is not None
+    """Whether _row_pairwise_sum sums a (rows, cols) array: every node of
+    at most max(cols, 128) elements of numpy's pairwise tree over it
+    (_pairwise_sum) is one whole row, whose sum is that row's np.sum, so
+    no node holds part of a row, or several rows in one unrolled loop of
+    at most 128 elements. The walk counts the nodes that are not."""
+    return not _pairwise_node(0, rows * cols, max(cols, 128),
+                              lambda lo, hi: lo % cols != 0 or hi - lo != cols)
 
 
 # glibc's mallopt parameters: the trim threshold, the most chunks served
@@ -584,10 +575,10 @@ class BlockActivations:
 
     Capture drops some stored arrays under its CapturePolicy, after it
     has taken the statistics their readers need. A lean record holds the
-    products of REBUILT[kind] only between rebuild_products and
+    products of MASK_BEARING[kind] only between rebuild_products and
     release_products. A product read while it is absent is formed like
-    any other that the record does not hold (product_rows), which needs
-    the product's input stored.
+    any other that the record does not hold (product), which needs the
+    product's input stored.
 
     `dense` holds the block's dense matrices that formed the frozen
     products (read-only references, not copies). Statistics of the
@@ -615,20 +606,20 @@ class BlockActivations:
         return {name: arr for name, arr in arrays.items() if arr is not None}
 
     def rebuild_products(self) -> None:
-        """On a lean record, store its REBUILT products again, read-only,
-        with capture's bits; a full record holds them already."""
+        """On a lean record, store its MASK_BEARING products again,
+        read-only, with capture's bits; a full record holds them already."""
         if self.lean:
-            for matrix in REBUILT[self.kind]:
+            for matrix in MASK_BEARING[self.kind]:
                 dense, x = self.dense[matrix], getattr(self, MATRIX_IO[matrix][0])
                 prod = _tiled_product(dense, x)
                 prod.setflags(write=False)
                 setattr(self, MATRIX_IO[matrix][1], prod)
 
     def release_products(self) -> None:
-        """On a lean record, drop its REBUILT products; a full record keeps
-        them."""
+        """On a lean record, drop its MASK_BEARING products; a full record
+        keeps them."""
         if self.lean:
-            for matrix in REBUILT[self.kind]:
+            for matrix in MASK_BEARING[self.kind]:
                 setattr(self, MATRIX_IO[matrix][1], None)
 
     def keep(self, policy: "CapturePolicy", run=_serial) -> None:
@@ -642,8 +633,9 @@ class BlockActivations:
                 self._dense_means(matrix, run)
         # A block whose row-unit terms its energies give bit for bit
         # (row_energies) no longer needs the arrays of their products.
-        exact = "energies" in policy.stats and all(
-            [self.row_energies(term, run) is not None for term in ROW_TERMS[self.kind]])
+        exact = "energies" in policy.stats and all([
+            self.row_energies(term, run) is not None
+            for term, (_, matrices) in LOSS_TERMS[self.kind].items() if matrices[0] in MASK_BEARING[self.kind]])
         if policy.held == "lean":
             self.lean = True
             self.release_products()
@@ -688,10 +680,13 @@ class BlockActivations:
 
     def product(self, matrix: str, w: np.ndarray) -> np.ndarray:
         """w @ x whole for the frozen input x of `matrix` (MATRIX_IO): read
-        from the record when product_rows finds every row of w dense or
-        zero (the frozen product itself, read-only, or a copy of it with
-        the zero rows set to +0.0), else the GEMM, a fresh array."""
-        prod, zero = self.product_rows(matrix, w)
+        from the record where frozen_rows reads it (the frozen product
+        itself, read-only, or a copy of it with the zero rows set to
+        +0.0), else the GEMM (_gemm), a fresh array."""
+        frozen = self.frozen_rows(matrix, w)
+        if frozen is None:
+            return self._gemm(matrix, w)
+        prod, zero = frozen
         if zero is not None:
             prod = prod.copy()
             prod[zero] = 0.0
@@ -766,7 +761,7 @@ class BlockActivations:
 
     def row_means(self, matrix: str, w: np.ndarray) -> np.ndarray:
         """(w @ x).mean(axis=1) for the frozen input x of `matrix`, bit for
-        bit, a fresh array: where product_rows reads the frozen product,
+        bit, a fresh array: where frozen_rows reads the frozen product,
         the dense product's row means (a statistic, which capture may
         take before it drops the product) with the zero rows of w read as
         +0.0; else the mean of the product."""
@@ -778,7 +773,7 @@ class BlockActivations:
 
     def row_energies(self, term: str, run=_serial) -> np.ndarray | None:
         """Per-row sums over the tokens of the squared residual of the
-        row-unit loss term `term` (ROW_TERMS), for each pattern of pruned
+        row-unit loss term `term` (LOSS_TERMS), for each pattern of pruned
         rows whose other rows are dense: row c - 1 holds pattern c, which
         has bit i set when the row of the term's matrix i is zero.
 
@@ -791,7 +786,7 @@ class BlockActivations:
         tree splits a row, an input of the products is not finite (a zero
         row would give NaN), or a sum is not finite (a kept row's residual
         would be NaN)."""
-        matrices = ROW_TERMS[self.kind][term]
+        matrices = LOSS_TERMS[self.kind][term][1]
         x_name, source = MATRIX_IO[matrices[0]]
         rows = self.dense[matrices[0]].shape[0]
         if not _whole_row_tree(rows, self.out_pre.shape[1]) or not self._finite(x_name, run):
@@ -813,18 +808,11 @@ class BlockActivations:
         sums = self._row_stat(("energies", term), source, fill, run, cases=(2 ** len(names) - 1,))
         return sums if np.isfinite(sums).all() else None
 
-    def product_rows(self, matrix: str, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """w @ x for the frozen input x of `matrix` (MATRIX_IO), as a pair
-        (array, zero): w @ x is `array` with the rows flagged in `zero`
-        read as +0.0, or `array` itself when `zero` is None. That is
-        frozen_rows where the record reads it, else the GEMM (_gemm), a
-        fresh array with `zero` None."""
-        return self.frozen_rows(matrix, w) or (self._gemm(matrix, w), None)
-
     def frozen_rows(self, matrix: str, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """w @ x for the frozen input x of `matrix` as the pair of
-        product_rows read from the record, or None when the record must
-        form it by GEMM.
+        """w @ x for the frozen input x of `matrix` (MATRIX_IO) read from
+        the record as a pair (array, zero): w @ x is `array` with the rows
+        flagged in `zero` read as +0.0, or `array` itself when `zero` is
+        None; None when the record must form it by GEMM.
 
         When every row of w equals the captured dense row or is all zero
         (masked_rows), the array is the frozen dense product (read-only)
@@ -859,7 +847,7 @@ class CapturePolicy:
     held:
     - "all": every stored array; a statistic is taken when first read.
     - "lean": the records `admm` solves on (BlockActivations.lean): the
-      products of REBUILT go, to be rebuilt for the block's outer
+      products of MASK_BEARING go, to be rebuilt for the block's outer
       iteration 1.
     - "loss": what the loss of a row-masked model reads besides
       statistics, LOSS_HELD: the other stored arrays of each block whose

@@ -112,8 +112,9 @@ class TestLossBits:
                 w[j, 0] = np.nextafter(w[j, 0], np.inf)
             rec = cache.blocks[i]
             x_name, prod_name = MATRIX_IO[name]
-            got, zero = rec.product_rows(name, w)
-            assert zero is None and got.tobytes() == (w @ getattr(rec, x_name)).tobytes()
+            assert rec.frozen_rows(name, w) is None
+            got = rec.product(name, w)
+            assert got.tobytes() == (w @ getattr(rec, x_name)).tobytes()
             assert not np.array_equal(got[j], getattr(rec, prod_name)[j])
         assert_same_loss(pruned, cache)
 
@@ -136,7 +137,7 @@ class TestProduct:
         model, _, cache = decoder_toy
         for i, name, w in row_unit_matrices(model):
             rec = cache.blocks[i]
-            prod, zero = rec.product_rows(name, w)
+            prod, zero = rec.frozen_rows(name, w)
             assert prod is getattr(rec, MATRIX_IO[name][1]) and zero is None
         # product reads every captured dense matrix's frozen product.
         for rec in cache.blocks:
@@ -153,10 +154,10 @@ class TestProduct:
                                  dense=rec.dense)
         w = model.blocks[0].w1.copy()
         w[::3] = -0.0
-        prod, zero = probe.product_rows("w1", w)
+        prod, zero = probe.frozen_rows("w1", w)
         assert prod is marker and np.array_equal(zero, np.arange(len(w)) % 3 == 0)
         # The flagged rows of the frozen product, read as +0.0, are the GEMM.
-        prod, zero = rec.product_rows("w1", w)
+        prod, zero = rec.frozen_rows("w1", w)
         got = prod.copy()
         got[zero] = 0.0
         assert got.tobytes() == (w @ rec.input_pre).tobytes()
@@ -166,10 +167,12 @@ class TestProduct:
         model, _, cache = ffn_toy
         rec = cache.blocks[0]
         w = np.asfortranarray(model.blocks[0].w1)
-        got, zero = rec.product_rows("w1", w)
-        assert got is not rec.z_pre and zero is None and np.array_equal(got, w @ rec.input_pre)
+        assert rec.frozen_rows("w1", w) is None
+        got = rec.product("w1", w)
+        assert got is not rec.z_pre and np.array_equal(got, w @ rec.input_pre)
         bare = BlockActivations(FFN, rec.input_pre, rec.z_pre, rec.a_pre, rec.out_pre, None)
-        assert bare.product_rows("w1", model.blocks[0].w1)[0] is not rec.z_pre
+        assert bare.frozen_rows("w1", model.blocks[0].w1) is None
+        assert bare.product("w1", model.blocks[0].w1) is not rec.z_pre
 
     def test_non_finite_input_takes_gemm(self):
         x = np.array([[1.0, np.inf], [2.0, 3.0]])
@@ -179,8 +182,9 @@ class TestProduct:
         w = dense.copy()
         w[1] = 0.0
         with np.errstate(invalid="ignore"):  # 0 * inf
-            got, zero = rec.product_rows("w1", w)
-        assert zero is None and np.isnan(got[1, 1]) and np.array_equal(got[0], frozen[0])
+            assert rec.frozen_rows("w1", w) is None
+            got = rec.product("w1", w)
+        assert np.isnan(got[1, 1]) and np.array_equal(got[0], frozen[0])
 
 
 class TestClosedFormContextBits:

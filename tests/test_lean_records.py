@@ -15,7 +15,7 @@ from struprune.allocation import allocate_plan, uniform_plan
 from struprune.cli import main as cli_main
 from struprune.importance import layer_importance
 from struprune.linalg import make_rng
-from struprune.model import (MATRIX_IO, REBUILT, STORED, CapturePolicy, ModelArch,
+from struprune.model import (MASK_BEARING, MATRIX_IO, STORED, CapturePolicy, ModelArch,
                              capture_reference_activations, generate_toy_model, make_calibration)
 
 ARCH = ModelArch(d=16, num_layers=2, num_heads=2)
@@ -34,7 +34,7 @@ def caches(layout, calib_name):
 
 
 def products(rec):
-    return {MATRIX_IO[m][1]: getattr(rec, MATRIX_IO[m][1]) for m in REBUILT[rec.kind]}
+    return {MATRIX_IO[m][1]: getattr(rec, MATRIX_IO[m][1]) for m in MASK_BEARING[rec.kind]}
 
 
 def same(a, b):
@@ -55,14 +55,14 @@ def test_rebuilt_products_equal_the_full_capture(layout, calib_name):
         for x_name in {MATRIX_IO[m][0] for m in block.names}:
             assert same(rec.col_l1(x_name), want.col_l1(x_name)), x_name
         # A read while absent rebuilds the product for that read only.
-        for m in REBUILT[rec.kind]:
+        for m in MASK_BEARING[rec.kind]:
             prod_name = MATRIX_IO[m][1]
             assert same(rec.product(m, block.matrices[m]), getattr(want, prod_name))
             masked = block.matrices[m] * (np.arange(block.matrices[m].shape[0]) % 3 > 0)[:, None]
             assert same(rec.product(m, masked), want.product(m, masked))
             assert getattr(rec, prod_name) is None
         rec.rebuild_products()
-        for m in REBUILT[rec.kind]:
+        for m in MASK_BEARING[rec.kind]:
             prod = getattr(rec, MATRIX_IO[m][1])
             assert same(prod, getattr(want, MATRIX_IO[m][1])), m
             assert not prod.flags.writeable

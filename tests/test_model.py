@@ -8,7 +8,20 @@ from struprune import model as model_module
 from struprune.errors import CapabilityError, FormatError, ParameterError
 from struprune.linalg import make_rng, row_softmax
 from struprune.model import (
+    COL,
+    DEFAULT_AXES,
+    DERIVED,
+    FFN,
+    LOSS_HELD,
+    LOSS_TERMS,
+    MASK_BEARING,
+    MATRIX_IO,
+    MHA,
+    ROW,
+    UNIT_OWNER,
     CalibrationSet,
+    FfnBlock,
+    MhaBlock,
     ModelArch,
     calibration_input,
     capture_reference_activations,
@@ -60,6 +73,35 @@ class TestArchAndGeneration:
     def test_ffn_dim_default(self):
         assert ModelArch(d=8, num_layers=1, num_heads=2).ffn_dim == 32
         assert ModelArch(d=8, num_layers=1, num_heads=2, ffn_dim=8).ffn_dim == 8
+
+
+class TestLossTermLayout:
+    @pytest.mark.parametrize("cls", [FfnBlock, MhaBlock])
+    def test_each_matrix_in_one_term_of_one_axis(self, cls):
+        terms = LOSS_TERMS[cls.kind]
+        assert sorted(m for _, matrices in terms.values() for m in matrices) == sorted(cls.names)
+        for target, matrices in terms.values():
+            assert len({DEFAULT_AXES[m] for m in matrices}) == 1, matrices
+            # The target is the dense product of the term's matrices, or
+            # the consensus derived from their two products.
+            products = tuple(MATRIX_IO[m][1] for m in matrices)
+            assert (target,) == products or DERIVED[cls.kind][target][0] == products
+
+    @pytest.mark.parametrize("kind", [FFN, MHA])
+    def test_row_unit_terms_are_the_mask_bearing_matrices(self, kind):
+        row_terms = [matrices for _, matrices in LOSS_TERMS[kind].values() if DEFAULT_AXES[matrices[0]] == ROW]
+        assert [m for matrices in row_terms for m in matrices] == list(MASK_BEARING[kind])
+        for m in DEFAULT_AXES:
+            assert (UNIT_OWNER[m] == m) == (DEFAULT_AXES[m] == ROW), m
+
+    @pytest.mark.parametrize("kind", [FFN, MHA])
+    def test_loss_held_is_the_column_terms_targets_and_inputs(self, kind):
+        held = set()
+        for target, matrices in LOSS_TERMS[kind].values():
+            if DEFAULT_AXES[matrices[0]] == COL:
+                x_name = MATRIX_IO[matrices[0]][0]
+                held |= {target, *(DERIVED[kind][x_name][0] if x_name in DERIVED[kind] else (x_name,))}
+        assert set(LOSS_HELD[kind]) == held and len(LOSS_HELD[kind]) == len(held)
 
 
 class TestCapture:

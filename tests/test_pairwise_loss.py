@@ -2,7 +2,7 @@
 pairwise tree at a time (model._pairwise_sum): the bits of np.sum of the
 plain expression, without a residual-sized temporary, and the same bits
 on every pool size. The row-unit terms of a row-masked model are summed
-over that tree from one statistic per row (evaluation._row_term), and a
+over that tree from one statistic per row (evaluation._term), and a
 term whose product must be formed by GEMM one token tile at a time
 (evaluation._tile_sums), with the same bits.
 
@@ -28,16 +28,17 @@ from struprune import evaluation, oracle
 from struprune import model as model_module
 from struprune.allocation import apply_masks, build_masks, temperature_sweep, uniform_plan
 from struprune.cli import main
-from struprune.evaluation import _flat_reader, _row_term, _sq_residual, total_reconstruction_loss
+from struprune.evaluation import _flat_reader, _sq_residual, _term, total_reconstruction_loss
 from struprune.linalg import make_rng
 from struprune.model import (
+    LOSS_TERMS,
     MASK_BEARING,
-    ROW_TERMS,
     SUB_TILE_TOKENS,
     TILE_TOKENS,
     CapturePolicy,
     ModelArch,
     _pairwise_sum,
+    _row_pairwise_sum,
     _whole_row_tree,
     capture_reference_activations,
     generate_toy_model,
@@ -144,13 +145,58 @@ def test_identical_bits_on_every_pool_size(seed, layout):
     assert tables[0] == tables[1] == tables[2]
 
 
-# The leafwise sums of the row-unit terms (evaluation._block_terms).
+# A (rows, cols) grid of shapes, and shapes of the paper's OPT-125M
+# (768 and 3072 rows) and of the benchmark, at 2048 and 8192 tokens.
+GRID = [(rows, cols) for rows in range(1, 65) for cols in range(1, 201)]
+SPLIT_ROWS = [(24, 2048), (768, 2048), (3072, 2048), (768, 8192), (16, 65)]
+WHOLE_ROWS = [(rows, cols) for rows in (128, 512) for cols in (2048, 8192)]
+
+
+def test_row_pairwise_sum_is_np_sum():
+    rng = make_rng(17)
+    shapes = [shape for shape in GRID if _whole_row_tree(*shape)] + WHOLE_ROWS
+    assert len(shapes) > len(WHOLE_ROWS)
+    for rows, cols in shapes:
+        a = rng.normal(size=(rows, cols))
+        assert _row_pairwise_sum(np.sum(a, axis=1), cols) == np.sum(a), (rows, cols)
+
+
+def test_whole_row_tree_at_known_shapes():
+    assert [_whole_row_tree(*shape) for shape in SPLIT_ROWS] == [False] * len(SPLIT_ROWS)
+    assert [_whole_row_tree(*shape) for shape in WHOLE_ROWS] == [True] * len(WHOLE_ROWS)
+
+
+def row_terms(kind):
+    """The row-unit terms of LOSS_TERMS[kind]: those of mask-bearing
+    matrices."""
+    return [term for term, (_, matrices) in LOSS_TERMS[kind].items() if matrices[0] in MASK_BEARING[kind]]
+
+
+def product_pair(rec, matrix, w):
+    """w @ x as the (array, zero) pair _sq_residual reads: frozen_rows
+    where the record reads it, else the GEMM."""
+    return rec.frozen_rows(matrix, w) or (rec.product(matrix, w), None)
+
+
+# The leafwise sums of the row-unit terms (evaluation._sq_term).
 LEAFWISE = {
-    "up": lambda pb, rec: _sq_residual(rec.z_pre, rec.product_rows("w1", pb.w1)),
-    "qk": lambda pb, rec: _sq_residual(_flat_reader(rec, "z_pre"), rec.product_rows("wq", pb.wq),
-                                       rec.product_rows("wk", pb.wk)),
-    "val": lambda pb, rec: _sq_residual(rec.a_attn_pre, rec.product_rows("wv", pb.wv)),
+    "up": lambda pb, rec: _sq_residual(rec.z_pre, product_pair(rec, "w1", pb.w1)),
+    "qk": lambda pb, rec: _sq_residual(_flat_reader(rec, "z_pre"), product_pair(rec, "wq", pb.wq),
+                                       product_pair(rec, "wk", pb.wk)),
+    "val": lambda pb, rec: _sq_residual(rec.a_attn_pre, product_pair(rec, "wv", pb.wv)),
 }
+
+
+def sq_term_calls(monkeypatch):
+    """The target of every evaluation._sq_term call made from here on."""
+    calls, real = [], evaluation._sq_term
+
+    def spy(rec, target, *matrices):
+        calls.append(target)
+        return real(rec, target, *matrices)
+
+    monkeypatch.setattr(evaluation, "_sq_term", spy)
+    return calls
 
 
 def row_masked(model, seed, kept):
@@ -171,48 +217,57 @@ def row_masked(model, seed, kept):
 
 @pytest.mark.parametrize("kept", [0.7, 0.5, 0.3, "all", "none"])  # sparsity 0.3, 0.5, 0.7
 @pytest.mark.parametrize("layout", ["decoder", "ffn"])
-def test_row_terms_from_statistics_are_the_leafwise_sums(layout, kept):
+def test_row_terms_from_statistics_are_the_leafwise_sums(layout, kept, monkeypatch):
     model, calib, full = build_toy(layout)
     # Statistics taken when first read, and taken by capture on two
     # workers before it drops the products.
     loss = capture_reference_activations(model, calib, threads=2,
                                          policy=CapturePolicy("loss", ("energies",)))
+    calls = sq_term_calls(monkeypatch)
     for seed in range(4):
         pruned = row_masked(model, seed, kept)
         for pb, rec, lean in zip(pruned.blocks, full.blocks, loss.blocks):
-            for term in ROW_TERMS[rec.kind]:
+            for term in row_terms(rec.kind):
                 want = LEAFWISE[term](pb, rec)
-                assert _row_term(pb, rec, term, lambda: None) == want, (term, seed)
-                assert _row_term(pb, lean, term, lambda: None) == want, (term, seed)
+                calls.clear()
+                assert _term(pb, rec, term) == want, (term, seed)
+                assert _term(pb, lean, term) == want, (term, seed)
+                assert calls == [], (term, seed)
         got = total_reconstruction_loss(pruned, loss)
         ref = oracle.total_reconstruction_loss_reference(pruned, full)
         assert (got.per_layer, got.total) == (ref.per_layer, ref.total)
 
 
-def test_row_split_takes_the_leafwise_path():
+def test_row_split_takes_the_leafwise_path(monkeypatch):
     # T = 65: numpy's pairwise tree over a residual splits its rows.
     model, _, cache = build_toy("decoder", n_samples=5, seq_len=13)
     pruned = row_masked(model, 0, 0.5)
+    calls = sq_term_calls(monkeypatch)
     for pb, rec in zip(pruned.blocks, cache.blocks):
-        for term in ROW_TERMS[rec.kind]:
+        for term in row_terms(rec.kind):
             assert rec.row_energies(term) is None
-            assert _row_term(pb, rec, term, lambda: "leafwise") == "leafwise"
+            calls.clear()
+            assert _term(pb, rec, term) == LEAFWISE[term](pb, rec)
+            assert calls == [LOSS_TERMS[rec.kind][term][0]]
     got = total_reconstruction_loss(pruned, cache)
     ref = oracle.total_reconstruction_loss_reference(pruned, cache)
     assert (got.per_layer, got.total) == (ref.per_layer, ref.total)
 
 
 @pytest.mark.parametrize("layout", ["decoder", "ffn"])
-def test_non_finite_input_takes_the_leafwise_path(layout):
+def test_non_finite_input_takes_the_leafwise_path(layout, monkeypatch):
     model, calib, _ = build_toy(layout)
     calib.inputs[0, 3, 5] = np.inf
+    calls = sq_term_calls(monkeypatch)
     with np.errstate(invalid="ignore", over="ignore"):
         cache = capture_reference_activations(model, calib, policy=CapturePolicy("loss", ("energies",)))
         pruned = row_masked(model, 1, 0.5)
         for pb, rec in zip(pruned.blocks, cache.blocks):
-            for term in ROW_TERMS[rec.kind]:
+            for term in row_terms(rec.kind):
                 assert rec.row_energies(term) is None
-                assert _row_term(pb, rec, term, lambda: "leafwise") == "leafwise"
+                calls.clear()
+                _term(pb, rec, term)
+                assert calls == [LOSS_TERMS[rec.kind][term][0]]
             assert rec.input_pre is not None  # what the leafwise path reads stays
         got = total_reconstruction_loss(pruned, cache)
         ref = oracle.total_reconstruction_loss_reference(pruned, cache)
@@ -344,6 +399,31 @@ def test_refit_loss_builds_no_whole_product(wide_ffn):
     total_reconstruction_loss(pruned, cache)  # memoized input statistics first
     peak = traced_peak(lambda: total_reconstruction_loss(pruned, cache))
     assert peak < 0.75 * residual, f"peak {peak} B, residual {residual} B"
+
+
+# FFN blocks at T = 4096 whose ffn_dim x T residual numpy's pairwise tree
+# splits a row of (_whole_row_tree is False), as at the paper's OPT-125M
+# shapes: their up term takes the leafwise path.
+SPLIT_FFN = [ModelArch(d=16, num_layers=1, num_heads=1, ffn_dim=192),
+             ModelArch(d=24, num_layers=1, num_heads=1, ffn_dim=384)]
+
+
+@pytest.mark.parametrize("arch", SPLIT_FFN, ids=lambda arch: f"d{arch.d}")
+def test_leafwise_loss_builds_no_residual(arch):
+    """The up term of a row-masked model is summed a leaf at a time from
+    the frozen product, and that of refit w1 rows from one whole GEMM
+    product: neither builds a residual beside it."""
+    model = generate_toy_model(arch, make_rng(5), layout="ffn")
+    cache = capture_reference_activations(model, make_calibration(arch, WIDE_N, WIDE_SEQ, make_rng(6)))
+    assert not _whole_row_tree(arch.ffn_dim, WIDE_N * WIDE_SEQ)
+    residual = arch.ffn_dim * WIDE_N * WIDE_SEQ * 8
+    masked = apply_masks(model, build_masks(model, cache, uniform_plan(model, 0.4), "wanda"))
+    refit = masked.copy()
+    refit.blocks[0].w1 *= 1 + 1e-3
+    for pruned, bound in ((masked, 0.5), (refit, 1.25)):
+        total_reconstruction_loss(pruned, cache)  # memoized input statistics first
+        peak = traced_peak(lambda: total_reconstruction_loss(pruned, cache))
+        assert peak < bound * residual, f"peak {peak} B, residual {residual} B"
 
 
 # Two FFN blocks whose w2 products are 64 x T, at T = 8192: four tiles.
