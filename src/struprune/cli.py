@@ -37,6 +37,7 @@ from .model import (
     ModelArch,
     _malloc_policy,
     _masked_rows,
+    _worker_pool,
     capture_reference_activations,
     generate_toy_model,
     load_calibration,
@@ -469,7 +470,7 @@ def cmd_verify(args) -> int:
     # Oracle machinery is test-path only; import it here, not at module load.
     from . import oracle
     from .allocation import ClosedFormContext, binarize_by_threshold, unit_scores_closed_form
-    from .linalg import cho_solve, cholesky, softmax_vec
+    from .linalg import cho_solve, cholesky, row_softmax, softmax_vec
 
     rng = make_rng(args.seed)
     failures = 0
@@ -605,6 +606,12 @@ def cmd_verify(args) -> int:
         got = evaluation.total_reconstruction_loss(pruned, tiled_cache).per_layer
         same &= got == oracle.total_reconstruction_loss_reference(pruned, tiled_cache).per_layer
     check("tile-wise loss row sums match np.sum (T=6144, 8192)", same, "sums differ")
+    # The dense forward's row_softmax, a block of rows per pool job,
+    # against the whole-array call: seven row blocks at T = 6144.
+    z = rng.normal(size=(128, 6144))
+    with _worker_pool(range(3), 3) as pool:
+        same = all(np.array_equal(row_softmax(z, 4.0, seg, run=pool), row_softmax(z, 4.0, seg)) for seg in (64, 96))
+    check("pooled row_softmax equals the whole-array row_softmax (seg 64, 96)", same, "rows differ")
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing check(s)")
     return 0 if failures == 0 else 1
 

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import CapabilityError, DimensionError, ParameterError
 from .model import (
     DERIVED,
+    FFN,
     LOSS_TERMS,
     MASK_BEARING,
     TILE_TOKENS,
@@ -60,20 +61,20 @@ def total_reconstruction_loss(
     value projection and the output projection. Zero iff the pruned
     weights act identically to the dense ones on the calibration support.
 
-    The per-block losses are computed on a pool of `threads` workers and
-    summed in block order, each with the bits of np.sum of the plain
-    expressions (oracle.total_reconstruction_loss_reference). The
-    row-unit terms (up, qk, val) of a masked model, whose pruned rows
-    are zero and the others dense, are summed from one statistic per
-    row (_term), when numpy's pairwise tree over the residual splits
-    no row. Every other term (_sq_term) reads its products from the
-    cache when each pruned row is the dense row or zero
-    (BlockActivations.frozen_rows), else forms them by GEMM (the
-    column-masked w2 and wo, w2's over relu sub-tiles, and refit rows),
-    a token tile at a time when that tree splits no row. No residual is
-    built whole: each squared residual is summed a tile or a leaf of
-    numpy's pairwise tree at a time (model._pairwise_sum), the MHA
-    consensus target derived there.
+    The per-block losses are computed on a pool of `threads` workers,
+    the FFN blocks handed to it first, and summed in block order, each
+    with the bits of np.sum of the plain expressions
+    (oracle.total_reconstruction_loss_reference). The row-unit terms
+    (up, qk, val) of a masked model, whose pruned rows are zero and the
+    others dense, are summed from one statistic per row (_term), when
+    numpy's pairwise tree over the residual splits no row. Every other
+    term (_sq_term) reads its products from the cache when each pruned
+    row is the dense row or zero (BlockActivations.frozen_rows), else
+    forms them by GEMM (the column-masked w2 and wo, w2's over relu
+    sub-tiles, and refit rows), a token tile at a time when that tree
+    splits no row. No residual is built whole: each squared residual is
+    summed a tile or a leaf of numpy's pairwise tree at a time
+    (model._pairwise_sum), the MHA consensus target derived there.
     """
     if [b.kind for b in model_pruned.blocks] != [rec.kind for rec in cache.blocks]:
         raise ParameterError("pruned model and activation cache disagree on block layout")
@@ -81,8 +82,12 @@ def total_reconstruction_loss(
     for i, (pb, rec) in enumerate(pairs):
         _check_shapes(i, pb, rec)
     scale = alpha * (1.0 / float(cache.n_samples))
-    with _worker_pool(pairs, threads) as run:
-        terms = run(lambda pair: _block_terms(*pair))
+    # The costliest jobs go first: an FFN block's w2 term is the
+    # ffn_dim-deep GEMM.
+    order = sorted(range(len(pairs)), key=lambda i: pairs[i][0].kind != FFN)
+    with _worker_pool(order, threads) as run:
+        done = dict(zip(order, run(lambda i: _block_terms(*pairs[i]))))
+    terms = [done[i] for i in range(len(pairs))]
     # The terms are added left to right, (qk + val) + out: sum() of floats
     # compensates its rounding on Python 3.12 and would change the bits.
     per_layer = [
@@ -242,7 +247,7 @@ def pseudo_perplexity(model: ToyModel, calib: CalibrationSet, threads: int = 1) 
     if calib.seq_len < 2:
         raise ParameterError("token sequences must have length >= 2 for next-token loss")
     x = calibration_input(model, calib)
-    with _worker_pool(_token_tiles(x.shape[1]), threads) as run:
+    with _worker_pool(_token_tiles(x.shape[1]), threads, workers=threads) as run:
         for rec in _dense_forward(model.blocks, x, calib.seq_len, run):
             x = rec.out_pre
         rec = None  # release the last block's other arrays

@@ -201,27 +201,56 @@ def softmax_vec(x, temperature: float) -> np.ndarray:
     return w / w.sum()
 
 
-def row_softmax(z: np.ndarray, scale: float = 1.0, seg_len: int | None = None) -> np.ndarray:
+# Bytes of a row block of a pool job over the rows of an array: a
+# pooled row_softmax's, and a record statistic's (model).
+BLOCK_BYTES = 1 << 20
+
+
+def rows_per_block(row_bytes: int) -> int:
+    """The rows of row_bytes bytes each that fill a block of BLOCK_BYTES,
+    at least one."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
+
+
+def row_softmax(z: np.ndarray, scale: float = 1.0, seg_len: int | None = None, run=None) -> np.ndarray:
     """Positive softmax over the columns of each row of z / scale.
 
     This is the attention nonlinearity used by the toy MHA blocks; each
     row of the output sums to 1. When seg_len is given, columns are
     normalized per consecutive segment of that many tokens so independent
     calibration samples never interact.
+
+    run, a runner of model._worker_pool's signature (run(fn, items)),
+    normalizes a C-contiguous z a block of rows per job, each row with
+    the operations of the whole-array call, so the bits are the same; any
+    other z is normalized whole in the calling thread.
     """
     if scale <= 0:
         raise ParameterError("scale must be > 0")
     z = np.asarray(z, dtype=np.float64)
+    if z.ndim < 2 or z.shape[0] < 2 or not z.flags.c_contiguous:
+        run = None
     if seg_len is not None:
         if z.shape[-1] % seg_len != 0:
             raise DimensionError(
                 f"token count {z.shape[-1]} not divisible by segment length {seg_len}"
             )
         shaped = z.reshape(z.shape[0], -1, seg_len)
-        return row_softmax(shaped, scale).reshape(z.shape)
+        return row_softmax(shaped, scale, run=run).reshape(z.shape)
+    if run is None:
+        return _softmax_rows(z, scale)
+    s = np.empty_like(z)
+    height = rows_per_block(z[0].nbytes)
+    run(lambda i: _softmax_rows(z[i:i + height], scale, s[i:i + height]), range(0, z.shape[0], height))
+    return s
+
+
+def _softmax_rows(z: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """row_softmax of z (no segments), written into out, an array of z's
+    shape and memory order, or into a fresh one."""
     # Every step after the division writes into its own result, which
     # keeps the memory order of z and the values of the plain expression.
-    s = np.divide(z, scale)
+    s = np.divide(z, scale, out=out)
     np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
     np.exp(s, out=s)
     return np.divide(s, s.sum(axis=-1, keepdims=True), out=s)

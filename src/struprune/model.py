@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, FormatError, ParameterError, SolverError
-from .linalg import relu, row_softmax
+from .linalg import relu, row_softmax, rows_per_block
 
 log = logging.getLogger(__name__)
 
@@ -358,12 +358,6 @@ def _row_blocks(n: int, height: int = ROW_BLOCK):
     return (slice(i, i + height) for i in range(0, n, height))
 
 
-# Bytes of a row block of a record statistic (BlockActivations._row_stat),
-# and so of each temporary that one of its jobs holds: as many rows as
-# fit, at least one.
-STAT_BLOCK_BYTES = 1 << 20
-
-
 # np.sum over a C-contiguous float64 array adds its flat elements
 # pairwise: a range of n > 128 elements splits at n//2 rounded down to a
 # multiple of 8, and a range of at most 128 is one unrolled loop.
@@ -473,21 +467,23 @@ def _malloc_policy(keep_freed: bool) -> None:
 
 
 @contextmanager
-def _worker_pool(items, threads: int):
+def _worker_pool(items, threads: int, workers: int | None = None):
     """A runner: run(fn) calls fn on every item, on up to `threads`
-    workers (in the calling thread when that is one), and returns the
-    results in item order once all have finished; run(fn, other) does
-    the same over the items of `other`, on the same workers. The first
-    exception in item order propagates."""
+    workers, and returns the results in item order once all have
+    finished; run(fn, other) does the same over the sequence `other`, on
+    the same workers. The first exception in item order propagates. The
+    pool has one worker per item, or `workers` when given, and at most
+    `threads`. With one worker, or over one item, fn runs in the calling
+    thread."""
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
-    workers = min(threads, len(items))
+    workers = min(threads, len(items) if workers is None else workers)
     if workers <= 1:
         yield lambda fn, over=items: _serial(fn, over)
         return
     _malloc_policy(False)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield lambda fn, over=items: list(pool.map(fn, over))
+        yield lambda fn, over=items: list(pool.map(fn, over)) if len(over) > 1 else _serial(fn, over)
 
 
 def _serial(fn, over):
@@ -496,51 +492,79 @@ def _serial(fn, over):
     return [fn(item) for item in over]
 
 
+def _tile_product(w: np.ndarray, x: np.ndarray, prod: np.ndarray, t: slice, fn=None) -> None:
+    """prod[:, t] = w @ x[:, t], or w @ fn(x[:, t]) for fn the DERIVED op
+    of a derived input (FFN relu): fn runs SUB_TILE_TOKENS columns at a
+    time into one buffer, each sub-tile's GEMM writing its slice, so
+    fn(x) is never whole."""
+    if fn is None:
+        np.matmul(w, x[:, t], out=prod[:, t])
+        return
+    subs = [slice(t.start + s.start, t.start + s.stop)
+            for s in _token_tiles(t.stop - t.start, SUB_TILE_TOKENS)]
+    buf = np.empty(x.shape[0] * (subs[0].stop - subs[0].start))
+    for s in subs:
+        part = buf[:x.shape[0] * (s.stop - s.start)].reshape(x.shape[0], -1)
+        np.matmul(w, fn(x[:, s], out=part), out=prod[:, s])
+
+
 def _tiled_product(w: np.ndarray, x: np.ndarray, run=None, fn=None) -> np.ndarray:
-    """w @ x, or w @ fn(x) for fn the DERIVED op of a derived input (FFN
-    relu), each _token_tiles(T) column tile's GEMM writing its slice of
-    a fresh array, on the workers of `run` (a _worker_pool runner over
-    those tiles) or, when run is None, in the calling thread. fn runs SUB_TILE_TOKENS columns at a time into one
-    buffer per tile, each sub-tile's GEMM writing its slice, so fn(x) is
-    never whole. This is the one GEMM over a record's tokens: capture,
-    every product a record forms (BlockActivations._gemm) and a lean
-    record's rebuild run it, so they all have capture's bits."""
+    """w @ x, or w @ fn(x) (_tile_product), each _token_tiles(T) column
+    tile's GEMM writing its slice of a fresh array, on the workers of
+    `run` (a _worker_pool runner over those tiles) or, when run is None,
+    in the calling thread. Every GEMM over a record's tokens is a
+    _tile_product of these tiles: the dense forward, every product a
+    record forms (BlockActivations._gemm) and a lean record's rebuild,
+    so they all have capture's bits."""
     prod = np.empty((w.shape[0], x.shape[1]))
 
     def tile(t):
-        if fn is None:
-            np.matmul(w, x[:, t], out=prod[:, t])
-            return
-        subs = [slice(t.start + s.start, t.start + s.stop)
-                for s in _token_tiles(t.stop - t.start, SUB_TILE_TOKENS)]
-        buf = np.empty(x.shape[0] * (subs[0].stop - subs[0].start))
-        for s in subs:
-            part = buf[:x.shape[0] * (s.stop - s.start)].reshape(x.shape[0], -1)
-            np.matmul(w, fn(x[:, s], out=part), out=prod[:, s])
+        _tile_product(w, x, prod, t, fn)
 
     if run is None:
-        for t in _token_tiles(x.shape[1]):
-            tile(t)
-    else:
-        run(tile)
+        run = functools.partial(_serial, over=_token_tiles(x.shape[1]))
+    run(tile)
     return prod
 
 
 def _forward_block(block, x: np.ndarray, seq_len: int, run) -> "BlockActivations":
-    """The BlockActivations of one block of the dense forward from input x.
-    Each GEMM is a _tiled_product, the w2 one on relu(z) (DERIVED); and
-    row_softmax runs once on the whole q/k consensus z, since it
-    normalizes across the tokens of a sample, and z is dropped after it
-    (DERIVED)."""
+    """The BlockActivations of one block of the dense forward from input x,
+    every step on the workers of `run` (a _worker_pool runner over
+    _token_tiles(T)), with the bits of each GEMM's _tiled_product.
+
+    FFN: one job per tile forms the w1 tile and then the w2 tile on
+    relu(z) (DERIVED) over its sub-tiles. MHA: one job per (matrix,
+    tile) forms the q and k tiles, so a tile's two GEMMs run side by
+    side, and one job per tile writes their consensus z; row_softmax
+    runs once on the whole z, since it normalizes across the tokens of a
+    sample, a block of rows per job, and z is dropped after it
+    (DERIVED); then one job per tile forms the v tile and then the o
+    tile."""
+    tiles = _token_tiles(x.shape[1])
     if block.kind == FFN:
-        z = _tiled_product(block.w1, x, run)
-        out = _tiled_product(block.w2, z, run, fn=relu)
+        z = np.empty((block.w1.shape[0], x.shape[1]))
+        out = np.empty((block.w2.shape[0], x.shape[1]))
+
+        def ffn_tile(t):
+            _tile_product(block.w1, x, z, t)
+            _tile_product(block.w2, z, out, t, relu)
+
+        run(ffn_tile)
         return BlockActivations(FFN, x, z, None, out, None)
-    q = _tiled_product(block.wq, x, run)
-    k = _tiled_product(block.wk, x, run)
-    a = row_softmax(_consensus(q, k), scale=block.head_scale, seg_len=seq_len)
-    a_attn = _tiled_product(block.wv, a, run)
-    out = _tiled_product(block.wo, a_attn, run)
+    q, k = (np.empty((w.shape[0], x.shape[1])) for w in (block.wq, block.wk))
+    run(lambda job: _tile_product(*job), [(w, x, p, t) for t in tiles for w, p in ((block.wq, q), (block.wk, k))])
+    z = np.empty_like(q)
+    run(lambda t: _consensus(q[:, t], k[:, t], out=z[:, t]))
+    a = row_softmax(z, scale=block.head_scale, seg_len=seq_len, run=run)
+    del z
+    a_attn = np.empty((block.wv.shape[0], x.shape[1]))
+    out = np.empty((block.wo.shape[0], x.shape[1]))
+
+    def vo_tile(t):
+        _tile_product(block.wv, a, a_attn, t)
+        _tile_product(block.wo, a_attn, out, t)
+
+    run(vo_tile)
     return BlockActivations(MHA, x, None, a, out, a_attn, q, k)
 
 
@@ -728,9 +752,10 @@ class BlockActivations:
 
     def _stat_blocks(self, name: str) -> list[slice]:
         """The row blocks of array `name` that its statistics are taken
-        over, STAT_BLOCK_BYTES each."""
+        over, linalg.BLOCK_BYTES each, and so each temporary that one of
+        their jobs holds."""
         rows, cols = self.like(name).shape
-        return list(_row_blocks(rows, max(1, STAT_BLOCK_BYTES // (8 * cols))))
+        return list(_row_blocks(rows, rows_per_block(8 * cols)))
 
     def col_l1(self, name: str, run=_serial) -> np.ndarray:
         """Per-feature sum_t |x_jt| of the record's array `name` (e.g.
@@ -876,10 +901,11 @@ FULL = CapturePolicy()
 def capture_reference_activations(
     model: ToyModel, calib: CalibrationSet, threads: int = 1, policy: CapturePolicy = FULL
 ) -> ActivationCache:
-    """Dense forward pass, its token tiles on a pool of `threads`
-    workers; freezes the reference values of STORED and the dense block
-    matrices that formed them (marked read-only in place, not copied).
-    The bytes are the same for every `threads`.
+    """Dense forward pass on a pool of `threads` workers (_forward_block:
+    token tiles, and blocks of rows for row_softmax); freezes the
+    reference values of STORED and the dense block matrices that formed
+    them (marked read-only in place, not copied). The bytes are the same
+    for every `threads`.
 
     Once the forward has passed a block, the record keeps what `policy`
     says (CapturePolicy): its statistics are taken on the same workers,
@@ -887,7 +913,9 @@ def capture_reference_activations(
     so no two blocks' dropped arrays are alive at once."""
     n_tokens = calib.n_samples * calib.seq_len
     records: list[BlockActivations] = []
-    with _worker_pool(_token_tiles(n_tokens), threads) as run:
+    # The pool has `threads` workers also over one tile: its row-block
+    # jobs and a tile's q and k GEMMs run side by side.
+    with _worker_pool(_token_tiles(n_tokens), threads, workers=threads) as run:
         # Only the first record holds the model input, so it can go.
         forward = _dense_forward(model.blocks, calibration_input(model, calib), calib.seq_len, run)
         for block, rec in zip(model.blocks, forward):
