@@ -83,7 +83,8 @@ def total_reconstruction_loss(
         _check_shapes(i, pb, rec)
     scale = alpha * (1.0 / float(cache.n_samples))
     # The costliest jobs go first: an FFN block's w2 term is the
-    # ffn_dim-deep GEMM.
+    # ffn_dim-deep GEMM, so the pool's tail is the shorter MHA jobs. A
+    # failing block raises in this order, FFN blocks before MHA blocks.
     order = sorted(range(len(pairs)), key=lambda i: pairs[i][0].kind != FFN)
     with _worker_pool(order, threads) as run:
         done = dict(zip(order, run(lambda i: _block_terms(*pairs[i]))))
@@ -247,7 +248,7 @@ def pseudo_perplexity(model: ToyModel, calib: CalibrationSet, threads: int = 1) 
     if calib.seq_len < 2:
         raise ParameterError("token sequences must have length >= 2 for next-token loss")
     x = calibration_input(model, calib)
-    with _worker_pool(_token_tiles(x.shape[1]), threads, workers=threads) as run:
+    with _worker_pool(_token_tiles(x.shape[1]), threads) as run:
         for rec in _dense_forward(model.blocks, x, calib.seq_len, run):
             x = rec.out_pre
         rec = None  # release the last block's other arrays

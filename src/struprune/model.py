@@ -467,22 +467,19 @@ def _malloc_policy(keep_freed: bool) -> None:
 
 
 @contextmanager
-def _worker_pool(items, threads: int, workers: int | None = None):
+def _worker_pool(items, threads: int):
     """A runner: run(fn) calls fn on every item, on up to `threads`
     workers, and returns the results in item order once all have
     finished; run(fn, other) does the same over the sequence `other`, on
-    the same workers. The first exception in item order propagates. The
-    pool has one worker per item, or `workers` when given, and at most
-    `threads`. With one worker, or over one item, fn runs in the calling
-    thread."""
+    the same workers. The first exception in item order propagates. At
+    one thread, or over one item, fn runs in the calling thread."""
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
-    workers = min(threads, len(items) if workers is None else workers)
-    if workers <= 1:
+    if threads == 1:
         yield lambda fn, over=items: _serial(fn, over)
         return
     _malloc_policy(False)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         yield lambda fn, over=items: list(pool.map(fn, over)) if len(over) > 1 else _serial(fn, over)
 
 
@@ -913,9 +910,7 @@ def capture_reference_activations(
     so no two blocks' dropped arrays are alive at once."""
     n_tokens = calib.n_samples * calib.seq_len
     records: list[BlockActivations] = []
-    # The pool has `threads` workers also over one tile: its row-block
-    # jobs and a tile's q and k GEMMs run side by side.
-    with _worker_pool(_token_tiles(n_tokens), threads, workers=threads) as run:
+    with _worker_pool(_token_tiles(n_tokens), threads) as run:
         # Only the first record holds the model input, so it can go.
         forward = _dense_forward(model.blocks, calibration_input(model, calib), calib.seq_len, run)
         for block, rec in zip(model.blocks, forward):

@@ -82,8 +82,8 @@ def test_one_tile_capture_jobs_reach_several_workers(monkeypatch):
     real = model_mod._worker_pool
 
     @contextmanager
-    def spied(items, threads, workers=None):
-        with real(items, threads, workers) as run:
+    def spied(items, threads):
+        with real(items, threads) as run:
             def spy(fn, over=items):
                 if len(over) < 2:
                     return run(fn, over)
