@@ -587,6 +587,16 @@ def cmd_verify(args) -> int:
     got = evaluation.total_reconstruction_loss(pruned, cache).per_layer
     want = oracle.total_reconstruction_loss_reference(pruned, cache).per_layer
     check("row-unit loss terms from row sums match np.sum (T=3040)", got == want, "sums differ")
+    # A "loss" capture (eval's) holds FFN relu(z) as its nonzeros, whose
+    # zeros read +0.0: the loss of a softmax prune on it against the loss
+    # on every array held, on this machine's BLAS.
+    plan = allocation.allocate_plan(model, cache, "softmax", 0.5)
+    pruned = allocation.apply_masks(model, allocation.build_masks(model, cache, plan, "wanda"))
+    loss_cache = capture_reference_activations(model, calib, threads=2, policy=CapturePolicy("loss", ("energies",)))
+    got = evaluation.total_reconstruction_loss(pruned, loss_cache, threads=2)
+    want = evaluation.total_reconstruction_loss(pruned, cache)
+    check("loss on a \"loss\" capture (relu nonzeros) matches every array held (T=3040)",
+          (got.per_layer, got.total) == (want.per_layer, want.total), "losses differ")
     # The loss terms whose products are formed by GEMM (the column-masked
     # w2 and wo, refit w1, wq and wv rows), summed a token tile at a time,
     # against np.sum of the plain expressions: four tiles of 1536 and of

@@ -75,10 +75,12 @@ LOSS_TERMS = {
     MHA: {"qk": ("z_pre", ("wq", "wk")), "val": ("a_attn_pre", ("wv",)), "out": ("out_pre", ("wo",))},
 }
 
-# The stored arrays a "loss" capture keeps (CapturePolicy): the inputs
-# and targets of the column-unit loss terms (w2, wo), whose products the
-# loss forms by GEMM, and the next block's input.
-LOSS_HELD = {FFN: ("z_pre", "out_pre"), MHA: ("a_attn_pre", "out_pre")}
+# The arrays a "loss" capture keeps (CapturePolicy): the inputs and
+# targets of the column-unit loss terms (w2, wo), whose products the loss
+# forms by GEMM, and the next block's input. A derived one (FFN
+# a_pre = relu(z_pre)) is kept as its nonzeros (_Nonzeros), about half
+# of its source's bytes, and its source goes.
+LOSS_HELD = {FFN: ("a_pre", "out_pre"), MHA: ("a_attn_pre", "out_pre")}
 
 ROW = "row"
 COL = "col"
@@ -331,7 +333,7 @@ def calibration_input(model: ToyModel, calib: CalibrationSet) -> np.ndarray:
 # about one random shape in five differed by an ulp otherwise.
 TILE_TOKENS = 2048
 
-# Token sub-tiles of a GEMM on a derived input (_tiled_product with fn).
+# Token sub-tiles of a GEMM on a derived input (_tile_product with read).
 # On OpenBLAS a (128 x 512) @ (512 x T) product over 16- to 2048-token
 # column tiles matched the whole GEMM bit for bit, and over 8-token tiles
 # it did not.
@@ -489,34 +491,55 @@ def _serial(fn, over):
     return [fn(item) for item in over]
 
 
-def _tile_product(w: np.ndarray, x: np.ndarray, prod: np.ndarray, t: slice, fn=None) -> None:
-    """prod[:, t] = w @ x[:, t], or w @ fn(x[:, t]) for fn the DERIVED op
-    of a derived input (FFN relu): fn runs SUB_TILE_TOKENS columns at a
-    time into one buffer, each sub-tile's GEMM writing its slice, so
-    fn(x) is never whole."""
-    if fn is None:
+def _sub_tiles(t: slice) -> list[slice]:
+    """The SUB_TILE_TOKENS column slices of the token tile t that a GEMM
+    on a derived input runs over (_tile_product)."""
+    return [slice(t.start + s.start, t.start + s.stop)
+            for s in _token_tiles(t.stop - t.start, SUB_TILE_TOKENS)]
+
+
+def _loss_leaves(n_tokens: int) -> list[slice]:
+    """The nodes of numpy's pairwise tree over a row of n_tokens that hold
+    at most TILE_TOKENS tokens, in order: the token tiles the loss sums a
+    row over (evaluation._sq_term), each one token tile of its GEMMs."""
+    return _pairwise_node(0, n_tokens, TILE_TOKENS, lambda lo, hi: [slice(lo, hi)])
+
+
+def _loss_tiles(n_tokens: int) -> list[slice]:
+    """The column slices of the GEMMs on a derived input that the loss's
+    tile path makes: the _sub_tiles of each of _loss_leaves."""
+    return [s for t in _loss_leaves(n_tokens) for s in _sub_tiles(t)]
+
+
+def _tile_product(w: np.ndarray, x, prod: np.ndarray, t: slice, read=None) -> None:
+    """prod[:, t] = w @ x[:, t]; or, for a derived input of x's shape (FFN
+    relu(z), DERIVED), w @ its columns t, which read(s, out) writes into
+    out and returns a sub-tile s of SUB_TILE_TOKENS columns at a time,
+    into one buffer, each sub-tile's GEMM writing its slice, so the
+    derived input is never whole. With read, x is an array or a
+    _Nonzeros store and only its shape is read here."""
+    if read is None:
         np.matmul(w, x[:, t], out=prod[:, t])
         return
-    subs = [slice(t.start + s.start, t.start + s.stop)
-            for s in _token_tiles(t.stop - t.start, SUB_TILE_TOKENS)]
+    subs = _sub_tiles(t)
     buf = np.empty(x.shape[0] * (subs[0].stop - subs[0].start))
     for s in subs:
         part = buf[:x.shape[0] * (s.stop - s.start)].reshape(x.shape[0], -1)
-        np.matmul(w, fn(x[:, s], out=part), out=prod[:, s])
+        np.matmul(w, read(s, part), out=prod[:, s])
 
 
-def _tiled_product(w: np.ndarray, x: np.ndarray, run=None, fn=None) -> np.ndarray:
-    """w @ x, or w @ fn(x) (_tile_product), each _token_tiles(T) column
-    tile's GEMM writing its slice of a fresh array, on the workers of
-    `run` (a _worker_pool runner over those tiles) or, when run is None,
-    in the calling thread. Every GEMM over a record's tokens is a
-    _tile_product of these tiles: the dense forward, every product a
-    record forms (BlockActivations._gemm) and a lean record's rebuild,
-    so they all have capture's bits."""
+def _tiled_product(w: np.ndarray, x, run=None, read=None) -> np.ndarray:
+    """w @ x, or w @ the derived input that read gives (_tile_product),
+    each _token_tiles(T) column tile's GEMM writing its slice of a fresh
+    array, on the workers of `run` (a _worker_pool runner over those
+    tiles) or, when run is None, in the calling thread. Every GEMM over a
+    record's tokens is a _tile_product of these tiles: the dense forward,
+    every product a record forms (BlockActivations._gemm) and a lean
+    record's rebuild, so they all have capture's bits."""
     prod = np.empty((w.shape[0], x.shape[1]))
 
     def tile(t):
-        _tile_product(w, x, prod, t, fn)
+        _tile_product(w, x, prod, t, read)
 
     if run is None:
         run = functools.partial(_serial, over=_token_tiles(x.shape[1]))
@@ -524,10 +547,13 @@ def _tiled_product(w: np.ndarray, x: np.ndarray, run=None, fn=None) -> np.ndarra
     return prod
 
 
-def _forward_block(block, x: np.ndarray, seq_len: int, run) -> "BlockActivations":
+def _forward_block(block, x: np.ndarray, seq_len: int, run, loss_stats=None) -> "BlockActivations":
     """The BlockActivations of one block of the dense forward from input x,
     every step on the workers of `run` (a _worker_pool runner over
     _token_tiles(T)), with the bits of each GEMM's _tiled_product.
+    loss_stats, the statistics of a "loss" capture (CapturePolicy), send
+    an FFN block whose token tiles are the loss's and whose up term the
+    row energies can give to _forward_ffn_nonzeros.
 
     FFN: one job per tile forms the w1 tile and then the w2 tile on
     relu(z) (DERIVED) over its sub-tiles. MHA: one job per (matrix,
@@ -539,12 +565,16 @@ def _forward_block(block, x: np.ndarray, seq_len: int, run) -> "BlockActivations
     tile."""
     tiles = _token_tiles(x.shape[1])
     if block.kind == FFN:
+        streamed = (loss_stats is not None and "energies" in loss_stats
+                    and _loss_leaves(x.shape[1]) == tiles and _whole_row_tree(block.w1.shape[0], x.shape[1]))
+        if streamed:
+            return _forward_ffn_nonzeros(block, x, run, "col_l1" in loss_stats)
         z = np.empty((block.w1.shape[0], x.shape[1]))
         out = np.empty((block.w2.shape[0], x.shape[1]))
 
         def ffn_tile(t):
             _tile_product(block.w1, x, z, t)
-            _tile_product(block.w2, z, out, t, relu)
+            _tile_product(block.w2, z, out, t, lambda s, part: relu(z[:, s], out=part))
 
         run(ffn_tile)
         return BlockActivations(FFN, x, z, None, out, None)
@@ -565,14 +595,61 @@ def _forward_block(block, x: np.ndarray, seq_len: int, run) -> "BlockActivations
     return BlockActivations(MHA, x, None, a, out, a_attn, q, k)
 
 
-def _dense_forward(blocks, x: np.ndarray, seq_len: int, run):
+def _forward_ffn_nonzeros(block, x: np.ndarray, run, col_l1: bool) -> "BlockActivations":
+    """The record of an FFN block of the dense forward whose z_pre is never
+    whole, for a "loss" capture where every token tile is one of
+    _loss_leaves(T): it holds a_pre = relu(z_pre) as its nonzeros
+    (_Nonzeros) and the two row statistics of z_pre that such a capture
+    takes, row_energies("up") and, with col_l1, col_l1("a_pre").
+
+    Each tile's job forms its z tile by the GEMM of _tile_product, the
+    w2 tile over its relu sub-tiles, each packed as a chunk of the store
+    (_loss_tiles(T)), and the tile's per-row np.sum of z^2 and of
+    |relu(z)|. A tile is a node of numpy's pairwise tree over each row,
+    so those sums added over the tree (_pairwise_node) are the whole
+    rows' np.sum, bit for bit, as the record takes them (_row_stat).
+    BlockActivations.keep forms z_pre again when the energies turn out
+    not to give the up term."""
+    rows, n_tokens = block.w1.shape[0], x.shape[1]
+    out = np.empty((block.w2.shape[0], n_tokens))
+
+    def tile(t):
+        z, chunks = block.w1 @ x[:, t], []
+
+        def read(s, part):
+            relu(z[:, s.start - t.start:s.stop - t.start], out=part)
+            chunks.append(_pack_chunk(part, s))
+            return part
+
+        _tile_product(block.w2, z, out, t, read)
+        sums = np.empty((1 + col_l1, rows))
+        for r in _row_blocks(rows, rows_per_block(8 * z.shape[1])):
+            sq = np.square(z[r])
+            np.sum(sq, axis=1, out=sums[0, r])
+            if col_l1:
+                np.sum(np.abs(relu(z[r], out=sq), out=sq), axis=1, out=sums[1, r])
+        return chunks, sums
+
+    done = run(tile)
+    starts = {t.start: sums for t, (_, sums) in zip(_token_tiles(n_tokens), done)}
+    sums = _pairwise_node(0, n_tokens, TILE_TOKENS, lambda lo, hi: starts[lo])
+    sums.setflags(write=False)
+    store = _Nonzeros((rows, n_tokens), tuple(c for chunks, _ in done for c in chunks))
+    rec = BlockActivations(FFN, x, None, None, out, None, nonzeros={"a_pre": store})
+    rec.stats[("energies", "up")] = sums[:1]
+    if col_l1:
+        rec.stats[("col_l1", "a_pre")] = sums[1]
+    return rec
+
+
+def _dense_forward(blocks, x: np.ndarray, seq_len: int, run, loss_stats=None):
     """Yield each block's BlockActivations of the dense forward from input
-    x (d, T), block after block (_forward_block); `run` is a _worker_pool
-    runner over _token_tiles(T). A block's arrays are allocated when the
-    block is reached, and only the yielded record holds them. The bits
-    are those of oracle.dense_forward_reference."""
+    x (d, T), block after block (_forward_block, with loss_stats); `run`
+    is a _worker_pool runner over _token_tiles(T). A block's arrays are
+    allocated when the block is reached, and only the yielded record
+    holds them. The bits are those of oracle.dense_forward_reference."""
     for block in blocks:
-        rec = _forward_block(block, x, seq_len, run)
+        rec = _forward_block(block, x, seq_len, run, loss_stats)
         yield rec
         x = rec.out_pre
 
@@ -587,6 +664,67 @@ def _masked_rows(w: np.ndarray, dense: np.ndarray) -> np.ndarray | None:
     return zero if np.all(zero | np.all(w == dense, axis=1)) else None
 
 
+@dataclass(frozen=True)
+class _Nonzeros:
+    """A read-only (rows, T) float64 array held as its nonzeros, cut into
+    column chunks: each chunk keeps, for its columns [lo, hi), the values
+    of `a != 0` in C order and that mask's bits (np.packbits, C order),
+    so NaN and +-inf are kept and a zero reads back as +0.0. A view
+    (columns) selects the columns [start, start + shape[1]) of it."""
+
+    shape: tuple[int, int]
+    chunks: tuple  # ((lo, hi), values, bits), in column order
+    start: int = 0
+
+    def columns(self, cols: slice) -> "_Nonzeros":
+        """The view of the columns `cols` of this one."""
+        lo, hi, _ = cols.indices(self.shape[1])
+        return replace(self, shape=(self.shape[0], hi - lo), start=self.start + lo)
+
+    def fill(self, cols: slice, out: np.ndarray) -> np.ndarray:
+        """Write the columns `cols` into the C-contiguous `out` and return
+        it: a chunk of exactly those columns unpacked straight into out,
+        any other columns a chunk at a time through a buffer."""
+        a, b = self.start + cols.start, self.start + cols.stop
+        for (lo, hi), values, bits in self.chunks:
+            if (lo, hi) == (a, b):
+                return _unpack(values, bits, out)
+            if lo < b and a < hi:
+                part = _unpack(values, bits, np.empty((self.shape[0], hi - lo)))
+                out[:, max(lo, a) - a:min(hi, b) - a] = part[:, max(lo, a) - lo:min(hi, b) - lo]
+        return out
+
+    def dense(self) -> np.ndarray:
+        return self.fill(slice(0, self.shape[1]), np.empty(self.shape))
+
+    def finite(self) -> bool:
+        return all(np.isfinite(values).all() for _, values, _ in self.chunks)
+
+
+def _pack_chunk(a: np.ndarray, cols: slice) -> tuple:
+    """The chunk of a _Nonzeros for its columns `cols`, whose values are
+    the C-contiguous array a: its nonzeros and their bits, read-only."""
+    flat = a.reshape(-1)
+    mask = np.not_equal(flat, 0.0)
+    values, bits = flat.take(np.flatnonzero(mask)), np.packbits(mask)
+    values.setflags(write=False)
+    bits.setflags(write=False)
+    return (cols.start, cols.stop), values, bits
+
+
+def _unpack(values: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the chunk (values, bits) of a _Nonzeros into the C-contiguous
+    `out` of its shape, zeros as +0.0, and return out. The nonzeros go to
+    the flat positions of the set bits, which np.flatnonzero finds
+    branch-free on a bool array (on the uint8 that np.unpackbits gives,
+    and by a boolean-mask assignment, each took 4-8 times as long on
+    half-set random bits)."""
+    flat = out.reshape(-1)
+    flat.fill(0.0)
+    flat[np.flatnonzero(np.unpackbits(bits, count=flat.size).view(bool))] = values
+    return out
+
+
 @dataclass
 class BlockActivations:
     """Per-block record of the frozen dense reference: the arrays of
@@ -599,7 +737,11 @@ class BlockActivations:
     products of MASK_BEARING[kind] only between rebuild_products and
     release_products. A product read while it is absent is formed like
     any other that the record does not hold (product), which needs the
-    product's input stored.
+    product's input stored. A "loss" record may hold a derived array as
+    its nonzeros (`nonzeros`, name -> _Nonzeros) in place of its source:
+    its products (_gemm), whole reads (array) and finiteness are read
+    from there, and any other read of it raises CapabilityError, as a
+    read of a dropped array does.
 
     `dense` holds the block's dense matrices that formed the frozen
     products (read-only references, not copies). Statistics of the
@@ -617,6 +759,7 @@ class BlockActivations:
     k_pre: np.ndarray | None = None
     dense: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     lean: bool = field(default=False, compare=False)
+    nonzeros: dict = field(default_factory=dict, repr=False, compare=False)
     stats: dict = field(default_factory=dict, repr=False, compare=False)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
@@ -630,11 +773,14 @@ class BlockActivations:
         """On a lean record, store its MASK_BEARING products again,
         read-only, with capture's bits; a full record holds them already."""
         if self.lean:
-            for matrix in MASK_BEARING[self.kind]:
-                dense, x = self.dense[matrix], getattr(self, MATRIX_IO[matrix][0])
-                prod = _tiled_product(dense, x)
-                prod.setflags(write=False)
-                setattr(self, MATRIX_IO[matrix][1], prod)
+            self._form_products()
+
+    def _form_products(self, run=None) -> None:
+        for matrix in MASK_BEARING[self.kind]:
+            dense, x = self.dense[matrix], getattr(self, MATRIX_IO[matrix][0])
+            prod = _tiled_product(dense, x, run)
+            prod.setflags(write=False)
+            setattr(self, MATRIX_IO[matrix][1], prod)
 
     def release_products(self) -> None:
         """On a lean record, drop its MASK_BEARING products; a full record
@@ -661,9 +807,19 @@ class BlockActivations:
             self.lean = True
             self.release_products()
         elif policy.held == "loss" and exact:
+            for name in LOSS_HELD[self.kind]:
+                if name in DERIVED[self.kind] and name not in self.nonzeros:
+                    tiles = _loss_tiles(self.out_pre.shape[1])
+                    chunks = run(lambda s: _pack_chunk(self.derive(name, lambda a: a[:, s]), s), tiles)
+                    self.nonzeros[name] = _Nonzeros(self.like(name).shape, tuple(chunks))
             for name in STORED[self.kind]:
                 if name not in LOSS_HELD[self.kind]:
                     setattr(self, name, None)
+        elif self.nonzeros:
+            # Formed without z_pre (_forward_ffn_nonzeros), which the
+            # leafwise sums read: form it again, with capture's bits.
+            self.nonzeros.clear()
+            self._form_products(run)
 
     def derive(self, name: str, part=None, out=None) -> np.ndarray:
         """The derived array `name` (DERIVED[kind]), or the part of it that
@@ -678,7 +834,11 @@ class BlockActivations:
         it: a stored array itself, or a derived one built here."""
         if name not in DERIVED[self.kind]:
             return getattr(self, name)
-        arr = self.derive(name)
+        if name in self.nonzeros:
+            arr = self.nonzeros[name].dense()
+        else:
+            self.like(name)  # CapabilityError when capture dropped the sources
+            arr = self.derive(name)
         arr.setflags(write=False)
         return arr
 
@@ -716,11 +876,20 @@ class BlockActivations:
     def _gemm(self, matrix: str, w: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
         """w @ x for the token columns `cols` of the input x of `matrix`, a
         fresh array, as capture forms it (_tiled_product): a derived x (FFN
-        a_pre, of one source) is derived a sub-tile at a time, never
-        whole."""
+        a_pre, of one source) is derived, or filled from its nonzeros, a
+        sub-tile at a time, never whole. A filled sub-tile is the derived
+        one but that a zero may read +0.0 where relu gave -0.0: the sign
+        of a zero changes no nonzero GEMM sum and no squared residual, so
+        the loss has the same bits."""
         x_name = MATRIX_IO[matrix][0]
-        derived = DERIVED[self.kind].get(x_name)
-        return _tiled_product(w, self.like(x_name)[:, cols], fn=derived[1] if derived else None)
+        if x_name in self.nonzeros:
+            x = self.nonzeros[x_name].columns(cols)
+            return _tiled_product(w, x, read=x.fill)
+        x = self.like(x_name)[:, cols]
+        if x_name not in DERIVED[self.kind]:
+            return _tiled_product(w, x)
+        fn = DERIVED[self.kind][x_name][1]
+        return _tiled_product(w, x, read=lambda s, out: fn(x[:, s], out=out))
 
     def _memo(self, key, compute):
         value = self.stats.get(key)
@@ -766,6 +935,8 @@ class BlockActivations:
         return self._row_stat(("col_l1", name), name, fill, run)
 
     def _finite(self, name: str, run=_serial) -> bool:
+        if name in self.nonzeros:
+            return self._memo(("finite", name), self.nonzeros[name].finite)
         return self._memo(("finite", name), lambda: all(run(
             lambda r: bool(np.isfinite(self._rows(name, r)).all()), self._stat_blocks(name))))
 
@@ -874,10 +1045,13 @@ class CapturePolicy:
     - "loss": what the loss of a row-masked model reads besides
       statistics, LOSS_HELD: the other stored arrays of each block whose
       row-unit terms its energies give bit for bit (row_energies) go
-      (MHA q_pre, k_pre and a_pre; every block's input_pre, so the model
-      input too); any other block keeps them for the leafwise sums. A
-      product of a row-unit matrix other than its dense rows or zero can
-      no longer be formed there.
+      (MHA q_pre, k_pre and a_pre; FFN z_pre; every block's input_pre,
+      so the model input too), and such an FFN block keeps
+      a_pre = relu(z_pre) as its nonzeros (BlockActivations.nonzeros),
+      in the column chunks the loss's GEMMs read (_loss_tiles); any
+      other block keeps every array for the leafwise sums. A product of
+      a row-unit matrix other than its dense rows or zero can no longer
+      be formed there.
     stats: any of "col_l1" (of every matrix input), "row_means" (of every
     mask-bearing product) and "energies" (of every row-unit loss term)."""
 
@@ -907,12 +1081,15 @@ def capture_reference_activations(
     Once the forward has passed a block, the record keeps what `policy`
     says (CapturePolicy): its statistics are taken on the same workers,
     a block of rows per job, and then the arrays it lets go are dropped,
-    so no two blocks' dropped arrays are alive at once."""
+    so no two blocks' dropped arrays are alive at once. Under a "loss"
+    policy an FFN block may never hold its z_pre whole
+    (_forward_ffn_nonzeros)."""
     n_tokens = calib.n_samples * calib.seq_len
     records: list[BlockActivations] = []
     with _worker_pool(_token_tiles(n_tokens), threads) as run:
         # Only the first record holds the model input, so it can go.
-        forward = _dense_forward(model.blocks, calibration_input(model, calib), calib.seq_len, run)
+        forward = _dense_forward(model.blocks, calibration_input(model, calib), calib.seq_len, run,
+                                 policy.stats if policy.held == "loss" else None)
         for block, rec in zip(model.blocks, forward):
             rec.dense = dict(block.matrices)
             for arr in (*rec.frozen_arrays().values(), *rec.dense.values()):

@@ -3,6 +3,7 @@ capture keeps of the frozen reference once the forward has passed a
 block, and the statistics it takes first. A dropped array must cost no
 bit of any artifact, and its bytes must come off the stage's peak."""
 
+import numpy as np
 import pytest
 
 from conftest import STD_ARCH
@@ -11,9 +12,10 @@ from struprune.allocation import (allocate_plan, apply_masks, build_masks, globa
 from struprune.errors import CapabilityError, ParameterError
 from struprune.evaluation import total_reconstruction_loss
 from struprune.importance import layer_importance
-from struprune.linalg import make_rng
-from struprune.model import (LOSS_HELD, MASK_BEARING, MATRIX_IO, STORED, BlockActivations, CapturePolicy,
-                             ModelArch, capture_reference_activations, generate_toy_model,
+from struprune import model as model_module, oracle
+from struprune.linalg import make_rng, relu
+from struprune.model import (FFN, LOSS_HELD, MASK_BEARING, MATRIX_IO, MHA, STORED, BlockActivations,
+                             CapturePolicy, ModelArch, capture_reference_activations, generate_toy_model,
                              make_calibration)
 
 LOSS = CapturePolicy("loss", ("col_l1", "energies"))
@@ -38,9 +40,17 @@ def test_loss_records_hold_the_column_unit_arrays(layout):
     full = capture_reference_activations(model, calib)
     loss = capture_reference_activations(model, calib, threads=2, policy=LOSS)
     for rec, want in zip(loss.blocks, full.blocks):
-        assert set(rec.frozen_arrays()) == set(LOSS_HELD[rec.kind])
+        # An FFN record holds out_pre and relu(z_pre) as its nonzeros, not
+        # z_pre; the store is about half of z_pre's bytes.
+        assert set(rec.frozen_arrays()) | set(rec.nonzeros) == set(LOSS_HELD[rec.kind])
+        assert set(rec.nonzeros) == ({"a_pre"} if rec.kind == FFN else set())
         for name in LOSS_HELD[rec.kind]:
-            assert getattr(rec, name).tobytes() == getattr(want, name).tobytes()
+            if name in rec.nonzeros:
+                assert np.array_equal(rec.array(name), relu(want.z_pre))
+                held = sum(values.nbytes + bits.nbytes for _, values, bits in rec.nonzeros[name].chunks)
+                assert held < 0.6 * want.z_pre.nbytes
+            else:
+                assert getattr(rec, name).tobytes() == getattr(want, name).tobytes()
         for x_name in {MATRIX_IO[m][0] for m in rec.dense}:
             assert rec.col_l1(x_name).tobytes() == want.col_l1(x_name).tobytes()
         assert not rec.lean
@@ -49,6 +59,17 @@ def test_loss_records_hold_the_column_unit_arrays(layout):
     name = MASK_BEARING[block.kind][0]
     with pytest.raises(CapabilityError, match="capture policy dropped it"):
         rec.product(name, 2.0 * block.matrices[name])
+    # A read of the relu store other than a product, a whole array or
+    # finiteness raises too (eval's records take no col_l1 at capture).
+    rec = capture_reference_activations(model, calib, policy=CapturePolicy("loss", ("energies",))).blocks[-1]
+    if rec.kind == FFN:
+        with pytest.raises(CapabilityError, match="capture policy dropped it"):
+            rec.col_l1("a_pre")
+    # So does a whole read of an array derived from dropped ones.
+    for rec in loss.blocks:
+        if rec.kind == MHA:
+            with pytest.raises(CapabilityError, match="capture policy dropped it"):
+                rec.array("z_pre")
 
 
 @pytest.mark.parametrize("layout", ["decoder", "ffn", "mha"])
@@ -98,3 +119,76 @@ def test_closed_form_plan_forms_no_product_on_lean_records(arch, monkeypatch):
 
     monkeypatch.setattr(BlockActivations, "_gemm", no_gemm)
     assert allocate_plan(model, lean, "closed-form", 0.5) == want
+
+
+def plant_negative_zeros(monkeypatch):
+    """-0.0 in the dense reference: every other entry of the +0.0 rows
+    that the zero w1 rows of an FFN block give z_pre is set to -0.0 in
+    the dense forward of each record that holds z_pre (z_pre stays the
+    frozen product: a kept row's residual is still zero), and relu(z) as
+    a record derives it reads each zero as -0.0. The relu store reads
+    +0.0 there."""
+    real = model_module._forward_block
+
+    def forward(block, x, *args):
+        rec = real(block, x, *args)
+        if rec.z_pre is not None:
+            rec.z_pre[~block.w1.any(axis=1), ::2] = -0.0
+        return rec
+
+    def negative_zero_relu(z, out=None):
+        a = relu(z, out=out)
+        a[a == 0.0] = -0.0
+        return a
+
+    monkeypatch.setattr(model_module, "_forward_block", forward)
+    monkeypatch.setitem(model_module.DERIVED[FFN], "a_pre", (("z_pre",), negative_zero_relu))
+
+
+@pytest.mark.parametrize("n, seq", [(8, 16), (128, 64), (190, 16), (96, 64)])  # T = 128, 8192, 3040, 6144
+@pytest.mark.parametrize("layout", ["decoder", "ffn"])
+def test_relu_store_keeps_the_loss_bits(layout, n, seq, monkeypatch):
+    # At T = 128 (one token tile) and 8192 (four) the store is formed in
+    # the forward's tiles, without a whole z_pre; at T = 3040 (two
+    # 1520-token loss tiles, each ending in a 496-token sub-tile) and
+    # 6144 (1536-token loss tiles) the loss tiles are not the forward's,
+    # and it is packed from z_pre.
+    model, calib = fixture(layout, n=n, seq=seq)
+    for block in model.blocks:
+        if block.kind == FFN:
+            block.w1[:4] = 0.0
+    calib.inputs[0, :3] = 0.0  # +0.0 columns of the first block's z_pre in the FFN layout
+    plant_negative_zeros(monkeypatch)
+    full = capture_reference_activations(model, calib)
+    streamed, form = [], model_module._forward_ffn_nonzeros
+    monkeypatch.setattr(model_module, "_forward_ffn_nonzeros", lambda *a: streamed.append(form(*a)) or streamed[-1])
+    loss = capture_reference_activations(model, calib, threads=2, policy=LOSS)
+    assert len(streamed) == (sum(b.kind == FFN for b in model.blocks) if n * seq in (128, 8192) else 0)
+    for rec, want in zip(loss.blocks, full.blocks):
+        if rec.kind == FFN:
+            assert "a_pre" in rec.nonzeros and rec.z_pre is None
+            assert np.signbit(want.z_pre[:4, ::2]).all() and not np.signbit(want.z_pre[:4, 1::2]).any()
+            a = want.array("a_pre")
+            assert np.signbit(a[a == 0.0]).all()
+            assert np.array_equal(rec.array("a_pre"), a)
+            assert not np.signbit(rec.array("a_pre")).any()
+            # The statistics a streamed record takes from its tiles.
+            assert rec.row_energies("up").tobytes() == want.row_energies("up").tobytes()
+            assert rec.col_l1("a_pre").tobytes() == want.col_l1("a_pre").tobytes()
+    rng = make_rng(7)
+    for kept in (0.6, 1.0, 0.0):
+        masks = {i: {m: rng.random(b.matrices[m].shape[0]) < kept for m in MASK_BEARING[b.kind]}
+                 for i, b in enumerate(model.blocks)}
+        pruned = apply_masks(model, masks)
+        got = total_reconstruction_loss(pruned, loss, threads=2)
+        want = total_reconstruction_loss(pruned, full)
+        ref = oracle.total_reconstruction_loss_reference(pruned, full)
+        assert (got.per_layer, got.total, got.terms) == (want.per_layer, want.total, want.terms)
+        assert (got.per_layer, got.total) == (ref.per_layer, ref.total)
+        # The whole product (the leafwise path's) crosses the store's chunks.
+        for pb, rec, full_rec in zip(pruned.blocks, loss.blocks, full.blocks):
+            if pb.kind == FFN:
+                assert np.array_equal(rec.product("w2", pb.w2), full_rec.product("w2", pb.w2))
+    want = temperature_sweep(model, full, [0.3, 1.0], "softmax", 0.4)
+    got = temperature_sweep(model, loss, [0.3, 1.0], "softmax", 0.4, threads=2)
+    assert (got[0], got[1].entries, got[2]) == (want[0], want[1].entries, want[2])

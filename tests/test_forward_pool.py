@@ -13,6 +13,7 @@ from struprune import evaluation, linalg, model as model_mod, oracle
 from struprune.allocation import apply_masks, build_masks, uniform_plan
 from struprune.linalg import make_rng, row_softmax
 from struprune.model import (
+    CapturePolicy,
     ModelArch,
     _token_tiles,
     _worker_pool,
@@ -134,6 +135,31 @@ def test_forward_under_fast_thread_switches_keeps_its_bits():
         sys.setswitchinterval(interval)
     assert oracle.cache_checksum(got) == oracle.cache_checksum(want)
     assert ppl == evaluation.pseudo_perplexity(model, calib)
+
+
+def test_relu_stores_under_fast_thread_switches_keep_their_bits():
+    # A "loss" capture over four token tiles forms each FFN block's relu
+    # store in the forward: every job packs its own chunks and statistics
+    # and writes its own columns of out_pre.
+    model = generate_toy_model(ARCH, make_rng(25), layout="decoder")
+    calib = make_calibration(ARCH, 4 * N, SEQ, make_rng(26), kind="tokens")
+    policy = CapturePolicy("loss", ("col_l1", "energies"))
+    want = capture_reference_activations(model, calib, policy=policy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = capture_reference_activations(model, calib, threads=6, policy=policy)
+    finally:
+        sys.setswitchinterval(interval)
+    assert oracle.cache_checksum(got) == oracle.cache_checksum(want)
+    for g, w in zip(got.blocks, want.blocks, strict=True):
+        assert g.nonzeros.keys() == w.nonzeros.keys() and g.stats.keys() == w.stats.keys()
+        for name, store in w.nonzeros.items():
+            chunks = [(cols, values.tobytes(), bits.tobytes()) for cols, values, bits in store.chunks]
+            assert [(cols, values.tobytes(), bits.tobytes()) for cols, values, bits in g.nonzeros[name].chunks] == chunks
+        for key, stat in w.stats.items():
+            assert np.asarray(g.stats[key]).tobytes() == np.asarray(stat).tobytes(), key
+    assert sum(len(rec.nonzeros) for rec in got.blocks) == sum(b.kind == "ffn" for b in model.blocks)
 
 
 def pruned_decoder():

@@ -96,11 +96,11 @@ class TestLossTermLayout:
 
     @pytest.mark.parametrize("kind", [FFN, MHA])
     def test_loss_held_is_the_column_terms_targets_and_inputs(self, kind):
+        # A derived input (FFN a_pre) is held itself, as its nonzeros.
         held = set()
         for target, matrices in LOSS_TERMS[kind].values():
             if DEFAULT_AXES[matrices[0]] == COL:
-                x_name = MATRIX_IO[matrices[0]][0]
-                held |= {target, *(DERIVED[kind][x_name][0] if x_name in DERIVED[kind] else (x_name,))}
+                held |= {target, MATRIX_IO[matrices[0]][0]}
         assert set(LOSS_HELD[kind]) == held and len(LOSS_HELD[kind]) == len(held)
 
 

@@ -48,9 +48,15 @@ def test_sweep_peak_drops_the_released_arrays(tmp_path, monkeypatch):
     _sweep_peak(tmp_path, monkeypatch, full=False)  # first-call imports and caches
     full = _sweep_peak(tmp_path, monkeypatch, full=True)
     lean = _sweep_peak(tmp_path, monkeypatch, full=False)
-    # Released: MHA q_pre, k_pre and a_pre, and the model input, all d x T.
-    d_by_t = STD_ARCH.d * MEMORY_N * MEMORY_SEQ * 8
-    released = (3 * LAYERS + 1) * d_by_t
+    # Released: MHA q_pre, k_pre and a_pre, and the model input, all d x T;
+    # and of each FFN block's ffn_dim x T z_pre, what its relu store does
+    # not hold (at T = 8192 the forward forms that store without a whole
+    # z_pre). The store keeps the positive entries as values plus one bit
+    # per entry; relu(z_pre) is 0.52-0.59 positive on this fixture's four
+    # FFN blocks, so they release 0.39-0.47 of z_pre's bytes each, 0.43
+    # on average, and the bound counts 0.4 per block.
+    n_tokens = MEMORY_N * MEMORY_SEQ
+    released = (3 * LAYERS + 1) * STD_ARCH.d * n_tokens * 8 + LAYERS * int(0.4 * STD_ARCH.ffn_dim * n_tokens * 8)
     assert lean <= full - released, f"peak {lean} B, full reference {full} B, released {released} B"
     with open(tmp_path / "swept-True" / "sweep.csv", "rb") as a, \
             open(tmp_path / "swept-False" / "sweep.csv", "rb") as b:
