@@ -498,19 +498,6 @@ def _sub_tiles(t: slice) -> list[slice]:
             for s in _token_tiles(t.stop - t.start, SUB_TILE_TOKENS)]
 
 
-def _loss_leaves(n_tokens: int) -> list[slice]:
-    """The nodes of numpy's pairwise tree over a row of n_tokens that hold
-    at most TILE_TOKENS tokens, in order: the token tiles the loss sums a
-    row over (evaluation._sq_term), each one token tile of its GEMMs."""
-    return _pairwise_node(0, n_tokens, TILE_TOKENS, lambda lo, hi: [slice(lo, hi)])
-
-
-def _loss_tiles(n_tokens: int) -> list[slice]:
-    """The column slices of the GEMMs on a derived input that the loss's
-    tile path makes: the _sub_tiles of each of _loss_leaves."""
-    return [s for t in _loss_leaves(n_tokens) for s in _sub_tiles(t)]
-
-
 def _tile_product(w: np.ndarray, x, prod: np.ndarray, t: slice, read=None) -> None:
     """prod[:, t] = w @ x[:, t]; or, for a derived input of x's shape (FFN
     relu(z), DERIVED), w @ its columns t, which read(s, out) writes into
@@ -547,13 +534,10 @@ def _tiled_product(w: np.ndarray, x, run=None, read=None) -> np.ndarray:
     return prod
 
 
-def _forward_block(block, x: np.ndarray, seq_len: int, run, loss_stats=None) -> "BlockActivations":
+def _forward_block(block, x: np.ndarray, seq_len: int, run) -> "BlockActivations":
     """The BlockActivations of one block of the dense forward from input x,
     every step on the workers of `run` (a _worker_pool runner over
     _token_tiles(T)), with the bits of each GEMM's _tiled_product.
-    loss_stats, the statistics of a "loss" capture (CapturePolicy), send
-    an FFN block whose token tiles are the loss's and whose up term the
-    row energies can give to _forward_ffn_nonzeros.
 
     FFN: one job per tile forms the w1 tile and then the w2 tile on
     relu(z) (DERIVED) over its sub-tiles. MHA: one job per (matrix,
@@ -565,10 +549,6 @@ def _forward_block(block, x: np.ndarray, seq_len: int, run, loss_stats=None) -> 
     tile."""
     tiles = _token_tiles(x.shape[1])
     if block.kind == FFN:
-        streamed = (loss_stats is not None and "energies" in loss_stats
-                    and _loss_leaves(x.shape[1]) == tiles and _whole_row_tree(block.w1.shape[0], x.shape[1]))
-        if streamed:
-            return _forward_ffn_nonzeros(block, x, run, "col_l1" in loss_stats)
         z = np.empty((block.w1.shape[0], x.shape[1]))
         out = np.empty((block.w2.shape[0], x.shape[1]))
 
@@ -595,23 +575,35 @@ def _forward_block(block, x: np.ndarray, seq_len: int, run, loss_stats=None) -> 
     return BlockActivations(MHA, x, None, a, out, a_attn, q, k)
 
 
-def _forward_ffn_nonzeros(block, x: np.ndarray, run, col_l1: bool) -> "BlockActivations":
-    """The record of an FFN block of the dense forward whose z_pre is never
-    whole, for a "loss" capture where every token tile is one of
-    _loss_leaves(T): it holds a_pre = relu(z_pre) as its nonzeros
-    (_Nonzeros) and the two row statistics of z_pre that such a capture
-    takes, row_energies("up") and, with col_l1, col_l1("a_pre").
+def _streams_relu_store(block, n_tokens: int, policy: "CapturePolicy") -> bool:
+    """Whether a capture under `policy` forms the relu store of the FFN
+    block in the forward (_forward_ffn_nonzeros), never holding its
+    z_pre whole: a "loss" capture that takes energies and no row means
+    (of z_pre), over token tiles that are the nodes of numpy's pairwise
+    tree over a row of at most TILE_TOKENS tokens (as the loss's,
+    evaluation._sq_term), where the tree over z_pre splits no row
+    (_whole_row_tree), so each row's sum is its tiles' sums added over
+    that tree."""
+    return (block.kind == FFN and policy.held == "loss" and "energies" in policy.stats
+            and "row_means" not in policy.stats and _whole_row_tree(block.w1.shape[0], n_tokens)
+            and _pairwise_node(0, n_tokens, TILE_TOKENS, lambda lo, hi: [slice(lo, hi)]) == _token_tiles(n_tokens))
+
+
+def _forward_ffn_nonzeros(block, x: np.ndarray, run, stats: tuple) -> "BlockActivations":
+    """The record of an FFN block of the dense forward that never holds its
+    z_pre whole (_streams_relu_store): it holds a_pre = relu(z_pre) as
+    its nonzeros (_Nonzeros) and the statistics of z_pre in `stats`
+    (CapturePolicy) that BlockActivations.keep takes, row_energies("up")
+    and col_l1("a_pre").
 
     Each tile's job forms its z tile by the GEMM of _tile_product, the
-    w2 tile over its relu sub-tiles, each packed as a chunk of the store
-    (_loss_tiles(T)), and the tile's per-row np.sum of z^2 and of
-    |relu(z)|. A tile is a node of numpy's pairwise tree over each row,
-    so those sums added over the tree (_pairwise_node) are the whole
-    rows' np.sum, bit for bit, as the record takes them (_row_stat).
-    BlockActivations.keep forms z_pre again when the energies turn out
-    not to give the up term."""
-    rows, n_tokens = block.w1.shape[0], x.shape[1]
-    out = np.empty((block.w2.shape[0], n_tokens))
+    w2 tile over its relu sub-tiles, each packed as a chunk of the
+    store, and the per-row sums of a record of the z tile alone (the
+    code of the whole record's). Those sums added over numpy's pairwise
+    tree (_pairwise_node) are the whole rows' np.sum, bit for bit. keep
+    forms z_pre again when the energies turn out not to give the up
+    term."""
+    out = np.empty((block.w2.shape[0], x.shape[1]))
 
     def tile(t):
         z, chunks = block.w1 @ x[:, t], []
@@ -622,34 +614,31 @@ def _forward_ffn_nonzeros(block, x: np.ndarray, run, col_l1: bool) -> "BlockActi
             return part
 
         _tile_product(block.w2, z, out, t, read)
-        sums = np.empty((1 + col_l1, rows))
-        for r in _row_blocks(rows, rows_per_block(8 * z.shape[1])):
-            sq = np.square(z[r])
-            np.sum(sq, axis=1, out=sums[0, r])
-            if col_l1:
-                np.sum(np.abs(relu(z[r], out=sq), out=sq), axis=1, out=sums[1, r])
-        return chunks, sums
+        tile_rec = BlockActivations(FFN, None, z, None, None, None)
+        tile_rec._energies("up")
+        if "col_l1" in stats:
+            tile_rec.col_l1("a_pre")
+        return chunks, tile_rec.stats
 
     done = run(tile)
-    starts = {t.start: sums for t, (_, sums) in zip(_token_tiles(n_tokens), done)}
-    sums = _pairwise_node(0, n_tokens, TILE_TOKENS, lambda lo, hi: starts[lo])
-    sums.setflags(write=False)
-    store = _Nonzeros((rows, n_tokens), tuple(c for chunks, _ in done for c in chunks))
+    store = _Nonzeros((block.w1.shape[0], x.shape[1]), tuple(c for chunks, _ in done for c in chunks))
     rec = BlockActivations(FFN, x, None, None, out, None, nonzeros={"a_pre": store})
-    rec.stats[("energies", "up")] = sums[:1]
-    if col_l1:
-        rec.stats[("col_l1", "a_pre")] = sums[1]
+    starts = {t.start: tile_stats for t, (_, tile_stats) in zip(_token_tiles(x.shape[1]), done)}
+    for key in done[0][1]:
+        stat = _pairwise_node(0, x.shape[1], TILE_TOKENS, lambda lo, hi: starts[lo][key])
+        stat.setflags(write=False)
+        rec.stats[key] = stat
     return rec
 
 
-def _dense_forward(blocks, x: np.ndarray, seq_len: int, run, loss_stats=None):
+def _dense_forward(blocks, x: np.ndarray, seq_len: int, run):
     """Yield each block's BlockActivations of the dense forward from input
-    x (d, T), block after block (_forward_block, with loss_stats); `run`
-    is a _worker_pool runner over _token_tiles(T). A block's arrays are
-    allocated when the block is reached, and only the yielded record
-    holds them. The bits are those of oracle.dense_forward_reference."""
+    x (d, T), block after block (_forward_block); `run` is a _worker_pool
+    runner over _token_tiles(T). A block's arrays are allocated when the
+    block is reached, and only the yielded record holds them. The bits
+    are those of oracle.dense_forward_reference."""
     for block in blocks:
-        rec = _forward_block(block, x, seq_len, run, loss_stats)
+        rec = _forward_block(block, x, seq_len, run)
         yield rec
         x = rec.out_pre
 
@@ -809,7 +798,7 @@ class BlockActivations:
         elif policy.held == "loss" and exact:
             for name in LOSS_HELD[self.kind]:
                 if name in DERIVED[self.kind] and name not in self.nonzeros:
-                    tiles = _loss_tiles(self.out_pre.shape[1])
+                    tiles = [s for t in _token_tiles(self.out_pre.shape[1]) for s in _sub_tiles(t)]
                     chunks = run(lambda s: _pack_chunk(self.derive(name, lambda a: a[:, s]), s), tiles)
                     self.nonzeros[name] = _Nonzeros(self.like(name).shape, tuple(chunks))
             for name in STORED[self.kind]:
@@ -979,12 +968,17 @@ class BlockActivations:
         tree splits a row, an input of the products is not finite (a zero
         row would give NaN), or a sum is not finite (a kept row's residual
         would be NaN)."""
-        matrices = LOSS_TERMS[self.kind][term][1]
-        x_name, source = MATRIX_IO[matrices[0]]
-        rows = self.dense[matrices[0]].shape[0]
-        if not _whole_row_tree(rows, self.out_pre.shape[1]) or not self._finite(x_name, run):
+        matrix = LOSS_TERMS[self.kind][term][1][0]
+        rows = self.dense[matrix].shape[0]
+        if not _whole_row_tree(rows, self.out_pre.shape[1]) or not self._finite(MATRIX_IO[matrix][0], run):
             return None
-        names = [MATRIX_IO[m][1] for m in matrices]
+        sums = self._energies(term, run)
+        return sums if np.isfinite(sums).all() else None
+
+    def _energies(self, term: str, run=_serial) -> np.ndarray:
+        """row_energies' per-row sums, memoised, whether or not they give
+        the term's sum."""
+        names = [MATRIX_IO[m][1] for m in LOSS_TERMS[self.kind][term][1]]
 
         def fill(r, out):
             prods = [self._rows(name, r) for name in names]
@@ -998,8 +992,7 @@ class BlockActivations:
                 np.sum(np.multiply(resid, resid, out=resid), axis=1, out=out[c])
             np.sum(np.multiply(t, t, out=t), axis=1, out=out[2])
 
-        sums = self._row_stat(("energies", term), source, fill, run, cases=(2 ** len(names) - 1,))
-        return sums if np.isfinite(sums).all() else None
+        return self._row_stat(("energies", term), names[0], fill, run, cases=(2 ** len(names) - 1,))
 
     def frozen_rows(self, matrix: str, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
         """w @ x for the frozen input x of `matrix` (MATRIX_IO) read from
@@ -1048,7 +1041,7 @@ class CapturePolicy:
       (MHA q_pre, k_pre and a_pre; FFN z_pre; every block's input_pre,
       so the model input too), and such an FFN block keeps
       a_pre = relu(z_pre) as its nonzeros (BlockActivations.nonzeros),
-      in the column chunks the loss's GEMMs read (_loss_tiles); any
+      one chunk per sub-tile of the forward's GEMMs (_sub_tiles); any
       other block keeps every array for the leafwise sums. A product of
       a row-unit matrix other than its dense rows or zero can no longer
       be formed there.
@@ -1083,14 +1076,18 @@ def capture_reference_activations(
     a block of rows per job, and then the arrays it lets go are dropped,
     so no two blocks' dropped arrays are alive at once. Under a "loss"
     policy an FFN block may never hold its z_pre whole
-    (_forward_ffn_nonzeros)."""
+    (_streams_relu_store)."""
     n_tokens = calib.n_samples * calib.seq_len
     records: list[BlockActivations] = []
     with _worker_pool(_token_tiles(n_tokens), threads) as run:
-        # Only the first record holds the model input, so it can go.
-        forward = _dense_forward(model.blocks, calibration_input(model, calib), calib.seq_len, run,
-                                 policy.stats if policy.held == "loss" else None)
-        for block, rec in zip(model.blocks, forward):
+        x = calibration_input(model, calib)
+        for block in model.blocks:
+            if _streams_relu_store(block, n_tokens, policy):
+                rec = _forward_ffn_nonzeros(block, x, run, policy.stats)
+            else:
+                rec = _forward_block(block, x, calib.seq_len, run)
+            # Only the first record holds the model input, so it can go.
+            x = rec.out_pre
             rec.dense = dict(block.matrices)
             for arr in (*rec.frozen_arrays().values(), *rec.dense.values()):
                 arr.setflags(write=False)

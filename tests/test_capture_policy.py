@@ -106,6 +106,17 @@ def test_loss_records_keep_what_the_leafwise_path_reads():
     assert total_reconstruction_loss(pruned, loss) == total_reconstruction_loss(pruned, full)
 
 
+def test_loss_records_take_row_means_from_z_pre():
+    # The w1 product's row means read z_pre, so a "loss" capture that
+    # takes them packs the relu store from a whole z_pre.
+    model, calib = fixture("ffn")
+    loss = capture_reference_activations(model, calib, policy=CapturePolicy("loss", ("row_means", "energies")))
+    full = capture_reference_activations(model, calib)
+    for rec, want in zip(loss.blocks, full.blocks, strict=True):
+        assert "a_pre" in rec.nonzeros and rec.z_pre is None
+        assert rec._dense_means("w1").tobytes() == want._dense_means("w1").tobytes()
+
+
 @pytest.mark.parametrize("arch", [STD_ARCH, ModelArch(d=16, num_layers=2, num_heads=2, ffn_dim=16)])
 def test_closed_form_plan_forms_no_product_on_lean_records(arch, monkeypatch):
     # admm --method closed-form: the plan reads the row means that capture
@@ -152,7 +163,8 @@ def test_relu_store_keeps_the_loss_bits(layout, n, seq, monkeypatch):
     # the forward's tiles, without a whole z_pre; at T = 3040 (two
     # 1520-token loss tiles, each ending in a 496-token sub-tile) and
     # 6144 (1536-token loss tiles) the loss tiles are not the forward's,
-    # and it is packed from z_pre.
+    # so it is packed from z_pre, still one chunk per sub-tile of the
+    # forward's, which the loss's sub-tiles cross.
     model, calib = fixture(layout, n=n, seq=seq)
     for block in model.blocks:
         if block.kind == FFN:
