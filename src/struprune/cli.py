@@ -32,11 +32,15 @@ from .model import (
     LOSS_TERMS,
     MASK_BEARING,
     MATRIX_IO,
+    MHA,
     SUB_TILE_TOKENS,
+    TILE_TOKENS,
     CapturePolicy,
     ModelArch,
     _malloc_policy,
     _masked_rows,
+    _pairwise_node,
+    _sub_tiles,
     _worker_pool,
     capture_reference_activations,
     generate_toy_model,
@@ -597,6 +601,32 @@ def cmd_verify(args) -> int:
     want = evaluation.total_reconstruction_loss(pruned, cache)
     check("loss on a \"loss\" capture (relu nonzeros) matches every array held (T=3040)",
           (got.per_layer, got.total) == (want.per_layer, want.total), "losses differ")
+    # Such a capture holds no MHA out_pre: the loss forms it again as
+    # wo @ a_attn_pre, over each of its own token tiles (1520 tokens, off
+    # the forward's grid) or whole, with the bits of the captured one.
+    same = True
+    for rec, full in zip(loss_cache.blocks, cache.blocks):
+        if rec.kind == MHA:
+            wo = rec.dense["wo"]
+            same &= rec.out_pre is None and np.array_equal(rec.product("wo", wo), full.out_pre)
+            for t in _pairwise_node(0, rec.tokens, TILE_TOKENS, lambda lo, hi: [slice(lo, hi)]):
+                same &= np.array_equal(rec._gemm("wo", wo, t), full.out_pre[:, t])
+    check("MHA out_pre formed again on a \"loss\" record matches the captured one (T=3040)",
+          same, "products differ")
+    # Every GEMM over a record's tokens runs over SUB_TILE_TOKENS column
+    # sub-tiles (model._tile_product): each block matrix on its captured
+    # input over the sub-tiles of a 2048-token tile against the tile's
+    # one GEMM, on this fixture and at the oneshot-wide FFN shape.
+    same = True
+    tile = slice(0, TILE_TOKENS)
+    for m, c in ((wide, wide_cache), (model, cache)):
+        for block, rec in zip(m.blocks, c.blocks):
+            for name, w in block.matrices.items():
+                x = rec.array(MATRIX_IO[name][0])
+                subs = np.concatenate([w @ x[:, s] for s in _sub_tiles(tile)], axis=1)
+                same &= np.array_equal(subs, w @ x[:, tile])
+    check(f"{SUB_TILE_TOKENS}-token sub-tile GEMMs match the {TILE_TOKENS}-token tile's GEMM (d=16, 128)",
+          same, "products differ")
     # The loss terms whose products are formed by GEMM (the column-masked
     # w2 and wo, refit w1, wq and wv rows), summed a token tile at a time,
     # against np.sum of the plain expressions: four tiles of 1536 and of

@@ -121,7 +121,7 @@ def _term(pb, rec, term: str) -> float:
             # c - 1 of energies holds it, and a kept row (pattern 0) adds +0.0.
             pattern = sum(z.astype(np.intp) << i for i, z in enumerate(zeros))
             values = np.where(pattern > 0, energies[pattern - 1, np.arange(pattern.size)], 0.0)
-            return _row_pairwise_sum(values, rec.out_pre.shape[1])
+            return _row_pairwise_sum(values, rec.tokens)
     return _sq_term(rec, target, *((m, pb.matrices[m]) for m in matrices))
 
 
@@ -131,6 +131,11 @@ def _sq_term(rec, target: str, *matrices) -> float:
     of two, x the frozen input of each matrix (MATRIX_IO): the bits of
     np.sum of the plain expression.
 
+    A target the record does not hold (a "loss" MHA record's out_pre,
+    model.LOSS_HELD) is the dense product of the term's one matrix,
+    formed again by the GEMM on its input (BlockActivations._gemm), with
+    capture's bits: a tile at a time where the products are, else whole.
+
     When the record must form some product by GEMM (frozen_rows is None),
     T % 8 == 0 and numpy's pairwise tree over the residual splits no row
     (_whole_row_tree), each row's sum is taken a token tile at a time
@@ -138,14 +143,23 @@ def _sq_term(rec, target: str, *matrices) -> float:
     read or formed whole and the residual summed a leaf at a time
     (_sq_residual)."""
     frozen = [rec.frozen_rows(m, w) for m, w in matrices]
-    rows, cols = rec.like(target).shape
+    rows, cols = rec.dense[matrices[0][0]].shape[0], rec.tokens
     if all(frozen) or cols % 8 or not _whole_row_tree(rows, cols):
         products = [f or (rec._gemm(m, w), None) for f, (m, w) in zip(frozen, matrices)]
-        derived = target in DERIVED[rec.kind]
-        return _sq_residual(_flat_reader(rec, target) if derived else getattr(rec, target), *products)
+        if target in DERIVED[rec.kind]:
+            return _sq_residual(_flat_reader(rec, target), *products)
+        return _sq_residual(_target_columns(rec, target, matrices[0][0], slice(None)), *products)
     row_sums = _pairwise_node(0, cols, TILE_TOKENS, lambda lo, hi: _tile_sums(
         rec, target, frozen, matrices, slice(lo, hi)))
     return _row_pairwise_sum(row_sums, cols)
+
+
+def _target_columns(rec, target: str, matrix: str, t: slice) -> np.ndarray:
+    """The token columns t of the record's stored array `target`, the
+    dense product of `matrix`: a view of it, or, when the record does not
+    hold it, the GEMM that formed it in capture."""
+    held = getattr(rec, target)
+    return rec._gemm(matrix, rec.dense[matrix], t) if held is None else held[:, t]
 
 
 def _tile_sums(rec, target: str, frozen, matrices, t: slice) -> np.ndarray:
@@ -166,8 +180,10 @@ def _tile_sums(rec, target: str, frozen, matrices, t: slice) -> np.ndarray:
             prod[f[1]] = 0.0
         prods.append(prod)
     p = prods[0] if len(prods) == 1 else _consensus(*prods, out=prods[0])
-    derived = target in DERIVED[rec.kind]
-    np.subtract(rec.derive(target, lambda a: a[:, t]) if derived else getattr(rec, target)[:, t], p, out=p)
+    if target in DERIVED[rec.kind]:
+        np.subtract(rec.derive(target, lambda a: a[:, t]), p, out=p)
+    else:
+        np.subtract(_target_columns(rec, target, matrices[0][0], t), p, out=p)
     return np.sum(np.multiply(p, p, out=p), axis=1)
 
 

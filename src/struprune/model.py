@@ -75,12 +75,15 @@ LOSS_TERMS = {
     MHA: {"qk": ("z_pre", ("wq", "wk")), "val": ("a_attn_pre", ("wv",)), "out": ("out_pre", ("wo",))},
 }
 
-# The arrays a "loss" capture keeps (CapturePolicy): the inputs and
-# targets of the column-unit loss terms (w2, wo), whose products the loss
-# forms by GEMM, and the next block's input. A derived one (FFN
-# a_pre = relu(z_pre)) is kept as its nonzeros (_Nonzeros), about half
-# of its source's bytes, and its source goes.
-LOSS_HELD = {FFN: ("a_pre", "out_pre"), MHA: ("a_attn_pre", "out_pre")}
+# The arrays a "loss" capture keeps (CapturePolicy): the inputs of the
+# column-unit loss terms (w2, wo), whose products the loss forms by GEMM,
+# and the targets that cost more to form again than to hold. FFN out_pre
+# is an ffn_dim-deep GEMM and stays; MHA out_pre is wo @ a_attn_pre, one
+# d-deep GEMM, which the loss forms again from the held input with
+# capture's bits (evaluation._sq_term) instead of holding it. A derived
+# input (FFN a_pre = relu(z_pre)) is kept as its nonzeros (_Nonzeros),
+# about half of its source's bytes, and its source goes.
+LOSS_HELD = {FFN: ("a_pre", "out_pre"), MHA: ("a_attn_pre",)}
 
 ROW = "row"
 COL = "col"
@@ -333,10 +336,15 @@ def calibration_input(model: ToyModel, calib: CalibrationSet) -> np.ndarray:
 # about one random shape in five differed by an ulp otherwise.
 TILE_TOKENS = 2048
 
-# Token sub-tiles of a GEMM on a derived input (_tile_product with read).
-# On OpenBLAS a (128 x 512) @ (512 x T) product over 16- to 2048-token
+# Token sub-tiles of a GEMM on a derived input (_tile_product with read),
+# and of the dense forward's jobs where T is one tile (_forward_jobs). On
+# OpenBLAS a (128 x 512) @ (512 x T) product over 16- to 2048-token
 # column tiles matched the whole GEMM bit for bit, and over 8-token tiles
-# it did not.
+# it did not; w1 @ x over 16- to 1024-token column sub-tiles of a
+# 2048-token tile matched the tile's GEMM, d = 16 to 128 (`struprune
+# verify` checks both on the running BLAS). A 512-token GEMM runs 8-25 %
+# slower per flop than a 2048-token one there, so a GEMM spans a whole
+# tile wherever the job does.
 SUB_TILE_TOKENS = 512
 
 
@@ -498,13 +506,22 @@ def _sub_tiles(t: slice) -> list[slice]:
             for s in _token_tiles(t.stop - t.start, SUB_TILE_TOKENS)]
 
 
+def _forward_jobs(n_tokens: int) -> list[slice]:
+    """The token columns of the dense forward's jobs over n_tokens tokens
+    (_forward_block): the token tiles, or the sub-tiles of the one tile
+    where T is one tile (T <= TILE_TOKENS, or T % 8 != 0), so a one-tile
+    forward spreads over the workers too."""
+    tiles = _token_tiles(n_tokens)
+    return _sub_tiles(tiles[0]) if len(tiles) == 1 else tiles
+
+
 def _tile_product(w: np.ndarray, x, prod: np.ndarray, t: slice, read=None) -> None:
     """prod[:, t] = w @ x[:, t]; or, for a derived input of x's shape (FFN
     relu(z), DERIVED), w @ its columns t, which read(s, out) writes into
-    out and returns a sub-tile s of SUB_TILE_TOKENS columns at a time,
-    into one buffer, each sub-tile's GEMM writing its slice, so the
-    derived input is never whole. With read, x is an array or a
-    _Nonzeros store and only its shape is read here."""
+    out and returns a sub-tile s of t (_sub_tiles) at a time, into one
+    buffer, each sub-tile's GEMM writing its slice, so the derived input
+    is never whole. With read, x is an array or a _Nonzeros store and
+    only its shape is read here."""
     if read is None:
         np.matmul(w, x[:, t], out=prod[:, t])
         return
@@ -520,9 +537,11 @@ def _tiled_product(w: np.ndarray, x, run=None, read=None) -> np.ndarray:
     each _token_tiles(T) column tile's GEMM writing its slice of a fresh
     array, on the workers of `run` (a _worker_pool runner over those
     tiles) or, when run is None, in the calling thread. Every GEMM over a
-    record's tokens is a _tile_product of these tiles: the dense forward,
-    every product a record forms (BlockActivations._gemm) and a lean
-    record's rebuild, so they all have capture's bits."""
+    record's tokens is a _tile_product: the dense forward's (over its
+    jobs' columns, _forward_jobs), every product a record forms
+    (BlockActivations._gemm) and a lean record's rebuild, so they have
+    capture's bits: by construction where T spans several tiles, and
+    where it is one tile by the sub-tile GEMM's bits (SUB_TILE_TOKENS)."""
     prod = np.empty((w.shape[0], x.shape[1]))
 
     def tile(t):
@@ -537,29 +556,30 @@ def _tiled_product(w: np.ndarray, x, run=None, read=None) -> np.ndarray:
 def _forward_block(block, x: np.ndarray, seq_len: int, run) -> "BlockActivations":
     """The BlockActivations of one block of the dense forward from input x,
     every step on the workers of `run` (a _worker_pool runner over
-    _token_tiles(T)), with the bits of each GEMM's _tiled_product.
+    _token_tiles(T)), with the bits of each GEMM's _tiled_product. A job
+    spans the token columns j of _forward_jobs(T): a tile, or a sub-tile
+    of the one tile.
 
-    FFN: one job per tile forms the w1 tile and then the w2 tile on
-    relu(z) (DERIVED) over its sub-tiles. MHA: one job per (matrix,
-    tile) forms the q and k tiles, so a tile's two GEMMs run side by
-    side, and one job per tile writes their consensus z; row_softmax
-    runs once on the whole z, since it normalizes across the tokens of a
-    sample, a block of rows per job, and z is dropped after it
-    (DERIVED); then one job per tile forms the v tile and then the o
-    tile."""
-    tiles = _token_tiles(x.shape[1])
+    FFN: one job per j forms z[:, j] and then out[:, j] from its relu
+    sub-tiles (DERIVED). MHA: one job per (matrix, j) forms those columns
+    of q and k, and one job per tile writes their consensus z;
+    row_softmax runs once on the whole z, since it normalizes across the
+    tokens of a sample, a block of rows per job, and z is dropped after
+    it (DERIVED); then one job per j forms those columns of v and then
+    of o."""
+    jobs = _forward_jobs(x.shape[1])
     if block.kind == FFN:
         z = np.empty((block.w1.shape[0], x.shape[1]))
         out = np.empty((block.w2.shape[0], x.shape[1]))
 
-        def ffn_tile(t):
-            _tile_product(block.w1, x, z, t)
-            _tile_product(block.w2, z, out, t, lambda s, part: relu(z[:, s], out=part))
+        def ffn_job(j):
+            _tile_product(block.w1, x, z, j)
+            _tile_product(block.w2, z, out, j, lambda s, part: relu(z[:, s], out=part))
 
-        run(ffn_tile)
+        run(ffn_job, jobs)
         return BlockActivations(FFN, x, z, None, out, None)
     q, k = (np.empty((w.shape[0], x.shape[1])) for w in (block.wq, block.wk))
-    run(lambda job: _tile_product(*job), [(w, x, p, t) for t in tiles for w, p in ((block.wq, q), (block.wk, k))])
+    run(lambda job: _tile_product(*job), [(w, x, p, j) for j in jobs for w, p in ((block.wq, q), (block.wk, k))])
     z = np.empty_like(q)
     run(lambda t: _consensus(q[:, t], k[:, t], out=z[:, t]))
     a = row_softmax(z, scale=block.head_scale, seg_len=seq_len, run=run)
@@ -567,26 +587,37 @@ def _forward_block(block, x: np.ndarray, seq_len: int, run) -> "BlockActivations
     a_attn = np.empty((block.wv.shape[0], x.shape[1]))
     out = np.empty((block.wo.shape[0], x.shape[1]))
 
-    def vo_tile(t):
-        _tile_product(block.wv, a, a_attn, t)
-        _tile_product(block.wo, a_attn, out, t)
+    def vo_job(j):
+        _tile_product(block.wv, a, a_attn, j)
+        _tile_product(block.wo, a_attn, out, j)
 
-    run(vo_tile)
+    run(vo_job, jobs)
     return BlockActivations(MHA, x, None, a, out, a_attn, q, k)
+
+
+def _stream_width(n_tokens: int) -> int | None:
+    """The token width of _forward_ffn_nonzeros' jobs over n_tokens
+    tokens: SUB_TILE_TOKENS where the sub-tiles (_token_tiles(T,
+    SUB_TILE_TOKENS)) are the nodes of at most that many tokens of
+    numpy's pairwise tree over a row (T = 512 * 2**k, and T <= 512), else
+    TILE_TOKENS where the token tiles are the nodes of at most
+    TILE_TOKENS (T <= 2048, or 2048 * 2**k), else None. Each row's sum is
+    then its jobs' sums added over that tree (_pairwise_node)."""
+    for width in (SUB_TILE_TOKENS, TILE_TOKENS):
+        if _pairwise_node(0, n_tokens, width, lambda lo, hi: [slice(lo, hi)]) == _token_tiles(n_tokens, width):
+            return width
+    return None
 
 
 def _streams_relu_store(block, n_tokens: int, policy: "CapturePolicy") -> bool:
     """Whether a capture under `policy` forms the relu store of the FFN
     block in the forward (_forward_ffn_nonzeros), never holding its
     z_pre whole: a "loss" capture that takes energies and no row means
-    (of z_pre), over token tiles that are the nodes of numpy's pairwise
-    tree over a row of at most TILE_TOKENS tokens (as the loss's,
-    evaluation._sq_term), where the tree over z_pre splits no row
-    (_whole_row_tree), so each row's sum is its tiles' sums added over
-    that tree."""
+    (of z_pre), over a token count that has a _stream_width, where the
+    tree over z_pre splits no row (_whole_row_tree)."""
     return (block.kind == FFN and policy.held == "loss" and "energies" in policy.stats
             and "row_means" not in policy.stats and _whole_row_tree(block.w1.shape[0], n_tokens)
-            and _pairwise_node(0, n_tokens, TILE_TOKENS, lambda lo, hi: [slice(lo, hi)]) == _token_tiles(n_tokens))
+            and _stream_width(n_tokens) is not None)
 
 
 def _forward_ffn_nonzeros(block, x: np.ndarray, run, stats: tuple) -> "BlockActivations":
@@ -596,16 +627,21 @@ def _forward_ffn_nonzeros(block, x: np.ndarray, run, stats: tuple) -> "BlockActi
     (CapturePolicy) that BlockActivations.keep takes, row_energies("up")
     and col_l1("a_pre").
 
-    Each tile's job forms its z tile by the GEMM of _tile_product, the
-    w2 tile over its relu sub-tiles, each packed as a chunk of the
-    store, and the per-row sums of a record of the z tile alone (the
-    code of the whole record's). Those sums added over numpy's pairwise
-    tree (_pairwise_node) are the whole rows' np.sum, bit for bit. keep
-    forms z_pre again when the energies turn out not to give the up
-    term."""
+    One job per _stream_width(T) columns (a relu sub-tile at T = 512 *
+    2**k, both benchmark shapes; a token tile otherwise) forms its z
+    columns by one GEMM, the w2 product over its relu sub-tiles, each
+    packed as a chunk of the store, and the per-row sums of a record of
+    its z columns alone (the code of the whole record's). So a worker
+    holds one sub-tile of z, not a tile; at T > TILE_TOKENS its w1 GEMM
+    has the tile GEMM's bits by the sub-tile GEMM's (SUB_TILE_TOKENS).
+    Those sums added over numpy's pairwise tree (_pairwise_node) are the
+    whole rows' np.sum, bit for bit. keep forms z_pre again when the
+    energies turn out not to give the up term."""
+    width = _stream_width(x.shape[1])
+    jobs = _token_tiles(x.shape[1], width)
     out = np.empty((block.w2.shape[0], x.shape[1]))
 
-    def tile(t):
+    def job(t):
         z, chunks = block.w1 @ x[:, t], []
 
         def read(s, part):
@@ -614,18 +650,18 @@ def _forward_ffn_nonzeros(block, x: np.ndarray, run, stats: tuple) -> "BlockActi
             return part
 
         _tile_product(block.w2, z, out, t, read)
-        tile_rec = BlockActivations(FFN, None, z, None, None, None)
-        tile_rec._energies("up")
+        job_rec = BlockActivations(FFN, None, z, None, None, None)
+        job_rec._energies("up")
         if "col_l1" in stats:
-            tile_rec.col_l1("a_pre")
-        return chunks, tile_rec.stats
+            job_rec.col_l1("a_pre")
+        return chunks, job_rec.stats
 
-    done = run(tile)
+    done = run(job, jobs)
     store = _Nonzeros((block.w1.shape[0], x.shape[1]), tuple(c for chunks, _ in done for c in chunks))
     rec = BlockActivations(FFN, x, None, None, out, None, nonzeros={"a_pre": store})
-    starts = {t.start: tile_stats for t, (_, tile_stats) in zip(_token_tiles(x.shape[1]), done)}
+    starts = {t.start: job_stats for t, (_, job_stats) in zip(jobs, done)}
     for key in done[0][1]:
-        stat = _pairwise_node(0, x.shape[1], TILE_TOKENS, lambda lo, hi: starts[lo][key])
+        stat = _pairwise_node(0, x.shape[1], width, lambda lo, hi: starts[lo][key])
         stat.setflags(write=False)
         rec.stats[key] = stat
     return rec
@@ -730,7 +766,8 @@ class BlockActivations:
     its nonzeros (`nonzeros`, name -> _Nonzeros) in place of its source:
     its products (_gemm), whole reads (array) and finiteness are read
     from there, and any other read of it raises CapabilityError, as a
-    read of a dropped array does.
+    read of a dropped array does. A "loss" MHA record holds no out_pre:
+    the loss forms it again as wo @ a_attn_pre (LOSS_HELD).
 
     `dense` holds the block's dense matrices that formed the frozen
     products (read-only references, not copies). Statistics of the
@@ -742,7 +779,7 @@ class BlockActivations:
     input_pre: np.ndarray | None
     z_pre: np.ndarray | None
     a_pre: np.ndarray | None
-    out_pre: np.ndarray
+    out_pre: np.ndarray | None
     a_attn_pre: np.ndarray | None
     q_pre: np.ndarray | None = None
     k_pre: np.ndarray | None = None
@@ -757,6 +794,12 @@ class BlockActivations:
         order."""
         arrays = {name: getattr(self, name) for name in STORED[self.kind]}
         return {name: arr for name, arr in arrays.items() if arr is not None}
+
+    @property
+    def tokens(self) -> int:
+        """The record's token count, read from the first stored array it
+        holds: every policy keeps one (CapturePolicy)."""
+        return next(iter(self.frozen_arrays().values())).shape[1]
 
     def rebuild_products(self) -> None:
         """On a lean record, store its MASK_BEARING products again,
@@ -798,8 +841,8 @@ class BlockActivations:
         elif policy.held == "loss" and exact:
             for name in LOSS_HELD[self.kind]:
                 if name in DERIVED[self.kind] and name not in self.nonzeros:
-                    tiles = [s for t in _token_tiles(self.out_pre.shape[1]) for s in _sub_tiles(t)]
-                    chunks = run(lambda s: _pack_chunk(self.derive(name, lambda a: a[:, s]), s), tiles)
+                    subs = _token_tiles(self.tokens, SUB_TILE_TOKENS)
+                    chunks = run(lambda s: _pack_chunk(self.derive(name, lambda a: a[:, s]), s), subs)
                     self.nonzeros[name] = _Nonzeros(self.like(name).shape, tuple(chunks))
             for name in STORED[self.kind]:
                 if name not in LOSS_HELD[self.kind]:
@@ -970,7 +1013,7 @@ class BlockActivations:
         would be NaN)."""
         matrix = LOSS_TERMS[self.kind][term][1][0]
         rows = self.dense[matrix].shape[0]
-        if not _whole_row_tree(rows, self.out_pre.shape[1]) or not self._finite(MATRIX_IO[matrix][0], run):
+        if not _whole_row_tree(rows, self.tokens) or not self._finite(MATRIX_IO[matrix][0], run):
             return None
         sums = self._energies(term, run)
         return sums if np.isfinite(sums).all() else None
@@ -1038,13 +1081,13 @@ class CapturePolicy:
     - "loss": what the loss of a row-masked model reads besides
       statistics, LOSS_HELD: the other stored arrays of each block whose
       row-unit terms its energies give bit for bit (row_energies) go
-      (MHA q_pre, k_pre and a_pre; FFN z_pre; every block's input_pre,
-      so the model input too), and such an FFN block keeps
-      a_pre = relu(z_pre) as its nonzeros (BlockActivations.nonzeros),
-      one chunk per sub-tile of the forward's GEMMs (_sub_tiles); any
-      other block keeps every array for the leafwise sums. A product of
-      a row-unit matrix other than its dense rows or zero can no longer
-      be formed there.
+      (MHA q_pre, k_pre, a_pre and out_pre, which the loss forms again
+      from a_attn_pre; FFN z_pre; every block's input_pre, so the model
+      input too), and such an FFN block keeps a_pre = relu(z_pre) as its
+      nonzeros (BlockActivations.nonzeros), one chunk per sub-tile of the
+      forward's GEMMs (_sub_tiles); any other block keeps every array for
+      the leafwise sums. A product of a row-unit matrix other than its
+      dense rows or zero can no longer be formed there.
     stats: any of "col_l1" (of every matrix input), "row_means" (of every
     mask-bearing product) and "energies" (of every row-unit loss term)."""
 

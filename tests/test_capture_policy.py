@@ -10,9 +10,9 @@ from conftest import STD_ARCH
 from struprune.allocation import (allocate_plan, apply_masks, build_masks, global_closed_form_masks,
                                   temperature_sweep, uniform_plan)
 from struprune.errors import CapabilityError, ParameterError
+from struprune import evaluation, model as model_module, oracle
 from struprune.evaluation import total_reconstruction_loss
 from struprune.importance import layer_importance
-from struprune import model as model_module, oracle
 from struprune.linalg import make_rng, relu
 from struprune.model import (FFN, LOSS_HELD, MASK_BEARING, MATRIX_IO, MHA, STORED, BlockActivations,
                              CapturePolicy, ModelArch, capture_reference_activations, generate_toy_model,
@@ -44,6 +44,8 @@ def test_loss_records_hold_the_column_unit_arrays(layout):
         # z_pre; the store is about half of z_pre's bytes.
         assert set(rec.frozen_arrays()) | set(rec.nonzeros) == set(LOSS_HELD[rec.kind])
         assert set(rec.nonzeros) == ({"a_pre"} if rec.kind == FFN else set())
+        # An MHA record holds no out_pre: the loss forms it again.
+        assert (rec.out_pre is None) == (rec.kind == MHA)
         for name in LOSS_HELD[rec.kind]:
             if name in rec.nonzeros:
                 assert np.array_equal(rec.array(name), relu(want.z_pre))
@@ -156,15 +158,17 @@ def plant_negative_zeros(monkeypatch):
     monkeypatch.setitem(model_module.DERIVED[FFN], "a_pre", (("z_pre",), negative_zero_relu))
 
 
-@pytest.mark.parametrize("n, seq", [(8, 16), (128, 64), (190, 16), (96, 64)])  # T = 128, 8192, 3040, 6144
+@pytest.mark.parametrize("n, seq", [(8, 16), (128, 64), (96, 16), (190, 16), (96, 64)])  # T = 128, 8192, 1536, 3040, 6144
 @pytest.mark.parametrize("layout", ["decoder", "ffn"])
 def test_relu_store_keeps_the_loss_bits(layout, n, seq, monkeypatch):
-    # At T = 128 (one token tile) and 8192 (four) the store is formed in
-    # the forward's tiles, without a whole z_pre; at T = 3040 (two
-    # 1520-token loss tiles, each ending in a 496-token sub-tile) and
-    # 6144 (1536-token loss tiles) the loss tiles are not the forward's,
-    # so it is packed from z_pre, still one chunk per sub-tile of the
-    # forward's, which the loss's sub-tiles cross.
+    # At T = 128 (one sub-tile) and 8192 (sixteen) the store is formed in
+    # the forward, a 512-token sub-tile per job, without a whole z_pre;
+    # at T = 1536 a token tile per job, since numpy's pairwise tree over
+    # a row splits at 768 tokens, so its sub-tiles are not tree nodes;
+    # at T = 3040 (two 1520-token loss tiles, each ending in a 496-token
+    # sub-tile) and 6144 (1536-token loss tiles) the loss tiles are not
+    # the forward's, so it is packed from z_pre, still one chunk per
+    # sub-tile of the forward's, which the loss's sub-tiles cross.
     model, calib = fixture(layout, n=n, seq=seq)
     for block in model.blocks:
         if block.kind == FFN:
@@ -175,7 +179,9 @@ def test_relu_store_keeps_the_loss_bits(layout, n, seq, monkeypatch):
     streamed, form = [], model_module._forward_ffn_nonzeros
     monkeypatch.setattr(model_module, "_forward_ffn_nonzeros", lambda *a: streamed.append(form(*a)) or streamed[-1])
     loss = capture_reference_activations(model, calib, threads=2, policy=LOSS)
-    assert len(streamed) == (sum(b.kind == FFN for b in model.blocks) if n * seq in (128, 8192) else 0)
+    width = {128: model_module.SUB_TILE_TOKENS, 8192: model_module.SUB_TILE_TOKENS, 1536: model_module.TILE_TOKENS}
+    assert model_module._stream_width(n * seq) == width.get(n * seq)
+    assert len(streamed) == (sum(b.kind == FFN for b in model.blocks) if n * seq in width else 0)
     for rec, want in zip(loss.blocks, full.blocks):
         if rec.kind == FFN:
             assert "a_pre" in rec.nonzeros and rec.z_pre is None
@@ -204,3 +210,39 @@ def test_relu_store_keeps_the_loss_bits(layout, n, seq, monkeypatch):
     want = temperature_sweep(model, full, [0.3, 1.0], "softmax", 0.4)
     got = temperature_sweep(model, loss, [0.3, 1.0], "softmax", 0.4, threads=2)
     assert (got[0], got[1].entries, got[2]) == (want[0], want[1].entries, want[2])
+
+
+@pytest.mark.parametrize("arch, n, seq, path", [
+    (STD_ARCH, 128, 64, "tiled"),  # T = 8192: four 2048-token loss tiles, the forward's
+    (STD_ARCH, 190, 16, "tiled"),  # T = 3040: two 1520-token loss tiles, off the forward's grid
+    (STD_ARCH, 96, 64, "tiled"),  # T = 6144: four 1536-token loss tiles
+    (ModelArch(d=1, num_layers=2, num_heads=1), 5, 13, "leafwise"),  # T = 65: one-row terms are exact
+])
+def test_mha_loss_records_form_out_pre_again(arch, n, seq, path, monkeypatch):
+    model, calib = fixture("mha", n=n, seq=seq, arch=arch)
+    full = capture_reference_activations(model, calib)
+    loss = capture_reference_activations(model, calib, threads=2, policy=LOSS)
+    for rec, want in zip(loss.blocks, full.blocks, strict=True):
+        assert rec.out_pre is None and rec.row_energies("qk") is not None and rec.row_energies("val") is not None
+        # wo @ a_attn_pre has the captured bits, tile by tile and whole.
+        wo = rec.dense["wo"]
+        assert rec.product("wo", wo).tobytes() == want.out_pre.tobytes()
+        for lo, hi in ((0, n * seq // 2), (n * seq // 2, n * seq)):
+            assert rec._gemm("wo", wo, slice(lo, hi)).tobytes() == want.out_pre[:, lo:hi].tobytes()
+    tiles = []
+    real = evaluation._tile_sums
+    monkeypatch.setattr(evaluation, "_tile_sums", lambda rec, target, *a: tiles.append(target) or real(rec, target, *a))
+    rng = make_rng(9)
+    for kept in (0.6, 1.0, 0.0):
+        masks = {i: {m: rng.random(b.matrices[m].shape[0]) < kept for m in MASK_BEARING[b.kind]}
+                 for i, b in enumerate(model.blocks)}
+        pruned = apply_masks(model, masks)
+        refit = pruned.copy()
+        refit.blocks[0].wo *= 1 + 1e-3
+        for m in (pruned, refit):
+            got = total_reconstruction_loss(m, loss, threads=2)
+            want = total_reconstruction_loss(m, full)
+            assert (got.per_layer, got.total, got.terms) == (want.per_layer, want.total, want.terms)
+            ref = oracle.total_reconstruction_loss_reference(m, full)
+            assert (got.per_layer, got.total) == (ref.per_layer, ref.total)
+    assert ("out_pre" in tiles) == (path == "tiled")

@@ -107,10 +107,14 @@ def test_one_tile_capture_jobs_reach_several_workers(monkeypatch):
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
     cache = capture_reference_activations(model, calib, threads=2, policy=policy)
     assert len(ids) >= 2 and threading.get_ident() not in ids
-    # Each MHA block's q/k GEMMs (one pass of two jobs), its row_softmax
-    # (one of d rows) and the statistics' row blocks.
+    # One job per 512-token sub-tile: each MHA block's q/k GEMMs (one
+    # pass of 2 x 4 jobs) and its v/o pass, and each FFN block's pass (4
+    # jobs each); each MHA block's row_softmax (one of d rows) and the
+    # statistics' row blocks.
+    subs = N * SEQ // model_mod.SUB_TILE_TOKENS
     mha = sum(block.kind == "mha" for block in model.blocks)
-    assert passes.count(2) == mha and passes.count(ARCH.d) > mha
+    assert passes.count(2 * subs) == mha and passes.count(subs) == len(model.blocks)
+    assert passes.count(ARCH.d) > mha
     for got, want in zip(cache.blocks, ref.blocks, strict=True):
         assert got.frozen_arrays().keys() == want.frozen_arrays().keys()
         for name, arr in want.frozen_arrays().items():

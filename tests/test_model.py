@@ -23,6 +23,7 @@ from struprune.model import (
     FfnBlock,
     MhaBlock,
     ModelArch,
+    block_shapes,
     calibration_input,
     capture_reference_activations,
     generate_toy_model,
@@ -96,12 +97,21 @@ class TestLossTermLayout:
 
     @pytest.mark.parametrize("kind", [FFN, MHA])
     def test_loss_held_is_the_column_terms_targets_and_inputs(self, kind):
-        # A derived input (FFN a_pre) is held itself, as its nonzeros.
+        # Every input of a column-unit term is held; a derived one (FFN
+        # a_pre) is held itself, as its nonzeros. Of their targets, the one
+        # that is a d-deep GEMM on a held input (MHA out_pre = wo @
+        # a_attn_pre) is formed again by the loss, and the ffn_dim-deep one
+        # (FFN out_pre = w2 @ a_pre) is held.
+        arch = ModelArch(d=16, num_layers=1, num_heads=2)
+        shapes = block_shapes(arch, kind)
         held = set()
         for target, matrices in LOSS_TERMS[kind].values():
             if DEFAULT_AXES[matrices[0]] == COL:
-                held |= {target, MATRIX_IO[matrices[0]][0]}
+                held.add(MATRIX_IO[matrices[0]][0])
+                if shapes[matrices[0]][1] > arch.d:
+                    held.add(target)
         assert set(LOSS_HELD[kind]) == held and len(LOSS_HELD[kind]) == len(held)
+        assert held == {FFN: {"a_pre", "out_pre"}, MHA: {"a_attn_pre"}}[kind]
 
 
 class TestCapture:
