@@ -20,7 +20,7 @@ import numpy as np
 from .allocation import SparsityPlan, apply_masks, binarize_by_threshold, round_half_away
 from .errors import ParameterError, SingularSystemError, SolverError
 from .importance import unit_scores
-from .linalg import cho_solve, cholesky, make_rng, relu, ridge_solve, row_softmax
+from .linalg import _left_sum, cho_solve, cholesky, make_rng, relu, ridge_solve, row_softmax
 from .model import (DEFAULT_AXES, FFN, MASK_BEARING, MATRIX_IO, ROW, UNIT_OWNER, ActivationCache, BlockActivations,
                     ToyModel, _row_blocks, _worker_pool, csv_text, unit_mask)
 
@@ -612,7 +612,7 @@ def run_outer_loop(
         trace.extend(rows)
         initial_post_prune_loss += initial_loss
     trace.sort(key=lambda row: row[:2])
-    final_loss = float(sum(obj for t, _, _, obj in trace if t == cfg.outer_iters))
+    final_loss = _left_sum(obj for t, _, _, obj in trace if t == cfg.outer_iters)
     masks = {s.layer: dict(s.masks) for s in states}
     refit = replace(model, blocks=[replace(model.blocks[s.layer], **s.w_hat) for s in states])
     return AdmmResult(apply_masks(refit, masks), trace, initial_post_prune_loss, final_loss, masks)

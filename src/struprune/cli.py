@@ -39,8 +39,8 @@ from .model import (
     ModelArch,
     _malloc_policy,
     _masked_rows,
-    _pairwise_node,
     _sub_tiles,
+    _token_tiles,
     _worker_pool,
     capture_reference_activations,
     generate_toy_model,
@@ -406,7 +406,7 @@ def cmd_eval(args) -> int:
     pruned = load_model(args.model)
     dense = load_model(args.dense)
     calib = load_calibration(args.calib)
-    policy = CapturePolicy("loss", ("energies",)) if _row_masked(pruned, dense) else FULL
+    policy = CapturePolicy("loss") if _row_masked(pruned, dense) else FULL
     cache = capture_reference_activations(dense, calib, threads=args.threads, policy=policy)
     loss = evaluation.total_reconstruction_loss(
         pruned, cache, alpha=args.alpha, threads=args.threads
@@ -438,7 +438,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    model, cache = _load_inputs(args, CapturePolicy("loss", ("col_l1", "energies")))
+    model, cache = _load_inputs(args, CapturePolicy("loss", ("col_l1",)))
     grid = args.t_grid
     if grid is None:
         grid = allocation.default_temperature_grid(_wanda_importances(model, cache))
@@ -596,20 +596,20 @@ def cmd_verify(args) -> int:
     # on every array held, on this machine's BLAS.
     plan = allocation.allocate_plan(model, cache, "softmax", 0.5)
     pruned = allocation.apply_masks(model, allocation.build_masks(model, cache, plan, "wanda"))
-    loss_cache = capture_reference_activations(model, calib, threads=2, policy=CapturePolicy("loss", ("energies",)))
+    loss_cache = capture_reference_activations(model, calib, threads=2, policy=CapturePolicy("loss"))
     got = evaluation.total_reconstruction_loss(pruned, loss_cache, threads=2)
     want = evaluation.total_reconstruction_loss(pruned, cache)
     check("loss on a \"loss\" capture (relu nonzeros) matches every array held (T=3040)",
           (got.per_layer, got.total) == (want.per_layer, want.total), "losses differ")
     # Such a capture holds no MHA out_pre: the loss forms it again as
-    # wo @ a_attn_pre, over each of its own token tiles (1520 tokens, off
-    # the forward's grid) or whole, with the bits of the captured one.
+    # wo @ a_attn_pre, over each token tile (1520 tokens) or whole, with
+    # the bits of the captured one.
     same = True
     for rec, full in zip(loss_cache.blocks, cache.blocks):
         if rec.kind == MHA:
             wo = rec.dense["wo"]
             same &= rec.out_pre is None and np.array_equal(rec.product("wo", wo), full.out_pre)
-            for t in _pairwise_node(0, rec.tokens, TILE_TOKENS, lambda lo, hi: [slice(lo, hi)]):
+            for t in _token_tiles(rec.tokens):
                 same &= np.array_equal(rec._gemm("wo", wo, t), full.out_pre[:, t])
     check("MHA out_pre formed again on a \"loss\" record matches the captured one (T=3040)",
           same, "products differ")

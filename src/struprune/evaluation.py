@@ -9,14 +9,13 @@ printed value.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, ParameterError
+from .linalg import _left_sum
 from .model import (
     DERIVED,
     FFN,
@@ -89,13 +88,9 @@ def total_reconstruction_loss(
     with _worker_pool(order, threads) as run:
         done = dict(zip(order, run(lambda i: _block_terms(*pairs[i]))))
     terms = [done[i] for i in range(len(pairs))]
-    # The terms are added left to right, (qk + val) + out: sum() of floats
-    # compensates its rounding on Python 3.12 and would change the bits.
-    per_layer = [
-        (i, pb.kind, scale * functools.reduce(operator.add, t))
-        for i, (pb, t) in enumerate(zip(model_pruned.blocks, terms))
-    ]
-    return LossReport(per_layer, float(sum(l for _, _, l in per_layer)), terms)
+    # The terms are added left to right, (qk + val) + out, and so are the blocks.
+    per_layer = [(i, pb.kind, scale * _left_sum(t)) for i, (pb, t) in enumerate(zip(model_pruned.blocks, terms))]
+    return LossReport(per_layer, _left_sum(l for _, _, l in per_layer), terms)
 
 
 def _block_terms(pb, rec) -> tuple[float, ...]:
@@ -168,8 +163,8 @@ def _tile_sums(rec, target: str, frozen, matrices, t: slice) -> np.ndarray:
     TILE_TOKENS tokens: np.sum(axis=1) of the tile, which is each row's
     np.sum of it. A product the record holds is copied from the tile of
     its frozen array, its zero rows set to +0.0; any other is the GEMM
-    over the tile (BlockActivations._gemm), whose bits are those of the
-    same columns of the whole GEMM at T % 8 == 0 (model.TILE_TOKENS)."""
+    over the tile (BlockActivations._gemm), which is capture's own token
+    tile (model._token_tiles), so it has capture's bits."""
     prods = []
     for f, (m, w) in zip(frozen, matrices):
         if f is None:

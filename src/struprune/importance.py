@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import frobenius
+from .linalg import _left_sum, frobenius
 from .model import (COL, DEFAULT_AXES, FFN, MASK_BEARING, MATRIX_IO, ROW, ROW_BLOCK, ActivationCache,
                     BlockActivations, MhaBlock, ToyModel, _row_blocks, csv_text)
 
@@ -181,7 +181,7 @@ def module_importance(block, gamma: float, rho: float, layer_one_based: int) -> 
     depth = gamma ** layer_one_based
     if block.kind == FFN:
         return depth * (mlp_matrix_term(block.w1) + mlp_matrix_term(block.w2))
-    return depth * rho * sum(attention_head_term(w_h) for w_h in head_matrices(block))
+    return depth * rho * _left_sum(map(attention_head_term, head_matrices(block)))
 
 
 def layer_importance(

@@ -15,6 +15,7 @@ import ctypes
 import functools
 import importlib.machinery
 import importlib.util
+import operator
 import os
 import threading
 
@@ -34,6 +35,13 @@ def make_rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ParameterError("seed must be a nonnegative integer")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def _left_sum(values) -> float:
+    """The floats `values` added left to right from 0.0, as builtin sum()
+    adds them up to Python 3.11; from 3.12 on, sum() of floats
+    compensates its rounding, which would change the bits."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def as_matrix(a, name: str = "operand") -> np.ndarray:

@@ -349,12 +349,14 @@ SUB_TILE_TOKENS = 512
 
 
 def _token_tiles(n_tokens: int, width: int = TILE_TOKENS) -> list[slice]:
-    """The column slices of `width` tokens a tiled GEMM runs over (one
-    slice when T % 8 != 0). They depend on the token count alone, never
-    on the pool size, so every pool size writes the same bits."""
+    """The column slices a tiled GEMM runs over: the nodes of at most
+    `width` tokens of numpy's pairwise tree over a row (_pairwise_node),
+    so a row's np.sum is its tiles' sums added over that tree; one slice
+    when T % 8 != 0. They depend on the token count alone, never on the
+    pool size, so every pool size writes the same bits."""
     if n_tokens % 8:
         return [slice(0, n_tokens)]
-    return [slice(s, min(s + width, n_tokens)) for s in range(0, n_tokens, width)]
+    return _pairwise_node(0, n_tokens, width, lambda lo, hi: [slice(lo, hi)])
 
 
 # Rows per block of _row_blocks, and of the buffers that hold one block.
@@ -500,8 +502,9 @@ def _serial(fn, over):
 
 
 def _sub_tiles(t: slice) -> list[slice]:
-    """The SUB_TILE_TOKENS column slices of the token tile t that a GEMM
-    on a derived input runs over (_tile_product)."""
+    """The SUB_TILE_TOKENS nodes of the token tile t that a GEMM on a
+    derived input runs over (_tile_product): _token_tiles(T,
+    SUB_TILE_TOKENS), as a node's nodes are the tree's."""
     return [slice(t.start + s.start, t.start + s.stop)
             for s in _token_tiles(t.stop - t.start, SUB_TILE_TOKENS)]
 
@@ -521,12 +524,13 @@ def _tile_product(w: np.ndarray, x, prod: np.ndarray, t: slice, read=None) -> No
     out and returns a sub-tile s of t (_sub_tiles) at a time, into one
     buffer, each sub-tile's GEMM writing its slice, so the derived input
     is never whole. With read, x is an array or a _Nonzeros store and
-    only its shape is read here."""
+    only its shape is read here. The buffer holds the widest sub-tile,
+    which need not be the first (376 tokens, then 384)."""
     if read is None:
         np.matmul(w, x[:, t], out=prod[:, t])
         return
     subs = _sub_tiles(t)
-    buf = np.empty(x.shape[0] * (subs[0].stop - subs[0].start))
+    buf = np.empty(x.shape[0] * max(s.stop - s.start for s in subs))
     for s in subs:
         part = buf[:x.shape[0] * (s.stop - s.start)].reshape(x.shape[0], -1)
         np.matmul(w, read(s, part), out=prod[:, s])
@@ -595,71 +599,46 @@ def _forward_block(block, x: np.ndarray, seq_len: int, run) -> "BlockActivations
     return BlockActivations(MHA, x, None, a, out, a_attn, q, k)
 
 
-def _stream_width(n_tokens: int) -> int | None:
-    """The token width of _forward_ffn_nonzeros' jobs over n_tokens
-    tokens: SUB_TILE_TOKENS where the sub-tiles (_token_tiles(T,
-    SUB_TILE_TOKENS)) are the nodes of at most that many tokens of
-    numpy's pairwise tree over a row (T = 512 * 2**k, and T <= 512), else
-    TILE_TOKENS where the token tiles are the nodes of at most
-    TILE_TOKENS (T <= 2048, or 2048 * 2**k), else None. Each row's sum is
-    then its jobs' sums added over that tree (_pairwise_node)."""
-    for width in (SUB_TILE_TOKENS, TILE_TOKENS):
-        if _pairwise_node(0, n_tokens, width, lambda lo, hi: [slice(lo, hi)]) == _token_tiles(n_tokens, width):
-            return width
-    return None
-
-
-def _streams_relu_store(block, n_tokens: int, policy: "CapturePolicy") -> bool:
-    """Whether a capture under `policy` forms the relu store of the FFN
-    block in the forward (_forward_ffn_nonzeros), never holding its
-    z_pre whole: a "loss" capture that takes energies and no row means
-    (of z_pre), over a token count that has a _stream_width, where the
-    tree over z_pre splits no row (_whole_row_tree)."""
-    return (block.kind == FFN and policy.held == "loss" and "energies" in policy.stats
-            and "row_means" not in policy.stats and _whole_row_tree(block.w1.shape[0], n_tokens)
-            and _stream_width(n_tokens) is not None)
-
-
 def _forward_ffn_nonzeros(block, x: np.ndarray, run, stats: tuple) -> "BlockActivations":
-    """The record of an FFN block of the dense forward that never holds its
-    z_pre whole (_streams_relu_store): it holds a_pre = relu(z_pre) as
-    its nonzeros (_Nonzeros) and the statistics of z_pre in `stats`
-    (CapturePolicy) that BlockActivations.keep takes, row_energies("up")
-    and col_l1("a_pre").
+    """The record of an FFN block of the dense forward under a "loss"
+    policy that never holds its z_pre whole: it holds a_pre = relu(z_pre)
+    as its nonzeros (_Nonzeros) and the statistics of z_pre that
+    BlockActivations.keep takes, row_energies("up") and, when `stats`
+    (CapturePolicy) names it, col_l1("a_pre").
 
-    One job per _stream_width(T) columns (a relu sub-tile at T = 512 *
-    2**k, both benchmark shapes; a token tile otherwise) forms its z
-    columns by one GEMM, the w2 product over its relu sub-tiles, each
-    packed as a chunk of the store, and the per-row sums of a record of
-    its z columns alone (the code of the whole record's). So a worker
-    holds one sub-tile of z, not a tile; at T > TILE_TOKENS its w1 GEMM
-    has the tile GEMM's bits by the sub-tile GEMM's (SUB_TILE_TOKENS).
-    Those sums added over numpy's pairwise tree (_pairwise_node) are the
-    whole rows' np.sum, bit for bit. keep forms z_pre again when the
-    energies turn out not to give the up term."""
-    width = _stream_width(x.shape[1])
-    jobs = _token_tiles(x.shape[1], width)
+    One job per relu sub-tile (_token_tiles(T, SUB_TILE_TOKENS)) forms
+    its z columns by one GEMM, their w2 product, its chunk of the store,
+    and the per-row sums of a record of its z columns alone (the code of
+    the whole record's). So a worker holds one sub-tile of z, not a
+    tile; where T spans several sub-tiles its w1 GEMM has the tile GEMM's
+    bits by the sub-tile GEMM's (SUB_TILE_TOKENS). The sub-tiles are the
+    nodes of numpy's pairwise tree over a row, so their sums added over
+    that tree (_pairwise_node) are the whole rows' np.sum, bit for bit.
+    Capture runs it where the tree over z_pre splits no row
+    (_whole_row_tree); keep forms z_pre again when the energies turn out
+    not to give the up term all the same."""
+    jobs = _token_tiles(x.shape[1], SUB_TILE_TOKENS)
     out = np.empty((block.w2.shape[0], x.shape[1]))
 
     def job(t):
-        z, chunks = block.w1 @ x[:, t], []
-
-        def read(s, part):
-            relu(z[:, s.start - t.start:s.stop - t.start], out=part)
-            chunks.append(_pack_chunk(part, s))
-            return part
-
-        _tile_product(block.w2, z, out, t, read)
+        z = block.w1 @ x[:, t]
+        part = relu(z)
+        chunk = _pack_chunk(part, t)
+        np.matmul(block.w2, part, out=out[:, t])
+        del part  # before the statistics' temporaries, so a worker holds one of them
         job_rec = BlockActivations(FFN, None, z, None, None, None)
         job_rec._energies("up")
         if "col_l1" in stats:
             job_rec.col_l1("a_pre")
-        return chunks, job_rec.stats
+        return chunk, job_rec.stats
 
     done = run(job, jobs)
-    store = _Nonzeros((block.w1.shape[0], x.shape[1]), tuple(c for chunks, _ in done for c in chunks))
+    store = _Nonzeros((block.w1.shape[0], x.shape[1]), tuple(chunk for chunk, _ in done))
     rec = BlockActivations(FFN, x, None, None, out, None, nonzeros={"a_pre": store})
     starts = {t.start: job_stats for t, (_, job_stats) in zip(jobs, done)}
+    # The jobs are the leaves of the tree cut at the widest job (one leaf
+    # when T % 8 != 0).
+    width = max(t.stop - t.start for t in jobs)
     for key in done[0][1]:
         stat = _pairwise_node(0, x.shape[1], width, lambda lo, hi: starts[lo][key])
         stat.setflags(write=False)
@@ -707,20 +686,17 @@ class _Nonzeros:
         return replace(self, shape=(self.shape[0], hi - lo), start=self.start + lo)
 
     def fill(self, cols: slice, out: np.ndarray) -> np.ndarray:
-        """Write the columns `cols` into the C-contiguous `out` and return
-        it: a chunk of exactly those columns unpacked straight into out,
-        any other columns a chunk at a time through a buffer."""
-        a, b = self.start + cols.start, self.start + cols.stop
-        for (lo, hi), values, bits in self.chunks:
-            if (lo, hi) == (a, b):
-                return _unpack(values, bits, out)
-            if lo < b and a < hi:
-                part = _unpack(values, bits, np.empty((self.shape[0], hi - lo)))
-                out[:, max(lo, a) - a:min(hi, b) - a] = part[:, max(lo, a) - lo:min(hi, b) - lo]
-        return out
+        """Write the columns `cols`, those of exactly one chunk, into the
+        C-contiguous `out` and return it."""
+        span = (self.start + cols.start, self.start + cols.stop)
+        return _unpack(*next((values, bits) for lo_hi, values, bits in self.chunks if lo_hi == span), out)
 
     def dense(self) -> np.ndarray:
-        return self.fill(slice(0, self.shape[1]), np.empty(self.shape))
+        """The whole array of a store (not of a view), a chunk at a time."""
+        out = np.empty(self.shape)
+        for (lo, hi), values, bits in self.chunks:
+            out[:, lo:hi] = _unpack(values, bits, np.empty((self.shape[0], hi - lo)))
+        return out
 
     def finite(self) -> bool:
         return all(np.isfinite(values).all() for _, values, _ in self.chunks)
@@ -831,19 +807,15 @@ class BlockActivations:
             for matrix in MASK_BEARING[self.kind]:
                 self._dense_means(matrix, run)
         # A block whose row-unit terms its energies give bit for bit
-        # (row_energies) no longer needs the arrays of their products.
-        exact = "energies" in policy.stats and all([
+        # (row_energies) no longer needs the arrays of their products; an
+        # FFN block's relu store was formed in the forward.
+        exact = policy.held == "loss" and all([
             self.row_energies(term, run) is not None
             for term, (_, matrices) in LOSS_TERMS[self.kind].items() if matrices[0] in MASK_BEARING[self.kind]])
         if policy.held == "lean":
             self.lean = True
             self.release_products()
-        elif policy.held == "loss" and exact:
-            for name in LOSS_HELD[self.kind]:
-                if name in DERIVED[self.kind] and name not in self.nonzeros:
-                    subs = _token_tiles(self.tokens, SUB_TILE_TOKENS)
-                    chunks = run(lambda s: _pack_chunk(self.derive(name, lambda a: a[:, s]), s), subs)
-                    self.nonzeros[name] = _Nonzeros(self.like(name).shape, tuple(chunks))
+        elif exact:
             for name in STORED[self.kind]:
                 if name not in LOSS_HELD[self.kind]:
                     setattr(self, name, None)
@@ -1079,17 +1051,18 @@ class CapturePolicy:
       products of MASK_BEARING go, to be rebuilt for the block's outer
       iteration 1.
     - "loss": what the loss of a row-masked model reads besides
-      statistics, LOSS_HELD: the other stored arrays of each block whose
-      row-unit terms its energies give bit for bit (row_energies) go
-      (MHA q_pre, k_pre, a_pre and out_pre, which the loss forms again
-      from a_attn_pre; FFN z_pre; every block's input_pre, so the model
-      input too), and such an FFN block keeps a_pre = relu(z_pre) as its
-      nonzeros (BlockActivations.nonzeros), one chunk per sub-tile of the
-      forward's GEMMs (_sub_tiles); any other block keeps every array for
-      the leafwise sums. A product of a row-unit matrix other than its
-      dense rows or zero can no longer be formed there.
-    stats: any of "col_l1" (of every matrix input), "row_means" (of every
-    mask-bearing product) and "energies" (of every row-unit loss term)."""
+      statistics, LOSS_HELD: the energies of every row-unit loss term are
+      taken, and the other stored arrays of each block whose row-unit
+      terms they give bit for bit (row_energies) go (MHA q_pre, k_pre,
+      a_pre and out_pre, which the loss forms again from a_attn_pre; FFN
+      z_pre; every block's input_pre, so the model input too). Such an
+      FFN block keeps a_pre = relu(z_pre) as its nonzeros
+      (BlockActivations.nonzeros), formed in the forward a relu sub-tile
+      per chunk (_forward_ffn_nonzeros); any other block keeps every
+      array for the leafwise sums. A product of a row-unit matrix other
+      than its dense rows or zero can no longer be formed there.
+    stats: any of "col_l1" (of every matrix input) and "row_means" (of
+    every mask-bearing product; not under "loss", without FFN z_pre)."""
 
     held: str = "all"
     stats: tuple[str, ...] = ()
@@ -1097,9 +1070,11 @@ class CapturePolicy:
     def __post_init__(self):
         if self.held not in ("all", "lean", "loss"):
             raise ParameterError(f"unknown capture policy {self.held!r}")
-        unknown = set(self.stats) - {"col_l1", "row_means", "energies"}
+        unknown = set(self.stats) - {"col_l1", "row_means"}
         if unknown:
             raise ParameterError(f"unknown capture statistics {sorted(unknown)}")
+        if self.held == "loss" and "row_means" in self.stats:
+            raise ParameterError("a \"loss\" capture takes no row means")
 
 
 FULL = CapturePolicy()
@@ -1118,14 +1093,15 @@ def capture_reference_activations(
     says (CapturePolicy): its statistics are taken on the same workers,
     a block of rows per job, and then the arrays it lets go are dropped,
     so no two blocks' dropped arrays are alive at once. Under a "loss"
-    policy an FFN block may never hold its z_pre whole
-    (_streams_relu_store)."""
+    policy an FFN block whose row energies can give the up term, where
+    the tree over z_pre splits no row, never holds its z_pre whole
+    (_forward_ffn_nonzeros)."""
     n_tokens = calib.n_samples * calib.seq_len
     records: list[BlockActivations] = []
     with _worker_pool(_token_tiles(n_tokens), threads) as run:
         x = calibration_input(model, calib)
         for block in model.blocks:
-            if _streams_relu_store(block, n_tokens, policy):
+            if block.kind == FFN and policy.held == "loss" and _whole_row_tree(block.w1.shape[0], n_tokens):
                 rec = _forward_ffn_nonzeros(block, x, run, policy.stats)
             else:
                 rec = _forward_block(block, x, calib.seq_len, run)

@@ -23,7 +23,7 @@ import scipy.linalg
 from .allocation import ClosedFormContext, unit_scores_closed_form
 from .errors import ParameterError, SizeError
 from .evaluation import LossReport, MemoryConfig
-from .linalg import relu, row_softmax
+from .linalg import _left_sum, relu, row_softmax
 from .model import FFN, MASK_BEARING, calibration_input
 
 ENUM_UNIT_CAP = 12
@@ -413,7 +413,7 @@ def total_reconstruction_loss_reference(model_pruned, cache, alpha=1.0):
             out = _sq(rec.out_pre - pb.wo @ rec.a_attn_pre)
             loss = alpha * inv_n * (qk + val + out)
         per_layer.append((i, pb.kind, float(loss)))
-    return LossReport(per_layer, float(sum(l for _, _, l in per_layer)))
+    return LossReport(per_layer, _left_sum(l for _, _, l in per_layer))
 
 
 def closed_form_context_reference(model, cache, layer, matrix=None):

@@ -18,7 +18,7 @@ from struprune.model import (FFN, LOSS_HELD, MASK_BEARING, MATRIX_IO, MHA, STORE
                              CapturePolicy, ModelArch, capture_reference_activations, generate_toy_model,
                              make_calibration)
 
-LOSS = CapturePolicy("loss", ("col_l1", "energies"))
+LOSS = CapturePolicy("loss", ("col_l1",))
 
 
 def fixture(layout, n=8, seq=16, seed=41, arch=STD_ARCH):
@@ -32,6 +32,13 @@ def test_policy_names_are_checked():
         CapturePolicy("some")
     with pytest.raises(ParameterError, match="unknown capture statistics"):
         CapturePolicy("lean", ("col_l2",))
+    # A "loss" capture takes the energies whatever its statistics, and no
+    # row means: those of the w1 product read z_pre, which its FFN records
+    # never hold whole.
+    with pytest.raises(ParameterError, match="unknown capture statistics"):
+        CapturePolicy("loss", ("energies",))
+    with pytest.raises(ParameterError, match="takes no row means"):
+        CapturePolicy("loss", ("row_means",))
 
 
 @pytest.mark.parametrize("layout", ["decoder", "ffn", "mha"])
@@ -63,7 +70,7 @@ def test_loss_records_hold_the_column_unit_arrays(layout):
         rec.product(name, 2.0 * block.matrices[name])
     # A read of the relu store other than a product, a whole array or
     # finiteness raises too (eval's records take no col_l1 at capture).
-    rec = capture_reference_activations(model, calib, policy=CapturePolicy("loss", ("energies",))).blocks[-1]
+    rec = capture_reference_activations(model, calib, policy=CapturePolicy("loss")).blocks[-1]
     if rec.kind == FFN:
         with pytest.raises(CapabilityError, match="capture policy dropped it"):
             rec.col_l1("a_pre")
@@ -108,17 +115,6 @@ def test_loss_records_keep_what_the_leafwise_path_reads():
     assert total_reconstruction_loss(pruned, loss) == total_reconstruction_loss(pruned, full)
 
 
-def test_loss_records_take_row_means_from_z_pre():
-    # The w1 product's row means read z_pre, so a "loss" capture that
-    # takes them packs the relu store from a whole z_pre.
-    model, calib = fixture("ffn")
-    loss = capture_reference_activations(model, calib, policy=CapturePolicy("loss", ("row_means", "energies")))
-    full = capture_reference_activations(model, calib)
-    for rec, want in zip(loss.blocks, full.blocks, strict=True):
-        assert "a_pre" in rec.nonzeros and rec.z_pre is None
-        assert rec._dense_means("w1").tobytes() == want._dense_means("w1").tobytes()
-
-
 @pytest.mark.parametrize("arch", [STD_ARCH, ModelArch(d=16, num_layers=2, num_heads=2, ffn_dim=16)])
 def test_closed_form_plan_forms_no_product_on_lean_records(arch, monkeypatch):
     # admm --method closed-form: the plan reads the row means that capture
@@ -161,14 +157,12 @@ def plant_negative_zeros(monkeypatch):
 @pytest.mark.parametrize("n, seq", [(8, 16), (128, 64), (96, 16), (190, 16), (96, 64)])  # T = 128, 8192, 1536, 3040, 6144
 @pytest.mark.parametrize("layout", ["decoder", "ffn"])
 def test_relu_store_keeps_the_loss_bits(layout, n, seq, monkeypatch):
-    # At T = 128 (one sub-tile) and 8192 (sixteen) the store is formed in
-    # the forward, a 512-token sub-tile per job, without a whole z_pre;
-    # at T = 1536 a token tile per job, since numpy's pairwise tree over
-    # a row splits at 768 tokens, so its sub-tiles are not tree nodes;
-    # at T = 3040 (two 1520-token loss tiles, each ending in a 496-token
-    # sub-tile) and 6144 (1536-token loss tiles) the loss tiles are not
-    # the forward's, so it is packed from z_pre, still one chunk per
-    # sub-tile of the forward's, which the loss's sub-tiles cross.
+    # Every store is formed in the forward, a relu sub-tile per job,
+    # without a whole z_pre: at T = 128 one sub-tile, at 8192 sixteen of
+    # 512 tokens, at 1536 four of 384 (numpy's pairwise tree over a row
+    # splits at 768 tokens), at 3040 eight of 376 and 384 (two 1520-token
+    # tiles) and at 6144 sixteen of 384 (four 1536-token tiles). The
+    # loss reads each sub-tile as exactly one chunk.
     model, calib = fixture(layout, n=n, seq=seq)
     for block in model.blocks:
         if block.kind == FFN:
@@ -179,18 +173,18 @@ def test_relu_store_keeps_the_loss_bits(layout, n, seq, monkeypatch):
     streamed, form = [], model_module._forward_ffn_nonzeros
     monkeypatch.setattr(model_module, "_forward_ffn_nonzeros", lambda *a: streamed.append(form(*a)) or streamed[-1])
     loss = capture_reference_activations(model, calib, threads=2, policy=LOSS)
-    width = {128: model_module.SUB_TILE_TOKENS, 8192: model_module.SUB_TILE_TOKENS, 1536: model_module.TILE_TOKENS}
-    assert model_module._stream_width(n * seq) == width.get(n * seq)
-    assert len(streamed) == (sum(b.kind == FFN for b in model.blocks) if n * seq in width else 0)
+    assert len(streamed) == sum(b.kind == FFN for b in model.blocks)
     for rec, want in zip(loss.blocks, full.blocks):
         if rec.kind == FFN:
             assert "a_pre" in rec.nonzeros and rec.z_pre is None
+            subs = model_module._token_tiles(n * seq, model_module.SUB_TILE_TOKENS)
+            assert [span for span, _, _ in rec.nonzeros["a_pre"].chunks] == [(s.start, s.stop) for s in subs]
             assert np.signbit(want.z_pre[:4, ::2]).all() and not np.signbit(want.z_pre[:4, 1::2]).any()
             a = want.array("a_pre")
             assert np.signbit(a[a == 0.0]).all()
             assert np.array_equal(rec.array("a_pre"), a)
             assert not np.signbit(rec.array("a_pre")).any()
-            # The statistics a streamed record takes from its tiles.
+            # The statistics a streamed record takes from its sub-tiles.
             assert rec.row_energies("up").tobytes() == want.row_energies("up").tobytes()
             assert rec.col_l1("a_pre").tobytes() == want.col_l1("a_pre").tobytes()
     rng = make_rng(7)
@@ -203,7 +197,7 @@ def test_relu_store_keeps_the_loss_bits(layout, n, seq, monkeypatch):
         ref = oracle.total_reconstruction_loss_reference(pruned, full)
         assert (got.per_layer, got.total, got.terms) == (want.per_layer, want.total, want.terms)
         assert (got.per_layer, got.total) == (ref.per_layer, ref.total)
-        # The whole product (the leafwise path's) crosses the store's chunks.
+        # The whole product (the leafwise path's) reads the store a chunk at a time.
         for pb, rec, full_rec in zip(pruned.blocks, loss.blocks, full.blocks):
             if pb.kind == FFN:
                 assert np.array_equal(rec.product("w2", pb.w2), full_rec.product("w2", pb.w2))
@@ -213,9 +207,9 @@ def test_relu_store_keeps_the_loss_bits(layout, n, seq, monkeypatch):
 
 
 @pytest.mark.parametrize("arch, n, seq, path", [
-    (STD_ARCH, 128, 64, "tiled"),  # T = 8192: four 2048-token loss tiles, the forward's
-    (STD_ARCH, 190, 16, "tiled"),  # T = 3040: two 1520-token loss tiles, off the forward's grid
-    (STD_ARCH, 96, 64, "tiled"),  # T = 6144: four 1536-token loss tiles
+    (STD_ARCH, 128, 64, "tiled"),  # T = 8192: four 2048-token tiles
+    (STD_ARCH, 190, 16, "tiled"),  # T = 3040: two 1520-token tiles
+    (STD_ARCH, 96, 64, "tiled"),  # T = 6144: four 1536-token tiles
     (ModelArch(d=1, num_layers=2, num_heads=1), 5, 13, "leafwise"),  # T = 65: one-row terms are exact
 ])
 def test_mha_loss_records_form_out_pre_again(arch, n, seq, path, monkeypatch):

@@ -147,7 +147,7 @@ def test_relu_stores_under_fast_thread_switches_keep_their_bits():
     # and writes its own columns of out_pre.
     model = generate_toy_model(ARCH, make_rng(25), layout="decoder")
     calib = make_calibration(ARCH, 4 * N, SEQ, make_rng(26), kind="tokens")
-    policy = CapturePolicy("loss", ("col_l1", "energies"))
+    policy = CapturePolicy("loss", ("col_l1",))
     want = capture_reference_activations(model, calib, policy=policy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

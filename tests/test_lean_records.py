@@ -19,8 +19,9 @@ from struprune.model import (MASK_BEARING, MATRIX_IO, STORED, CapturePolicy, Mod
                              capture_reference_activations, generate_toy_model, make_calibration)
 
 ARCH = ModelArch(d=16, num_layers=2, num_heads=2)
-# (N, seq_len): T = 2560 makes two capture tiles of unequal width (2048 and
-# 512); T = 65 is not a multiple of 8, so capture runs one tile.
+# (N, seq_len): T = 2560 makes two 1280-token capture tiles, each of four
+# 320-token relu sub-tiles; T = 65 is not a multiple of 8, so capture runs
+# one tile.
 CALIBS = {"two-tiles": (160, 16), "T%8!=0": (5, 13)}
 LAYOUTS = ("decoder", "ffn", "mha")
 

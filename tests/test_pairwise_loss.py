@@ -222,7 +222,7 @@ def test_row_terms_from_statistics_are_the_leafwise_sums(layout, kept, monkeypat
     # Statistics taken when first read, and taken by capture on two
     # workers before it drops the products.
     loss = capture_reference_activations(model, calib, threads=2,
-                                         policy=CapturePolicy("loss", ("energies",)))
+                                         policy=CapturePolicy("loss"))
     calls = sq_term_calls(monkeypatch)
     for seed in range(4):
         pruned = row_masked(model, seed, kept)
@@ -260,7 +260,7 @@ def test_non_finite_input_takes_the_leafwise_path(layout, monkeypatch):
     calib.inputs[0, 3, 5] = np.inf
     calls = sq_term_calls(monkeypatch)
     with np.errstate(invalid="ignore", over="ignore"):
-        cache = capture_reference_activations(model, calib, policy=CapturePolicy("loss", ("energies",)))
+        cache = capture_reference_activations(model, calib, policy=CapturePolicy("loss"))
         pruned = row_masked(model, 1, 0.5)
         for pb, rec in zip(pruned.blocks, cache.blocks):
             for term in row_terms(rec.kind):

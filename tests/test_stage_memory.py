@@ -75,20 +75,24 @@ def test_sweep_peak_drops_the_released_arrays(tmp_path, monkeypatch):
         assert a.read() == b.read()
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_loss_capture_peak_is_a_few_relu_sub_tiles_per_worker(threads):
+# T = 8192 (id: the pool size): sixteen 512-token sub-tiles; T = 6144
+# and 3040 (id: pool size-T): sixteen of 384, and eight of 376 and 384.
+@pytest.mark.parametrize("threads, n, seq", [
+    pytest.param(threads, n, seq, id=str(threads) if n * seq == 8192 else f"{threads}-{n * seq}")
+    for n, seq in ((128, 64), (96, 64), (190, 16)) for threads in (1, 2, 3)])
+def test_loss_capture_peak_is_a_few_relu_sub_tiles_per_worker(threads, n, seq):
     """Above the records it returns, a "loss" capture of FFN blocks holds,
-    on each worker, one sub-tile of z (model.SUB_TILE_TOKENS tokens),
-    never a token tile of it: its relu buffer or a statistic's temporary,
-    each at most that size, and the packing's temporaries (a bool mask,
-    the nonzeros' flat indices: about half a sub-tile) beside it. The
-    model input, the one other transient, is gone by the last block,
-    where the capture peaks. A token tile of z per worker (four
-    sub-tiles) exceeds the bound at every pool size."""
+    on each worker, one sub-tile of z (at most model.SUB_TILE_TOKENS
+    tokens), never a token tile of it, nor a whole z: its relu buffer or
+    a statistic's temporary, each at most that size, and the packing's
+    temporaries (a bool mask, the nonzeros' flat indices: about half a
+    sub-tile) beside it. The model input, the one other transient, is
+    gone by the last block, where the capture peaks. A token tile of z
+    per worker (four sub-tiles) exceeds the bound at every pool size."""
     arch = ModelArch(d=16, num_layers=2, num_heads=2, ffn_dim=128)
     model = generate_toy_model(arch, make_rng(5), layout="ffn")
-    calib = make_calibration(arch, 128, 64, make_rng(6))  # T = 8192: sixteen sub-tiles
-    policy = CapturePolicy("loss", ("col_l1", "energies"))
+    calib = make_calibration(arch, n, seq, make_rng(6))
+    policy = CapturePolicy("loss", ("col_l1",))
     capture_reference_activations(model, calib, threads=threads, policy=policy)  # first-call caches
     tracemalloc.start()
     try:

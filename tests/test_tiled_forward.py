@@ -16,7 +16,9 @@ from struprune.evaluation import pseudo_perplexity, total_reconstruction_loss
 from struprune.linalg import make_rng
 from struprune.model import (
     DERIVED,
+    SUB_TILE_TOKENS,
     ModelArch,
+    _sub_tiles,
     _token_tiles,
     capture_reference_activations,
     generate_toy_model,
@@ -24,7 +26,7 @@ from struprune.model import (
 )
 
 ARCH = ModelArch(d=16, num_layers=2, num_heads=2, vocab=32)
-N, SEQ = 160, 16  # T = 2560: a full 2048-token tile and a 512-token one
+N, SEQ = 160, 16  # T = 2560: two 1280-token tiles
 
 
 def fixture(layout, kind, n=N, seq=SEQ):
@@ -34,10 +36,18 @@ def fixture(layout, kind, n=N, seq=SEQ):
 
 
 def test_tiles_depend_on_token_count_only():
-    assert _token_tiles(2560) == [slice(0, 2048), slice(2048, 2560)]
+    # The nodes of at most 2048 (512) tokens of numpy's pairwise tree over
+    # a row, which splits at half the tokens rounded down to a multiple of 8.
+    assert _token_tiles(2560) == [slice(0, 1280), slice(1280, 2560)]
+    assert _token_tiles(3040) == [slice(0, 1520), slice(1520, 3040)]
+    assert _token_tiles(6144) == [slice(s, s + 1536) for s in range(0, 6144, 1536)]
     assert _token_tiles(8192) == [slice(s, s + 2048) for s in range(0, 8192, 2048)]
     assert _token_tiles(2048) == [slice(0, 2048)]
     assert _token_tiles(2445) == [slice(0, 2445)]
+    # 1520 splits at 760, and 760 at 376: the widest sub-tile is not the first.
+    assert _sub_tiles(slice(1520, 3040)) == [slice(1520, 1896), slice(1896, 2280), slice(2280, 2656),
+                                             slice(2656, 3040)]
+    assert _token_tiles(3040, SUB_TILE_TOKENS) == [s for t in _token_tiles(3040) for s in _sub_tiles(t)]
 
 
 @pytest.mark.parametrize("layout", ["decoder", "ffn", "mha"])
@@ -65,9 +75,10 @@ def test_untiled_token_count_matches_single_pass_forward():
 
 
 # (N, seq_len) strategies of the three token tilings: one tile, several
-# tiles (the last one narrower, ending in a partial 512-token relu
-# sub-tile: N % 32 != 0), and T % 8 != 0, which capture runs as one
-# untiled GEMM.
+# tiles (T = 2064 to 6128 with N % 32 != 0, so T is not 512 * 2^k and
+# numpy's pairwise tree over a row cuts it into tiles of fewer than 2048
+# tokens and relu sub-tiles not all of 512), and T % 8 != 0, which
+# capture runs as one untiled GEMM.
 TILINGS = {
     "one-tile": st.tuples(st.integers(1, 128), st.just(16)),
     "several-tiles": st.tuples(st.integers(129, 384).filter(lambda n: n % 32), st.just(16)),
@@ -99,7 +110,7 @@ def test_capture_stores_the_same_bits_and_derives_the_forward(
 
 @pytest.mark.parametrize("layout", ["decoder", "ffn"])
 def test_loss_over_relu_sub_tiles_is_reference(layout):
-    # T = 2560: five 512-token relu sub-tiles in the loss's w2 product.
+    # T = 2560: eight 320-token relu sub-tiles in the loss's w2 product.
     model, calib = fixture(layout, "dense")
     cache = capture_reference_activations(model, calib)
     pruned = apply_masks(model, build_masks(model, cache, uniform_plan(model, 0.4), "wanda"))
