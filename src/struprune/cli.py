@@ -514,9 +514,10 @@ def cmd_verify(args) -> int:
             f"gap={float(np.max(np.abs(closed - solved))):.3e}",
         )
     # Tiled forward against the single-pass one on this machine's BLAS:
-    # T = 3040 makes two token tiles of unequal width, 2048 and 992, the
-    # second ending in a partial relu sub-tile. Every array of the forward
-    # is compared, the stored ones and those derived from them.
+    # T = 3040 makes two 1520-token tiles, the nodes of numpy's pairwise
+    # tree over a row, each cut into relu sub-tiles of 376 and 384
+    # tokens. Every array of the forward is compared, the stored ones and
+    # those derived from them.
     arch = ModelArch(d=16, num_layers=2, num_heads=2, vocab=32)
     model = generate_toy_model(arch, rng)
     calib = make_calibration(arch, 190, 16, rng, kind="tokens")

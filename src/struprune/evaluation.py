@@ -21,17 +21,16 @@ from .model import (
     FFN,
     LOSS_TERMS,
     MASK_BEARING,
-    TILE_TOKENS,
     ActivationCache,
     CalibrationSet,
     ToyModel,
     _consensus,
-    _dense_forward,
-    _pairwise_node,
+    _forward_block,
     _pairwise_sum,
     _row_pairwise_sum,
     _tiled_product,
     _token_tiles,
+    _tree_add,
     _whole_row_tree,
     _worker_pool,
     calibration_input,
@@ -131,22 +130,20 @@ def _sq_term(rec, target: str, *matrices) -> float:
     formed again by the GEMM on its input (BlockActivations._gemm), with
     capture's bits: a tile at a time where the products are, else whole.
 
-    When the record must form some product by GEMM (frozen_rows is None),
-    T % 8 == 0 and numpy's pairwise tree over the residual splits no row
+    Where numpy's pairwise tree over the residual splits no row
     (_whole_row_tree), each row's sum is taken a token tile at a time
-    (_tile_sums), so no product is whole. Otherwise the products are
-    read or formed whole and the residual summed a leaf at a time
-    (_sq_residual)."""
+    (_tile_sums) and the tiles' sums added over that tree (_tree_add), so
+    no product is whole. Otherwise the products are read or formed whole
+    and the residual summed a leaf at a time (_sq_residual)."""
     frozen = [rec.frozen_rows(m, w) for m, w in matrices]
     rows, cols = rec.dense[matrices[0][0]].shape[0], rec.tokens
-    if all(frozen) or cols % 8 or not _whole_row_tree(rows, cols):
+    if not _whole_row_tree(rows, cols):
         products = [f or (rec._gemm(m, w), None) for f, (m, w) in zip(frozen, matrices)]
         if target in DERIVED[rec.kind]:
             return _sq_residual(_flat_reader(rec, target), *products)
         return _sq_residual(_target_columns(rec, target, matrices[0][0], slice(None)), *products)
-    row_sums = _pairwise_node(0, cols, TILE_TOKENS, lambda lo, hi: _tile_sums(
-        rec, target, frozen, matrices, slice(lo, hi)))
-    return _row_pairwise_sum(row_sums, cols)
+    tiles = _token_tiles(cols)
+    return _row_pairwise_sum(_tree_add(tiles, [_tile_sums(rec, target, frozen, matrices, t) for t in tiles]), cols)
 
 
 def _target_columns(rec, target: str, matrix: str, t: slice) -> np.ndarray:
@@ -159,9 +156,9 @@ def _target_columns(rec, target: str, matrix: str, t: slice) -> np.ndarray:
 
 def _tile_sums(rec, target: str, frozen, matrices, t: slice) -> np.ndarray:
     """The per-row sums of _sq_term's squared residual over the token
-    columns t, a node of numpy's pairwise tree over one row of at most
-    TILE_TOKENS tokens: np.sum(axis=1) of the tile, which is each row's
-    np.sum of it. A product the record holds is copied from the tile of
+    columns t, one of _token_tiles(T), the nodes of numpy's pairwise tree
+    over one row: np.sum(axis=1) of the tile, which is each row's np.sum
+    of it. A product the record holds is copied from the tile of
     its frozen array, its zero rows set to +0.0; any other is the GEMM
     over the tile (BlockActivations._gemm), which is capture's own token
     tile (model._token_tiles), so it has capture's bits."""
@@ -260,9 +257,8 @@ def pseudo_perplexity(model: ToyModel, calib: CalibrationSet, threads: int = 1) 
         raise ParameterError("token sequences must have length >= 2 for next-token loss")
     x = calibration_input(model, calib)
     with _worker_pool(_token_tiles(x.shape[1]), threads) as run:
-        for rec in _dense_forward(model.blocks, x, calib.seq_len, run):
-            x = rec.out_pre
-        rec = None  # release the last block's other arrays
+        for block in model.blocks:
+            x = _forward_block(block, x, calib.seq_len, run).out_pre
         logits = _tiled_product(model.head, x, run)  # (vocab, tokens)
     # Every position but the last of each sample predicts the next token.
     n, seq = calib.n_samples, calib.seq_len

@@ -409,6 +409,17 @@ def _pairwise_node(lo: int, size: int, width: int, leaf):
             + _pairwise_node(lo + half, size - half, width, leaf))
 
 
+def _tree_add(tiles: list[slice], values: list):
+    """values[i], a value of the token columns tiles[i], added over
+    numpy's pairwise tree over a row, whose nodes the tiles are
+    (_token_tiles): a row's np.sum from its tiles' np.sum, bit for bit.
+    The values may be arrays of per-row sums, added elementwise."""
+    by_start = {t.start: value for t, value in zip(tiles, values)}
+    # The tree cut at its widest tile has these tiles as its leaves.
+    width = max(t.stop - t.start for t in tiles)
+    return _pairwise_node(0, tiles[-1].stop, width, lambda lo, hi: by_start[lo])
+
+
 def _row_pairwise_sum(row_sums: np.ndarray, cols: int) -> float:
     """np.sum of a C-contiguous (len(row_sums), cols) float64 array, bit
     for bit, from row_sums[i], the np.sum of its row i, alone, where
@@ -613,7 +624,7 @@ def _forward_ffn_nonzeros(block, x: np.ndarray, run, stats: tuple) -> "BlockActi
     tile; where T spans several sub-tiles its w1 GEMM has the tile GEMM's
     bits by the sub-tile GEMM's (SUB_TILE_TOKENS). The sub-tiles are the
     nodes of numpy's pairwise tree over a row, so their sums added over
-    that tree (_pairwise_node) are the whole rows' np.sum, bit for bit.
+    that tree (_tree_add) are the whole rows' np.sum, bit for bit.
     Capture runs it where the tree over z_pre splits no row
     (_whole_row_tree); keep forms z_pre again when the energies turn out
     not to give the up term all the same."""
@@ -635,27 +646,11 @@ def _forward_ffn_nonzeros(block, x: np.ndarray, run, stats: tuple) -> "BlockActi
     done = run(job, jobs)
     store = _Nonzeros((block.w1.shape[0], x.shape[1]), tuple(chunk for chunk, _ in done))
     rec = BlockActivations(FFN, x, None, None, out, None, nonzeros={"a_pre": store})
-    starts = {t.start: job_stats for t, (_, job_stats) in zip(jobs, done)}
-    # The jobs are the leaves of the tree cut at the widest job (one leaf
-    # when T % 8 != 0).
-    width = max(t.stop - t.start for t in jobs)
     for key in done[0][1]:
-        stat = _pairwise_node(0, x.shape[1], width, lambda lo, hi: starts[lo][key])
+        stat = _tree_add(jobs, [job_stats[key] for _, job_stats in done])
         stat.setflags(write=False)
         rec.stats[key] = stat
     return rec
-
-
-def _dense_forward(blocks, x: np.ndarray, seq_len: int, run):
-    """Yield each block's BlockActivations of the dense forward from input
-    x (d, T), block after block (_forward_block); `run` is a _worker_pool
-    runner over _token_tiles(T). A block's arrays are allocated when the
-    block is reached, and only the yielded record holds them. The bits
-    are those of oracle.dense_forward_reference."""
-    for block in blocks:
-        rec = _forward_block(block, x, seq_len, run)
-        yield rec
-        x = rec.out_pre
 
 
 def _masked_rows(w: np.ndarray, dense: np.ndarray) -> np.ndarray | None:
@@ -690,13 +685,6 @@ class _Nonzeros:
         C-contiguous `out` and return it."""
         span = (self.start + cols.start, self.start + cols.stop)
         return _unpack(*next((values, bits) for lo_hi, values, bits in self.chunks if lo_hi == span), out)
-
-    def dense(self) -> np.ndarray:
-        """The whole array of a store (not of a view), a chunk at a time."""
-        out = np.empty(self.shape)
-        for (lo, hi), values, bits in self.chunks:
-            out[:, lo:hi] = _unpack(values, bits, np.empty((self.shape[0], hi - lo)))
-        return out
 
     def finite(self) -> bool:
         return all(np.isfinite(values).all() for _, values, _ in self.chunks)
@@ -740,8 +728,8 @@ class BlockActivations:
     any other that the record does not hold (product), which needs the
     product's input stored. A "loss" record may hold a derived array as
     its nonzeros (`nonzeros`, name -> _Nonzeros) in place of its source:
-    its products (_gemm), whole reads (array) and finiteness are read
-    from there, and any other read of it raises CapabilityError, as a
+    its products (_gemm) and finiteness are read from there, and any
+    other read of it (a whole array too) raises CapabilityError, as a
     read of a dropped array does. A "loss" MHA record holds no out_pre:
     the loss forms it again as wo @ a_attn_pre (LOSS_HELD).
 
@@ -820,8 +808,8 @@ class BlockActivations:
                 if name not in LOSS_HELD[self.kind]:
                     setattr(self, name, None)
         elif self.nonzeros:
-            # Formed without z_pre (_forward_ffn_nonzeros), which the
-            # leafwise sums read: form it again, with capture's bits.
+            # Formed without z_pre (_forward_ffn_nonzeros), which the up
+            # term's residual sums read: form it again, with capture's bits.
             self.nonzeros.clear()
             self._form_products(run)
 
@@ -838,11 +826,8 @@ class BlockActivations:
         it: a stored array itself, or a derived one built here."""
         if name not in DERIVED[self.kind]:
             return getattr(self, name)
-        if name in self.nonzeros:
-            arr = self.nonzeros[name].dense()
-        else:
-            self.like(name)  # CapabilityError when capture dropped the sources
-            arr = self.derive(name)
+        self.like(name)  # CapabilityError when capture dropped the sources
+        arr = self.derive(name)
         arr.setflags(write=False)
         return arr
 
@@ -1059,8 +1044,9 @@ class CapturePolicy:
       FFN block keeps a_pre = relu(z_pre) as its nonzeros
       (BlockActivations.nonzeros), formed in the forward a relu sub-tile
       per chunk (_forward_ffn_nonzeros); any other block keeps every
-      array for the leafwise sums. A product of a row-unit matrix other
-      than its dense rows or zero can no longer be formed there.
+      array for the residual sums (evaluation._sq_term). A product of a
+      row-unit matrix other than its dense rows or zero can no longer be
+      formed there.
     stats: any of "col_l1" (of every matrix input) and "row_means" (of
     every mask-bearing product; not under "loss", without FFN z_pre)."""
 

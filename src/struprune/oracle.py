@@ -191,8 +191,8 @@ def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # Every GEMM over all tokens at once, every temporary a fresh array. The
-# production forward (model._dense_forward) runs over token tiles on a
-# pool; tests and `verify` require the same bits.
+# production forward (model._forward_block, a block at a time) runs over
+# token tiles on a pool; tests and `verify` require the same bits.
 
 
 def ffn_forward(block, x):
@@ -385,9 +385,9 @@ def ffn_objective_reference(w1_eff, w2_eff, rec, a, z, alpha, beta, n_samples):
 # fresh array, every squared residual summed whole by np.sum, and the
 # arrays capture does not store (FFN a, MHA z) derived whole. The
 # production forms read the row-unit products from the frozen activation
-# cache, and the loss sums each squared residual a leaf of numpy's
-# pairwise tree at a time (model._pairwise_sum) without building it;
-# tests and `verify` require the same bits.
+# cache, and the loss sums each squared residual a token tile or a leaf
+# of numpy's pairwise tree at a time (evaluation._sq_term) without
+# building it; tests and `verify` require the same bits.
 
 
 def sq_residual_reference(target, *products):

@@ -27,6 +27,15 @@ def fixture(layout, n=8, seq=16, seed=41, arch=STD_ARCH):
     return model, calib
 
 
+def store_array(store):
+    """The whole array of a relu store (model._Nonzeros), rebuilt from its
+    chunks."""
+    out = np.empty(store.shape)
+    for (lo, hi), values, bits in store.chunks:
+        out[:, lo:hi] = model_module._unpack(values, bits, np.empty((store.shape[0], hi - lo)))
+    return out
+
+
 def test_policy_names_are_checked():
     with pytest.raises(ParameterError, match="unknown capture policy"):
         CapturePolicy("some")
@@ -55,7 +64,7 @@ def test_loss_records_hold_the_column_unit_arrays(layout):
         assert (rec.out_pre is None) == (rec.kind == MHA)
         for name in LOSS_HELD[rec.kind]:
             if name in rec.nonzeros:
-                assert np.array_equal(rec.array(name), relu(want.z_pre))
+                assert np.array_equal(store_array(rec.nonzeros[name]), relu(want.z_pre))
                 held = sum(values.nbytes + bits.nbytes for _, values, bits in rec.nonzeros[name].chunks)
                 assert held < 0.6 * want.z_pre.nbytes
             else:
@@ -68,12 +77,14 @@ def test_loss_records_hold_the_column_unit_arrays(layout):
     name = MASK_BEARING[block.kind][0]
     with pytest.raises(CapabilityError, match="capture policy dropped it"):
         rec.product(name, 2.0 * block.matrices[name])
-    # A read of the relu store other than a product, a whole array or
-    # finiteness raises too (eval's records take no col_l1 at capture).
+    # A read of the relu store other than a product or finiteness raises
+    # too (eval's records take no col_l1 at capture), a whole read too.
     rec = capture_reference_activations(model, calib, policy=CapturePolicy("loss")).blocks[-1]
     if rec.kind == FFN:
         with pytest.raises(CapabilityError, match="capture policy dropped it"):
             rec.col_l1("a_pre")
+        with pytest.raises(CapabilityError, match="capture policy dropped it"):
+            rec.array("a_pre")
     # So does a whole read of an array derived from dropped ones.
     for rec in loss.blocks:
         if rec.kind == MHA:
@@ -182,8 +193,9 @@ def test_relu_store_keeps_the_loss_bits(layout, n, seq, monkeypatch):
             assert np.signbit(want.z_pre[:4, ::2]).all() and not np.signbit(want.z_pre[:4, 1::2]).any()
             a = want.array("a_pre")
             assert np.signbit(a[a == 0.0]).all()
-            assert np.array_equal(rec.array("a_pre"), a)
-            assert not np.signbit(rec.array("a_pre")).any()
+            held = store_array(rec.nonzeros["a_pre"])
+            assert np.array_equal(held, a)
+            assert not np.signbit(held).any()
             # The statistics a streamed record takes from its sub-tiles.
             assert rec.row_energies("up").tobytes() == want.row_energies("up").tobytes()
             assert rec.col_l1("a_pre").tobytes() == want.col_l1("a_pre").tobytes()
@@ -210,7 +222,7 @@ def test_relu_store_keeps_the_loss_bits(layout, n, seq, monkeypatch):
     (STD_ARCH, 128, 64, "tiled"),  # T = 8192: four 2048-token tiles
     (STD_ARCH, 190, 16, "tiled"),  # T = 3040: two 1520-token tiles
     (STD_ARCH, 96, 64, "tiled"),  # T = 6144: four 1536-token tiles
-    (ModelArch(d=1, num_layers=2, num_heads=1), 5, 13, "leafwise"),  # T = 65: one-row terms are exact
+    (ModelArch(d=1, num_layers=2, num_heads=1), 5, 13, "tiled"),  # T = 65: one row, one 65-token tile
 ])
 def test_mha_loss_records_form_out_pre_again(arch, n, seq, path, monkeypatch):
     model, calib = fixture("mha", n=n, seq=seq, arch=arch)

@@ -2,9 +2,9 @@
 pairwise tree at a time (model._pairwise_sum): the bits of np.sum of the
 plain expression, without a residual-sized temporary, and the same bits
 on every pool size. The row-unit terms of a row-masked model are summed
-over that tree from one statistic per row (evaluation._term), and a
-term whose product must be formed by GEMM one token tile at a time
-(evaluation._tile_sums), with the same bits.
+over that tree from one statistic per row (evaluation._term), and any
+other term one token tile at a time (evaluation._tile_sums) where that
+tree splits no row, with the same bits.
 
 The d=16 fixtures fit in one leaf, so the property tests shrink the leaf
 to make the tree split."""
@@ -255,10 +255,12 @@ def test_row_split_takes_the_leafwise_path(monkeypatch):
 
 
 @pytest.mark.parametrize("layout", ["decoder", "ffn"])
-def test_non_finite_input_takes_the_leafwise_path(layout, monkeypatch):
+def test_non_finite_input_takes_the_tiled_path(layout, monkeypatch):
+    # No energies and no frozen product: the row-unit terms form their
+    # products by GEMM over the token tiles.
     model, calib, _ = build_toy(layout)
     calib.inputs[0, 3, 5] = np.inf
-    calls = sq_term_calls(monkeypatch)
+    calls = tile_calls(monkeypatch)
     with np.errstate(invalid="ignore", over="ignore"):
         cache = capture_reference_activations(model, calib, policy=CapturePolicy("loss"))
         pruned = row_masked(model, 1, 0.5)
@@ -267,8 +269,8 @@ def test_non_finite_input_takes_the_leafwise_path(layout, monkeypatch):
                 assert rec.row_energies(term) is None
                 calls.clear()
                 _term(pb, rec, term)
-                assert calls == [LOSS_TERMS[rec.kind][term][0]]
-            assert rec.input_pre is not None  # what the leafwise path reads stays
+                assert calls == [(LOSS_TERMS[rec.kind][term][0], rec.tokens)]
+            assert rec.input_pre is not None  # what those GEMMs read stays
         got = total_reconstruction_loss(pruned, cache)
         ref = oracle.total_reconstruction_loss_reference(pruned, cache)
     assert np.array_equal([v for _, _, v in got.per_layer], [v for _, _, v in ref.per_layer],
@@ -329,13 +331,14 @@ def test_tiled_terms_are_the_reference(layout, n, seq, monkeypatch):
     # 24 rows at T = 2048: numpy's pairwise tree splits a 3-row node.
     ("decoder", ModelArch(d=24, num_layers=2, num_heads=2, ffn_dim=48), 32, 64),
     ("ffn", ModelArch(d=24, num_layers=2, num_heads=2, ffn_dim=48), 32, 64),
-    # The 1 x T product of w2 at T = 4100: a tree of one row, whose tiles
-    # would not be multiples of 8 tokens.
+    # T = 4100: the tree over the 8 x T product of w1 splits rows; that
+    # over the 1 x T product of w2 is one row, summed as one T-token tile.
     ("ffn", ModelArch(d=1, num_layers=2, num_heads=1, ffn_dim=8), 41, 100),
 ])
 def test_untiled_shapes_take_the_leafwise_path(layout, arch, n, seq, monkeypatch):
     T = n * seq
-    assert not _whole_row_tree(arch.d, T) or T % 8
+    assert not _whole_row_tree(arch.ffn_dim, T)
+    assert _whole_row_tree(arch.d, T) == (arch.d == 1)
     model = generate_toy_model(arch, make_rng(7), layout=layout)
     cache = capture_reference_activations(model, make_calibration(arch, n, seq, make_rng(8)))
     calls = tile_calls(monkeypatch)
@@ -343,7 +346,36 @@ def test_untiled_shapes_take_the_leafwise_path(layout, arch, n, seq, monkeypatch
         got = total_reconstruction_loss(pruned, cache)
         ref = oracle.total_reconstruction_loss_reference(pruned, cache)
         assert (got.per_layer, got.total) == (ref.per_layer, ref.total)
-    assert calls == []
+    assert calls == ([("out_pre", T)] * 2 * len(model.blocks) if arch.d == 1 else [])
+
+
+@pytest.mark.parametrize("n, seq", [(8, 16), (128, 64)])  # T = 128 and 8192
+@pytest.mark.parametrize("layout", ["decoder", "ffn"])
+def test_frozen_products_take_the_tiled_path(layout, n, seq, monkeypatch):
+    """The dense model against itself, and a row-masked model whose w2 and
+    wo stay dense, on a full capture: every product is read from the
+    cache, and the down and out terms are summed a token tile at a time."""
+    model = generate_toy_model(TILE_ARCH, make_rng(7), layout=layout)
+    cache = capture_reference_activations(model, make_calibration(TILE_ARCH, n, seq, make_rng(8)))
+    masked = row_masked(model, 0, 0.5)
+    for pb, block in zip(masked.blocks, model.blocks):
+        for name in ("w2", "wo"):
+            if name in block.matrices:
+                pb.matrices[name][...] = block.matrices[name]
+    calls = tile_calls(monkeypatch)
+
+    def no_gemm(*_):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(model_module.BlockActivations, "_gemm", no_gemm)
+    T = n * seq
+    for pruned in (model, masked):
+        calls.clear()
+        got = total_reconstruction_loss(pruned, cache)
+        ref = oracle.total_reconstruction_loss_reference(pruned, cache)
+        assert (got.per_layer, got.total) == (ref.per_layer, ref.total)
+        assert calls == [("out_pre", min(T, TILE_TOKENS))] * (T // min(T, TILE_TOKENS)) * len(model.blocks)
+    assert total_reconstruction_loss(model, cache).total == 0.0
 
 
 # An FFN block whose ffn_dim x T residual is 8 MiB: 256 x 4096 float64.

@@ -4,6 +4,7 @@ single-pass forward in oracle.py, whatever the pool size."""
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,11 @@ from struprune.linalg import make_rng
 from struprune.model import (
     DERIVED,
     SUB_TILE_TOKENS,
+    TILE_TOKENS,
     ModelArch,
     _sub_tiles,
     _token_tiles,
+    _tree_add,
     capture_reference_activations,
     generate_toy_model,
     make_calibration,
@@ -48,6 +51,18 @@ def test_tiles_depend_on_token_count_only():
     assert _sub_tiles(slice(1520, 3040)) == [slice(1520, 1896), slice(1896, 2280), slice(2280, 2656),
                                              slice(2656, 3040)]
     assert _token_tiles(3040, SUB_TILE_TOKENS) == [s for t in _token_tiles(3040) for s in _sub_tiles(t)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(tokens=st.integers(1, 2500).map(lambda k: 8 * k) | st.integers(1, 20000),
+       width=st.sampled_from([SUB_TILE_TOKENS, TILE_TOKENS]), rows=st.integers(1, 3))
+def test_tile_sums_added_over_the_tree_are_np_sum(tokens, width, rows):
+    # What the loss and the FFN relu stores' statistics rely on: each
+    # row's np.sum from its tiles' sums.
+    a = make_rng(tokens).normal(size=(rows, tokens))
+    tiles = _token_tiles(tokens, width)
+    got = _tree_add(tiles, [np.sum(a[:, t], axis=1) for t in tiles])
+    assert got.tobytes() == np.sum(a, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("layout", ["decoder", "ffn", "mha"])
